@@ -4,8 +4,9 @@ evaluation, and brute-force finite-field verification."""
 
 from .version import __version__
 
-from .field import (DivideByZero, GF, NotPrime, ReducibleModulus, field_make,
-                    field_of_size, prime_power, subfield_embedding)
+from .field import (DivideByZero, FieldTooSmall, GF, NotPrime,
+                    ReducibleModulus, field_make, field_of_size, prime_power,
+                    subfield_embedding)
 from .matrix import (DuplicatePoint, Mat, columns_independent, mat_nullspace,
                      mat_rank, mat_solve, rref, vandermonde)
 from .code import (BudgetExceeded, CodeParams, ErasurePattern, LinearCode,
@@ -29,8 +30,7 @@ from .seq_codes import (ParamDecompositionFails, StaircaseProfile,
                         UnsupportedT, moore_code, seq_general_code,
                         t2_dim_optimal_code, t2_near_regular_code,
                         t2_turan_code, t3_catalog)
-from .lr_codes import (EvalPoints, FieldTooSmall,
-                       SubgroupUnavailable, locality_witnesses,
+from .lr_codes import (EvalPoints, SubgroupUnavailable, locality_witnesses,
                        pg_plane_sa_code, product_avail_code, pyramid_code,
                        steiner_sa_code, tamo_barg_code, wang_avail_code)
 from .mr_codes import (LocalStructure, MrParams, NoSuitableField,

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
-from .matrix import Mat, mat_nullspace, mat_rank, rref
+from .matrix import Mat, columns_independent, mat_nullspace, mat_rank, rref
 
 #: enumeration ceilings, surfaced in verification reports
 MIN_DISTANCE_BUDGET = 2 ** 24
@@ -215,8 +215,7 @@ def _min_distance_columns(c: LinearCode) -> int:
     n = c.n
     for w in range(1, n - c.k + 2):
         for cols in combinations(range(n), w):
-            sub = H.select_columns(cols)
-            if mat_rank(sub) < w:
+            if not columns_independent(H, cols):
                 return w
     raise AssertionError("no dependent column set found")
 
@@ -331,7 +330,5 @@ def is_mds(c: LinearCode, budget: int = IS_MDS_BUDGET) -> bool:
     w = c.n - c.k if use_h else c.k
     if math.comb(c.n, w) > budget:
         raise BudgetExceeded(f"C({c.n},{w}) column subsets > {budget}")
-    for cols in combinations(range(c.n), w):
-        if mat_rank(M.select_columns(cols)) < w:
-            return False
-    return True
+    return all(columns_independent(M, cols)
+               for cols in combinations(range(c.n), w))

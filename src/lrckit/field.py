@@ -5,6 +5,9 @@ the coefficients of the polynomial representation, so for GF(2^m) the int is
 the usual bit-packed form.  Multiplication and inversion go through
 precomputed log/antilog tables (fields used here never exceed 2^20 elements,
 so the tables are cheap and make the linear-algebra verifiers fast).
+Addition is XOR in characteristic 2 and integer addition mod p in prime
+fields; in odd-characteristic extension fields it uses Zech logarithms,
+a + b = a (1 + b/a), read from a table of log(1 + g^i) built with the field.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ class ReducibleModulus(FieldError):
 
 class DivideByZero(FieldError, ZeroDivisionError):
     """Inversion or division by the zero element."""
+
+
+class FieldTooSmall(FieldError):
+    """The field has fewer elements than a construction needs."""
 
 
 def is_prime(n: int) -> bool:
@@ -153,9 +160,16 @@ class GF:
     modulus : monic modulus as a little-endian coefficient tuple of length
         m + 1; the empty tuple for prime fields (m = 1)
     primitive : an element verified to generate the multiplicative group
+
+    The tables are `_exp[i] = g^i` and `_log[g^i] = i` for the primitive
+    element g, and the Zech logarithms `_zech[i] = log(1 + g^i)`, which is
+    -1 where 1 + g^i = 0.  `_zech` holds two periods, 0 <= i < 2(q - 1), so
+    that `matrix` can index it by a sum of logarithms minus a logarithm
+    without reducing the index first.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "primitive", "_exp", "_log")
+    __slots__ = ("p", "m", "q", "modulus", "primitive", "_exp", "_log",
+                 "_zech")
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None):
@@ -254,6 +268,11 @@ class GF:
         self._log = log
         if len(set(exp)) != order:
             raise FieldError("primitive element does not generate the group")
+        # Adding 1 changes only the lowest base-p digit.
+        p = self.p
+        zech = [-1 if v == p - 1 else
+                log[v - p + 1 if v % p == p - 1 else v + 1] for v in exp]
+        self._zech = zech + zech
 
     # -- field operations --
 
@@ -262,27 +281,25 @@ class GF:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        mul, out = 1, 0
-        for _ in range(self.m):
-            out += ((a % p + b % p) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log, order = self._log, self.q - 1
+        la = log[a]
+        z = self._zech[(log[b] - la) % order]
+        return 0 if z < 0 else self._exp[(la + z) % order]
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        p = self.p
-        mul, out = 1, 0
-        for _ in range(self.m):
-            out += ((p - a % p) % p) * mul
-            a //= p
-            mul *= p
-        return out
+        if a == 0:
+            return 0
+        # -1 = g^((q-1)/2)
+        order = self.q - 1
+        return self._exp[(self._log[a] + order // 2) % order]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bounds import ceil_div, lr_singleton_bound
 from .code import BudgetExceeded, CodeParams, LinearCode, code_from_generator
-from .field import GF, field_make, prime_power
+from .field import GF, FieldTooSmall, field_make, prime_power
 from .graphs import _projective_points
 from .matrix import Mat, mat_nullspace, rref, vandermonde
 
@@ -23,10 +23,6 @@ GF2 = field_make(2)
 
 PRODUCT_CODE_BUDGET = 2 ** 14
 WANG_BUDGET = 10 ** 4
-
-
-class FieldTooSmall(ValueError):
-    pass
 
 
 class SubgroupUnavailable(ValueError):
@@ -126,6 +122,13 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     m = n // (r + 1)
+    a, b = divmod(k, r)
+    exps = [j * (r + 1) + i for j in range(a) for i in range(r)]
+    exps += [a * (r + 1) + i for i in range(b)]
+    if exps[-1] >= n:
+        # x^n = 1 on the evaluation points, so the rows would repeat
+        raise ValueError(f"top exponent {exps[-1]} reaches n = {n}; "
+                         f"need k <= m*r = {m * r}")
     gen_n = gf.pow(gf.primitive, (q - 1) // n)      # order n
     h = gf.pow(gen_n, m)                            # order r+1
     cosets = tuple(
@@ -134,9 +137,6 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     layout = EvalPoints(gf, cosets, good_poly_degree=r + 1)
     points = layout.points()
     assert len(set(points)) == n
-    a, b = divmod(k, r)
-    exps = [j * (r + 1) + i for j in range(a) for i in range(r)]
-    exps += [a * (r + 1) + i for i in range(b)]
     G = Mat(gf, [[gf.pow(x, e) for x in points] for e in exps], cols=n)
     d = lr_singleton_bound(n, k, r)
     groups = _coordinate_groups([r + 1] * m)

@@ -2,7 +2,9 @@
 
 Matrices are immutable (tuple-of-tuples of int elements).  Everything here is
 exact; GF(2) gets a bit-packed elimination path since the binary parity-check
-matrices of the graph constructions run to a couple thousand columns.
+matrices of the graph constructions run to a couple thousand columns.  Every
+larger field eliminates on log-domain vectors with one row operation,
+`_sub_mul`, which adds by Zech logarithms.
 """
 
 from __future__ import annotations
@@ -178,34 +180,64 @@ def _rref_bits(bitrows: Sequence[int], ncols: int):
     return mat[:r], pivots
 
 
+def _sub_mul(x: List[int], y: Sequence[Tuple[int, int]], lf: int,
+             gf: GF) -> None:
+    """x <- x - f*y in place, for f = g^lf, in the log domain.
+
+    A log-domain vector holds log(v_i) for each entry, and -1 for a zero
+    entry; `y` is given by its nonzero entries as (index, log) pairs.  Each
+    entry costs one lookup in the Zech table: x + c = x (1 + c/x).
+    """
+    zech = gf._zech
+    order = gf.q - 1
+    # -f = g^(lf + log(-1)); the element -1 is the integer p - 1.
+    lc = (lf + gf._log[gf.p - 1]) % order
+    for i, ly in y:
+        t = lc + ly
+        lx = x[i]
+        if lx < 0:
+            x[i] = t % order
+        else:
+            # t - lx lies in (-(q-1), 2(q-1)): two periods of the table
+            z = zech[t - lx]
+            x[i] = -1 if z < 0 else (lx + z) % order
+
+
 def rref(M: Mat):
-    """Reduced row echelon form; returns (Mat of nonzero rows, pivot list)."""
+    """Reduced row echelon form; returns (Mat of nonzero rows, pivot list).
+
+    GF(2) eliminates on bit rows; every larger field eliminates on
+    log-domain rows with `_sub_mul`.
+    """
     gf = M.gf
     if gf.q == 2:
         rows, pivots = _rref_bits(M.bitrows(), M.cols)
         return Mat.from_bitrows(gf, rows, M.cols), pivots
-    mat = [list(r) for r in M.data]
+    log, order, ncols = gf._log, gf.q - 1, M.cols
+    mat = [[log[x] if x else -1 for x in row] for row in M.data]
     nrows = len(mat)
     pivots: List[int] = []
     r = 0
-    for c in range(M.cols):
+    for c in range(ncols):
         if r >= nrows:
             break
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if mat[i][c] >= 0), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = gf.inv(mat[r][c])
-        if inv != 1:
-            mat[r] = [gf.mul(inv, x) for x in mat[r]]
+        row = mat[r]
+        lp = row[c]
+        if lp:
+            row[:] = [(x - lp) % order if x >= 0 else -1 for x in row]
+        y = [(j, row[j]) for j in range(c, ncols) if row[j] >= 0]
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [gf.sub(x, gf.mul(f, y))
-                          for x, y in zip(mat[i], mat[r])]
+            if i != r and mat[i][c] >= 0:
+                _sub_mul(mat[i], y, mat[i][c], gf)
         pivots.append(c)
         r += 1
-    return Mat(gf, mat[:r], cols=M.cols), pivots
+    exp = gf._exp
+    return Mat(gf, [[exp[x] if x >= 0 else 0 for x in row]
+                    for row in mat[:r]], cols=ncols), pivots
 
 
 def mat_rank(M: Mat) -> int:
@@ -261,7 +293,64 @@ def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:
     return Mat(gf, data, cols=len(pts))
 
 
-def columns_independent(M: Mat, cols: Sequence[int]) -> bool:
-    """True iff the selected columns of M are linearly independent."""
-    sub = M.select_columns(list(cols))
-    return mat_rank(sub) == len(cols)
+class ColumnBasis:
+    """Linearly independent columns of M, inserted one at a time.
+
+    `insert(j)` reduces column j against the columns already kept, in the
+    order they were kept, and keeps it iff it does not reduce to zero;
+    `pop()` drops the column kept last.  A depth-first walk over column
+    subsets can therefore carry the reduced basis down the tree and undo it
+    on the way back up.  Over GF(2) a column is a bit mask; over larger
+    fields it is a log-domain vector reduced with `_sub_mul`, as in `rref`.
+    """
+
+    __slots__ = ("gf", "data", "kept")
+
+    def __init__(self, M: Mat):
+        self.gf = M.gf
+        self.data = M.data
+        # Over GF(2), (pivot bit, column); else (pivot row, log of the pivot
+        # entry, column).  Each column is zero on the pivot rows of the
+        # columns kept before it.
+        self.kept: List[tuple] = []
+
+    def insert(self, j: int) -> bool:
+        kept = self.kept
+        if self.gf.q == 2:
+            v = 0
+            for i, row in enumerate(self.data):
+                if row[j]:
+                    v |= 1 << i
+            for bit, u in kept:
+                if v & bit:
+                    v ^= u
+            if not v:
+                return False
+            kept.append((v & -v, v))
+            return True
+        gf = self.gf
+        log = gf._log
+        v = [log[row[j]] if row[j] else -1 for row in self.data]
+        for p, lu, u in kept:
+            lv = v[p]
+            if lv >= 0:
+                _sub_mul(v, u, lv - lu, gf)
+        nonzero = [(i, x) for i, x in enumerate(v) if x >= 0]
+        if not nonzero:
+            return False
+        kept.append(nonzero[0] + (nonzero,))
+        return True
+
+    def pop(self) -> None:
+        self.kept.pop()
+
+
+def columns_independent(M: Mat, cols: Iterable[int]) -> bool:
+    """True iff the selected columns of M are linearly independent.
+
+    The columns are inserted one at a time into a `ColumnBasis`; the check
+    stops with False at the first column that reduces to zero against the
+    ones before it, and builds no sub-matrix.
+    """
+    basis = ColumnBasis(M)
+    return all(basis.insert(c) for c in cols)

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .code import CodeParams, LinearCode
-from .field import GF, field_make, prime_power, subfield_embedding
-from .matrix import Mat, mat_rank, vandermonde
+from .field import (GF, FieldTooSmall, field_make, prime_power,
+                    subfield_embedding)
+from .matrix import Mat, columns_independent, mat_rank, vandermonde
 
 if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
     from .verify import VerifyReport
-
-
-class FieldTooSmall(ValueError):
-    pass
 
 
 class NoSuitableField(ValueError):
@@ -399,7 +396,7 @@ def _partial_selection_mr(G: Mat, group_sizes: Sequence[int], k: int) -> bool:
             return False
         if len(keep) > k:
             for cols in combinations(range(len(keep)), k):
-                if mat_rank(sub.select_columns(cols)) != k:
+                if not columns_independent(sub, cols):
                     return False
     return True
 

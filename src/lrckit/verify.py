@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
 from .code import LinearCode, is_mds, min_distance
-from .matrix import Mat, mat_rank
+from .matrix import ColumnBasis, Mat, columns_independent, mat_rank
 from .mr_codes import LocalStructure
 
 SEQ_EXHAUSTIVE_BUDGET = 10 ** 6
@@ -290,9 +290,71 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
 # maximal recoverability
 # ---------------------------------------------------------------------------
 
-def _pattern_correctable(Hfull: Mat, pattern: Sequence[int]) -> bool:
-    cols = list(pattern)
-    return mat_rank(Hfull.select_columns(cols)) == len(cols)
+def _pmds_walk(Hfull: Mat, groups: List[List[int]], delta: int,
+               s_extra: int) -> Tuple[int, Optional[List[int]]]:
+    """Walk the exhaustive partial-MDS patterns depth first, one column per
+    tree level, carrying the reduced column basis down the tree.
+
+    Patterns come in the order of `product(combinations(g, delta) for g in
+    groups)`, each followed by `combinations(others, s_extra)` over the
+    coordinates the groups left.  Returns the number of patterns checked and
+    the first pattern whose columns are dependent, or None.  When a prefix is
+    already dependent, the first pattern under it is the witness.  Needs at
+    least one pattern to exist.
+    """
+    n = Hfull.cols
+    stages = [(g, delta) for g in groups] + [(None, s_extra)]
+    basis = ColumnBasis(Hfull)
+    cols: List[int] = []
+
+    def items_of(s: int) -> List[int]:
+        g = stages[s][0]
+        if g is None:  # the extras: every coordinate the groups left
+            taken = set(cols)
+            g = [i for i in range(n) if i not in taken]
+        return g
+
+    def slot(s: int, items: List[int], start: int, need: int):
+        """The tree level that takes the next column, as [stage, its items,
+        next position to try, columns the stage still needs]; None once the
+        pattern is whole."""
+        while need == 0:
+            s += 1
+            if s == len(stages):
+                return None
+            items, start, need = items_of(s), 0, stages[s][1]
+        return [s, items, start, need]
+
+    checked = 0
+    top = slot(-1, [], 0, 0)
+    if top is None:
+        return 1, None
+    # cols holds one column for each level below the top of the stack
+    stack = [top]
+    while stack:
+        top = stack[-1]
+        s, items, pos, need = top
+        if pos > len(items) - need:  # this level is used up: back up
+            stack.pop()
+            if stack:
+                basis.pop()
+                cols.pop()
+            continue
+        top[2] = pos + 1
+        cols.append(items[pos])
+        if not basis.insert(items[pos]):
+            cols.extend(items[pos + 1:pos + need])
+            for t in range(s + 1, len(stages)):
+                cols.extend(items_of(t)[:stages[t][1]])
+            return checked + 1, cols
+        below = slot(s, items, pos + 1, need - 1)
+        if below is None:  # a whole pattern, and independent
+            checked += 1
+            basis.pop()
+            cols.pop()
+        else:
+            stack.append(below)
+    return checked, None
 
 
 def pmds_check(code: LinearCode, structure: LocalStructure, delta: int,
@@ -313,37 +375,28 @@ def pmds_check(code: LinearCode, structure: LocalStructure, delta: int,
         mode = "exhaustive" if total <= budget else "sampled"
     rng = random.Random(seed)
 
-    def patterns():
-        from itertools import product as iproduct
-        if mode == "exhaustive":
-            group_choices = [list(combinations(g, delta)) for g in groups]
-            for picks in iproduct(*group_choices):
-                base = [i for pick in picks for i in pick]
-                others = [i for i in range(code.n) if i not in set(base)]
-                for extra in combinations(others, s_extra):
-                    yield base + list(extra)
-        else:
-            for _ in range(samples):
-                base = []
-                for g in groups:
-                    base.extend(rng.sample(g, delta))
-                others = [i for i in range(code.n) if i not in set(base)]
-                base.extend(rng.sample(others, s_extra))
-                yield base
-
-    checked = 0
-    for pattern in patterns():
-        checked += 1
-        if not _pattern_correctable(Hfull, pattern):
-            budgets = {"patterns": total, "budget": budget,
-                       "checked": checked}
-            if mode == "sampled":
-                budgets.update({"seed": seed, "samples": samples})
-            return VerifyReport("partial-mds", False, mode,
-                                witness=sorted(pattern), budgets=budgets)
+    checked, witness = 0, None
+    if mode == "exhaustive":
+        if total:
+            checked, witness = _pmds_walk(Hfull, groups, delta, s_extra)
+    else:
+        for _ in range(samples):
+            pattern = []
+            for g in groups:
+                pattern.extend(rng.sample(g, delta))
+            taken = set(pattern)
+            others = [i for i in range(code.n) if i not in taken]
+            pattern.extend(rng.sample(others, s_extra))
+            checked += 1
+            if not columns_independent(Hfull, pattern):
+                witness = pattern
+                break
     budgets = {"patterns": total, "budget": budget, "checked": checked}
     if mode == "sampled":
         budgets.update({"seed": seed, "samples": samples})
+    if witness is not None:
+        return VerifyReport("partial-mds", False, mode,
+                            witness=sorted(witness), budgets=budgets)
     return VerifyReport("partial-mds", True, mode, budgets=budgets,
                         detail={"delta": delta, "s_extra": s_extra})
 

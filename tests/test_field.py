@@ -111,6 +111,60 @@ def test_subfield_embedding_homomorphism():
     assert len(set(emb)) == 16
 
 
+# Odd characteristic: the big field adds and negates by Zech logarithms.
+@pytest.mark.parametrize("sub_pm, big_pm", [((3, 2), (3, 4)),
+                                            ((5, 1), (5, 2)),
+                                            ((13, 1), (13, 3))], ids=str)
+def test_subfield_embedding_homomorphism_odd(sub_pm, big_pm):
+    sub, big = field_make(*sub_pm), field_make(*big_pm)
+    emb = subfield_embedding(sub, big)
+    assert emb[0] == 0 and emb[1] == 1
+    for a in range(sub.q):
+        assert emb[sub.neg(a)] == big.neg(emb[a])
+        for b in range(sub.q):
+            assert emb[sub.add(a, b)] == big.add(emb[a], emb[b])
+            assert emb[sub.sub(a, b)] == big.sub(emb[a], emb[b])
+            assert emb[sub.mul(a, b)] == big.mul(emb[a], emb[b])
+    assert len(set(emb)) == sub.q
+
+
+# Digit-wise reference arithmetic: add or negate each base-p coefficient.
+def _digit_add(gf, a, b):
+    out, place = 0, 1
+    for _ in range(gf.m):
+        out += (a % gf.p + b % gf.p) % gf.p * place
+        a, b, place = a // gf.p, b // gf.p, place * gf.p
+    return out
+
+
+def _digit_neg(gf, a):
+    return gf.from_coeffs(-c for c in gf.coeffs(a))
+
+
+def _check_against_digits(gf, pairs):
+    for a, b in pairs:
+        assert gf.add(a, b) == _digit_add(gf, a, b)
+        assert gf.neg(b) == _digit_neg(gf, b)
+        assert gf.sub(a, b) == _digit_add(gf, a, _digit_neg(gf, b))
+
+
+@pytest.mark.parametrize("pm", [(3, 2), (5, 2), (3, 3), (3, 4)], ids=str)
+def test_zech_arithmetic_matches_digits_exhaustive(pm):
+    gf = field_make(*pm)
+    _check_against_digits(gf, ((a, b) for a in range(gf.q)
+                               for b in range(gf.q)))
+
+
+@pytest.mark.parametrize("pm", [(7, 3), (13, 3)], ids=str)
+def test_zech_arithmetic_matches_digits_sampled(pm):
+    gf = field_make(*pm)
+    rng = random.Random(2024)
+    pairs = [(rng.randrange(gf.q), rng.randrange(gf.q))
+             for _ in range(20_000)]
+    pairs += [(a, 0) for a in range(gf.p)] + [(0, a) for a in range(gf.p)]
+    _check_against_digits(gf, pairs)
+
+
 def test_poly_eval_horner():
     gf = field_make(7)
     # 3 + 2x + x^2 at x = 4 -> 3 + 8 + 16 = 27 = 6 mod 7

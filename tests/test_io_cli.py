@@ -143,6 +143,13 @@ def test_cli_usage_error():
                  "--q", "12"]) == 2  # 12 is not a prime power
 
 
+def test_cli_tamobarg_dimension_too_large_exit_2(capsys):
+    assert main(["construct", "tamobarg", "--n", "6", "--k", "5", "--r", "2",
+                 "--q", "7"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "top exponent" in err["message"]
+
+
 def test_cli_missing_flags_exit_2(tmp_path, capsys):
     assert main(["bound", "lr-singleton", "--n", "10"]) == 2  # no --k/--r
     capsys.readouterr()

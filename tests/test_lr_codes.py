@@ -75,6 +75,13 @@ def test_tamo_barg_divisibility_guard():
         tamo_barg_code(8, 4, 3, field_make(11))   # n does not divide q-1
 
 
+def test_tamo_barg_dimension_guard():
+    # k = 5 > m*r = 4 needs x^6, and x^6 = 1 on the 6th roots of unity
+    with pytest.raises(ValueError, match="top exponent 6"):
+        tamo_barg_code(6, 5, 2, field_make(7))
+    assert tamo_barg_code(6, 4, 2, field_make(7)).k == 4
+
+
 def test_tamo_barg_b_zero_has_fewer_monomials():
     gf = field_make(13)
     c = tamo_barg_code(12, 6, 3, gf)   # k = 2r, b = 0

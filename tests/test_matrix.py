@@ -103,3 +103,71 @@ def test_vandermonde_duplicate_point():
     gf = field_make(7)
     with pytest.raises(DuplicatePoint):
         vandermonde(gf, [1, 1, 2], 2)
+
+
+# Fields of every kind the elimination kernel serves: GF(2) bits, binary
+# extensions, a prime field and odd-characteristic extensions.
+KERNEL_FIELDS = [(2, 1), (2, 2), (2, 6), (17, 1), (5, 2), (13, 3)]
+
+
+def _planted_matrix(gf, rng, rows=5, cols=9):
+    """Sparse random matrix with column 7 = a*col0 + b*col3 and column 8 a
+    multiple of column 1, so some small column subsets are dependent."""
+    data = [[rng.randrange(gf.q) if rng.random() < 0.6 else 0
+             for _ in range(cols)] for _ in range(rows)]
+    a, b, c = (rng.randrange(1, gf.q) for _ in range(3))
+    for row in data:
+        row[7] = gf.add(gf.mul(a, row[0]), gf.mul(b, row[3]))
+        row[8] = gf.mul(c, row[1])
+    return Mat(gf, data)
+
+
+def _rref_reference(M):
+    """Gauss-Jordan elimination with per-entry field operations."""
+    gf = M.gf
+    mat = [list(r) for r in M.data]
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = gf.inv(mat[r][c])
+        mat[r] = [gf.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [gf.sub(x, gf.mul(f, y))
+                          for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return [tuple(r) for r in mat[:len(pivots)]], pivots
+
+
+@pytest.mark.parametrize("pm", KERNEL_FIELDS, ids=str)
+def test_columns_independent_matches_rank(pm):
+    gf = field_make(*pm)
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(4):
+        M = _planted_matrix(gf, rng)
+        assert not columns_independent(M, [0, 3, 7])
+        assert not columns_independent(M, [8, 1])
+        for w in range(1, M.rows + 2):
+            for cols in combinations(range(M.cols), w):
+                got = columns_independent(M, cols)
+                assert got == (mat_rank(M.select_columns(cols)) == w), cols
+                outcomes.add(got)
+        assert not columns_independent(M, [2, 2])
+        assert columns_independent(M, [])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("pm", KERNEL_FIELDS, ids=str)
+def test_rref_matches_entrywise_elimination(pm):
+    gf = field_make(*pm)
+    rng = random.Random(8)
+    for _ in range(6):
+        M = _planted_matrix(gf, rng, rows=rng.randrange(1, 8))
+        R, pivots = rref(M)
+        assert (list(R.data), pivots) == _rref_reference(M)

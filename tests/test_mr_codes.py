@@ -1,9 +1,11 @@
+from itertools import combinations, product
+
 import pytest
 
 from lrckit.bounds import lr_singleton_bound
 from lrckit.code import LinearCode, is_mds, min_distance, puncture
 from lrckit.field import field_make
-from lrckit.matrix import Mat
+from lrckit.matrix import Mat, mat_rank
 from lrckit.mr_codes import (LocalStructure, NoSuitableField,
                              mr_r12, mr_r2_coset_search, mr_rdelta2,
                              pmr_general_a1, pmr_parity_split)
@@ -37,6 +39,15 @@ def test_pmr_parity_split_guards():
     from lrckit.mr_codes import FieldTooSmall
     with pytest.raises(FieldTooSmall):
         pmr_parity_split(3, 4, 3, field_make(11))  # q < mr + 1
+
+
+def test_one_field_too_small_class():
+    import lrckit
+    from lrckit import lr_codes, mr_codes
+    assert lr_codes.FieldTooSmall is mr_codes.FieldTooSmall \
+        is lrckit.FieldTooSmall
+    with pytest.raises(lrckit.FieldTooSmall):
+        pmr_parity_split(3, 4, 3, field_make(11))
 
 
 def test_pmr_parity_split_delta_zero():
@@ -178,6 +189,61 @@ def test_zeroing_a_global_row_fails_with_witness():
     rep = pmds_check(mut, st, 1, 2)
     assert not rep.verdict
     assert rep.witness is not None
+
+
+def _pmds_flat(code, structure, delta, s_extra):
+    """Every exhaustive pmds pattern in turn, each ranked on its own:
+    (patterns checked, sorted first dependent pattern or None)."""
+    H = code.full_rank_checks()
+    checked = 0
+    for picks in product(*(combinations(g, delta)
+                           for g in structure.groups)):
+        base = [i for pick in picks for i in pick]
+        others = [i for i in range(code.n) if i not in base]
+        for extra in combinations(others, s_extra):
+            checked += 1
+            pattern = base + list(extra)
+            if mat_rank(H.select_columns(pattern)) < len(pattern):
+                return checked, sorted(pattern)
+    return checked, None
+
+
+# (code, duplicated column -> copy, s_extra, pinned checked, pinned witness)
+DUPLICATED_COLUMN_CASES = [
+    (lambda: mr_r12(4, 3), (6, 15), 0, 196, [1, 2, 6, 15]),
+    (lambda: mr_r12(4, 3), (6, 15), 1, 40, [0, 1, 2, 6, 15]),
+    (lambda: mr_r12(4, 3), (5, 9), 1, 579, [0, 2, 3, 5, 9]),
+    (lambda: mr_r12(4, 3), (13, 14), 2, 64, [0, 1, 2, 3, 13, 14]),
+    (lambda: mr_rdelta2(3, 2, 2, 4), (3, 9), 0, 73, [0, 3, 4, 5, 8, 9]),
+    (lambda: mr_rdelta2(3, 2, 2, 4), (0, 11), 1, 6,
+     [0, 1, 4, 5, 8, 9, 11]),
+]
+
+
+@pytest.mark.parametrize("make, dup, s_extra, checked, witness",
+                         DUPLICATED_COLUMN_CASES)
+def test_pmds_walk_matches_flat_loop_on_duplicated_column(
+        make, dup, s_extra, checked, witness):
+    base = make()
+    st = base.provenance["local_structure"]
+    rows = base.H.to_lists()
+    for row in rows:
+        row[dup[1]] = row[dup[0]]
+    mut = LinearCode(Mat(base.gf, rows))
+    rep = pmds_check(mut, st, st.delta, s_extra)
+    assert rep.mode == "exhaustive" and not rep.verdict
+    assert (rep.budgets["checked"], rep.witness) == (checked, witness)
+    assert _pmds_flat(mut, st, st.delta, s_extra) == (checked, witness)
+
+
+def test_pmds_walk_counts_every_pattern_on_a_pass():
+    c = mr_rdelta2(3, 2, 2, 4)
+    st = c.provenance["local_structure"]
+    for s_extra in (0, 1, 2):
+        rep = pmds_check(c, st, 2, s_extra)
+        assert rep.verdict
+        assert rep.budgets["checked"] == rep.budgets["patterns"] \
+            == _pmds_flat(c, st, 2, s_extra)[0]
 
 
 def test_pmds_sampled_mode_records_seed():
