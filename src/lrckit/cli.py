@@ -4,7 +4,8 @@ CSV.  Every output embeds a run manifest (command line, version, seeds,
 output digests) so randomized runs can be replayed exactly.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or input errors (machine-readable JSON on stderr).
+2 usage or input errors, or an internal error (machine-readable JSON on
+stderr in both cases).
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ def _emit(payload: dict, out: Optional[str], argv: List[str],
         sys.stdout.write(text)
 
 
-def _fail(kind: str, message: str, code: int = 2) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
-    return code
+def _fail(kind: str, message: str, **extra) -> int:
+    sys.stderr.write(json.dumps({"error": kind, "message": message,
+                                 **extra}) + "\n")
+    return 2
 
 
 def _field_from_args(args) -> GF:
@@ -241,18 +243,24 @@ def cmd_verify(args, argv) -> int:
     if prop == "seq":
         if args.jobs > 1 and args.mode == "sampled":
             from concurrent.futures import ProcessPoolExecutor
-            per = -(-args.samples // args.jobs)
-            chunks = [{"code": obj, "r": r, "t": t, "samples": per,
-                       "seed": args.seed + i} for i in range(args.jobs)]
+            # chunk i runs seed + i; the samples split exactly, and each
+            # chunk's seed and count are reported so any chunk replays
+            per, extra = divmod(args.samples, args.jobs)
+            chunks = [{"seed": args.seed + i, "samples": per + (i < extra)}
+                      for i in range(args.jobs)]
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                results = list(ex.map(_sampled_chunk, chunks))
-            verdict = all(x["verdict"] for x in results)
-            witness = next((x["witness"] for x in results
-                            if not x["verdict"]), None)
+                results = list(ex.map(_sampled_chunk, [
+                    dict(c, code=obj, r=r, t=t) for c in chunks]))
+            budgets = {"samples": args.samples, "seed": args.seed,
+                       "jobs": args.jobs, "chunks": chunks}
+            failed = next((i for i, x in enumerate(results)
+                           if not x["verdict"]), None)
+            if failed is not None:
+                budgets.update(failed_chunk=failed, failed_at=results[
+                    failed]["budgets"]["failed_at"])
             rep = verify.VerifyReport(
-                "seq-recovery", verdict, "sampled", witness=witness,
-                budgets={"samples": per * args.jobs, "seed": args.seed,
-                         "jobs": args.jobs})
+                "seq-recovery", failed is None, "sampled", budgets=budgets,
+                witness=None if failed is None else results[failed]["witness"])
         else:
             rep = verify.seq_recovery_check(code, r, t, mode=args.mode,
                                             samples=args.samples,
@@ -451,6 +459,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail("usage", f"missing or malformed flags: {e}")
     except OSError as e:
         return _fail("io", str(e))
+    except Exception as e:  # a defect: still JSON on stderr, never exit 1
+        import traceback  # only here: importing it costs every start 3 ms
+        return _fail("internal", f"{type(e).__name__}: {e}",
+                     traceback=traceback.format_exc())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,8 @@ from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
-from .matrix import Mat, columns_independent, mat_nullspace, mat_rank, rref
+from .matrix import (Mat, columns_independent, mat_nullspace, mat_rank,
+                     row_span, rref)
 
 #: enumeration ceilings, surfaced in verification reports
 MIN_DISTANCE_BUDGET = 2 ** 24
@@ -88,8 +89,16 @@ class LinearCode:
                 raise ValueError("G H^T != 0")
         self.params = params
         self.provenance = provenance or {}
+        self._column_supports: Optional[List[Tuple[int, ...]]] = None
 
     # -- basic views --
+
+    def column_supports(self) -> List[Tuple[int, ...]]:
+        """Row indices of the nonzero entries of each column of H; built
+        once, from the set bits of H's rows over GF(2)."""
+        if self._column_supports is None:
+            self._column_supports = self.H.column_supports()
+        return self._column_supports
 
     def generator(self) -> Mat:
         if self._G is None:
@@ -107,20 +116,7 @@ class LinearCode:
 
     def codewords(self) -> Iterator[Tuple[int, ...]]:
         """All q^k codewords (use only when that is small)."""
-        gf = self.gf
-        G = self.generator()
-        msg = [0] * self.k
-        while True:
-            yield G.transpose().mul_vec(msg)
-            i = 0
-            while i < self.k:
-                msg[i] += 1
-                if msg[i] < gf.q:
-                    break
-                msg[i] = 0
-                i += 1
-            if i == self.k:
-                return
+        return row_span(self.generator())
 
     def __repr__(self) -> str:
         return f"LinearCode[n={self.n}, k={self.k}] over {self.gf}"
@@ -180,7 +176,7 @@ def shorten(c: LinearCode, S: Sequence[int]) -> LinearCode:
 
 def _min_distance_gf2(c: LinearCode) -> int:
     """Gray-code enumeration of all nonzero codewords, bit-packed."""
-    basis = c.generator().bitrows()
+    basis = c.generator().bits
     k = len(basis)
     best = c.n + 1
     cw = 0
@@ -230,10 +226,7 @@ def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
     """
     if c.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    try:
-        enum_cost = c.gf.q ** c.k
-    except OverflowError:  # pragma: no cover
-        enum_cost = budget + 1
+    enum_cost = c.gf.q ** c.k
     col_cost = sum(math.comb(c.n, w) for w in range(1, c.n - c.k + 2))
     if enum_cost <= budget and (c.gf.q == 2 or enum_cost <= col_cost
                                 or col_cost > budget):

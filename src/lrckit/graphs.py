@@ -116,15 +116,18 @@ def check_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
 # girth
 # ---------------------------------------------------------------------------
 
-def girth(g: Graph) -> float:
-    """Length of a shortest cycle (math.inf for forests).
+def shortest_cycle(g: Graph) -> Optional[List[int]]:
+    """Edge indices of one shortest cycle, sorted, or None for forests.
 
-    BFS from every node; a non-tree edge (u, v) seen from root w witnesses a
-    closed walk of length dist(u) + dist(v) + 1 through w, and the minimum of
-    those witnesses over all roots is exactly the girth.
+    BFS from every node; a non-tree edge (u, v) seen from root w closes a
+    walk of length dist(u) + dist(v) + 1 through w, and the shortest such
+    walk over all roots is a shortest cycle.  A root's search stops once no
+    walk through it can beat the best so far, and the cycle returned is the
+    first walk found of the final length.
     """
     adj = g.adjacency()
     best = math.inf
+    cycle = None
     n = g.node_count
     for root in range(n):
         dist = [-1] * n
@@ -142,49 +145,22 @@ def girth(g: Graph) -> float:
                     dist[v] = dist[u] + 1
                     via[v] = e
                     queue.append(v)
-                else:
-                    cand = dist[u] + dist[v] + 1
-                    if cand < best:
-                        best = cand
-    return best
+                elif dist[u] + dist[v] + 1 < best:
+                    best = dist[u] + dist[v] + 1
+                    # the two tree paths back to the root, shared part
+                    # cancelled; at the final length it is a simple cycle
+                    cycle = {e}
+                    for x in (u, v):
+                        while x != root:
+                            cycle ^= {via[x]}
+                            x = sum(g.edges[via[x]]) - x
+    return None if cycle is None else sorted(cycle)
 
 
-def shortest_cycle(g: Graph) -> Optional[List[int]]:
-    """Edge indices of one shortest cycle, or None for forests."""
-    gth = girth(g)
-    if gth == math.inf:
-        return None
-    adj = g.adjacency()
-    n = g.node_count
-    for root in range(n):
-        dist = [-1] * n
-        parent = [(-1, -1)] * n  # (prev node, edge idx)
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, e in adj[u]:
-                if e == parent[u][1]:
-                    continue
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = (u, e)
-                    queue.append(v)
-                elif dist[u] + dist[v] + 1 == gth:
-                    path_u, path_v = [], []
-                    x = u
-                    while x != root:
-                        path_u.append(parent[x][1])
-                        x = parent[x][0]
-                    x = v
-                    while x != root:
-                        path_v.append(parent[x][1])
-                        x = parent[x][0]
-                    cycle = set(path_u) ^ set(path_v)
-                    cycle.add(e)
-                    if len(cycle) == gth:
-                        return sorted(cycle)
-    return None  # pragma: no cover
+def girth(g: Graph) -> float:
+    """Length of a shortest cycle (math.inf for forests)."""
+    cycle = shortest_cycle(g)
+    return math.inf if cycle is None else len(cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -635,20 +611,30 @@ def moore_catalog(r: int, t: int) -> Graph:
     return g
 
 
+def incidence_bits(g: Graph) -> List[int]:
+    """Rows of the node-edge incidence matrix of g as bit masks (bit e set
+    in the rows of both ends of edge e)."""
+    rows = [0] * g.node_count
+    for idx, (u, v) in enumerate(g.edges):
+        rows[u] |= 1 << idx
+        rows[v] |= 1 << idx
+    return rows
+
+
 def incidence_code(g: Graph, gf: GF, coefficients: str = "one",
                    seed: int = 0) -> LinearCode:
     """Code whose parity-check matrix is the node-edge incidence matrix of g
     (entries 1 by default; `coefficients="random"` draws nonzero values)."""
-    rng = random.Random(seed)
-    rows = [[0] * len(g.edges) for _ in range(g.node_count)]
-    for idx, (u, v) in enumerate(g.edges):
-        if coefficients == "random" and gf.q > 2:
-            rows[u][idx] = rng.randrange(1, gf.q)
-            rows[v][idx] = rng.randrange(1, gf.q)
-        else:
-            rows[u][idx] = 1
-            rows[v][idx] = 1
-    H = Mat(gf, rows, cols=len(g.edges))
+    if gf.q == 2:
+        H = Mat.from_bits(gf, incidence_bits(g), len(g.edges))
+    else:
+        rng = random.Random(seed)
+        rows = [[0] * len(g.edges) for _ in range(g.node_count)]
+        for idx, edge in enumerate(g.edges):
+            for w in edge:
+                rows[w][idx] = (rng.randrange(1, gf.q)
+                                if coefficients == "random" else 1)
+        H = Mat(gf, rows, cols=len(g.edges))
     code = LinearCode(H)
     code.params = CodeParams(n=code.n, k=code.k, q=gf.q)
     return code

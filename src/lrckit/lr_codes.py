@@ -15,8 +15,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bounds import ceil_div, lr_singleton_bound
 from .code import BudgetExceeded, CodeParams, LinearCode, code_from_generator
-from .field import GF, FieldTooSmall, field_make, prime_power
-from .graphs import _projective_points
+from .field import GF, FieldTooSmall, field_make
+from .graphs import pg_incidence_graph
 from .matrix import Mat, mat_nullspace, rref, vandermonde
 
 GF2 = field_make(2)
@@ -158,7 +158,7 @@ def locality_witnesses(code: LinearCode,
         if local.rows == 0:
             raise ValueError(f"group {list(grp)} carries no local parity")
         w = [0] * code.n
-        for pos, val in zip(grp, local.row(0)):
+        for pos, val in zip(grp, local.data[0]):
             w[pos] = val
         out.append(w)
     return out
@@ -223,21 +223,6 @@ def wang_avail_code(r: int, t: int) -> LinearCode:
 # minimum-block-length strict availability from block designs
 # ---------------------------------------------------------------------------
 
-def _pg_plane_incidence(Q: int) -> Tuple[List[List[int]], int]:
-    gf = field_make(*prime_power(Q))
-    pts = _projective_points(gf, 3)
-    npts = len(pts)
-    H = [[0] * npts for _ in range(npts)]
-    for li, line in enumerate(pts):
-        for pi, p in enumerate(pts):
-            acc = 0
-            for x, y in zip(p, line):
-                acc = gf.add(acc, gf.mul(x, y))
-            if acc == 0:
-                H[pi][li] = 1
-    return H, npts
-
-
 def pg_plane_sa_code(s: int) -> LinearCode:
     """Point-line incidence code of the projective plane of order Q = 2^s:
     an (n, n - 3^s - 1) binary code with strict availability, r = Q,
@@ -246,8 +231,12 @@ def pg_plane_sa_code(s: int) -> LinearCode:
     if s < 2:
         raise ValueError("need s >= 2")
     Q = 2 ** s
-    rows, n = _pg_plane_incidence(Q)
-    H = Mat(GF2, rows, cols=n)
+    g = pg_incidence_graph(Q)  # points 0..n-1, then the n lines
+    n = g.node_count // 2
+    rows = [0] * n
+    for point, line in g.edges:
+        rows[point] |= 1 << (line - n)
+    H = Mat.from_bits(GF2, rows, n)
     k = n - (3 ** s + 1)
     code = LinearCode(H, params=CodeParams(n=n, k=k, r=Q, t=Q + 1,
                                            d_min=Q + 2, q=2, role="SA"),

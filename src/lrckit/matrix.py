@@ -1,15 +1,17 @@
-"""Dense matrices over GF(p^m): rank, row reduction, null space, solving.
+"""Exact matrices over GF(p^m): rank, row reduction, null space, solving.
 
-Matrices are immutable (tuple-of-tuples of int elements).  Everything here is
-exact; GF(2) gets a bit-packed elimination path since the binary parity-check
-matrices of the graph constructions run to a couple thousand columns.  Every
-larger field eliminates on log-domain vectors with one row operation,
-`_sub_mul`, which adds by Zech logarithms.
+Matrices are immutable.  Over GF(2) each row is stored as one int bit mask,
+since the binary parity-check matrices of the graph constructions run to
+thousands of columns: rank and row reduction use one XOR basis keyed by each
+row's lowest set bit, and the tuple-of-ints form is unpacked only on demand.
+Over larger fields rows are tuples of int elements, and elimination works on
+log-domain vectors with one row operation, `_sub_mul`, which adds by Zech
+logarithms.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
 
@@ -22,28 +24,74 @@ class DuplicatePoint(MatrixError):
     """Vandermonde evaluation points must be pairwise distinct."""
 
 
+# Packing a GF(2) row: entry 0 -> "0", 1 -> "1", anything else -> "x",
+# which int(..., 2) rejects; unpacking maps the characters back.
+_PACK = bytes(48 if b == 0 else 49 if b == 1 else 120 for b in range(256))
+_UNPACK = bytes.maketrans(b"01", b"\x00\x01")
+_INT = {int}
+
+
+def _pack(row: Tuple[int, ...]) -> int:
+    """A GF(2) row as a bit mask (bit j = entry j); ValueError on an entry
+    outside {0, 1}."""
+    return int(bytes(row)[::-1].translate(_PACK) or b"0", 2)
+
+
+def _unpack(v: int, cols: int) -> bytes:
+    """The entries of a bit-mask row, one byte each."""
+    return bin(v | 1 << cols)[3:][::-1].encode().translate(_UNPACK)
+
+
 class Mat:
-    __slots__ = ("gf", "rows", "cols", "data")
+    """An immutable matrix over GF(q).
+
+    Over GF(2) the rows are bit masks, `bits[i]` with bit j = entry (i, j),
+    and `data`, the rows as tuples of ints, is unpacked on each access.
+    Over larger fields `bits` is None and `data` is stored.
+    """
+
+    __slots__ = ("gf", "rows", "cols", "bits", "_data")
 
     def __init__(self, gf: GF, data: Iterable[Iterable[int]],
                  cols: Optional[int] = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise MatrixError("ragged rows")
-        else:
-            ncols = cols if cols is not None else 0
-        for r in rows:
-            for x in r:
-                if not 0 <= x < gf.q:
-                    raise MatrixError(f"entry {x} outside GF({gf.q})")
+        try:
+            rows = [tuple(r) for r in data]
+        except TypeError:
+            raise MatrixError("rows must be sequences of integers") from None
+        ncols = len(rows[0]) if rows else (cols or 0)
+        if any(len(r) != ncols for r in rows):
+            raise MatrixError("ragged rows")
+        q = gf.q
+        try:
+            for r in rows:
+                # one C-level pass each: bool, float and str are rejected
+                if set(map(type, r)) - _INT or (
+                        q > 2 and r and (min(r) < 0 or max(r) >= q)):
+                    raise ValueError
+            bits = tuple(map(_pack, rows)) if q == 2 else None
+        except ValueError:
+            bad = next(x for r in rows for x in r
+                       if type(x) is not int or not 0 <= x < q)
+            raise MatrixError(f"entry {bad!r} is not an element of "
+                              f"GF({q})") from None
         self.gf = gf
         self.rows = len(rows)
         self.cols = ncols
-        self.data = rows
+        self.bits = bits
+        self._data = None if q == 2 else tuple(rows)
 
     # -- constructors --
+
+    @classmethod
+    def from_bits(cls, gf: GF, bits: Sequence[int], cols: int) -> "Mat":
+        """A GF(2) matrix from its rows as bit masks, unchecked: the caller
+        guarantees 0 <= v < 2**cols for every row v."""
+        if gf.q != 2:
+            raise MatrixError("bit rows require GF(2)")
+        M = cls.__new__(cls)
+        M.gf, M.rows, M.cols = gf, len(bits), cols
+        M.bits, M._data = tuple(bits), None
+        return M
 
     @classmethod
     def zeros(cls, gf: GF, rows: int, cols: int) -> "Mat":
@@ -56,18 +104,48 @@ class Mat:
 
     # -- trivial accessors --
 
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.data[i]
+    @property
+    def data(self) -> Tuple[Tuple[int, ...], ...]:
+        if self.bits is None:
+            return self._data
+        return tuple(tuple(_unpack(v, self.cols)) for v in self.bits)
 
     def __getitem__(self, ij: Tuple[int, int]) -> int:
-        return self.data[ij[0]][ij[1]]
+        i, j = ij
+        if self.bits is None:
+            return self._data[i][j]
+        # indexing a range wraps a negative j and bounds-checks it
+        return self.bits[i] >> range(self.cols)[j] & 1
+
+    def row_supports(self) -> List[Tuple[int, ...]]:
+        """Column indices of the nonzero entries of each row."""
+        if self.bits is None:
+            return [tuple(j for j, x in enumerate(r) if x) for r in self._data]
+        out = []
+        for v in self.bits:  # walk the set bits, lowest first
+            sup = []
+            while v:
+                low = v & -v
+                sup.append(low.bit_length() - 1)
+                v ^= low
+            out.append(tuple(sup))
+        return out
+
+    def column_supports(self) -> List[Tuple[int, ...]]:
+        """Row indices of the nonzero entries of each column."""
+        cols: List[List[int]] = [[] for _ in range(self.cols)]
+        for i, sup in enumerate(self.row_supports()):
+            for j in sup:
+                cols[j].append(i)
+        return [tuple(c) for c in cols]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.gf == other.gf
-                and self.data == other.data and self.cols == other.cols)
+                and self.cols == other.cols and self.bits == other.bits
+                and self._data == other._data)
 
     def __hash__(self):
-        return hash((self.gf, self.cols, self.data))
+        return hash((self.gf, self.cols, self.bits, self._data))
 
     def __repr__(self) -> str:
         return f"Mat({self.gf}, {self.rows}x{self.cols})"
@@ -78,26 +156,12 @@ class Mat:
     # -- shape operations --
 
     def transpose(self) -> "Mat":
-        return Mat(self.gf, list(zip(*self.data)) if self.data else [],
+        return Mat(self.gf, list(zip(*self.data)) if self.rows else [],
                    cols=self.rows)
 
     def select_columns(self, cols: Sequence[int]) -> "Mat":
         return Mat(self.gf, [[row[c] for c in cols] for row in self.data],
                    cols=len(cols))
-
-    def select_rows(self, rows: Sequence[int]) -> "Mat":
-        return Mat(self.gf, [self.data[r] for r in rows], cols=self.cols)
-
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows or self.gf != other.gf:
-            raise MatrixError("hstack shape/field mismatch")
-        return Mat(self.gf, [a + b for a, b in zip(self.data, other.data)],
-                   cols=self.cols + other.cols)
-
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols or self.gf != other.gf:
-            raise MatrixError("vstack shape/field mismatch")
-        return Mat(self.gf, self.data + other.data, cols=self.cols)
 
     # -- arithmetic --
 
@@ -119,9 +183,12 @@ class Mat:
         return Mat(gf, out, cols=other.cols)
 
     def mul_vec(self, vec: Sequence[int]) -> Tuple[int, ...]:
+        if self.bits is not None:
+            m = _pack(tuple(vec))
+            return tuple((v & m).bit_count() & 1 for v in self.bits)
         gf = self.gf
         out = []
-        for row in self.data:
+        for row in self._data:
             acc = 0
             for a, b in zip(row, vec):
                 if a and b:
@@ -130,54 +197,26 @@ class Mat:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.data)
-
-    # -- GF(2) bit-packed helpers --
-
-    def bitrows(self) -> List[int]:
-        """Rows as bitmasks (bit j = column j); only valid over GF(2)."""
-        if self.gf.q != 2:
-            raise MatrixError("bitrows requires GF(2)")
-        out = []
-        for row in self.data:
-            v = 0
-            for j, x in enumerate(row):
-                if x:
-                    v |= 1 << j
-            out.append(v)
-        return out
-
-    @classmethod
-    def from_bitrows(cls, gf: GF, bitrows: Sequence[int], cols: int) -> "Mat":
-        return cls(gf, [[(v >> j) & 1 for j in range(cols)] for v in bitrows],
-                   cols=cols)
+        return not any(map(any, self._data) if self.bits is None
+                       else self.bits)
 
 
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
-def _rref_bits(bitrows: Sequence[int], ncols: int):
-    """Reduced row echelon form over GF(2); returns (rows, pivot columns)."""
-    mat = [int(r) for r in bitrows]
-    nrows = len(mat)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        bit = 1 << c
-        pivot = next((i for i in range(r, nrows) if mat[i] & bit), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r]
-        for i in range(nrows):
-            if i != r and mat[i] & bit:
-                mat[i] ^= pv
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+def _xor_basis(bits: Iterable[int]) -> dict:
+    """A GF(2) row basis keyed by each row's lowest set bit (its pivot)."""
+    basis: dict = {}
+    for v in bits:
+        while v:
+            low = v & -v
+            u = basis.get(low)
+            if u is None:
+                basis[low] = v
+                break
+            v ^= u
+    return basis
 
 
 def _sub_mul(x: List[int], y: Sequence[Tuple[int, int]], lf: int,
@@ -206,13 +245,26 @@ def _sub_mul(x: List[int], y: Sequence[Tuple[int, int]], lf: int,
 def rref(M: Mat):
     """Reduced row echelon form; returns (Mat of nonzero rows, pivot list).
 
-    GF(2) eliminates on bit rows; every larger field eliminates on
-    log-domain rows with `_sub_mul`.
+    GF(2) back-substitutes the XOR basis of the bit rows; every larger field
+    eliminates on log-domain rows with `_sub_mul`.
     """
     gf = M.gf
     if gf.q == 2:
-        rows, pivots = _rref_bits(M.bitrows(), M.cols)
-        return Mat.from_bitrows(gf, rows, M.cols), pivots
+        basis = _xor_basis(M.bits)
+        order = sorted(basis)
+        pivot_mask = sum(order)
+        # clear the later pivots from each row, the last row first: a row
+        # whose pivot is later is already clear of every other pivot
+        for low in reversed(order):
+            v = basis[low]
+            extra = v & pivot_mask ^ low
+            while extra:
+                b = extra & -extra
+                v ^= basis[b]
+                extra ^= b
+            basis[low] = v
+        return (Mat.from_bits(gf, [basis[b] for b in order], M.cols),
+                [b.bit_length() - 1 for b in order])
     log, order, ncols = gf._log, gf.q - 1, M.cols
     mat = [[log[x] if x else -1 for x in row] for row in M.data]
     nrows = len(mat)
@@ -242,7 +294,7 @@ def rref(M: Mat):
 
 def mat_rank(M: Mat) -> int:
     if M.gf.q == 2:
-        return len(_rref_bits(M.bitrows(), M.cols)[1])
+        return len(_xor_basis(M.bits))
     return len(rref(M)[1])
 
 
@@ -253,11 +305,12 @@ def mat_nullspace(M: Mat) -> Mat:
     n = M.cols
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
+    rows = R.data
     basis = []
     for f in free:
         vec = [0] * n
         vec[f] = 1
-        for row, pc in zip(R.data, pivots):
+        for row, pc in zip(rows, pivots):
             if row[f]:
                 vec[pc] = gf.neg(row[f])
         basis.append(vec)
@@ -276,6 +329,23 @@ def mat_solve(M: Mat, b: Sequence[int]) -> Optional[Tuple[int, ...]]:
     for row, pc in zip(R.data, pivots):
         x[pc] = row[-1]
     return tuple(x)
+
+
+def row_span(M: Mat) -> Iterator[Tuple[int, ...]]:
+    """Every linear combination of the rows of M, the zero word first; the
+    coefficients count up in base q, the first row's fastest."""
+    q, k = M.gf.q, M.rows
+    Mt = M.transpose()
+    msg = [0] * k
+    while True:
+        yield Mt.mul_vec(msg)
+        i = 0
+        while i < k and msg[i] == q - 1:
+            msg[i] = 0
+            i += 1
+        if i == k:
+            return
+        msg[i] += 1
 
 
 def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:
@@ -304,11 +374,11 @@ class ColumnBasis:
     fields it is a log-domain vector reduced with `_sub_mul`, as in `rref`.
     """
 
-    __slots__ = ("gf", "data", "kept")
+    __slots__ = ("gf", "rows", "kept")
 
     def __init__(self, M: Mat):
         self.gf = M.gf
-        self.data = M.data
+        self.rows = M.data if M.bits is None else M.bits
         # Over GF(2), (pivot bit, column); else (pivot row, log of the pivot
         # entry, column).  Each column is zero on the pivot rows of the
         # columns kept before it.
@@ -318,8 +388,8 @@ class ColumnBasis:
         kept = self.kept
         if self.gf.q == 2:
             v = 0
-            for i, row in enumerate(self.data):
-                if row[j]:
+            for i, row in enumerate(self.rows):
+                if row >> j & 1:
                     v |= 1 << i
             for bit, u in kept:
                 if v & bit:
@@ -330,7 +400,7 @@ class ColumnBasis:
             return True
         gf = self.gf
         log = gf._log
-        v = [log[row[j]] if row[j] else -1 for row in self.data]
+        v = [log[row[j]] if row[j] else -1 for row in self.rows]
         for p, lu, u in kept:
             lv = v[p]
             if lv >= 0:

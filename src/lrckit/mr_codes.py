@@ -174,7 +174,7 @@ def pmr_parity_split(m: int, r: int, delta: int, gf: GF) -> LinearCode:
         raise FieldTooSmall(f"need q >= {k0 + 1}, got {gf.q}")
     points = [gf._exp[i] for i in range(k0)]  # distinct nonzero elements
     Hg = vandermonde(gf, points, delta + 1)
-    last = Hg.row(delta)
+    last = Hg.data[delta]
     H = _split_parity_matrix(gf, m, r, last, Hg.data[:delta])
     n, k = shape.n, shape.k
     structure = _pmr_layout(m, r)

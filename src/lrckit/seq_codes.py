@@ -17,8 +17,8 @@ from .code import CodeParams, LinearCode
 from .field import field_make
 from .graphs import (ConstructionFailed, Graph, bipartite_regular_girth,
                      complete_graph, edge_color_bipartite, girth,
-                     moore_catalog, near_regular_graph, regular_graph,
-                     turan_graph)
+                     incidence_bits, moore_catalog, near_regular_graph,
+                     regular_graph, turan_graph)
 from .matrix import Mat
 
 GF2 = field_make(2)
@@ -52,15 +52,8 @@ def _systematic_graph_code(g: Graph, r: int, t: int,
     carry information bits, nodes carry explicit parity bits."""
     m = g.node_count
     k = len(g.edges)
-    rows = []
-    for u in range(m):
-        row = [0] * (m + k)
-        row[u] = 1
-        rows.append(row)
-    for idx, (u, v) in enumerate(g.edges):
-        rows[u][m + idx] = 1
-        rows[v][m + idx] = 1
-    H = Mat(GF2, rows, cols=m + k)
+    rows = [1 << u | edges << m for u, edges in enumerate(incidence_bits(g))]
+    H = Mat.from_bits(GF2, rows, m + k)
     code = LinearCode(H, params=CodeParams(n=m + k, k=k, r=r, t=t, q=2,
                                            role="S-LR"),
                       provenance=provenance or {})
@@ -212,13 +205,9 @@ def moore_code(r: int, t: int) -> LinearCode:
 
 
 def _incidence_drop_row(g: Graph, drop: int) -> LinearCode:
-    rows = [[0] * len(g.edges) for _ in range(g.node_count)]
-    for idx, (u, v) in enumerate(g.edges):
-        rows[u][idx] = 1
-        rows[v][idx] = 1
+    rows = incidence_bits(g)
     del rows[drop]
-    H = Mat(GF2, rows, cols=len(g.edges))
-    return LinearCode(H)
+    return LinearCode(Mat.from_bits(GF2, rows, len(g.edges)))
 
 
 # ---------------------------------------------------------------------------

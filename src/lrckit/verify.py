@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
 from .code import LinearCode, is_mds, min_distance
-from .matrix import ColumnBasis, Mat, columns_independent, mat_rank
+from .matrix import ColumnBasis, Mat, columns_independent, mat_rank, row_span
 from .mr_codes import LocalStructure
 
 SEQ_EXHAUSTIVE_BUDGET = 10 ** 6
@@ -68,60 +68,49 @@ def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]
     conservative (may report unrecoverable for a recoverable pattern),
     never falsely positive.
     """
-    supports = set()
-    for row in code.H.data:
-        sup = frozenset(j for j, x in enumerate(row) if x)
-        if 0 < len(sup) <= wmax:
-            supports.add(sup)
+    supports = {frozenset(sup) for sup in code.H.row_supports()
+                if 0 < len(sup) <= wmax}
     if code.n <= DUAL_ENUM_MAX_N:
         basis = code.full_rank_checks()
-        m = basis.rows
-        try:
-            count = code.gf.q ** m
-        except OverflowError:  # pragma: no cover
-            count = DUAL_ENUM_MAX_WORDS + 1
-        if count <= DUAL_ENUM_MAX_WORDS:
-            gf = code.gf
-            bt = basis.transpose()
-            msg = [0] * m
-            while True:
-                word = bt.mul_vec(msg)
+        if code.gf.q ** basis.rows <= DUAL_ENUM_MAX_WORDS:
+            for word in row_span(basis):
                 sup = frozenset(j for j, x in enumerate(word) if x)
                 if 0 < len(sup) <= wmax:
                     supports.add(sup)
-                i = 0
-                while i < m:
-                    msg[i] += 1
-                    if msg[i] < gf.q:
-                        break
-                    msg[i] = 0
-                    i += 1
-                if i == m:
-                    break
     return sorted(supports, key=lambda s: (len(s), sorted(s)))
 
 
 class _Peeler:
     """Greedy peeling against an indexed list of low-weight dual supports.
     Peeling is confluent, so greedy order cannot miss a recoverable
-    pattern."""
+    pattern.
+
+    A pattern of w erasures is peeled on w-bit masks: bit i stands for the
+    i-th erased coordinate, each support that meets the pattern becomes the
+    mask of the erased coordinates it covers, and a support recovers a
+    symbol when exactly one of its bits is still erased.
+    """
 
     def __init__(self, n: int, supports: Sequence[FrozenSet[int]]):
-        self.supports = list(supports)
         self.by_coord: List[List[int]] = [[] for _ in range(n)]
-        for idx, s in enumerate(self.supports):
+        for idx, s in enumerate(supports):
             for c in s:
                 self.by_coord[c].append(idx)
 
     def recovers(self, erased: Iterable[int]) -> bool:
-        remaining = set(erased)
-        cand_ids = sorted({i for c in remaining for i in self.by_coord[c]})
-        cands = [self.supports[i] for i in cand_ids]
+        by_coord = self.by_coord
+        cover: Dict[int, int] = {}  # support index -> erased bits it covers
+        bit = 1
+        for c in dict.fromkeys(erased):
+            for idx in by_coord[c]:
+                cover[idx] = cover.get(idx, 0) | bit
+            bit <<= 1
+        remaining = bit - 1
         while remaining:
-            for s in cands:
-                hit = s & remaining
-                if len(hit) == 1:
-                    remaining.discard(next(iter(hit)))
+            for h in cover.values():
+                h &= remaining
+                if h and not h & (h - 1):
+                    remaining ^= h
                     break
             else:
                 return False
@@ -135,10 +124,9 @@ def _incidence_graph(code: LinearCode):
     from .graphs import Graph, GraphError
     m = code.H.rows
     edges = []
-    for j in range(code.n):
-        sup = [i for i in range(m) if code.H[(i, j)]]
+    for j, sup in enumerate(code.column_supports()):
         if len(sup) == 2:
-            edges.append((sup[0], sup[1]))
+            edges.append(sup)
         elif len(sup) == 1:
             edges.append((sup[0], m))  # virtual apex node
         else:
@@ -166,30 +154,27 @@ def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
     """
     n = code.n
     total = sum(math.comb(n, j) for j in range(1, t + 1))
-    graph, graph_reason = _incidence_graph(code)
-    if mode == "auto":
-        if total <= budget:
-            mode = "exhaustive"
-        elif graph is not None:
-            mode = "certificate"
+    if mode == "auto" and total <= budget:
+        mode = "exhaustive"
+    if mode in ("auto", "certificate"):
+        graph, graph_reason = _incidence_graph(code)
+        if graph is not None:
+            from .graphs import shortest_cycle
+            cycle = shortest_cycle(graph)  # one pass gives girth and witness
+            g = math.inf if cycle is None else len(cycle)
+            if g >= t + 1:
+                return VerifyReport("seq-recovery", True, "certificate",
+                                    detail={"girth": g, "required": t + 1})
+            if code.gf.q == 2:
+                return VerifyReport("seq-recovery", False, "certificate",
+                                    witness=cycle,
+                                    detail={"girth": g, "required": t + 1})
+            # short girth is not conclusive beyond GF(2): peel instead
+            mode = "exhaustive" if total <= budget else "sampled"
+        elif mode == "certificate":
+            raise ValueError(f"certificate unavailable: {graph_reason}")
         else:
             mode = "sampled"
-    if mode == "certificate":
-        from .graphs import girth, shortest_cycle
-        if graph is None:
-            raise ValueError(f"certificate unavailable: {graph_reason}")
-        g = girth(graph)
-        if g >= t + 1:
-            return VerifyReport("seq-recovery", True, "certificate",
-                                detail={"girth": g, "required": t + 1})
-        if code.gf.q == 2:
-            return VerifyReport("seq-recovery", False, "certificate",
-                                witness=sorted(shortest_cycle(graph)),
-                                detail={"girth": g, "required": t + 1})
-        # short girth is not conclusive beyond GF(2): peel instead
-        next_mode = "exhaustive" if total <= budget else "sampled"
-        return seq_recovery_check(code, r, t, mode=next_mode,
-                                  samples=samples, seed=seed, budget=budget)
     peeler = _Peeler(n, low_weight_dual_supports(code, r + 1))
     if mode == "exhaustive":
         if total > budget:
@@ -263,7 +248,7 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
     """Strict-availability shape: every row of weight r+1, every column of
     weight t, and the rows through any coordinate meet pairwise exactly in
     that coordinate."""
-    rows = [frozenset(j for j, x in enumerate(row) if x) for row in H.data]
+    rows = [frozenset(sup) for sup in H.row_supports()]
     for i, sup in enumerate(rows):
         if len(sup) != r + 1:
             return VerifyReport("strict-availability", False, "exhaustive",
@@ -443,8 +428,8 @@ def mr_shape_check(code: LinearCode,
     private = set(structure.admissible_pattern())
     groups = [set(g) for g in structure.groups]
     local_rows = [False] * len(groups)
-    for ri, row in enumerate(code.H.data):
-        sup = {j for j, x in enumerate(row) if x}
+    for ri, row_sup in enumerate(code.H.row_supports()):
+        sup = set(row_sup)
         if not sup:
             return VerifyReport("mr-shape", False, "exhaustive",
                                 witness={"row": ri, "reason": "zero row"})
@@ -477,16 +462,13 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
     Returns the block profile (column group sizes a_i, row layer sizes
     rho_i) as the structural witness on success.
     """
-    from .seq_codes import StaircaseProfile
     s = (t - 1) // 2
     m, n = H.rows, H.cols
-    col_sup = []
-    for j in range(n):
-        sup = [i for i in range(m) if H[(i, j)]]
+    col_sup = H.column_supports()
+    for j, sup in enumerate(col_sup):
         if not 1 <= len(sup) <= 2:
             return VerifyReport("staircase", False, "exhaustive",
                                 witness={"column": j, "weight": len(sup)})
-        col_sup.append(sup)
     layer_of = [-1] * m
     ones = [j for j, sup in enumerate(col_sup) if len(sup) == 1]
     layer0_rows = set()
@@ -559,7 +541,6 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
                             witness={"rows": [i for i, l in enumerate(layer_of)
                                               if l == -1],
                                      "reason": "rows outside template"})
-    profile = StaircaseProfile(s=s, a=tuple(a), rho=tuple(rho))
     return VerifyReport("staircase", True, "exhaustive",
                         detail={"profile": {"s": s, "a": list(a),
                                             "rho": list(rho)}})
@@ -574,33 +555,11 @@ def _greedy_low_weight_basis(code: LinearCode, wmax: int) -> Optional[Mat]:
     (falls back to parity-check rows when the dual is too big to walk)."""
     gf = code.gf
     m = code.n - code.k
-    words: List[Tuple[int, ...]] = []
     basis = code.full_rank_checks()
-    try:
-        count = gf.q ** basis.rows
-    except OverflowError:  # pragma: no cover
-        count = DUAL_ENUM_MAX_WORDS + 1
-    if count <= DUAL_ENUM_MAX_WORDS:
-        bt = basis.transpose()
-        msg = [0] * basis.rows
-        while True:
-            word = bt.mul_vec(msg)
-            w = sum(1 for x in word if x)
-            if 0 < w <= wmax:
-                words.append(word)
-            i = 0
-            while i < basis.rows:
-                msg[i] += 1
-                if msg[i] < gf.q:
-                    break
-                msg[i] = 0
-                i += 1
-            if i == basis.rows:
-                break
-    else:
-        words = [row for row in code.H.data
-                 if 0 < sum(1 for x in row if x) <= wmax]
-    words.sort(key=lambda w: sum(1 for x in w if x))
+    source = (row_span(basis) if gf.q ** basis.rows <= DUAL_ENUM_MAX_WORDS
+              else code.H.data)
+    words = sorted((w for w in source if 0 < len(w) - w.count(0) <= wmax),
+                   key=lambda w: len(w) - w.count(0))
     chosen: List[Tuple[int, ...]] = []
     for w in words:
         if len(chosen) == m:
@@ -632,13 +591,11 @@ def classify_rate_optimal_t2(code: LinearCode,
         return VerifyReport("classify-t2", False, "exhaustive",
                             witness="low-weight words do not span the dual")
     m = B.rows
-    col_sup = []
-    for j in range(code.n):
-        sup = [i for i in range(m) if B[(i, j)]]
+    col_sup = B.column_supports()
+    for j, sup in enumerate(col_sup):
         if not 1 <= len(sup) <= 2:
             return VerifyReport("classify-t2", False, "exhaustive",
                                 witness={"column": j, "weight": len(sup)})
-        col_sup.append(sup)
     # union-find over basis rows through shared columns
     parent = list(range(m))
 

@@ -87,6 +87,54 @@ def test_shortest_cycle_is_a_cycle():
         assert all(d == 2 for d in deg.values())
 
 
+def _two_pass_shortest_cycle(g):
+    """The two-pass search the one-pass `shortest_cycle` replaced, kept as
+    its reference: find the girth first, then the first root (and the first
+    non-tree edge in its BFS) that closes a walk of exactly that length."""
+    gth = girth_by_edge_removal(g)
+    if gth == math.inf:
+        return None
+    adj = g.adjacency()
+    n = g.node_count
+    for root in range(n):
+        dist = [-1] * n
+        parent = [(-1, -1)] * n
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, e in adj[u]:
+                if e == parent[u][1]:
+                    continue
+                if dist[v] == -1:
+                    dist[v] = dist[u] + 1
+                    parent[v] = (u, e)
+                    queue.append(v)
+                elif dist[u] + dist[v] + 1 == gth:
+                    paths = []
+                    for x in (u, v):
+                        path = set()
+                        while x != root:
+                            path.add(parent[x][1])
+                            x = parent[x][0]
+                        paths.append(path)
+                    return sorted((paths[0] ^ paths[1]) | {e})
+
+
+def test_shortest_cycle_matches_two_pass_reference():
+    rng = random.Random(7)
+    cases = [petersen_graph(), heawood_graph(), turan_graph(4, 2),
+             complete_bipartite(3, 4), cycle_graph(9),
+             Graph(5, [(0, 1), (1, 2), (3, 4)])]
+    for _ in range(40):
+        n = rng.randrange(4, 14)
+        edges = {tuple(sorted(rng.sample(range(n), 2)))
+                 for _ in range(rng.randrange(2, 2 * n))}
+        cases.append(Graph(n, sorted(edges)))
+    for g in cases:
+        assert shortest_cycle(g) == _two_pass_shortest_cycle(g)
+
+
 def test_near_regular():
     g = near_regular_graph(12, 4)
     assert g.node_count == 6 and len(g.edges) == 12

@@ -4,9 +4,10 @@ from itertools import combinations
 import pytest
 
 from lrckit.field import field_make
-from lrckit.matrix import (DuplicatePoint, Mat, columns_independent,
-                           mat_nullspace, mat_rank, mat_solve, rref,
-                           vandermonde)
+from lrckit.code import LinearCode
+from lrckit.matrix import (DuplicatePoint, Mat, MatrixError,
+                           columns_independent, mat_nullspace, mat_rank,
+                           mat_solve, rref, vandermonde)
 
 
 def random_matrix(gf, rows, cols, rng):
@@ -171,3 +172,73 @@ def test_rref_matches_entrywise_elimination(pm):
         M = _planted_matrix(gf, rng, rows=rng.randrange(1, 8))
         R, pivots = rref(M)
         assert (list(R.data), pivots) == _rref_reference(M)
+
+
+def _gf2_shapes(rng):
+    """Seeded GF(2) row lists, wide, tall and square, sparse and dense, each
+    with a zero row and a duplicated row planted when it has three rows."""
+    for rows, cols in ((3, 17), (5, 70), (40, 9), (12, 12), (1, 130),
+                       (9, 1), (30, 200), (0, 5)):
+        for density in (0.1, 0.5):
+            data = [[int(rng.random() < density) for _ in range(cols)]
+                    for _ in range(rows)]
+            if rows >= 3:
+                data[1] = [0] * cols
+                data[-1] = list(data[0])
+            yield data, cols
+
+
+def test_gf2_rank_and_rref_match_entrywise_elimination():
+    gf = field_make(2)
+    rng = random.Random(12)
+    for data, cols in _gf2_shapes(rng):
+        M = Mat(gf, data, cols=cols)
+        assert M.to_lists() == data and M.data == tuple(map(tuple, data))
+        ref_rows, ref_pivots = _rref_reference(M)
+        R, pivots = rref(M)
+        assert (list(R.data), pivots) == (ref_rows, ref_pivots)
+        assert mat_rank(M) == len(ref_pivots) == mat_rank(M.transpose())
+        assert Mat.from_bits(gf, M.bits, M.cols) == M
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (2, 2), (17, 1), (5, 2)], ids=str)
+def test_row_and_column_supports_match_dense_scan(pm):
+    gf = field_make(*pm)
+    rng = random.Random(4)
+    for rows, cols in ((6, 11), (1, 40), (13, 3)):
+        data = [[rng.randrange(gf.q) if rng.random() < 0.3 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+        data[0] = [0] * cols
+        M = Mat(gf, data)
+        assert M.row_supports() == [
+            tuple(j for j in range(cols) if data[i][j]) for i in range(rows)]
+        assert M.column_supports() == [
+            tuple(i for i in range(rows) if data[i][j]) for j in range(cols)]
+        assert [M[(i, j)] for i in range(rows) for j in range(cols)] == \
+            [x for row in data for x in row]
+    code = LinearCode(M)
+    assert code.column_supports() is code.column_supports()
+    assert code.column_supports() == M.column_supports()
+
+
+def test_gf2_mul_vec_and_is_zero_on_bits():
+    gf = field_make(2)
+    rng = random.Random(6)
+    for data, cols in _gf2_shapes(rng):
+        M = Mat(gf, data, cols=cols)
+        vec = [rng.randrange(2) for _ in range(cols)]
+        assert M.mul_vec(vec) == tuple(
+            sum(a * b for a, b in zip(row, vec)) % 2 for row in data)
+        assert M.is_zero() == (not any(map(any, data)))
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (17, 1), (5, 2)], ids=str)
+def test_constructor_rejects_entries_outside_the_field(pm):
+    gf = field_make(*pm)
+    for bad in (1.7, 1.0, "1", True, False, None, -1, gf.q, 256, 2 ** 70):
+        with pytest.raises(MatrixError):
+            Mat(gf, [[1, 0, 1], [0, bad, 1]])
+    for rows in ([5], [[1, 0], [1]], 7):
+        with pytest.raises(MatrixError):
+            Mat(gf, rows)
+    assert Mat(gf, ([1, 0], (0, 1))).to_lists() == [[1, 0], [0, 1]]

@@ -3,18 +3,20 @@ from itertools import combinations, permutations
 
 import pytest
 
+from lrckit import graphs, verify
 from lrckit.code import LinearCode
 from lrckit.field import field_make
-from lrckit.graphs import girth
+from lrckit.graphs import girth, shortest_cycle
 from lrckit.lr_codes import product_avail_code, steiner_sa_code, \
     wang_avail_code
 from lrckit.matrix import Mat
-from lrckit.seq_codes import (moore_code, t2_near_regular_code,
-                              t2_turan_code, t3_catalog)
+from lrckit.seq_codes import (moore_code, seq_general_code,
+                              t2_near_regular_code, t2_turan_code,
+                              t3_catalog)
 from lrckit.verify import (NotRateOptimal, VerifyReport, availability_check,
                            classify_rate_optimal_t2, low_weight_dual_supports,
                            sa_check, seq_recovery_check, staircase_check,
-                           _incidence_graph)
+                           _incidence_graph, _Peeler)
 
 GF2 = field_make(2)
 
@@ -76,13 +78,111 @@ def test_girth_certificate_iff_exhaustive_binary():
     assert sorted(cert.witness) == sorted(exh.witness) or cert.witness
 
 
-def test_certificate_witness_is_a_short_cycle():
+def test_certificate_witness_is_a_short_cycle(monkeypatch):
     pet = moore_code(2, 4)
-    rep = seq_recovery_check(pet, 2, 5, mode="certificate")
-    assert not rep.verdict
-    assert len(rep.witness) == 5  # erasures along a shortest cycle
     graph, reason = _incidence_graph(pet)
     assert reason is None and girth(graph) == 5
+    calls = []
+    for name in ("girth", "shortest_cycle"):
+        search = getattr(graphs, name)
+        monkeypatch.setattr(graphs, name, lambda g, search=search, name=name:
+                            calls.append(name) or search(g))
+    rep = seq_recovery_check(pet, 2, 5, mode="certificate")
+    assert not rep.verdict
+    # erasures along a shortest cycle, the same witness as when the girth
+    # and the cycle took one all-roots search each
+    assert rep.witness == [0, 1, 2, 3, 4]
+    assert calls == ["shortest_cycle"]  # one search gives both
+    rep = seq_recovery_check(moore_code(2, 5), 2, 6, mode="certificate")
+    assert rep.witness == [0, 1, 3, 4, 9, 10]
+
+
+def test_incidence_graph_only_for_certificates(monkeypatch):
+    def unused(code):
+        raise AssertionError("incidence graph built outside certificate mode")
+
+    monkeypatch.setattr(verify, "_incidence_graph", unused)
+    pet = moore_code(2, 4)
+    assert seq_recovery_check(pet, 2, 4).mode == "exhaustive"
+    assert seq_recovery_check(pet, 2, 4, mode="sampled", samples=50).verdict
+
+
+class _FrozensetPeeler:
+    """The peeler on frozensets that the bitmask `_Peeler` replaced, kept as
+    its reference: peel any support that meets the erased set once."""
+
+    def __init__(self, n, supports):
+        self.supports = list(supports)
+        self.by_coord = [[] for _ in range(n)]
+        for idx, s in enumerate(self.supports):
+            for c in s:
+                self.by_coord[c].append(idx)
+
+    def recovers(self, erased):
+        remaining = set(erased)
+        cand_ids = sorted({i for c in remaining for i in self.by_coord[c]})
+        cands = [self.supports[i] for i in cand_ids]
+        while remaining:
+            for s in cands:
+                hit = s & remaining
+                if len(hit) == 1:
+                    remaining.discard(next(iter(hit)))
+                    break
+            else:
+                return False
+        return True
+
+
+# every code this file verifies, with the (r, t) it is checked at
+PEEL_FIXTURES = FIXTURES_SMALL + [
+    ("petersen", moore_code(2, 4), 2, 4),
+    ("heawood", moore_code(2, 5), 2, 5),
+    ("k4", t2_turan_code(2, 1), 2, 2),
+    ("k5", moore_code(3, 2), 3, 2),
+    ("near-regular", t2_near_regular_code(12, 4), 4, 2),
+    ("t3-ex2", t3_catalog("ex2"), 4, 3),
+    ("sa-product", product_avail_code(2, 2), 2, 2),
+    ("spc", LinearCode(Mat(GF2, [[1, 1, 1, 1]])), 3, 2),
+]
+
+
+@pytest.mark.parametrize("name,code,r,t", PEEL_FIXTURES,
+                         ids=[f[0] for f in PEEL_FIXTURES])
+def test_bitmask_peeler_matches_frozenset_peeler(name, code, r, t):
+    supports = low_weight_dual_supports(code, r + 1)
+    peeler = _Peeler(code.n, supports)
+    ref = _FrozensetPeeler(code.n, supports)
+    verdicts = set()
+    size = 0
+    while False not in verdicts:  # up to the first size that can fail
+        size += 1
+        for pattern in combinations(range(code.n), size):
+            got = peeler.recovers(pattern)
+            assert got == ref.recovers(pattern), pattern
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.fixture(scope="module")
+def seq_1352():
+    return seq_general_code(3, 5)
+
+
+def test_bitmask_peeler_matches_frozenset_peeler_n1352(seq_1352):
+    code = seq_1352
+    supports = low_weight_dual_supports(code, 4)
+    peeler = _Peeler(code.n, supports)
+    ref = _FrozensetPeeler(code.n, supports)
+    rng = random.Random(2024)
+    for size in (5, 6):
+        for _ in range(10 ** 4):
+            pattern = rng.sample(range(code.n), size)
+            assert peeler.recovers(pattern) == ref.recovers(pattern)
+    graph, _ = _incidence_graph(code)
+    cycle = shortest_cycle(graph)
+    assert len(cycle) == 6
+    assert not peeler.recovers(cycle) and not ref.recovers(cycle)
+    assert peeler.recovers(cycle[1:]) and ref.recovers(cycle[1:])
 
 
 def test_sampled_mode_records_seed():
