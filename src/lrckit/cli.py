@@ -37,7 +37,7 @@ def _emit(payload: dict, out: Optional[str], argv: List[str],
           seed: Optional[int] = None) -> None:
     payload = dict(payload)
     payload["manifest"] = _manifest(argv, seed)
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    text = lio.dumps(payload) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -370,13 +370,26 @@ def _write_csv(lines: List[str], out: Optional[str]) -> None:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises `_UsageError` where argparse would print usage and exit 2, so
+    that `main` reports bad flags as JSON on stderr.  Subcommand parsers
+    are made with the class of their parent, so they raise too."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _int(p, *names, **kw):
     for n in names:
         p.add_argument(n, type=int, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lrckit",
         description="erasure-code workbench: constructions, bounds, "
                     "verifiers")
@@ -448,7 +461,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as e:
+    except _UsageError as e:
+        return _fail("usage", str(e))
+    except SystemExit as e:  # --help printed its text
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args, argv)

@@ -288,6 +288,27 @@ def _subspace_bases(k: int, i: int, q: int) -> Iterator[List[List[int]]]:
             yield basis
 
 
+def _support_weight_gf2(rows: Sequence[int], i: int, best: int) -> int:
+    """`support_weight` over GF(2) on the generator's bit rows: the same
+    subspaces as `_subspace_bases`, each free entry walked in Gray order, so
+    one step XORs one generator row into one basis word, and a support is
+    the OR of the i words."""
+    k = len(rows)
+    for pivots in combinations(range(k), i):
+        words = [rows[pc] for pc in pivots]
+        flips = [(row, rows[col]) for row, pc in enumerate(pivots)
+                 for col in range(pc + 1, k) if col not in pivots]
+        for step in range(1 << len(flips)):
+            if step:
+                row, v = flips[(step & -step).bit_length() - 1]
+                words[row] ^= v
+            support = 0
+            for w in words:
+                support |= w
+            best = min(best, support.bit_count())
+    return best
+
+
 def support_weight(c: LinearCode, i: int,
                    budget: int = SUPPORT_WEIGHT_BUDGET) -> int:
     """i-th minimum support weight: the smallest support of an i-dimensional
@@ -297,11 +318,12 @@ def support_weight(c: LinearCode, i: int,
     count = _gaussian_binomial(c.k, i, c.gf.q)
     if count > budget:
         raise BudgetExceeded(f"{count} subspaces > budget {budget}")
-    gf = c.gf
     G = c.generator()
-    Gt = G.transpose()
     best = c.n + 1
-    for basis in _subspace_bases(c.k, i, gf.q):
+    if c.gf.q == 2:
+        return _support_weight_gf2(G.bits, i, best)
+    Gt = G.transpose()
+    for basis in _subspace_bases(c.k, i, c.gf.q):
         support = set()
         for msg in basis:
             for j, x in enumerate(Gt.mul_vec(msg)):

@@ -8,11 +8,15 @@ unknown fields so stale files fail loudly.  Matrix round-trips are bit-exact
 from __future__ import annotations
 
 import json
+from typing import List
+
 from .code import CodeParams, LinearCode
 from .field import GF, field_make
 from .graphs import Graph
 from .matrix import Mat
 from .mr_codes import LocalStructure
+
+_INT = {int}
 
 
 class SchemaError(ValueError):
@@ -110,10 +114,53 @@ def graph_from_json(obj: dict) -> Graph:
                  labels=obj.get("labels"))
 
 
-def dump(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def dumps(obj) -> str:
+    """`json.dumps(obj, indent=1, sort_keys=True)`, byte for byte.
+
+    With any indent the standard library falls back to its pure-Python
+    encoder, which emits every matrix entry as its own token.  Here a list
+    of plain ints is written with one `str.join`, and only keys and other
+    scalars go through `json.dumps`.
+    """
+    out: List[str] = []
+    _write(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _write(obj, newline: str, put) -> None:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + " "
+        if set(map(type, obj)) == _INT:
+            put("[" + inner + ("," + inner).join(map(str, obj)) + newline
+                + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            put(sep)
+            _write(x, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = newline + " "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {type(key).__name__}")
+                key = json.dumps(key)  # 1 -> "1", True -> "true", as json
+            put(sep + json.dumps(key) + ": ")
+            _write(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        put(json.dumps(obj))
 
 
 def load(path: str) -> dict:

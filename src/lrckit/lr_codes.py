@@ -18,6 +18,7 @@ from .code import BudgetExceeded, CodeParams, LinearCode, code_from_generator
 from .field import GF, FieldTooSmall, field_make
 from .graphs import pg_incidence_graph
 from .matrix import Mat, mat_nullspace, rref, vandermonde
+from .mr_codes import coordinate_groups
 
 GF2 = field_make(2)
 
@@ -52,14 +53,6 @@ class EvalPoints:
         return [x for c in self.cosets for x in c]
 
 
-def _coordinate_groups(sizes: Sequence[int]) -> List[List[int]]:
-    groups, start = [], 0
-    for s in sizes:
-        groups.append(list(range(start, start + s)))
-        start += s
-    return groups
-
-
 # ---------------------------------------------------------------------------
 # single-erasure LR constructions
 # ---------------------------------------------------------------------------
@@ -85,7 +78,7 @@ def pyramid_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     G_sys, pivots = rref(G_rs)
     assert pivots == list(range(k))
     group_sizes = [r] * (a - 1) + [k - (a - 1) * r]
-    row_groups = _coordinate_groups(group_sizes)
+    row_groups = coordinate_groups(group_sizes)
     cols: List[List[int]] = []
     coord_groups: List[List[int]] = []
     split_source = [G_sys[(i, k)] for i in range(k)]
@@ -139,7 +132,7 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     assert len(set(points)) == n
     G = Mat(gf, [[gf.pow(x, e) for x in points] for e in exps], cols=n)
     d = lr_singleton_bound(n, k, r)
-    groups = _coordinate_groups([r + 1] * m)
+    groups = [list(g) for g in coordinate_groups([r + 1] * m)]
     code = code_from_generator(
         G, params=CodeParams(n=n, k=k, r=r, d_min=d, q=q, role="LR"),
         provenance={"construction": "tamo-barg", "groups": groups})

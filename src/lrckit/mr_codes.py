@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .code import CodeParams, LinearCode
@@ -122,9 +123,10 @@ class PmrParams:
         return divmod(self.Delta, self.r)
 
 
-def _blocks(m: int, size: int, offset: int = 0) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(range(offset + i * size, offset + (i + 1) * size))
-                 for i in range(m))
+def coordinate_groups(sizes: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Consecutive coordinate groups of the given sizes, from 0 up."""
+    starts = [0, *accumulate(sizes)]
+    return tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
 
 
 def _pmr_layout(m: int, r: int) -> LocalStructure:
@@ -287,7 +289,7 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
     rows.append(row2)
     H = Mat(gf, rows, cols=n)
     k = shape.k
-    structure = LocalStructure(_blocks(m, width), delta=delta)
+    structure = LocalStructure(coordinate_groups([width] * m), delta=delta)
     code = LinearCode(H, params=CodeParams(n=n, k=k, r=r, q=q, role="MR"),
                       provenance={"construction": "mr-rdelta2", "q": q,
                                   "psi": psi, "delta": delta,
@@ -450,7 +452,7 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
                 f"no coset extends the selection over GF({q}); "
                 f"retry with a larger field")
     G = _eval_generator(gf, exps, points)
-    structure = LocalStructure(_blocks(want, 3), delta=1)
+    structure = LocalStructure(coordinate_groups([3] * want), delta=1)
     from .code import code_from_generator
     s = N - k - want
     code = code_from_generator(

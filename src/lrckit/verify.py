@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
 from .code import LinearCode, is_mds, min_distance
@@ -85,10 +85,14 @@ class _Peeler:
     Peeling is confluent, so greedy order cannot miss a recoverable
     pattern.
 
-    A pattern of w erasures is peeled on w-bit masks: bit i stands for the
-    i-th erased coordinate, each support that meets the pattern becomes the
-    mask of the erased coordinates it covers, and a support recovers a
-    symbol when exactly one of its bits is still erased.
+    Most patterns peel in one round: when no support through an erased
+    coordinate meets another erased one, every erasure is recovered at once.
+    `recovers` checks that first, against each coordinate's neighbours (the
+    other coordinates of its supports; None when it has no support).  Other
+    patterns are peeled on w-bit masks: bit i stands for the i-th erased
+    coordinate, each support that meets the pattern becomes the mask of the
+    erased coordinates it covers, and a support recovers a symbol when
+    exactly one of its bits is still erased.
     """
 
     def __init__(self, n: int, supports: Sequence[FrozenSet[int]]):
@@ -96,8 +100,19 @@ class _Peeler:
         for idx, s in enumerate(supports):
             for c in s:
                 self.by_coord[c].append(idx)
+        self.neighbours: List[Optional[FrozenSet[int]]] = [
+            frozenset(c for idx in ids for c in supports[idx]) - {j}
+            if ids else None
+            for j, ids in enumerate(self.by_coord)]
 
-    def recovers(self, erased: Iterable[int]) -> bool:
+    def recovers(self, erased: Sequence[int]) -> bool:
+        neighbours = self.neighbours
+        for c in erased:
+            nb = neighbours[c]
+            if nb is None or not nb.isdisjoint(erased):
+                break
+        else:
+            return True  # every erasure is recovered in the first round
         by_coord = self.by_coord
         cover: Dict[int, int] = {}  # support index -> erased bits it covers
         bit = 1
@@ -115,6 +130,43 @@ class _Peeler:
             else:
                 return False
         return True
+
+
+def _draw(rng: random.Random, n: int, k: int) -> List[int]:
+    """`rng.sample(range(n), k)`, drawn from `rng.getrandbits` alone.
+
+    The same two branches as the standard library's `Random.sample`: a pool
+    of n candidates when it is smaller than a set of k (`setsize`), else
+    rejection of repeats; each index comes from its `_randbelow` loop.  So a
+    seed replays the same patterns whatever `sample` does in a later Python.
+    """
+    getrandbits = rng.getrandbits
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    result = [0] * k
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        selected = set()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = j
+    return result
 
 
 def _incidence_graph(code: LinearCode):
@@ -191,9 +243,8 @@ def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
                             budgets={"patterns": total, "budget": budget})
     if mode == "sampled":
         rng = random.Random(seed)
-        coords = list(range(n))
         for i in range(samples):
-            pattern = rng.sample(coords, t)
+            pattern = _draw(rng, n, t)
             if not peeler.recovers(pattern):
                 return VerifyReport("seq-recovery", False, "sampled",
                                     witness=sorted(pattern),
@@ -368,10 +419,10 @@ def pmds_check(code: LinearCode, structure: LocalStructure, delta: int,
         for _ in range(samples):
             pattern = []
             for g in groups:
-                pattern.extend(rng.sample(g, delta))
+                pattern += [g[j] for j in _draw(rng, len(g), delta)]
             taken = set(pattern)
             others = [i for i in range(code.n) if i not in taken]
-            pattern.extend(rng.sample(others, s_extra))
+            pattern += [others[j] for j in _draw(rng, len(others), s_extra)]
             checked += 1
             if not columns_independent(Hfull, pattern):
                 witness = pattern

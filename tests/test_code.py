@@ -120,6 +120,41 @@ def test_support_weight_monotone():
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def _support_weight_reference(c, i):
+    """Smallest support over every i-subset of nonzero codewords that spans
+    an i-dimensional subcode, by listing the codewords outright."""
+    words = [w for w in c.codewords() if any(w)]
+    best = c.n + 1
+    for subset in combinations(words, i):
+        if mat_rank(Mat(c.gf, list(subset))) == i:
+            support = {j for w in subset for j, x in enumerate(w) if x}
+            best = min(best, len(support))
+    return best
+
+
+def test_support_weight_gf2_matches_reference():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 12:
+        c = small_random_code(GF2, rng.randrange(4, 8), rng)
+        if not 1 <= c.k <= 4:
+            continue
+        for i in range(1, c.k + 1):
+            assert support_weight(c, i) == _support_weight_reference(c, i)
+        checked += 1
+
+
+def test_codewords_gf2_are_the_generator_span():
+    rng = random.Random(11)
+    for _ in range(10):
+        c = small_random_code(GF2, rng.randrange(3, 10), rng)
+        G = c.generator()
+        Gt = G.transpose()
+        expected = [Gt.mul_vec([(m >> i) & 1 for i in range(c.k)])
+                    for m in range(2 ** c.k)]  # first row's bit fastest
+        assert list(c.codewords()) == expected
+
+
 def test_is_mds():
     assert is_mds(LinearCode(Mat(GF2, [[1, 1, 0], [0, 1, 1]])))  # [3,1,3]
     assert is_mds(LinearCode(Mat(GF2, [[1, 1, 1, 1]])))          # [4,3,2]

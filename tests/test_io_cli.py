@@ -281,3 +281,192 @@ def test_cli_pmr_a1_output_reloads(tmp_path):
     code = lio.code_from_json(lio.load(str(out)))
     assert (code.n, code.k) == (12, 4)
     assert main(["verify", "pmr", "--code", str(out)]) == 0
+
+
+# Sampled reports, `manifest` removed, pinned from the output made while
+# patterns were drawn by `random.Random(seed).sample`: lrckit's own draw must
+# replay the same patterns, so seeds, `failed_at`, witnesses and `checked`
+# stay as they were.
+def _sampled(prop, code, **flags):
+    argv = ["verify", prop, "--code", code, "--mode", "sampled"]
+    for flag, value in flags.items():
+        argv += ["--" + flag.replace("_", "-"), str(value)]
+    return argv
+
+
+def _seq_report(budgets, witness=None):
+    return {"budgets": budgets, "detail": {}, "mode": "sampled",
+            "property": "seq-recovery", "verdict": witness is None,
+            "witness": witness}
+
+
+def _pmds_report(budgets, witness=None, detail=None):
+    return {"budgets": dict(budget=10 ** 7, **budgets),
+            "detail": detail or {}, "mode": "sampled",
+            "property": "partial-mds", "verdict": witness is None,
+            "witness": witness}
+
+
+PINNED_SAMPLED = {
+    "seq n=1352 seed 0": (
+        _sampled("seq", "seq-3-5", samples=100000, seed=0),
+        _seq_report({"samples": 100000, "seed": 0})),
+    "seq n=1352 seed 5": (
+        _sampled("seq", "seq-3-5", samples=100000, seed=5),
+        _seq_report({"samples": 100000, "seed": 5})),
+    "petersen t=5 seed 0": (
+        _sampled("seq", "petersen", t=5, samples=5000, seed=0),
+        _seq_report({"failed_at": 117, "samples": 5000, "seed": 0},
+                    [0, 1, 2, 3, 4])),
+    "petersen t=5 seed 2": (
+        _sampled("seq", "petersen", t=5, samples=5000, seed=2),
+        _seq_report({"failed_at": 605, "samples": 5000, "seed": 2},
+                    [1, 2, 6, 11, 13])),
+    "k4 t=3 jobs 3 seed 9": (
+        _sampled("seq", "k4", t=3, samples=10, jobs=3, seed=9),
+        _seq_report({"chunks": [{"samples": 4, "seed": 9},
+                                {"samples": 3, "seed": 10},
+                                {"samples": 3, "seed": 11}],
+                     "failed_at": 0, "failed_chunk": 2, "jobs": 3,
+                     "samples": 10, "seed": 9}, [3, 4, 5])),
+    "mr-rd2 pmds delta 2 s 2": (
+        _sampled("pmds", "mr-rd2", delta=2, s_extra=2, samples=5000,
+                 seed=3),
+        _pmds_report({"checked": 5000, "patterns": 36288, "samples": 5000,
+                      "seed": 3}, detail={"delta": 2, "s_extra": 2})),
+    "mr-rd2 pmds delta 1 s 5 seed 3": (
+        _sampled("pmds", "mr-rd2", delta=1, s_extra=5, samples=5000,
+                 seed=3),
+        _pmds_report({"checked": 30, "patterns": 202752, "samples": 5000,
+                      "seed": 3}, [0, 1, 2, 3, 7, 10, 12, 13, 15])),
+    "mr-rd2 pmds delta 1 s 5 seed 4": (
+        _sampled("pmds", "mr-rd2", delta=1, s_extra=5, samples=5000,
+                 seed=4),
+        _pmds_report({"checked": 9, "patterns": 202752, "samples": 5000,
+                      "seed": 4}, [0, 1, 2, 4, 5, 6, 7, 10, 13])),
+}
+
+
+@pytest.fixture(scope="module")
+def code_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("codes")
+    files = {}
+    for name, args in (("seq-3-5", "seq --r 3 --t 5"),
+                       ("petersen", "moore --r 2 --t 4"),
+                       ("k4", "moore --r 2 --t 2"),
+                       ("mr-rd2", "mr-rd2 --m 4 --r 2 --delta 2 --psi 4")):
+        files[name] = str(root / f"{name}.json")
+        assert main(["construct"] + args.split()
+                    + ["--out", files[name]]) == 0
+    return files
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_SAMPLED.values(),
+                         ids=list(PINNED_SAMPLED))
+def test_sampled_reports_replay_pinned(code_files, tmp_path, argv, expected):
+    argv = list(argv)
+    argv[3] = code_files[argv[3]]
+    out = tmp_path / "report.json"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == (0 if expected["verdict"] else 1)
+    report = lio.load(str(out))
+    assert report.pop("manifest")["seed"] == expected["budgets"]["seed"]
+    assert report == expected
+
+
+def _dumps_reference(obj):
+    return json.dumps(obj, indent=1, sort_keys=True)
+
+
+CONSTRUCT_FAMILIES = [
+    "moore --r 2 --t 4", "seq --r 3 --t 5", "near-regular --k 7 --r 2",
+    "turan --r 2 --beta 2", "dim-optimal --m 5 --r 7", "t3 --which ex2",
+    "pyramid --n 9 --k 5 --r 2 --q 11", "tamobarg --n 8 --k 4 --r 3 --q 9",
+    "product --r 2 --t 2", "wang --r 3 --t 2", "pgplane --s 2",
+    "steiner --s 4", "pmr-split --m 2 --r 3 --delta 2 --q 7",
+    "pmr-a1 --m 2 --r 2 --delta 3 --base-q 7", "mr-r12 --m 3 --r 2",
+    "mr-rd2 --m 4 --r 2 --delta 2 --psi 4",
+    "mr-coset --n 6 --d-param 1 --q 13", "incidence --graph heawood",
+    "incidence --graph petersen --q 4 --coeffs random --seed 5",
+]
+
+
+def test_dumps_matches_json_on_every_payload(monkeypatch, tmp_path):
+    """The CLI's writer equals `json.dumps(indent=1, sort_keys=True)` on the
+    payload of every construct family, of verify reports, and of bounds."""
+    payloads = []
+    real_emit = cli._emit
+
+    def capture(payload, out, argv, seed=None):
+        payloads.append(dict(payload, manifest=cli._manifest(argv, seed)))
+        real_emit(payload, out, argv, seed)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    files = {}
+    for i, args in enumerate(CONSTRUCT_FAMILIES):
+        files[args.split()[0]] = out = str(tmp_path / f"c{i}.json")
+        assert main(["construct"] + args.split() + ["--out", out]) == 0
+    for argv in (["seq", "--code", files["moore"], "--t", "5"],
+                 ["classify-t2", "--code", files["near-regular"]],
+                 ["staircase", "--code", files["seq"]],
+                 ["pmds", "--code", files["mr-r12"], "--delta", "1",
+                  "--s-extra", "2"],
+                 ["pmr", "--code", files["pmr-a1"]]):
+        assert main(["verify"] + argv + ["--out", str(tmp_path / "v.json")]) \
+            in (0, 1)
+    assert main(["bound", "lr-dim", "--n", "31", "--d", "5", "--r", "4",
+                 "--q", "2", "--out", str(tmp_path / "b.json")]) == 0
+    assert len(payloads) == len(CONSTRUCT_FAMILIES) + 6
+    for payload in payloads:
+        assert lio.dumps(payload) == _dumps_reference(payload)
+    # and the file holds exactly that text
+    text = (tmp_path / "b.json").read_text()
+    assert text == _dumps_reference(payloads[-1]) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [{}], {"a": [], "b": {}}, [[], [[]]],
+    [True, 1, 0], [1, False], [False, True], [0, 1, True, 2],
+    [1.5, 2], [0.1, -0.0, 1e300, float("nan"), float("inf"),
+               -float("inf")],
+    [None, 1], None, True, 7, -3, 10 ** 40, 2.5, "",
+    "café \"quoted\" back\\slash\ttab\n☃ \U0001f600 \x00",
+    {"é": ["☃"], "\\": "\"", " ": {"": None}},
+    {1: "a", 10: "b", 9: [1, 2], -2: {}}, {2.5: 1, 1: 2, 0.5: 3},
+    {True: "t", 0: "zero"}, {None: [1]}, {False: 1},
+    (1, 2), [(1, 2), (3,), ()], {"t": (True, 1)},
+    {"x": {"y": {"z": [[1], [2, [3, {"w": [4, 5]}]]]}}},
+])
+def test_dumps_edge_cases(obj):
+    assert lio.dumps(obj) == _dumps_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, [object()], {"a": {1, 2}},
+                                 {"a": 1, 2: "mixed keys"}])
+def test_dumps_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        _dumps_reference(obj)
+    with pytest.raises(TypeError):
+        lio.dumps(obj)
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["construct", "nosuch"], "invalid choice: 'nosuch'"),
+    (["verify", "seq"], "required: --code"),
+    (["construct", "seq", "--r", "three"], "invalid int value: 'three'"),
+    (["bound", "seq-rate", "--r", "3", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    ([], "required: cmd"),
+])
+def test_argparse_errors_are_json_exit_2(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and needle in err["message"]
+    assert err["message"].startswith("lrckit")
+
+
+def test_help_still_exits_0(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lrckit verify")

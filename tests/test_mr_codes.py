@@ -7,8 +7,8 @@ from lrckit.code import LinearCode, is_mds, min_distance, puncture
 from lrckit.field import field_make
 from lrckit.matrix import Mat, mat_rank
 from lrckit.mr_codes import (LocalStructure, NoSuitableField,
-                             mr_r12, mr_r2_coset_search, mr_rdelta2,
-                             pmr_general_a1, pmr_parity_split)
+                             coordinate_groups, mr_r12, mr_r2_coset_search,
+                             mr_rdelta2, pmr_general_a1, pmr_parity_split)
 from lrckit.verify import mr_shape_check, pmds_check, pmr_check
 
 
@@ -18,6 +18,14 @@ def test_local_structure_invariants():
     s = LocalStructure(((0, 1, 2), (3, 4, 5)))
     assert s.admissible_pattern() == (0, 3)
     assert s.covers(6)
+
+
+def test_coordinate_groups():
+    assert coordinate_groups([2, 3, 1]) == ((0, 1), (2, 3, 4), (5,))
+    assert coordinate_groups([3] * 2) == ((0, 1, 2), (3, 4, 5))
+    assert coordinate_groups([]) == ()
+    st = mr_rdelta2(3, 2, 2, 4).provenance["local_structure"]
+    assert st.groups == coordinate_groups([4] * 3)
 
 
 def test_pmr_parity_split_distance():

@@ -16,7 +16,7 @@ from lrckit.seq_codes import (moore_code, seq_general_code,
 from lrckit.verify import (NotRateOptimal, VerifyReport, availability_check,
                            classify_rate_optimal_t2, low_weight_dual_supports,
                            sa_check, seq_recovery_check, staircase_check,
-                           _incidence_graph, _Peeler)
+                           _draw, _incidence_graph, _Peeler)
 
 GF2 = field_make(2)
 
@@ -183,6 +183,78 @@ def test_bitmask_peeler_matches_frozenset_peeler_n1352(seq_1352):
     assert len(cycle) == 6
     assert not peeler.recovers(cycle) and not ref.recovers(cycle)
     assert peeler.recovers(cycle[1:]) and ref.recovers(cycle[1:])
+
+
+def _mask_peel_only(code_n, supports):
+    """The same peeler with the round-one filter switched off: every
+    coordinate looks support-less to it, so each pattern takes the w-bit
+    mask peel."""
+    peeler = _Peeler(code_n, supports)
+    peeler.neighbours = [None] * code_n
+    return peeler
+
+
+@pytest.mark.parametrize("name,code,r,t", PEEL_FIXTURES,
+                         ids=[f[0] for f in PEEL_FIXTURES])
+def test_round_one_filter_keeps_every_verdict(name, code, r, t):
+    supports = low_weight_dual_supports(code, r + 1)
+    peeler = _Peeler(code.n, supports)
+    ref = _mask_peel_only(code.n, supports)
+    verdicts = set()
+    size = 0
+    while False not in verdicts:  # up to the first size that can fail
+        size += 1
+        for pattern in combinations(range(code.n), size):
+            got = peeler.recovers(pattern)
+            assert got == ref.recovers(pattern), pattern
+            verdicts.add(got)
+
+
+def test_round_one_filter_keeps_every_verdict_n1352(seq_1352):
+    code = seq_1352
+    supports = low_weight_dual_supports(code, 4)
+    peeler = _Peeler(code.n, supports)
+    ref = _mask_peel_only(code.n, supports)
+    rng = random.Random(4242)
+    round_one = 0
+    for size in (5, 6):
+        for _ in range(10 ** 4):
+            pattern = rng.sample(range(code.n), size)
+            assert peeler.recovers(pattern) == ref.recovers(pattern)
+            round_one += all(peeler.neighbours[c].isdisjoint(pattern)
+                             for c in pattern)
+    # the filter settles most patterns of this code on its own
+    assert round_one > 0.9 * 2 * 10 ** 4
+    assert peeler.neighbours[0] == frozenset(
+        c for s in supports if 0 in s for c in s) - {0}
+
+
+def test_round_one_filter_on_coordinates_without_support():
+    spc = LinearCode(Mat(GF2, [[1, 1, 1, 0]]))
+    peeler = _Peeler(spc.n, low_weight_dual_supports(spc, 3))
+    assert peeler.neighbours == [frozenset({1, 2}), frozenset({0, 2}),
+                                 frozenset({0, 1}), None]
+    assert peeler.recovers([0]) and peeler.recovers([2])
+    assert not peeler.recovers([3]) and not peeler.recovers([0, 1])
+
+
+# n = 1 .. 99 crosses `Random.sample`'s switch from its pool branch to its
+# rejection branch at n = 21 (k <= 5) and at n = 85 (6 <= k <= 12)
+@pytest.mark.parametrize("n", list(range(1, 100)) + [1352, 8480])
+def test_draw_is_random_sample(n):
+    for seed in (0, 1, 5, 77, 2 ** 40 + 3):
+        for k in range(min(n, 12) + 1):
+            mine, stdlib = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert _draw(mine, n, k) == stdlib.sample(range(n), k)
+            # the same bits were consumed, so later draws stay in step
+            assert mine.getstate() == stdlib.getstate()
+
+
+def test_draw_rejects_sizes_outside_the_population():
+    for n, k in ((3, 4), (0, 1), (5, -1)):
+        with pytest.raises(ValueError):
+            _draw(random.Random(0), n, k)
 
 
 def test_sampled_mode_records_seed():
