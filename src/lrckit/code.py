@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
@@ -174,18 +176,21 @@ def shorten(c: LinearCode, S: Sequence[int]) -> LinearCode:
 # minimum distance
 # ---------------------------------------------------------------------------
 
+def _gray_flips(m: int) -> Iterator[int]:
+    """The bit that each step 1 .. 2^m - 1 of the binary-reflected Gray
+    code flips (the lowest set bit of the step), so XOR-ing the flipped
+    vector into a running word walks every combination of m vectors."""
+    for t in range(1, 1 << m):
+        yield (t & -t).bit_length() - 1
+
+
 def _min_distance_gf2(c: LinearCode) -> int:
     """Gray-code enumeration of all nonzero codewords, bit-packed."""
     basis = c.generator().bits
-    k = len(basis)
     best = c.n + 1
     cw = 0
-    prev = 0
-    for t in range(1, 1 << k):
-        gray = t ^ (t >> 1)
-        diff = gray ^ prev
-        cw ^= basis[(diff & -diff).bit_length() - 1]
-        prev = gray
+    for b in _gray_flips(len(basis)):
+        cw ^= basis[b]
         w = cw.bit_count()
         if 0 < w < best:
             best = w
@@ -298,14 +303,11 @@ def _support_weight_gf2(rows: Sequence[int], i: int, best: int) -> int:
         words = [rows[pc] for pc in pivots]
         flips = [(row, rows[col]) for row, pc in enumerate(pivots)
                  for col in range(pc + 1, k) if col not in pivots]
-        for step in range(1 << len(flips)):
-            if step:
-                row, v = flips[(step & -step).bit_length() - 1]
-                words[row] ^= v
-            support = 0
-            for w in words:
-                support |= w
-            best = min(best, support.bit_count())
+        best = min(best, reduce(or_, words).bit_count())
+        for b in _gray_flips(len(flips)):
+            row, v = flips[b]
+            words[row] ^= v
+            best = min(best, reduce(or_, words).bit_count())
     return best
 
 

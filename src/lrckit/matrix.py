@@ -11,8 +11,6 @@ logarithms.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import xor
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
@@ -158,8 +156,8 @@ class Mat:
     # -- shape operations --
 
     def transpose(self) -> "Mat":
-        return Mat(self.gf, list(zip(*self.data)) if self.rows else [],
-                   cols=self.rows)
+        return Mat(self.gf, list(zip(*self.data)) if self.rows
+                   else [()] * self.cols, cols=self.rows)
 
     def select_columns(self, cols: Sequence[int]) -> "Mat":
         return Mat(self.gf, [[row[c] for c in cols] for row in self.data],
@@ -337,16 +335,6 @@ def row_span(M: Mat) -> Iterator[Tuple[int, ...]]:
     """Every linear combination of the rows of M, the zero word first; the
     coefficients count up in base q, the first row's fastest."""
     q, k = M.gf.q, M.rows
-    if M.bits is not None:
-        # counting c - 1 -> c flips the coefficients of rows 0..i, where
-        # bit i is the lowest set bit of c: XOR in those rows at once
-        prefix = list(accumulate(M.bits, xor))
-        word = 0
-        yield tuple(_unpack(word, M.cols))
-        for c in range(1, 1 << k):
-            word ^= prefix[(c & -c).bit_length() - 1]
-            yield tuple(_unpack(word, M.cols))
-        return
     Mt = M.transpose()
     msg = [0] * k
     while True:

@@ -7,7 +7,8 @@ from lrckit.bounds import msw_sequence
 from lrckit.code import (BudgetExceeded, LinearCode, code_from_generator,
                          dual, is_mds, min_distance,
                          puncture, shorten, support_weight,
-                         _min_distance_columns, _min_distance_enum)
+                         _gray_flips, _min_distance_columns,
+                         _min_distance_enum)
 from lrckit.field import field_make
 from lrckit.lr_codes import tamo_barg_code
 from lrckit.matrix import Mat, mat_rank, vandermonde
@@ -132,6 +133,18 @@ def _support_weight_reference(c, i):
     return best
 
 
+@pytest.mark.parametrize("m", range(7))
+def test_gray_flips_walk_every_combination_once(m):
+    # XOR-ing the flipped unit vector into a running word must visit all
+    # 2^m words, each once, starting after the zero word
+    word, seen = 0, [0]
+    for b in _gray_flips(m):
+        assert 0 <= b < m
+        word ^= 1 << b
+        seen.append(word)
+    assert sorted(seen) == list(range(1 << m))
+
+
 def test_support_weight_gf2_matches_reference():
     rng = random.Random(7)
     checked = 0
@@ -144,15 +157,20 @@ def test_support_weight_gf2_matches_reference():
         checked += 1
 
 
-def test_codewords_gf2_are_the_generator_span():
+@pytest.mark.parametrize("q", [2, 3])
+def test_codewords_are_the_generator_span_in_counter_order(q):
+    gf = field_make(q)
     rng = random.Random(11)
-    for _ in range(10):
-        c = small_random_code(GF2, rng.randrange(3, 10), rng)
-        G = c.generator()
-        Gt = G.transpose()
-        expected = [Gt.mul_vec([(m >> i) & 1 for i in range(c.k)])
-                    for m in range(2 ** c.k)]  # first row's bit fastest
+    codes = [small_random_code(gf, rng.randrange(3, 8), rng)
+             for _ in range(10)]
+    codes.append(LinearCode(Mat.identity(gf, 4)))  # the zero code
+    for c in codes:
+        Gt = c.generator().transpose()
+        assert (Gt.rows, Gt.cols) == (c.n, c.k)
+        expected = [Gt.mul_vec([m // q ** i % q for i in range(c.k)])
+                    for m in range(q ** c.k)]  # first row's digit fastest
         assert list(c.codewords()) == expected
+    assert list(codes[-1].codewords()) == [(0, 0, 0, 0)]
 
 
 def test_is_mds():
