@@ -10,9 +10,8 @@ from .field import (DivideByZero, FieldTooSmall, GF, NotPrime,
 from .matrix import (DuplicatePoint, Mat, columns_independent, mat_nullspace,
                      mat_rank, mat_solve, rref, vandermonde)
 from .code import (BudgetExceeded, CodeParams, ErasurePattern, LinearCode,
-                   code_from_generator, code_from_parity, dual, is_mds,
-                   min_distance, min_weight_sample, puncture, shorten,
-                   support_weight)
+                   code_from_generator, dual, is_mds, min_distance,
+                   min_weight_sample, puncture, shorten, support_weight)
 from .graphs import (ConstructionFailed, DegreeSequenceInfeasible,
                      EdgeColoring, Graph, InvalidBeta, NotBipartiteRegular,
                      NotInCatalog, bipartite_regular_girth,
@@ -26,10 +25,9 @@ from .bounds import (BoundReport, ClassicalOracle, EmptyS, InvalidMode,
                      moore_bound, msr_point, msr_subpkt_bounds, msw_sequence,
                      sa_blocklength_bound, seq_blocklength_bounds,
                      seq_dim_bound_t2, seq_rate_bound)
-from .seq_codes import (ParamDecompositionFails, StaircaseProfile,
-                        UnsupportedT, moore_code, seq_general_code,
-                        t2_dim_optimal_code, t2_near_regular_code,
-                        t2_turan_code, t3_catalog)
+from .seq_codes import (ParamDecompositionFails, UnsupportedT, moore_code,
+                        seq_general_code, t2_dim_optimal_code,
+                        t2_near_regular_code, t2_turan_code, t3_catalog)
 from .lr_codes import (EvalPoints, SubgroupUnavailable, locality_witnesses,
                        pg_plane_sa_code, product_avail_code, pyramid_code,
                        steiner_sa_code, tamo_barg_code, wang_avail_code)

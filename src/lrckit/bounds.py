@@ -39,16 +39,6 @@ class BoundReport:
     formula: str = ""
     detail: Dict[str, object] = dc_field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return {"num": v.numerator, "den": v.denominator,
-                        "float": float(v)}
-            return v
-        return {"name": self.name, "inputs": dict(self.inputs),
-                "value": enc(self.value), "formula": self.formula,
-                "detail": {k: enc(v) for k, v in self.detail.items()}}
-
 
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)

@@ -33,11 +33,9 @@ def _manifest(args: List[str], seed: Optional[int] = None) -> dict:
     return out
 
 
-def _emit(payload: dict, out: Optional[str], argv: List[str],
-          seed: Optional[int] = None) -> None:
-    payload = dict(payload)
-    payload["manifest"] = _manifest(argv, seed)
-    text = lio.dumps(payload) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
+    """`text` to stdout, or to the file `out` with its name and SHA-256
+    echoed on stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -45,6 +43,13 @@ def _emit(payload: dict, out: Optional[str], argv: List[str],
         print(json.dumps({"written": out, "sha256": digest}))
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: Optional[str], argv: List[str],
+          seed: Optional[int] = None) -> None:
+    payload = dict(payload)
+    payload["manifest"] = _manifest(argv, seed)
+    _write(lio.dumps(payload) + "\n", out)
 
 
 def _fail(kind: str, message: str, **extra) -> int:
@@ -218,18 +223,8 @@ def cmd_bound(args, argv) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _sampled_chunk(payload: dict) -> dict:
-    code = lio.code_from_json(payload["code"])
-    rep = verify.seq_recovery_check(code, payload["r"], payload["t"],
-                                    mode="sampled",
-                                    samples=payload["samples"],
-                                    seed=payload["seed"])
-    return rep.as_dict()
-
-
 def cmd_verify(args, argv) -> int:
-    obj = lio.load(args.code)
-    code = lio.code_from_json(obj)
+    code = lio.code_from_json(lio.load(args.code))
     prop = args.property
     structure = code.provenance.get("local_structure")
     r = args.r if args.r is not None else (code.params.r if code.params
@@ -243,24 +238,28 @@ def cmd_verify(args, argv) -> int:
     if prop == "seq":
         if args.jobs > 1 and args.mode == "sampled":
             from concurrent.futures import ProcessPoolExecutor
+            from itertools import repeat
             # chunk i runs seed + i; the samples split exactly, and each
             # chunk's seed and count are reported so any chunk replays
             per, extra = divmod(args.samples, args.jobs)
             chunks = [{"seed": args.seed + i, "samples": per + (i < extra)}
                       for i in range(args.jobs)]
+            supports = verify.low_weight_dual_supports(code, r + 1)
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                results = list(ex.map(_sampled_chunk, [
-                    dict(c, code=obj, r=r, t=t) for c in chunks]))
+                results = list(ex.map(
+                    verify._sampled_peel, repeat(code.n), repeat(supports),
+                    repeat(t), [c["samples"] for c in chunks],
+                    [c["seed"] for c in chunks]))
             budgets = {"samples": args.samples, "seed": args.seed,
                        "jobs": args.jobs, "chunks": chunks}
             failed = next((i for i, x in enumerate(results)
-                           if not x["verdict"]), None)
+                           if not x.verdict), None)
             if failed is not None:
-                budgets.update(failed_chunk=failed, failed_at=results[
-                    failed]["budgets"]["failed_at"])
+                budgets.update(failed_chunk=failed,
+                               failed_at=results[failed].budgets["failed_at"])
             rep = verify.VerifyReport(
                 "seq-recovery", failed is None, "sampled", budgets=budgets,
-                witness=None if failed is None else results[failed]["witness"])
+                witness=None if failed is None else results[failed].witness)
         else:
             rep = verify.seq_recovery_check(code, r, t, mode=args.mode,
                                             samples=args.samples,
@@ -331,9 +330,7 @@ def cmd_report(args, argv) -> int:
             tr = v["transpose"]
             lines.append(f"{r},{float(v['tamo_barg']):.10f},"
                          f"{float(tr) if tr is not None else ''}")
-        _write_csv(lines, args.out)
-        return 0
-    if name == "dmin-curve":
+    elif name == "dmin-curve":
         lines = ["r,n,k,wang,tamo_barg,kruglik_frolov,msw_new"]
         from math import comb
         for r in range(3, args.rmax + 1):
@@ -342,28 +339,15 @@ def cmd_report(args, argv) -> int:
             v = B.avail_dmin_bounds(n, k, r, 3)
             lines.append(f"{r},{n},{k},{v['wang']},{v['tamo_barg']},"
                          f"{v['kruglik_frolov']},{v['msw_new']}")
-        _write_csv(lines, args.out)
-        return 0
-    if name == "minlen-curve":
+    elif name == "minlen-curve":
         lines = ["r,prior_bound,new_bound"]
         for r in range(2, args.rmax + 1):
             rep = B.seq_blocklength_bounds(args.k, r, 3)
             lines.append(f"{r},{rep.value['prior']},{rep.value['new']}")
-        _write_csv(lines, args.out)
-        return 0
-    return _fail("usage", f"unknown report {name}")
-
-
-def _write_csv(lines: List[str], out: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(json.dumps({"written": out,
-                          "sha256": hashlib.sha256(text.encode())
-                          .hexdigest()}))
     else:
-        sys.stdout.write(text)
+        return _fail("usage", f"unknown report {name}")
+    _write("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------

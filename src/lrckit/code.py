@@ -35,6 +35,10 @@ class IndexOutOfRange(ValueError):
     pass
 
 
+class ConstructionFailed(RuntimeError):
+    """A construction missed its own invariant: a defect, not bad input."""
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Declared parameters of a code; `role` tags the family it comes from."""
@@ -124,9 +128,15 @@ class LinearCode:
         return f"LinearCode[n={self.n}, k={self.k}] over {self.gf}"
 
 
-def code_from_parity(H: Mat, params: Optional[CodeParams] = None,
-                     provenance: Optional[dict] = None) -> LinearCode:
-    return LinearCode(H, params=params, provenance=provenance)
+def checked(code: LinearCode) -> LinearCode:
+    """`code`, once its rank-derived (n, k) equals its declared params; every
+    constructor that declares its dimension ends here."""
+    p = code.params
+    if (code.n, code.k) != (p.n, p.k):
+        raise ConstructionFailed(
+            f"{p.role} code has (n, k) = ({code.n}, {code.k}), declared "
+            f"({p.n}, {p.k})")
+    return code
 
 
 def code_from_generator(G: Mat, params: Optional[CodeParams] = None,

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .field import GF, field_make, prime_power
 from .matrix import Mat
-from .code import CodeParams, LinearCode
+from .code import CodeParams, ConstructionFailed, LinearCode
 
 
 class GraphError(ValueError):
@@ -38,10 +38,6 @@ class NotBipartiteRegular(GraphError):
 
 
 class NotInCatalog(LookupError):
-    pass
-
-
-class ConstructionFailed(RuntimeError):
     pass
 
 
@@ -203,9 +199,7 @@ def near_regular_graph(k: int, r: int) -> Graph:
         raise DegreeSequenceInfeasible(
             f"no near-regular graph for k={k}, r={r} (m={m})")
     degrees = [r] * a + ([b] if b else [])
-    g = graph_from_degree_sequence(degrees)
-    assert len(g.edges) == k
-    return g
+    return graph_from_degree_sequence(degrees)
 
 
 def regular_graph(nodes: int, degree: int) -> Graph:
@@ -220,13 +214,10 @@ def turan_graph(r: int, beta: int) -> Graph:
     if not (1 <= beta <= r) or r % beta:
         raise InvalidBeta(f"need beta | r and 1 <= beta <= r, got {beta}, {r}")
     b = r + beta
-    x = b // beta
     part = [i // beta for i in range(b)]
     edges = [(u, v) for u in range(b) for v in range(u + 1, b)
              if part[u] != part[v]]
-    g = Graph(b, edges)
-    assert len(g.edges) == x * (x - 1) * beta * beta // 2
-    return g
+    return Graph(b, edges)
 
 
 def complete_graph(n: int) -> Graph:
@@ -503,9 +494,9 @@ def edge_color_bipartite(g: Graph) -> EdgeColoring:
             colors[ids.pop()] = color
             if not ids:
                 del remaining[(u, v)]
-    assert not remaining and -1 not in colors
     coloring = EdgeColoring(tuple(colors), d)
-    assert check_proper_coloring(g, coloring)
+    if not check_proper_coloring(g, coloring):
+        raise ConstructionFailed("matchings do not give a proper coloring")
     return coloring
 
 

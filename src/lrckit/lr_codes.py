@@ -14,7 +14,8 @@ from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
 from .bounds import ceil_div, lr_singleton_bound
-from .code import BudgetExceeded, CodeParams, LinearCode, code_from_generator
+from .code import (BudgetExceeded, CodeParams, ConstructionFailed, LinearCode,
+                   checked, code_from_generator)
 from .field import GF, FieldTooSmall, field_make
 from .graphs import pg_incidence_graph
 from .matrix import Mat, mat_nullspace, rref, vandermonde
@@ -76,7 +77,8 @@ def pyramid_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     points = list(range(n1))
     G_rs = vandermonde(gf, points, k)
     G_sys, pivots = rref(G_rs)
-    assert pivots == list(range(k))
+    if pivots != list(range(k)):
+        raise ConstructionFailed(f"MDS generator not systematic: {pivots}")
     group_sizes = [r] * (a - 1) + [k - (a - 1) * r]
     row_groups = coordinate_groups(group_sizes)
     cols: List[List[int]] = []
@@ -91,13 +93,10 @@ def pyramid_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     for c in range(k + 1, n1):
         cols.append([G_sys[(i, c)] for i in range(k)])
     G = Mat(gf, list(zip(*cols)), cols=len(cols))
-    assert G.cols == n
     d = lr_singleton_bound(n, k, r)
-    code = code_from_generator(
+    return checked(code_from_generator(
         G, params=CodeParams(n=n, k=k, r=r, d_min=d, q=gf.q, role="LR"),
-        provenance={"construction": "pyramid", "groups": coord_groups})
-    assert code.k == k
-    return code
+        provenance={"construction": "pyramid", "groups": coord_groups}))
 
 
 def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
@@ -129,15 +128,12 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
         for i in range(m))
     layout = EvalPoints(gf, cosets, good_poly_degree=r + 1)
     points = layout.points()
-    assert len(set(points)) == n
     G = Mat(gf, [[gf.pow(x, e) for x in points] for e in exps], cols=n)
     d = lr_singleton_bound(n, k, r)
     groups = [list(g) for g in coordinate_groups([r + 1] * m)]
-    code = code_from_generator(
+    return checked(code_from_generator(
         G, params=CodeParams(n=n, k=k, r=r, d_min=d, q=q, role="LR"),
-        provenance={"construction": "tamo-barg", "groups": groups})
-    assert code.k == k
-    return code
+        provenance={"construction": "tamo-barg", "groups": groups}))
 
 
 def locality_witnesses(code: LinearCode,
@@ -181,11 +177,10 @@ def product_avail_code(r: int, t: int) -> LinearCode:
                 row[index[tup]] = 1
             rows.append(row)
     H = Mat(GF2, rows, cols=n)
-    code = LinearCode(H, params=CodeParams(n=n, k=r ** t, r=r, t=t, q=2,
-                                           role="availability"),
-                      provenance={"construction": "product"})
-    assert code.k == r ** t
-    return code
+    return checked(LinearCode(
+        H, params=CodeParams(n=n, k=r ** t, r=r, t=t, q=2,
+                             role="availability"),
+        provenance={"construction": "product"}))
 
 
 def wang_avail_code(r: int, t: int) -> LinearCode:
@@ -205,11 +200,9 @@ def wang_avail_code(r: int, t: int) -> LinearCode:
         rows.append([1 if rs <= set(cs) else 0 for cs in cols_idx])
     H = Mat(GF2, rows, cols=n)
     k = n - math.comb(ell - 1, t - 1)
-    code = LinearCode(H, params=CodeParams(n=n, k=k, r=r, t=t, q=2,
-                                           role="SA"),
-                      provenance={"construction": "wang"})
-    assert code.k == k
-    return code
+    return checked(LinearCode(
+        H, params=CodeParams(n=n, k=k, r=r, t=t, q=2, role="SA"),
+        provenance={"construction": "wang"}))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +224,10 @@ def pg_plane_sa_code(s: int) -> LinearCode:
         rows[point] |= 1 << (line - n)
     H = Mat.from_bits(GF2, rows, n)
     k = n - (3 ** s + 1)
-    code = LinearCode(H, params=CodeParams(n=n, k=k, r=Q, t=Q + 1,
-                                           d_min=Q + 2, q=2, role="SA"),
-                      provenance={"construction": "pg-plane", "order": Q})
-    assert code.k == k
-    return code
+    return checked(LinearCode(
+        H, params=CodeParams(n=n, k=k, r=Q, t=Q + 1, d_min=Q + 2, q=2,
+                             role="SA"),
+        provenance={"construction": "pg-plane", "order": Q}))
 
 
 def steiner_sa_code(s: int) -> LinearCode:
@@ -252,15 +244,12 @@ def steiner_sa_code(s: int) -> LinearCode:
             c = a ^ b
             if c > b:
                 lines.append((a, b, c))
-    n = len(lines)
-    assert n == m * (m - 1) // 6
-    rows = [[0] * n for _ in range(m)]
+    rows = [[0] * len(lines) for _ in range(m)]
     for li, (a, b, c) in enumerate(lines):
         rows[a - 1][li] = rows[b - 1][li] = rows[c - 1][li] = 1
-    H = Mat(GF2, rows, cols=n)
-    k = n - m + s
-    code = LinearCode(H, params=CodeParams(n=n, k=k, r=2 ** (s - 1) - 2, t=3,
-                                           d_min=4, q=2, role="SA"),
-                      provenance={"construction": "steiner", "points": m})
-    assert code.k == k
-    return code
+    H = Mat(GF2, rows, cols=len(lines))
+    n = m * (m - 1) // 6  # the line count of a Steiner triple system
+    return checked(LinearCode(
+        H, params=CodeParams(n=n, k=n - m + s, r=2 ** (s - 1) - 2, t=3,
+                             d_min=4, q=2, role="SA"),
+        provenance={"construction": "steiner", "points": m}))

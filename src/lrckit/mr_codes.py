@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .code import CodeParams, LinearCode
+from .code import CodeParams, LinearCode, checked, code_from_generator
 from .field import (GF, FieldTooSmall, field_make, prime_power,
                     subfield_embedding)
 from .matrix import Mat, columns_independent, mat_rank, vandermonde
@@ -65,10 +65,6 @@ class LocalStructure:
                       for i in h if gj != gi}
             out.append(min(set(g) - others))
         return tuple(out)
-
-    def as_dict(self) -> dict:
-        return {"groups": [list(g) for g in self.groups],
-                "delta": self.delta}
 
 
 @dataclass(frozen=True)
@@ -180,13 +176,11 @@ def pmr_parity_split(m: int, r: int, delta: int, gf: GF) -> LinearCode:
     H = _split_parity_matrix(gf, m, r, last, Hg.data[:delta])
     n, k = shape.n, shape.k
     structure = _pmr_layout(m, r)
-    code = LinearCode(H, params=CodeParams(n=n, k=k, r=r, d_min=delta + 2,
-                                           q=gf.q, role="PMR"),
-                      provenance={"construction": "pmr-parity-split",
-                                  "delta": delta,
-                                  "local_structure": structure})
-    assert code.k == k
-    return code
+    return checked(LinearCode(
+        H, params=CodeParams(n=n, k=k, r=r, d_min=delta + 2, q=gf.q,
+                             role="PMR"),
+        provenance={"construction": "pmr-parity-split", "delta": delta,
+                    "local_structure": structure}))
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +220,10 @@ def mr_r12(m: int, r: int) -> LinearCode:
     mds_rows = [[1] * (m * r), thetas]
     H = _split_parity_matrix(gf, m, r, squares, mds_rows)
     structure = _pmr_layout(m, r)
-    code = LinearCode(H, params=CodeParams(n=shape.n, k=k, r=r, q=q,
-                                           role="MR"),
-                      provenance={"construction": "mr-r12", "q": q,
-                                  "ell": ell, "local_structure": structure})
-    assert code.k == k
-    return code
+    return checked(LinearCode(
+        H, params=CodeParams(n=shape.n, k=k, r=r, q=q, role="MR"),
+        provenance={"construction": "mr-r12", "q": q, "ell": ell,
+                    "local_structure": structure}))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +282,10 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
     H = Mat(gf, rows, cols=n)
     k = shape.k
     structure = LocalStructure(coordinate_groups([width] * m), delta=delta)
-    code = LinearCode(H, params=CodeParams(n=n, k=k, r=r, q=q, role="MR"),
-                      provenance={"construction": "mr-rdelta2", "q": q,
-                                  "psi": psi, "delta": delta,
-                                  "local_structure": structure})
-    assert code.k == k
-    return code
+    return checked(LinearCode(
+        H, params=CodeParams(n=n, k=k, r=r, q=q, role="MR"),
+        provenance={"construction": "mr-rdelta2", "q": q, "psi": psi,
+                    "delta": delta, "local_structure": structure}))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +309,6 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
     if not r <= delta <= 2 * r - 1:
         raise ValueError("need r <= delta <= 2r-1 (the a = 1 regime)")
     shape = PmrParams(m, r, delta)
-    assert shape.split[0] == 1
     pm = prime_power(base_q)
     if pm is None:
         raise NoSuitableField(f"{base_q} is not a prime power")
@@ -352,16 +341,12 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
     mds = vandermonde(big, thetas, delta)
     H = _split_parity_matrix(big, m, r, thetas, mds.data)
     structure = _pmr_layout(m, r)
-    k = shape.k
-    code = LinearCode(H, params=CodeParams(n=shape.n, k=k, r=r,
-                                           q=big.q, role="PMR"),
-                      provenance={"construction": "pmr-a1", "delta": delta,
-                                  "base_q": base_q, "unity_order": u,
-                                  "seed": seed,
-                                  "local_structure": structure})
-    assert code.k == k
-    report = pmr_check(code, structure)
-    return code, report
+    code = checked(LinearCode(
+        H, params=CodeParams(n=shape.n, k=shape.k, r=r, q=big.q, role="PMR"),
+        provenance={"construction": "pmr-a1", "delta": delta,
+                    "base_q": base_q, "unity_order": u, "seed": seed,
+                    "local_structure": structure}))
+    return code, pmr_check(code, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +403,8 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
         raise ValueError("need 3 | N")
     if (q - 1) % 3:
         raise NoSuitableField("need 3 | q-1 for cube-root cosets")
+    if D < 0:
+        raise ValueError("need D >= 0")
     k = 2 * D + 1
     if 3 * k >= 2 * N:
         raise ValueError("need 2D/N < 2/3")
@@ -431,8 +418,7 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
     for i in range(m_total):
         rep = gf.pow(alpha, i)
         cosets.append([gf.mul(rep, gf.pow(beta, j)) for j in range(3)])
-    exps = [e for e in range(3 * D + 1) if e % 3 != 2]
-    assert len(exps) == k
+    exps = [e for e in range(3 * D + 1) if e % 3 != 2]  # k = 2D + 1 of them
     chosen: List[int] = []
     points: List[int] = []
     for _step in range(want):
@@ -453,11 +439,8 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
                 f"retry with a larger field")
     G = _eval_generator(gf, exps, points)
     structure = LocalStructure(coordinate_groups([3] * want), delta=1)
-    from .code import code_from_generator
     s = N - k - want
-    code = code_from_generator(
+    return checked(code_from_generator(
         G, params=CodeParams(n=N, k=k, r=2, q=q, role="MR"),
         provenance={"construction": "mr-coset", "q": q, "s": s,
-                    "cosets": chosen, "local_structure": structure})
-    assert code.k == k
-    return code
+                    "cosets": chosen, "local_structure": structure}))

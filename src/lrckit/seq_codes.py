@@ -9,16 +9,16 @@ layered base graph against a high-girth auxiliary graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .bounds import seq_rate_bound
-from .code import CodeParams, LinearCode
+from .code import CodeParams, ConstructionFailed, LinearCode, checked
 from .field import field_make
-from .graphs import (ConstructionFailed, Graph, bipartite_regular_girth,
-                     complete_graph, edge_color_bipartite, girth,
-                     incidence_bits, moore_catalog, near_regular_graph,
-                     regular_graph, turan_graph)
+from .graphs import (EdgeColoring, Graph, bipartite_regular_girth,
+                     check_proper_coloring, complete_graph,
+                     edge_color_bipartite, girth, incidence_bits,
+                     moore_catalog, near_regular_graph, regular_graph,
+                     turan_graph)
 from .matrix import Mat
 
 GF2 = field_make(2)
@@ -33,48 +33,47 @@ class ParamDecompositionFails(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StaircaseProfile:
-    """Block profile of a staircase parity-check matrix: a[i] column-group
-    sizes and rho[i] row-layer sizes."""
-    s: int
-    a: Tuple[int, ...]
-    rho: Tuple[int, ...]
+def _rate_optimal(rows: List[int], cols: int, r: int, t: int,
+                  provenance: dict) -> LinearCode:
+    """The binary S-LR code with parity-check bit rows `rows` over `cols`
+    coordinates, its dimension taken from rank.  Every rate-optimal
+    construction ends here: raises ConstructionFailed unless the rate is
+    exactly `seq_rate_bound(r, t)`."""
+    code = LinearCode(Mat.from_bits(GF2, rows, cols), provenance=provenance)
+    code.params = CodeParams(n=code.n, k=code.k, r=r, t=t, q=2, role="S-LR")
+    bound = seq_rate_bound(r, t)
+    if code.rate() != bound:
+        raise ConstructionFailed(f"rate {code.rate()} != bound {bound} "
+                                 f"for r={r}, t={t}")
+    return code
 
 
 # ---------------------------------------------------------------------------
 # t = 2 constructions
 # ---------------------------------------------------------------------------
 
-def _systematic_graph_code(g: Graph, r: int, t: int,
-                           provenance: Optional[dict] = None) -> LinearCode:
-    """H = [I_m | M] where M is the node-edge incidence matrix of g: edges
-    carry information bits, nodes carry explicit parity bits."""
+def _systematic_rows(g: Graph) -> List[int]:
+    """Bit rows of H = [I_m | M], M the node-edge incidence matrix of g:
+    edges carry information bits, nodes carry explicit parity bits."""
     m = g.node_count
-    k = len(g.edges)
-    rows = [1 << u | edges << m for u, edges in enumerate(incidence_bits(g))]
-    H = Mat.from_bits(GF2, rows, m + k)
-    code = LinearCode(H, params=CodeParams(n=m + k, k=k, r=r, t=t, q=2,
-                                           role="S-LR"),
-                      provenance=provenance or {})
-    assert code.k == k
-    return code
+    return [1 << u | edges << m for u, edges in enumerate(incidence_bits(g))]
 
 
 def t2_near_regular_code(k: int, r: int) -> LinearCode:
     """Block-length-optimal binary two-erasure code: n = k + ceil(2k/r)."""
     g = near_regular_graph(k, r)
-    return _systematic_graph_code(g, r, 2, {"construction": "near-regular",
-                                            "nodes": g.node_count})
+    m = g.node_count
+    H = Mat.from_bits(GF2, _systematic_rows(g), m + len(g.edges))
+    return checked(LinearCode(
+        H, params=CodeParams(n=m + k, k=k, r=r, t=2, q=2, role="S-LR"),
+        provenance={"construction": "near-regular", "nodes": m}))
 
 
 def t2_turan_code(r: int, beta: int) -> LinearCode:
     """Rate-optimal binary two-erasure code from a Turan graph."""
     g = turan_graph(r, beta)
-    code = _systematic_graph_code(g, r, 2, {"construction": "turan",
-                                            "beta": beta})
-    assert code.rate() == seq_rate_bound(r, 2)
-    return code
+    return _rate_optimal(_systematic_rows(g), g.node_count + len(g.edges),
+                         r, 2, {"construction": "turan", "beta": beta})
 
 
 def _cyclic_shift_classes(m: int, weight: int) -> List[List[Tuple[int, ...]]]:
@@ -140,13 +139,12 @@ def t2_dim_optimal_code(m: int, r: int) -> LinearCode:
             cols=len(cols))
     k_expected = (sum(math.comb(m, i) for i in range(2, L + 1))
                   + m * J // (L + 1))
-    code = LinearCode(H, params=CodeParams(n=len(cols), k=k_expected,
-                                           r=r, t=2, q=2, role="S-LR"),
-                      provenance={"construction": "dim-optimal",
-                                  "L": L, "J": J})
-    assert code.k == k_expected
-    assert all(sum(row) == r + 1 for row in H.data)
-    return code
+    if any(row.bit_count() != r + 1 for row in H.bits):
+        raise ConstructionFailed(f"a check does not have weight r+1 = {r + 1}")
+    return checked(LinearCode(
+        H, params=CodeParams(n=len(cols), k=k_expected, r=r, t=2, q=2,
+                             role="S-LR"),
+        provenance={"construction": "dim-optimal", "L": L, "J": J}))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +179,9 @@ def t3_catalog(which: str) -> LinearCode:
     else:
         raise ValueError("which must be 'ex1' or 'ex2'")
     mat = Mat(GF2, H)
-    code = LinearCode(mat, params=CodeParams(n=mat.cols, k=k, r=r, t=3, q=2,
-                                             role="S-LR"),
-                      provenance={"construction": f"t3-{which}"})
-    assert code.k == k
-    return code
+    return checked(LinearCode(
+        mat, params=CodeParams(n=mat.cols, k=k, r=r, t=3, q=2, role="S-LR"),
+        provenance={"construction": f"t3-{which}"}))
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +192,9 @@ def moore_code(r: int, t: int) -> LinearCode:
     """Code from the node-edge incidence matrix of a Moore graph of degree
     r+1 and girth t+1, with one (linearly dependent) node row dropped."""
     g = moore_catalog(r, t)
-    code = _incidence_drop_row(g, drop=0)
-    n, k = code.n, code.k
-    code.params = CodeParams(n=n, k=k, r=r, t=t, q=2, role="S-LR")
-    code.provenance = {"construction": "moore", "graph_nodes": g.node_count}
-    assert code.rate() == seq_rate_bound(r, t)
-    return code
-
-
-def _incidence_drop_row(g: Graph, drop: int) -> LinearCode:
-    rows = incidence_bits(g)
-    del rows[drop]
-    return LinearCode(Mat.from_bits(GF2, rows, len(g.edges)))
+    return _rate_optimal(incidence_bits(g)[1:], len(g.edges), r, t,
+                         {"construction": "moore",
+                          "graph_nodes": g.node_count})
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +277,9 @@ def _color_tree_and_gadgets(r: int, s: int):
         by_color[parent_color[leaf]].append(leaf)
     for c, members in by_color.items():
         count = len(members)
-        assert count % 4 == 0
+        if count % 4:
+            raise ConstructionFailed(f"{count} leaves of color {c}, not a "
+                                     "multiple of 4")
         half = count // 2
         gadget = regular_graph(half, r)
         dbl = _double_cover(gadget)  # r-regular bipartite on `count` nodes
@@ -333,25 +322,12 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
         raise UnsupportedT("t = 4 is served by moore_code only")
     if r < 3 and t >= 4:
         raise UnsupportedT("the general construction needs r >= 3")
-    if t == 2:
-        g = complete_graph(r + 2)
-        code = _incidence_drop_row(g, drop=0)
-        code.params = CodeParams(n=code.n, k=code.k, r=r, t=2, q=2,
-                                 role="S-LR")
-        code.provenance = {"construction": "seq-general", "t": 2,
-                           "base": "complete"}
-        assert code.rate() == seq_rate_bound(r, 2)
-        return code
+    if t in (2, 3):
+        g = complete_graph(r + 2) if t == 2 else _base_graph_odd(r, 1)[0]
+        return _rate_optimal(incidence_bits(g)[1:], len(g.edges), r, t,
+                             {"construction": "seq-general", "t": t,
+                              "base": "complete" if t == 2 else "bipartite"})
     s = (t - 1) // 2
-    if t == 3:
-        g, layers = _base_graph_odd(r, 1)
-        code = _incidence_drop_row(g, drop=0)
-        code.params = CodeParams(n=code.n, k=code.k, r=r, t=3, q=2,
-                                 role="S-LR")
-        code.provenance = {"construction": "seq-general", "t": 3,
-                           "base": "bipartite"}
-        assert code.rate() == seq_rate_bound(r, 3)
-        return code
 
     # ---- step 1: base graph plus proper (r+1)-edge-coloring ----
     if t % 2:
@@ -372,9 +348,9 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
         base, depth_nodes, base_colors = _color_tree_and_gadgets(r, s)
         layer0 = depth_nodes[0]
         base_node_layers = {i: depth_nodes[i] for i in range(s + 1)}
-        from .graphs import EdgeColoring, check_proper_coloring
-        assert check_proper_coloring(base,
-                                     EdgeColoring(tuple(base_colors), r + 1))
+        if not check_proper_coloring(base, EdgeColoring(tuple(base_colors),
+                                                        r + 1)):
+            raise ConstructionFailed("base graph coloring is not proper")
 
     # ---- step 2: auxiliary graph with girth >= t+1, colored by matchings --
     if aux == "catalog":
@@ -422,13 +398,9 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
         raise ConstructionFailed(
             f"expanded graph girth {got_girth} < {t + 1}")
 
-    # incidence matrix with the apex row dropped
-    code = _incidence_drop_row(expanded, drop=expanded.node_count - 1)
-    code.params = CodeParams(n=code.n, k=code.k, r=r, t=t, q=2, role="S-LR")
-    code.provenance = {"construction": "seq-general", "t": t,
-                       "base_nodes": base.node_count,
-                       "aux_nodes": n_aux, "aux": aux, "seed": seed,
-                       "colors": r + 1, "girth": got_girth}
-    assert code.rate() == seq_rate_bound(r, t), (
-        f"rate {code.rate()} != bound {seq_rate_bound(r, t)}")
-    return code
+    # incidence matrix with the apex row (the last node) dropped
+    return _rate_optimal(incidence_bits(expanded)[:-1], len(expanded.edges),
+                         r, t, {"construction": "seq-general", "t": t,
+                                "base_nodes": base.node_count,
+                                "aux_nodes": n_aux, "aux": aux, "seed": seed,
+                                "colors": r + 1, "girth": got_girth})

@@ -227,32 +227,39 @@ def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
             raise ValueError(f"certificate unavailable: {graph_reason}")
         else:
             mode = "sampled"
-    peeler = _Peeler(n, low_weight_dual_supports(code, r + 1))
-    if mode == "exhaustive":
-        if total > budget:
-            return seq_recovery_check(code, r, t, mode="sampled",
-                                      samples=samples, seed=seed)
-        for size in range(1, t + 1):
-            for pattern in combinations(range(n), size):
-                if not peeler.recovers(pattern):
-                    return VerifyReport("seq-recovery", False, "exhaustive",
-                                        witness=list(pattern),
-                                        budgets={"patterns": total,
-                                                 "budget": budget})
-        return VerifyReport("seq-recovery", True, "exhaustive",
-                            budgets={"patterns": total, "budget": budget})
-    if mode == "sampled":
-        rng = random.Random(seed)
-        for i in range(samples):
-            pattern = _draw(rng, n, t)
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    supports = low_weight_dual_supports(code, r + 1)
+    if mode == "sampled" or total > budget:
+        return _sampled_peel(n, supports, t, samples, seed)
+    peeler = _Peeler(n, supports)
+    for size in range(1, t + 1):
+        for pattern in combinations(range(n), size):
             if not peeler.recovers(pattern):
-                return VerifyReport("seq-recovery", False, "sampled",
-                                    witness=sorted(pattern),
-                                    budgets={"samples": samples, "seed": seed,
-                                             "failed_at": i})
-        return VerifyReport("seq-recovery", True, "sampled",
-                            budgets={"samples": samples, "seed": seed})
-    raise ValueError(f"unknown mode {mode!r}")
+                return VerifyReport("seq-recovery", False, "exhaustive",
+                                    witness=list(pattern),
+                                    budgets={"patterns": total,
+                                             "budget": budget})
+    return VerifyReport("seq-recovery", True, "exhaustive",
+                        budgets={"patterns": total, "budget": budget})
+
+
+def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
+                  samples: int, seed: int) -> VerifyReport:
+    """Peel `samples` random t-subsets of range(n), drawn from `seed`,
+    against the low-weight dual supports: the sampled verdict of
+    `seq_recovery_check`, and one chunk of `verify seq --jobs`."""
+    peeler = _Peeler(n, supports)
+    rng = random.Random(seed)
+    for i in range(samples):
+        pattern = _draw(rng, n, t)
+        if not peeler.recovers(pattern):
+            return VerifyReport("seq-recovery", False, "sampled",
+                                witness=sorted(pattern),
+                                budgets={"samples": samples, "seed": seed,
+                                         "failed_at": i})
+    return VerifyReport("seq-recovery", True, "sampled",
+                        budgets={"samples": samples, "seed": seed})
 
 
 # ---------------------------------------------------------------------------

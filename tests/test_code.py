@@ -1,8 +1,16 @@
+import ast
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import lrckit
+from lrckit import code as lcode, graphs
 from lrckit.bounds import msw_sequence
 from lrckit.code import (BudgetExceeded, LinearCode, code_from_generator,
                          dual, is_mds, min_distance,
@@ -215,3 +223,53 @@ def test_erasure_pattern_model():
         p.check_range(4)
     with pytest.raises(IndexOutOfRange):
         ErasurePattern((1, 1))
+
+
+def test_no_assert_statements_in_the_package():
+    """Invariants are explicit raises, so `python -O` keeps every one."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in pathlib.Path(lrckit.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+_BROKEN_CONSTRUCTIONS = """
+import json, sys
+from fractions import Fraction
+from lrckit import mr_codes, seq_codes
+from lrckit.cli import main
+
+def attempt(build):
+    try:
+        build()
+    except Exception as e:
+        return type(e).__name__
+    return "built"
+
+seq_codes.seq_rate_bound = lambda r, t: Fraction(0)
+out = {"debug": __debug__,
+       "seq": attempt(lambda: seq_codes.seq_general_code(3, 3)),
+       "cli": main(["construct", "seq", "--r", "3", "--t", "3"])}
+mr_codes.MrParams.k = property(lambda s: s.m * s.r - s.s + 1)
+out["mr"] = attempt(lambda: mr_codes.mr_r12(3, 2))
+sys.stdout.write(json.dumps(out))
+"""
+
+
+def test_construction_invariants_hold_under_python_O():
+    """A rate that misses its bound, or a declared k that misses the rank,
+    raises ConstructionFailed with asserts stripped; the CLI exits 2."""
+    src = str(pathlib.Path(lrckit.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CONSTRUCTIONS],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(proc.stdout) == {"debug": False,
+                                       "seq": "ConstructionFailed",
+                                       "cli": 2, "mr": "ConstructionFailed"}
+    assert json.loads(proc.stderr)["error"] == "ConstructionFailed"
+
+
+def test_construction_failed_is_one_class():
+    assert lrckit.ConstructionFailed is graphs.ConstructionFailed \
+        is lcode.ConstructionFailed

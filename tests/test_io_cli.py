@@ -231,6 +231,20 @@ CONSTRUCT_DIGESTS = {
         "37e231d41155ca0af709f7e9bb5a156df1a71b4a6268699c8bbeced01f027236",
     "incidence --graph heawood":
         "02777b927c21be6f81f7fa9f88d0de9ffcdbb651dfd264645e1790c151b6360f",
+    "pyramid --n 9 --k 5 --r 2 --q 11":
+        "3b36986752e57a98b84d5d11e1302a4e749120489d3712f8125cd72df6e174a2",
+    "tamobarg --n 8 --k 4 --r 3 --q 9":
+        "f9080f93ceb94aeef146966b36b7ce592dd70bcf53d801587640ddcec2b9f409",
+    "pmr-split --m 2 --r 3 --delta 2 --q 7":
+        "244e1329933ff1b80407f38829486ba45954c97ecd5afb0bdc05636e1003d235",
+    "mr-r12 --m 3 --r 2":
+        "1f9896d3e1dfed258bfcb911e98aaa274d2c3c2db5ed3c0bd480f49972c9d5cf",
+    "mr-rd2 --m 4 --r 2 --delta 2 --psi 4":
+        "90c9d1bfa0387337d1f64897cbc9d9267d7be7c0870bed89d90d8d5bed58c1be",
+    "pmr-a1 --m 2 --r 2 --delta 3 --base-q 7":
+        "f1dd24994f027db39955ce361487c7f6da72ee3094f2434b2a9c19bfb7dc94a1",
+    "mr-coset --n 6 --d-param 1 --q 13":
+        "6f3cae8af02d86e9ada526d34aa372adbad9649b5a53e7c75cfa1a71bb4a0749",
 }
 
 
@@ -255,6 +269,34 @@ def test_cli_tamobarg_dimension_too_large_exit_2(capsys):
                  "--q", "7"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "top exponent" in err["message"]
+
+
+def test_cli_construction_failed_exit_2(monkeypatch, capsys):
+    """A construction that misses its bound or its declared k is a
+    ConstructionFailed error (exit 2), not an internal one."""
+    from fractions import Fraction
+    from lrckit import code as lcode, lr_codes, seq_codes
+    monkeypatch.setattr(seq_codes, "seq_rate_bound", lambda r, t: Fraction(0))
+    assert main(["construct", "seq", "--r", "3", "--t", "3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConstructionFailed" and "rate" in err["message"]
+
+    def drop_last_row(G, **kw):  # the rank falls one short of the declared k
+        return lcode.code_from_generator(Mat(G.gf, G.data[:-1], cols=G.cols),
+                                         **kw)
+    monkeypatch.setattr(lr_codes, "code_from_generator", drop_last_row)
+    assert main(["construct", "tamobarg", "--n", "8", "--k", "4", "--r", "3",
+                 "--q", "9"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConstructionFailed",
+                   "message": "LR code has (n, k) = (8, 3), declared (8, 4)"}
+
+
+def test_cli_mr_coset_negative_d_exit_2(capsys):
+    assert main(["construct", "mr-coset", "--n", "6", "--d-param", "-1",
+                 "--q", "13"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "need D >= 0"}
 
 
 def test_cli_missing_flags_exit_2(tmp_path, capsys):
