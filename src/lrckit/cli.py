@@ -224,6 +224,8 @@ def cmd_bound(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, argv) -> int:
+    if not 1 <= args.jobs <= max(args.samples, 1):  # >= 1 sample a job
+        return _fail("usage", f"--jobs {args.jobs} is not in 1..--samples")
     code = lio.code_from_json(lio.load(args.code))
     prop = args.property
     structure = code.provenance.get("local_structure")

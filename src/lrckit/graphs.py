@@ -2,9 +2,9 @@
 
 Girth computation, deterministic near-regular / Turan generation, high-girth
 regular bipartite graphs (projective-plane and generalized-quadrangle
-incidence graphs, plus a randomized fallback), proper edge coloring of
-regular bipartite graphs by repeated perfect matchings, the catalog of Moore
-graphs, and node-edge incidence codes.
+incidence graphs, plus a progressive edge-growth fallback), proper edge
+coloring of regular bipartite graphs by repeated perfect matchings, the
+catalog of Moore graphs, and node-edge incidence codes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .field import GF, field_make, prime_power
@@ -256,19 +256,9 @@ def hoffman_singleton_graph() -> Graph:
     for j in range(5):
         for k in range(5):
             edges.append((25 + 5 * j + k, 25 + 5 * j + (k + 2) % 5))
-    seen = set()
-    dedup = []
-    for u, v in edges:
-        e = (min(u, v), max(u, v))
-        if e not in seen:
-            seen.add(e)
-            dedup.append(e)
-    for h in range(5):
-        for i in range(5):
-            for j in range(5):
-                k = (h * j + i) % 5
-                dedup.append((5 * h + i, 25 + 5 * j + k))
-    g = Graph(50, dedup)
+    edges += [(5 * h + i, 25 + 5 * j + (h * j + i) % 5)
+              for h in range(5) for i in range(5) for j in range(5)]
+    g = Graph(50, edges)
     if g.degrees() != [7] * 50 or girth(g) != 5:
         raise ConstructionFailed("Hoffman-Singleton fixture failed checks")
     return g
@@ -278,22 +268,9 @@ def hoffman_singleton_graph() -> Graph:
 
 def _projective_points(gf: GF, dim: int) -> List[Tuple[int, ...]]:
     """Normalized representatives (first nonzero coordinate 1) of the
-    one-dimensional subspaces of GF(q)^dim."""
-    pts = []
-    q = gf.q
-    for code in range(q ** dim):
-        vec = []
-        v = code
-        for _ in range(dim):
-            vec.append(v % q)
-            v //= q
-        if not any(vec):
-            continue
-        first = next(x for x in vec if x)
-        if first != 1:
-            continue
-        pts.append(tuple(vec))
-    return pts
+    one-dimensional subspaces of GF(q)^dim, first coordinate fastest."""
+    vecs = (v[::-1] for v in product(range(gf.q), repeat=dim))
+    return [v for v in vecs if next((x for x in v if x), 0) == 1]
 
 
 def pg_incidence_graph(q: int) -> Graph:
@@ -422,21 +399,14 @@ def bipartition(g: Graph) -> Optional[Tuple[List[int], List[int]]]:
 def hopcroft_karp(adj: Dict[int, List[int]]) -> Dict[int, int]:
     """Maximum matching of a bipartite graph given as left -> right lists;
     returns the left -> right matching dict."""
-    INF = float("inf")
     match_l: Dict[int, int] = {}
     match_r: Dict[int, int] = {}
-    lefts = list(adj.keys())
-
-    def bfs() -> bool:
-        dist = {}
-        queue = deque()
-        for u in lefts:
-            if u not in match_l:
-                dist[u] = 0
-                queue.append(u)
+    while True:
+        # BFS layers from the free left nodes
+        dist = {u: 0 for u in adj if u not in match_l}
+        queue = list(dist)
         found = False
-        while queue:
-            u = queue.popleft()
+        for u in queue:
             for v in adj[u]:
                 w = match_r.get(v)
                 if w is None:
@@ -444,24 +414,31 @@ def hopcroft_karp(adj: Dict[int, List[int]]) -> Dict[int, int]:
                 elif w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        bfs.dist = dist  # type: ignore[attr-defined]
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r.get(v)
-            if w is None or (bfs.dist.get(w) == bfs.dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        bfs.dist[u] = INF
-        return False
-
-    while bfs():
-        for u in lefts:
-            if u not in match_l:
-                dfs(u)
-    return match_l
+        if not found:
+            return match_l
+        # layered DFS on a stack of (left node, unvisited neighbours)
+        for root in adj:
+            if root in match_l:
+                continue
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                u, nbrs = stack[-1]
+                for v in nbrs:
+                    w = match_r.get(v)
+                    if w is None:  # each node takes its successor's partner
+                        path = [x for x, _ in stack]
+                        new = [match_l[x] for x in path[1:]] + [v]
+                        for x, y in zip(path, new):
+                            match_l[x] = y
+                            match_r[y] = x
+                        stack = []
+                        break
+                    if dist.get(w) == dist[u] + 1:
+                        stack.append((w, iter(adj[w])))
+                        break
+                else:
+                    dist[u] = math.inf
+                    stack.pop()
 
 
 def edge_color_bipartite(g: Graph) -> EdgeColoring:
@@ -500,16 +477,47 @@ def edge_color_bipartite(g: Graph) -> EdgeColoring:
     return coloring
 
 
+def _peg(degree: int, need: int, side: int,
+         rng: random.Random) -> Optional[Graph]:
+    """One progressive edge-growth build (Hu, Eleftheriou & Arnold 2005),
+    or None once an edge would close a cycle shorter than `need`."""
+    adj: List[List[int]] = [[] for _ in range(2 * side)]
+    for u in range(side):
+        for _ in range(degree):
+            # BFS over the partial graph: a new edge u-v closes no cycle
+            # shorter than dist(u, v) + 1
+            dist = {u: 0}
+            queue = [u]
+            for x in queue:
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+            # farthest (unreachable first), then lowest degree
+            score = {v: (dist.get(v, math.inf), -len(adj[v]))
+                     for v in range(side, 2 * side)
+                     if len(adj[v]) < degree and v not in adj[u]}
+            best = max(score.values(), default=(-math.inf,))
+            if best[0] < need - 1:
+                return None
+            v = rng.choice([v for v, sc in score.items() if sc == best])
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph(2 * side, sorted((u, v) for u in range(side) for v in adj[u]))
+
+
 def bipartite_regular_girth(degree: int, girth_req: int,
                             seed: int = 0,
-                            max_tries: int = 2000,
                             catalog: bool = True) -> Graph:
     """A degree-regular bipartite graph of girth >= girth_req.
 
     Known incidence geometries cover girth 4, 6, 8 (and 12 for degree 3);
-    otherwise (or with catalog=False) superpose random permutations with a
-    girth check and bounded retries.  `girth_req` is rounded up to even
-    (bipartite girths are even).
+    otherwise (or with catalog=False) progressive edge growth joins each
+    left node in turn to farthest right nodes with spare degree, and gives
+    up on an edge that would close a shorter cycle, so a finished build has
+    girth >= girth_req by construction.  Failed builds are retried from
+    `seed`; the side starts at twice the Moore bound and doubles.
+    `girth_req` is rounded up to even (bipartite girths are even).
     """
     if degree < 2:
         raise GraphError("degree must be >= 2")
@@ -524,43 +532,16 @@ def bipartite_regular_girth(degree: int, girth_req: int,
             return gq_incidence_graph(q)
         if need <= 12 and degree == 3:
             return tutte_12_cage()
-    # randomized fallback: superpose `degree` random permutations, then
-    # repair short cycles with degree-preserving edge swaps
     rng = random.Random(seed)
     moore_side = sum((degree - 1) ** i for i in range(need // 2))
-    side = 2 * moore_side
-    for _round in range(6):
-        perms: List[List[int]] = []
-        for _ in range(degree):
-            while True:
-                cand = list(range(side))
-                rng.shuffle(cand)
-                if all(all(cand[i] != p[i] for i in range(side))
-                       for p in perms):
-                    perms.append(cand)
-                    break
-        edge_set = {(i, side + perm[i]) for perm in perms
-                    for i in range(side)}
-        for _swap in range(max_tries):
-            g = Graph(2 * side, sorted(edge_set))
-            cyc = shortest_cycle(g)
-            if cyc is None or len(cyc) >= need:
+    for double in range(1, 7):
+        for _attempt in range(128):
+            g = _peg(degree, need, moore_side << double, rng)
+            if g is not None:
                 return g
-            # swap one cycle edge against a random disjoint edge
-            u, v = g.edges[rng.choice(cyc)]
-            for _attempt in range(50):
-                x, y = rng.choice(tuple(edge_set))
-                if {u, v} & {x, y}:
-                    continue
-                if (u, y) in edge_set or (x, v) in edge_set:
-                    continue
-                edge_set -= {(u, v), (x, y)}
-                edge_set |= {(u, y), (x, v)}
-                break
-        side *= 2
     raise ConstructionFailed(
-        f"no {degree}-regular bipartite graph of girth {need} found "
-        f"within the swap budget (raise max_tries or change the seed)")
+        f"no {degree}-regular bipartite graph of girth {need} found by "
+        f"edge growth up to {moore_side << 6} nodes a side")
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,7 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
         aux_graph = bipartite_regular_girth(r + 1, t + 1)
     elif aux == "random":
         aux_graph = bipartite_regular_girth(r + 1, t + 1, seed=seed,
-                                            max_tries=5000, catalog=False)
+                                            catalog=False)
     else:
         raise ValueError("aux must be 'catalog' or 'random'")
     if girth(aux_graph) < t + 1:
@@ -403,4 +403,8 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
                          r, t, {"construction": "seq-general", "t": t,
                                 "base_nodes": base.node_count,
                                 "aux_nodes": n_aux, "aux": aux, "seed": seed,
-                                "colors": r + 1, "girth": got_girth})
+                                "colors": r + 1, "girth": got_girth,
+                                # geometries label points and lines; graphs
+                                # grown edge by edge carry no labels
+                                **({} if aux_graph.labels
+                                   else {"aux_algorithm": "peg"})})

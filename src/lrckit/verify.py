@@ -45,6 +45,9 @@ class VerifyReport:
             self.witness = "unspecified failure"
         if self.mode == "sampled" and "seed" not in self.budgets:
             raise ValueError("sampled reports must record their seed")
+        if self.mode == "sampled" and self.verdict and not self.budgets.get(
+                "checked", self.budgets.get("samples")):  # pmds, seq
+            raise ValueError("a sampled PASS must replay at least one pattern")
 
     def as_dict(self) -> dict:
         return {"property": self.property_name, "verdict": self.verdict,
@@ -204,6 +207,8 @@ def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
     exhaustive when it fits the budget, else the certificate when
     available, else sampling.
     """
+    if min(r, t, samples) < 1:
+        raise ValueError(f"need r, t, samples >= 1, got {r}, {t}, {samples}")
     n = code.n
     total = sum(math.comb(n, j) for j in range(1, t + 1))
     if mode == "auto" and total <= budget:
@@ -249,6 +254,8 @@ def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
     """Peel `samples` random t-subsets of range(n), drawn from `seed`,
     against the low-weight dual supports: the sampled verdict of
     `seq_recovery_check`, and one chunk of `verify seq --jobs`."""
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     peeler = _Peeler(n, supports)
     rng = random.Random(seed)
     for i in range(samples):
@@ -279,12 +286,13 @@ def _disjoint_packing(cands: List[FrozenSet[int]], t: int,
     return False
 
 
-def availability_check(code: LinearCode, r: int, t: int,
-                       mode: str = "exhaustive") -> VerifyReport:
+def availability_check(code: LinearCode, r: int, t: int) -> VerifyReport:
     """Does every coordinate have t pairwise-disjoint recovery sets of size
     <= r?  Candidate recovery sets are supports of weight <= r+1 dual words
     with the coordinate removed; packing is decided exactly by
     backtracking."""
+    if min(r, t) < 1:
+        raise ValueError(f"need r, t >= 1, got {r}, {t}")
     supports = low_weight_dual_supports(code, r + 1)
     per_coord: List[List[FrozenSet[int]]] = [[] for _ in range(code.n)]
     for s in supports:
@@ -295,11 +303,12 @@ def availability_check(code: LinearCode, r: int, t: int,
     for i in range(code.n):
         cands = sorted(set(per_coord[i]), key=lambda s: (len(s), sorted(s)))
         if not _disjoint_packing(cands, t, []):
-            return VerifyReport("availability", False, mode,
+            return VerifyReport("availability", False, "exhaustive",
                                 witness={"coordinate": i,
                                          "candidates": len(cands)},
                                 detail={"r": r, "t": t})
-    return VerifyReport("availability", True, mode, detail={"r": r, "t": t})
+    return VerifyReport("availability", True, "exhaustive",
+                        detail={"r": r, "t": t})
 
 
 def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
@@ -409,19 +418,20 @@ def pmds_check(code: LinearCode, structure: LocalStructure, delta: int,
     columns."""
     if not structure.covers(code.n):
         raise ValueError("local structure does not cover the coordinates")
-    Hfull = code.full_rank_checks()
     groups = [list(g) for g in structure.groups]
     per_group = [math.comb(len(g), delta) for g in groups]
     rest = code.n - delta * len(groups)
     total = math.prod(per_group) * math.comb(rest, s_extra)
+    if min(total, samples) < 1:
+        raise ValueError(f"need patterns, samples >= 1: {total}, {samples}")
+    Hfull = code.full_rank_checks()
     if mode == "auto":
         mode = "exhaustive" if total <= budget else "sampled"
     rng = random.Random(seed)
 
     checked, witness = 0, None
     if mode == "exhaustive":
-        if total:
-            checked, witness = _pmds_walk(Hfull, groups, delta, s_extra)
+        checked, witness = _pmds_walk(Hfull, groups, delta, s_extra)
     else:
         for _ in range(samples):
             pattern = []

@@ -13,6 +13,7 @@ from lrckit.graphs import (DegreeSequenceInfeasible,
                            complete_bipartite, complete_graph, cycle_graph,
                            edge_color_bipartite, girth, gq_incidence_graph,
                            heawood_graph, hoffman_singleton_graph,
+                           hopcroft_karp,
                            incidence_code, moore_catalog, near_regular_graph,
                            petersen_graph, pg_incidence_graph, shortest_cycle,
                            turan_graph, tutte_12_cage)
@@ -169,10 +170,26 @@ def test_bipartite_regular_girth_catalog():
 
 
 def test_bipartite_regular_girth_randomized():
-    g = bipartite_regular_girth(3, 6, seed=1, catalog=False)
-    assert girth(g) >= 6
-    assert set(g.degrees()) == {3}
-    assert bipartition(g) is not None
+    for degree in (3, 4):
+        for seed in range(16):
+            g = bipartite_regular_girth(degree, 6, seed=seed, catalog=False)
+            assert girth(g) >= 6
+            assert set(g.degrees()) == {degree}
+            assert bipartition(g) is not None
+            again = bipartite_regular_girth(degree, 6, seed=seed,
+                                            catalog=False)
+            assert again.edges == g.edges
+
+
+def test_hopcroft_karp_long_augmenting_path():
+    # the first phase matches left i to right i and leaves the last left
+    # node free; its one augmenting path visits all 3000 left nodes, deeper
+    # than the interpreter's recursion limit
+    n = 3000
+    adj = {i: [i, i + 1] for i in range(n - 1)}
+    adj[n - 1] = [0]
+    assert hopcroft_karp(adj) == {**{i: i + 1 for i in range(n - 1)},
+                                  n - 1: 0}
 
 
 def test_edge_coloring():

@@ -416,6 +416,33 @@ def test_sampled_reports_replay_pinned(code_files, tmp_path, argv, expected):
     assert report == expected
 
 
+# Inputs that leave a verifier no pattern to check, or that split its work
+# into empty chunks.  Each used to pass with exit 0; each must exit 2 with one
+# JSON error on stderr.
+NO_WORK = {
+    "seq samples 0": _sampled("seq", "petersen", r=2, t=5, samples=0),
+    "seq samples -3 jobs 2": _sampled("seq", "petersen", r=2, t=5,
+                                      samples=-3, jobs=2),
+    "seq t 0": ["verify", "seq", "--code", "petersen", "--t", "0"],
+    "seq t -2": ["verify", "seq", "--code", "petersen", "--t", "-2"],
+    "seq jobs 0": ["verify", "seq", "--code", "petersen", "--jobs", "0"],
+    "pmds samples 0": _sampled("pmds", "mr-rd2", delta=2, s_extra=2,
+                               samples=0),
+    "pmds no pattern": ["verify", "pmds", "--code", "mr-rd2", "--delta", "1",
+                        "--s-extra", "40"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_WORK.values(), ids=list(NO_WORK))
+def test_verify_without_work_exits_2(code_files, capsys, argv):
+    argv = list(argv)
+    argv[3] = code_files[argv[3]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert set(json.loads(captured.err)) == {"error", "message"}
+
+
 def _dumps_reference(obj):
     return json.dumps(obj, indent=1, sort_keys=True)
 

@@ -157,6 +157,8 @@ def test_seq_general_random_aux():
     c = seq_general_code(3, 5, aux="random", seed=3)
     assert c.rate() == seq_rate_bound(3, 5)
     assert c.provenance["girth"] >= 6
+    assert c.provenance["aux_algorithm"] == "peg"
+    assert "aux_algorithm" not in seq_general_code(3, 5).provenance
     rep = seq_recovery_check(c, 3, 5, mode="sampled", samples=2000, seed=1)
     assert rep.verdict
 

@@ -16,7 +16,7 @@ from lrckit.seq_codes import (moore_code, seq_general_code,
 from lrckit.verify import (NotRateOptimal, VerifyReport, availability_check,
                            classify_rate_optimal_t2, low_weight_dual_supports,
                            sa_check, seq_recovery_check, staircase_check,
-                           _draw, _incidence_graph, _Peeler)
+                           _draw, _incidence_graph, _Peeler, _sampled_peel)
 
 GF2 = field_make(2)
 
@@ -263,6 +263,27 @@ def test_sampled_mode_records_seed():
     assert rep.verdict and rep.budgets["seed"] == 77
     with pytest.raises(ValueError):
         VerifyReport("x", True, "sampled")
+    # a sampled PASS must have replayed a pattern; a FAIL carries a witness
+    for budgets in ({"seed": 0}, {"seed": 0, "samples": 0},
+                    {"seed": 0, "samples": 10, "checked": 0}):
+        with pytest.raises(ValueError):
+            VerifyReport("x", True, "sampled", budgets=budgets)
+    assert not VerifyReport("x", False, "sampled", budgets={"seed": 0},
+                            witness=[0]).verdict
+
+
+@pytest.mark.parametrize("r,t,samples", [(2, 0, 10), (2, -2, 10), (0, 4, 10),
+                                         (2, 4, 0), (2, 4, -3)])
+def test_verifiers_reject_empty_budgets(r, t, samples):
+    pet = moore_code(2, 4)
+    with pytest.raises(ValueError):
+        seq_recovery_check(pet, r, t, samples=samples)
+    if samples < 1:
+        with pytest.raises(ValueError):
+            _sampled_peel(pet.n, [], t, samples, 0)
+    else:
+        with pytest.raises(ValueError):
+            availability_check(pet, r, t)
 
 
 def test_availability_spc_fails():
