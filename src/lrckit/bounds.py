@@ -325,10 +325,7 @@ def _avail_rho(r: int, t: int) -> Fraction:
         return Fraction(r, r + 2)
     if t == 3:
         return Fraction(r * r, (r + 1) ** 2)
-    prod = Fraction(1)
-    for j in range(1, t + 1):
-        prod *= 1 + Fraction(1, j * r)
-    return 1 / prod
+    return avail_rate_bounds(r, t)["tamo_barg"]
 
 
 def avail_dmin_bounds(n: int, k: int, r: int, t: int

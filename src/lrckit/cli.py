@@ -226,6 +226,8 @@ def cmd_bound(args, argv) -> int:
 def cmd_verify(args, argv) -> int:
     if not 1 <= args.jobs <= max(args.samples, 1):  # >= 1 sample a job
         return _fail("usage", f"--jobs {args.jobs} is not in 1..--samples")
+    if args.jobs > 1 and (args.property, args.mode) != ("seq", "sampled"):
+        return _fail("usage", "--jobs > 1 needs verify seq --mode sampled")
     code = lio.code_from_json(lio.load(args.code))
     prop = args.property
     structure = code.provenance.get("local_structure")
@@ -238,7 +240,7 @@ def cmd_verify(args, argv) -> int:
         return _fail("usage", f"property {prop} needs --r and --t (the code "
                               "file declares neither)")
     if prop == "seq":
-        if args.jobs > 1 and args.mode == "sampled":
+        if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             from itertools import repeat
             # chunk i runs seed + i; the samples split exactly, and each

@@ -18,8 +18,8 @@ from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
-from .matrix import (Mat, columns_independent, mat_nullspace, mat_rank,
-                     row_span, rref)
+from .matrix import (Mat, first_dependent, mat_nullspace, mat_rank, row_span,
+                     rref)
 
 #: enumeration ceilings, surfaced in verification reports
 MIN_DISTANCE_BUDGET = 2 ** 24
@@ -207,37 +207,23 @@ def _min_distance_gf2(c: LinearCode) -> int:
     return best
 
 
-def _min_distance_enum(c: LinearCode) -> int:
-    best = c.n + 1
-    first = True
-    for cw in c.codewords():
-        if first:
-            first = False
-            continue  # zero codeword comes first
-        w = sum(1 for x in cw if x)
-        if 0 < w < best:
-            best = w
-    return best
-
-
 def _min_distance_columns(c: LinearCode) -> int:
     """Smallest number of linearly dependent columns of a full-rank H."""
     H = c.full_rank_checks()
-    n = c.n
-    for w in range(1, n - c.k + 2):
-        for cols in combinations(range(n), w):
-            if not columns_independent(H, cols):
-                return w
-    raise AssertionError("no dependent column set found")
+    # any n - k + 1 columns of the n - k rows of H are dependent
+    return next((w for w in range(1, c.n - c.k + 1)
+                 if first_dependent(H, [(None, w)])[1] is not None),
+                c.n - c.k + 1)
 
 
 def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
-    Picks the cheapest exact strategy: codeword enumeration (bit-packed over
-    GF(2)) or a search for the smallest dependent column set of H.  Raises
-    BudgetExceeded when neither fits, signalling the caller to fall back to a
-    sampled lower bound.
+    Picks the cheapest exact strategy: codeword enumeration (a Gray walk over
+    the bit-packed generator over GF(2), else one word per 1-dimensional
+    subspace via `support_weight`) or a search for the smallest dependent
+    column set of H.  Raises BudgetExceeded when neither fits, signalling
+    the caller to fall back to a sampled lower bound.
     """
     if c.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
@@ -247,7 +233,7 @@ def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
                                 or col_cost > budget):
         if c.gf.q == 2:
             return _min_distance_gf2(c)
-        return _min_distance_enum(c)
+        return support_weight(c, 1, budget)
     if col_cost <= budget:
         return _min_distance_columns(c)
     raise BudgetExceeded(
@@ -357,5 +343,4 @@ def is_mds(c: LinearCode, budget: int = IS_MDS_BUDGET) -> bool:
     w = c.n - c.k if use_h else c.k
     if math.comb(c.n, w) > budget:
         raise BudgetExceeded(f"C({c.n},{w}) column subsets > {budget}")
-    return all(columns_independent(M, cols)
-               for cols in combinations(range(c.n), w))
+    return first_dependent(M, [(None, w)])[1] is None

@@ -7,6 +7,11 @@ row's lowest set bit, and the tuple-of-ints form is unpacked only on demand.
 Over larger fields rows are tuples of int elements, and elimination works on
 log-domain vectors with one row operation, `_sub_mul`, which adds by Zech
 logarithms.
+
+Independence of column subsets is tested on a `ColumnBasis`, which inserts
+columns one at a time and undoes the last: `columns_independent` checks one
+subset, and `first_dependent` is the one exhaustive search, a depth-first
+walk over staged column subsets that shares each prefix's reduction.
 """
 
 from __future__ import annotations
@@ -424,3 +429,71 @@ def columns_independent(M: Mat, cols: Iterable[int]) -> bool:
     """
     basis = ColumnBasis(M)
     return all(basis.insert(c) for c in cols)
+
+
+def first_dependent(
+        M: Mat, stages: Sequence[Tuple[Optional[Sequence[int]], int]]
+) -> Tuple[int, Optional[List[int]]]:
+    """Walk column subsets of M depth first, one column per tree level,
+    carrying one `ColumnBasis` down the tree.
+
+    `stages` is a list of (items, count): a subset takes `count` of each
+    stage's items, and items None means every column of M that the earlier
+    stages left.  Subsets come in the order of `product(combinations(items,
+    count) for each stage)`.  Returns the number of subsets checked and the
+    first subset whose columns are dependent, or None.  When a prefix is
+    already dependent, the first subset under it is the witness.  Needs at
+    least one subset to exist.
+    """
+    n = M.cols
+    basis = ColumnBasis(M)
+    cols: List[int] = []
+
+    def items_of(s: int) -> Sequence[int]:
+        items = stages[s][0]
+        if items is None:
+            taken = set(cols)
+            items = [i for i in range(n) if i not in taken]
+        return items
+
+    def slot(s: int, items: Sequence[int], start: int, need: int):
+        """The tree level that takes the next column, as [stage, its items,
+        next position to try, columns the stage still needs]; None once the
+        subset is whole."""
+        while need == 0:
+            s += 1
+            if s == len(stages):
+                return None
+            items, start, need = items_of(s), 0, stages[s][1]
+        return [s, items, start, need]
+
+    checked = 0
+    top = slot(-1, [], 0, 0)
+    if top is None:
+        return 1, None
+    # cols holds one column for each level below the top of the stack
+    stack = [top]
+    while stack:
+        top = stack[-1]
+        s, items, pos, need = top
+        if pos > len(items) - need:  # this level is used up: back up
+            stack.pop()
+            if stack:
+                basis.pop()
+                cols.pop()
+            continue
+        top[2] = pos + 1
+        cols.append(items[pos])
+        if not basis.insert(items[pos]):
+            cols.extend(items[pos + 1:pos + need])
+            for t in range(s + 1, len(stages)):
+                cols.extend(items_of(t)[:stages[t][1]])
+            return checked + 1, cols
+        below = slot(s, items, pos + 1, need - 1)
+        if below is None:  # a whole subset, and independent
+            checked += 1
+            basis.pop()
+            cols.pop()
+        else:
+            stack.append(below)
+    return checked, None

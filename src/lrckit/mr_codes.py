@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .code import CodeParams, LinearCode, checked, code_from_generator
 from .field import (GF, FieldTooSmall, field_make, prime_power,
                     subfield_embedding)
-from .matrix import Mat, columns_independent, mat_rank, vandermonde
+from .matrix import Mat, first_dependent, vandermonde
 
 if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
     from .verify import VerifyReport
@@ -359,32 +359,14 @@ def _eval_generator(gf: GF, exps: Sequence[int],
                cols=len(points))
 
 
-def _admissible_patterns(group_sizes: Sequence[int]):
-    """All ways of puncturing exactly one coordinate per group."""
-    from itertools import product as iproduct
-    offsets = []
-    start = 0
-    for s in group_sizes:
-        offsets.append(list(range(start, start + s)))
-        start += s
-    return iproduct(*offsets)
-
-
 def _partial_selection_mr(G: Mat, group_sizes: Sequence[int], k: int) -> bool:
     """Every one-per-group puncturing of the selected columns leaves a
-    matrix whose code is MDS (full space when fewer than k columns remain)."""
-    from itertools import combinations
-    ncols = G.cols
-    for pattern in _admissible_patterns(group_sizes):
-        keep = [c for c in range(ncols) if c not in set(pattern)]
-        sub = G.select_columns(keep)
-        dim = min(k, len(keep))
-        if mat_rank(sub) != dim:
+    matrix whose code is MDS (full space when fewer than k columns remain):
+    every min(k, kept) of the kept columns are independent."""
+    for pattern in product(*coordinate_groups(group_sizes)):
+        keep = [c for c in range(G.cols) if c not in pattern]
+        if first_dependent(G, [(keep, min(k, len(keep)))])[1] is not None:
             return False
-        if len(keep) > k:
-            for cols in combinations(range(len(keep)), k):
-                if not columns_independent(sub, cols):
-                    return False
     return True
 
 

@@ -17,7 +17,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
 from .code import LinearCode, is_mds, min_distance
-from .matrix import ColumnBasis, Mat, columns_independent, mat_rank, row_span
+from .matrix import (Mat, columns_independent, first_dependent, mat_rank,
+                     row_span)
 from .mr_codes import LocalStructure
 
 SEQ_EXHAUSTIVE_BUDGET = 10 ** 6
@@ -342,73 +343,6 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
 # maximal recoverability
 # ---------------------------------------------------------------------------
 
-def _pmds_walk(Hfull: Mat, groups: List[List[int]], delta: int,
-               s_extra: int) -> Tuple[int, Optional[List[int]]]:
-    """Walk the exhaustive partial-MDS patterns depth first, one column per
-    tree level, carrying the reduced column basis down the tree.
-
-    Patterns come in the order of `product(combinations(g, delta) for g in
-    groups)`, each followed by `combinations(others, s_extra)` over the
-    coordinates the groups left.  Returns the number of patterns checked and
-    the first pattern whose columns are dependent, or None.  When a prefix is
-    already dependent, the first pattern under it is the witness.  Needs at
-    least one pattern to exist.
-    """
-    n = Hfull.cols
-    stages = [(g, delta) for g in groups] + [(None, s_extra)]
-    basis = ColumnBasis(Hfull)
-    cols: List[int] = []
-
-    def items_of(s: int) -> List[int]:
-        g = stages[s][0]
-        if g is None:  # the extras: every coordinate the groups left
-            taken = set(cols)
-            g = [i for i in range(n) if i not in taken]
-        return g
-
-    def slot(s: int, items: List[int], start: int, need: int):
-        """The tree level that takes the next column, as [stage, its items,
-        next position to try, columns the stage still needs]; None once the
-        pattern is whole."""
-        while need == 0:
-            s += 1
-            if s == len(stages):
-                return None
-            items, start, need = items_of(s), 0, stages[s][1]
-        return [s, items, start, need]
-
-    checked = 0
-    top = slot(-1, [], 0, 0)
-    if top is None:
-        return 1, None
-    # cols holds one column for each level below the top of the stack
-    stack = [top]
-    while stack:
-        top = stack[-1]
-        s, items, pos, need = top
-        if pos > len(items) - need:  # this level is used up: back up
-            stack.pop()
-            if stack:
-                basis.pop()
-                cols.pop()
-            continue
-        top[2] = pos + 1
-        cols.append(items[pos])
-        if not basis.insert(items[pos]):
-            cols.extend(items[pos + 1:pos + need])
-            for t in range(s + 1, len(stages)):
-                cols.extend(items_of(t)[:stages[t][1]])
-            return checked + 1, cols
-        below = slot(s, items, pos + 1, need - 1)
-        if below is None:  # a whole pattern, and independent
-            checked += 1
-            basis.pop()
-            cols.pop()
-        else:
-            stack.append(below)
-    return checked, None
-
-
 def pmds_check(code: LinearCode, structure: LocalStructure, delta: int,
                s_extra: int, mode: str = "auto",
                budget: int = PMDS_EXHAUSTIVE_BUDGET,
@@ -431,7 +365,8 @@ def pmds_check(code: LinearCode, structure: LocalStructure, delta: int,
 
     checked, witness = 0, None
     if mode == "exhaustive":
-        checked, witness = _pmds_walk(Hfull, groups, delta, s_extra)
+        checked, witness = first_dependent(
+            Hfull, [(g, delta) for g in groups] + [(None, s_extra)])
     else:
         for _ in range(samples):
             pattern = []

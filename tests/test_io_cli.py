@@ -416,9 +416,9 @@ def test_sampled_reports_replay_pinned(code_files, tmp_path, argv, expected):
     assert report == expected
 
 
-# Inputs that leave a verifier no pattern to check, or that split its work
-# into empty chunks.  Each used to pass with exit 0; each must exit 2 with one
-# JSON error on stderr.
+# Inputs that leave a verifier no pattern to check, that split its work into
+# empty chunks, or that ask for parallel jobs a verifier would ignore.  Each
+# used to pass with exit 0; each must exit 2 with one JSON error on stderr.
 NO_WORK = {
     "seq samples 0": _sampled("seq", "petersen", r=2, t=5, samples=0),
     "seq samples -3 jobs 2": _sampled("seq", "petersen", r=2, t=5,
@@ -430,6 +430,15 @@ NO_WORK = {
                                samples=0),
     "pmds no pattern": ["verify", "pmds", "--code", "mr-rd2", "--delta", "1",
                         "--s-extra", "40"],
+    # --jobs > 1 is honoured by sampled seq alone; elsewhere it was ignored
+    "seq exhaustive jobs 2": ["verify", "seq", "--code", "petersen", "--t",
+                              "3", "--mode", "exhaustive", "--jobs", "2"],
+    "seq auto jobs 2": ["verify", "seq", "--code", "petersen", "--t", "3",
+                        "--jobs", "2"],
+    "avail jobs 3": ["verify", "avail", "--code", "petersen", "--t", "2",
+                     "--jobs", "3"],
+    "pmds sampled jobs 2": _sampled("pmds", "mr-rd2", delta=2, s_extra=2,
+                                    samples=50, jobs=2),
 }
 
 

@@ -6,8 +6,9 @@ import pytest
 from lrckit.field import field_make
 from lrckit.code import LinearCode
 from lrckit.matrix import (DuplicatePoint, Mat, MatrixError,
-                           columns_independent, mat_nullspace, mat_rank,
-                           mat_solve, rref, vandermonde)
+                           columns_independent, first_dependent,
+                           mat_nullspace, mat_rank, mat_solve, rref,
+                           vandermonde)
 
 
 def random_matrix(gf, rows, cols, rng):
@@ -162,6 +163,51 @@ def test_columns_independent_matches_rank(pm):
         assert not columns_independent(M, [2, 2])
         assert columns_independent(M, [])
     assert outcomes == {True, False}
+
+
+def _first_dependent_flat(M, stages):
+    """Every subset of `stages` in `combinations` order, each checked on its
+    own: (subsets checked, first dependent subset or None)."""
+    checked = 0
+
+    def walk(s, taken):
+        nonlocal checked
+        if s == len(stages):
+            checked += 1
+            return None if columns_independent(M, taken) else taken
+        items, count = stages[s]
+        if items is None:
+            items = [i for i in range(M.cols) if i not in taken]
+        for pick in combinations(items, count):
+            found = walk(s + 1, taken + list(pick))
+            if found is not None:
+                return found
+        return None
+
+    found = walk(0, [])
+    return checked, found
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2)], ids=str)
+def test_first_dependent_matches_per_subset_checks(pm):
+    gf = field_make(*pm)
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(12):
+        rows, cols = rng.randint(2, 4), rng.randint(5, 8)
+        M = random_matrix(gf, rows, cols, rng)
+        items = rng.sample(range(cols), rng.randint(2, cols))
+        half = cols // 2
+        cases = [[(None, w)] for w in range(rows + 2)] + [
+            [(items, min(rows, len(items)))],
+            [(range(half), 1), (range(half, cols), 1), (None, 1)],
+            [(items[:2], 1), (None, rng.randint(0, rows))],
+        ]
+        for stages in cases:
+            got = first_dependent(M, stages)
+            assert got == _first_dependent_flat(M, stages), stages
+            verdicts.add(got[1] is None)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("pm", KERNEL_FIELDS, ids=str)
