@@ -11,7 +11,7 @@ from .matrix import (DuplicatePoint, Mat, columns_independent, mat_nullspace,
                      mat_rank, mat_solve, rref, vandermonde)
 from .code import (BudgetExceeded, CodeParams, ErasurePattern, LinearCode,
                    code_from_generator, dual, is_mds, min_distance,
-                   min_weight_sample, puncture, shorten, support_weight)
+                   puncture, shorten, support_weight)
 from .graphs import (ConstructionFailed, DegreeSequenceInfeasible,
                      EdgeColoring, Graph, InvalidBeta, NotBipartiteRegular,
                      NotInCatalog, bipartite_regular_girth,

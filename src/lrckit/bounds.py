@@ -171,6 +171,8 @@ def lr_alphabet_dmin_bound(n: int, k: int, r: int, q: int,
     """Alphabet-size-dependent distance bound via shortening on supports of
     low-weight dual words: d <= min over i in S of d_opt(n - e_i, k + i - e_i)
     with S = {i : e_i - i < k} and b1 = ceil(n / (r+1))."""
+    if r < 1 or q < 2:
+        raise BoundError(f"need r >= 1 and q >= 2, got r={r}, q={q}")
     b1 = ceil_div(n, r + 1)
     seq = msw_sequence(n, b1, r)
     S = [i for i in range(1, b1 + 1) if seq.term(i) - i < k]
@@ -193,6 +195,8 @@ def lr_alphabet_dim_bound(n: int, d: int, r: int, q: int,
                           ) -> BoundReport:
     """Alphabet-size-dependent dimension bound:
     k <= min over {i : e_i < n - d + 1} of e_i - i + k_opt(n - e_i, d)."""
+    if r < 1 or q < 2:
+        raise BoundError(f"need r >= 1 and q >= 2, got r={r}, q={q}")
     b1 = ceil_div(n, r + 1)
     seq = msw_sequence(n, b1, r)
     S = [i for i in range(1, b1 + 1) if seq.term(i) < n - d + 1]
@@ -366,7 +370,10 @@ def avail_product_tradeoff(n: int, k: int, n_c: int, R_c: Fraction,
     blocks of rate R_c (best achievable rate R_max):
     upper  = n - k/R_c + n_c (1-R_c)/R_c + 1,
     lower  = n R_c / R_max - k/R_max + 1 (existence, large fields)."""
-    R_c, R_max = Fraction(R_c), Fraction(R_max)
+    try:
+        R_c, R_max = Fraction(R_c), Fraction(R_max)
+    except ZeroDivisionError:
+        raise BoundError(f"zero denominator in R_c={R_c}, R_max={R_max}")
     if not 0 < R_c <= R_max <= 1:
         raise BoundError("need 0 < R_c <= R_max <= 1")
     upper = n - Fraction(k, 1) / R_c + n_c * (1 - R_c) / R_c + 1

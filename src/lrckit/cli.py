@@ -3,6 +3,10 @@ properties, and reproduce the bound-comparison tables and figure data as
 CSV.  Every output embeds a run manifest (command line, version, seeds,
 output digests) so randomized runs can be replayed exactly.
 
+Each subcommand is a row of a table (`FAMILIES`, `BOUNDS`, `PROPERTIES`,
+`REPORTS`): the flags it reads and the library call it makes.  Only the row
+run gets a parser, so a missing or foreign flag is a usage error naming it.
+
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or input errors, or an internal error (machine-readable JSON on
 stderr in both cases).
@@ -16,9 +20,10 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import bounds as B
+from . import graphs
 from . import io as lio
 from . import lr_codes, mr_codes, seq_codes, verify
 from .field import GF, field_make, prime_power
@@ -58,20 +63,6 @@ def _fail(kind: str, message: str, **extra) -> int:
     return 2
 
 
-def _field_from_args(args) -> GF:
-    modulus = json.loads(args.modulus) if getattr(args, "modulus", None) \
-        else None
-    if getattr(args, "q", None):
-        pm = prime_power(args.q)
-        if pm is None:
-            raise ValueError(f"{args.q} is not a prime power")
-        return field_make(*pm, modulus=modulus) if modulus else \
-            field_make(*pm)
-    if getattr(args, "p", None) is None:
-        raise ValueError("specify the field via --q or --p/--mdeg")
-    return field_make(args.p, args.mdeg or 1, modulus)
-
-
 def _enc(v):
     if isinstance(v, Fraction):
         return {"num": v.numerator, "den": v.denominator, "float": float(v)}
@@ -82,275 +73,267 @@ def _enc(v):
     return v
 
 
+def _field(q=None, p=None, mdeg=None, modulus=None) -> GF:
+    """GF(q), or GF(p^mdeg); `modulus` is a JSON list of coefficients."""
+    modulus = json.loads(modulus) if modulus else None
+    if q:
+        pm = prime_power(q)
+        if pm is None:
+            raise ValueError(f"{q} is not a prime power")
+        return field_make(*pm, modulus or None)
+    if p is None:
+        raise ValueError("specify the field via --q or --p/--mdeg")
+    return field_make(p, mdeg or 1, modulus)
+
+
+def graph(name: str) -> graphs.Graph:
+    """The graph `--graph` names: k4, petersen, heawood, hoffman-singleton,
+    cycle:N or complete:N."""
+    kind, _, size = {"k4": "complete:4"}.get(name, name).partition(":")
+    if kind in ("cycle", "complete") and size:
+        return getattr(graphs, kind + "_graph")(int(size))
+    if kind not in ("petersen", "heawood", "hoffman-singleton") or size:
+        raise ValueError(f"unknown graph {name!r}")
+    return getattr(graphs, kind.replace("-", "_") + "_graph")()
+
+
+def _oracle(oracle: Optional[str]) -> B.ClassicalOracle:
+    return B.ClassicalOracle(oracle.split(",")) if oracle else \
+        B.DEFAULT_ORACLE
+
+
 # ---------------------------------------------------------------------------
-# construct
+# the rows: name -> (flags read, call).  A call looks its library function
+# up when it runs, so that wrappers put on the modules see every call.
 # ---------------------------------------------------------------------------
+
+_FIELD = " q p mdeg modulus"  # the flags `_field` reads
+
+FAMILIES = {
+    "moore": ("r t", lambda r, t: seq_codes.moore_code(r, t)),
+    "seq": ("r t aux seed", lambda r, t, aux, seed:
+            seq_codes.seq_general_code(r, t, aux=aux, seed=seed)),
+    "near-regular": ("k r", lambda k, r: seq_codes.t2_near_regular_code(k, r)),
+    "turan": ("r beta", lambda r, beta: seq_codes.t2_turan_code(r, beta)),
+    "dim-optimal": ("m r", lambda m, r: seq_codes.t2_dim_optimal_code(m, r)),
+    "t3": ("which", lambda which: seq_codes.t3_catalog(which)),
+    "pyramid": ("n k r" + _FIELD, lambda n, k, r, **f:
+                lr_codes.pyramid_code(n, k, r, _field(**f))),
+    "tamobarg": ("n k r" + _FIELD, lambda n, k, r, **f:
+                 lr_codes.tamo_barg_code(n, k, r, _field(**f))),
+    "product": ("r t", lambda r, t: lr_codes.product_avail_code(r, t)),
+    "wang": ("r t", lambda r, t: lr_codes.wang_avail_code(r, t)),
+    "pgplane": ("s", lambda s: lr_codes.pg_plane_sa_code(s)),
+    "steiner": ("s", lambda s: lr_codes.steiner_sa_code(s)),
+    "pmr-split": ("m r delta" + _FIELD, lambda m, r, delta, **f:
+                  mr_codes.pmr_parity_split(m, r, delta, _field(**f))),
+    # returns (code, report): the code JSON carries the verdict
+    "pmr-a1": ("m r delta base-q seed", lambda m, r, delta, base_q, seed:
+               mr_codes.pmr_general_a1(m, r, delta, base_q, seed=seed)),
+    "mr-r12": ("m r", lambda m, r: mr_codes.mr_r12(m, r)),
+    "mr-rd2": ("m r delta psi", lambda m, r, delta, psi:
+               mr_codes.mr_rdelta2(m, r, delta, psi)),
+    "mr-coset": ("n d-param" + _FIELD, lambda n, d_param, **f:
+                 mr_codes.mr_r2_coset_search(n, d_param, _field(**f))),
+    "incidence": ("graph coeffs seed" + _FIELD, lambda graph, coeffs, seed,
+                  **f: graphs.incidence_code(
+                      graph, _field(**f) if f["q"] or f["p"] else
+                      field_make(2), coefficients=coeffs, seed=seed)),
+}
+
+# A call that returns a BoundReport has its `detail` emitted too.
+BOUNDS = {
+    "lr-singleton": ("n k r", lambda n, k, r: B.lr_singleton_bound(n, k, r)),
+    "msw": ("n b1 r", lambda n, b1, r: list(B.msw_sequence(n, b1, r).e)),
+    "hamming-type": ("n r", lambda n, r: B.hamming_type_bound(n, r)),
+    "lr-dim": ("n d r q oracle", lambda n, d, r, q, oracle:
+               B.lr_alphabet_dim_bound(n, d, r, q, _oracle(oracle))),
+    "lr-dmin": ("n k r q oracle", lambda n, k, r, q, oracle:
+                B.lr_alphabet_dmin_bound(n, k, r, q, _oracle(oracle))),
+    "seq-rate": ("r t", lambda r, t: B.seq_rate_bound(r, t)),
+    "seq-blocklength": ("k r t", lambda k, r, t:
+                        B.seq_blocklength_bounds(k, r, t).value),
+    "seq-dim-t2": ("m r", lambda m, r: B.seq_dim_bound_t2(m, r)),
+    "avail-rate": ("r t", lambda r, t: B.avail_rate_bounds(r, t)),
+    "avail-dmin": ("n k r t", lambda n, k, r, t:
+                   B.avail_dmin_bounds(n, k, r, t)),
+    "avail-tradeoff": ("n k nc rc rmax", lambda n, k, nc, rc, rmax:
+                       B.avail_product_tradeoff(n, k, nc, rc, rmax)),
+    "sa-blocklength": ("r t", lambda r, t: B.sa_blocklength_bound(r, t)),
+    "moore": ("r t", lambda r, t: B.moore_bound(r, t)),
+    "msr-subpkt": ("n k d w mode", lambda n, k, d, w, mode:
+                   B.msr_subpkt_bounds(n, k, d, w, mode)),
+    "cutset": ("n k d alpha beta", lambda n, k, d, alpha, beta:
+               B.cutset_bound(B.RgParams(n=n, k=k, d=d, alpha=alpha,
+                                         beta=beta))),
+    "msr-point": ("n k d", lambda n, k, d: B.msr_point(n, k, d)),
+    "mbr-point": ("k d beta", lambda k, d, beta: B.mbr_point(k, d, beta)),
+}
+
+# `code` is the loaded code file; r, t and the local structure default to
+# what it declares.
+PROPERTIES = {
+    "seq": ("code r t mode samples seed jobs",
+            lambda code, r, t, mode, samples, seed, jobs:
+            verify.seq_recovery_check(code, r, t, mode, samples, seed,
+                                      jobs=jobs)),
+    "avail": ("code r t", lambda code, r, t:
+              verify.availability_check(code, r, t)),
+    "sa": ("code r t", lambda code, r, t:
+           verify.sa_check(code.H, *verify.declared(code, r=r, t=t))),
+    "pmds": ("code delta s-extra mode samples seed",
+             lambda code, delta, s_extra, mode, samples, seed:
+             verify.pmds_check(code, None, delta, s_extra, mode,
+                               samples=samples, seed=seed)),
+    "pmr": ("code", lambda code: verify.pmr_check(code)),
+    "mr-shape": ("code", lambda code: verify.mr_shape_check(code)),
+    "staircase": ("code r t", lambda code, r, t:
+                  verify.staircase_check(code.H,
+                                         *verify.declared(code, r=r, t=t))),
+    "classify-t2": ("code r", lambda code, r:
+                    verify.classify_rate_optimal_t2(code, r)),
+}
+
+
+def _t3_blocklength() -> dict:
+    rows = []
+    for (k, r, n) in ((5, 3, 10), (8, 4, 14)):
+        rep = B.seq_blocklength_bounds(k, r, 3)
+        rows.append({"k": k, "r": r, "prior_bound": rep.value["prior"],
+                     "new_bound": rep.value["new"], "catalog_code_n": n})
+    return {"rows": rows}
+
+
+def _dim_bounds(n: int, d: int, q: int, rmax: int) -> dict:
+    note = ("oracle-dependent: uses closed-form classical bounds, not "
+            "best-known-code tables")
+    rows = []
+    for r in range(2, rmax + 1):
+        try:
+            packing = B.hamming_type_bound(n, r)
+        except B.OutOfRegime:
+            packing = None
+        rows.append({"r": r, "packing_closed_form": packing,
+                     "msw_shortening": B.lr_alphabet_dim_bound(n, d, r, q)
+                     .value, "msw_shortening_note": note})
+    return {"inputs": {"n": n, "d": d, "q": q}, "rows": rows}
+
+
+def _rate_curve(t: int, rmax: int) -> List[str]:
+    lines = ["r,product_form_bound,transpose_bound"]
+    for r in range(1, rmax + 1):
+        v = B.avail_rate_bounds(r, t)
+        tr = v["transpose"]
+        lines.append(f"{r},{float(v['tamo_barg']):.10f},"
+                     f"{float(tr) if tr is not None else ''}")
+    return lines
+
+
+def _dmin_curve(rmax: int) -> List[str]:
+    from math import comb
+    lines = ["r,n,k,wang,tamo_barg,kruglik_frolov,msw_new"]
+    for r in range(3, rmax + 1):
+        n = comb(r + 3, 3)
+        k = n * r // (r + 3)
+        v = B.avail_dmin_bounds(n, k, r, 3)
+        lines.append(f"{r},{n},{k},{v['wang']},{v['tamo_barg']},"
+                     f"{v['kruglik_frolov']},{v['msw_new']}")
+    return lines
+
+
+def _minlen_curve(k: int, rmax: int) -> List[str]:
+    lines = ["r,prior_bound,new_bound"]
+    for r in range(2, rmax + 1):
+        rep = B.seq_blocklength_bounds(k, r, 3)
+        lines.append(f"{r},{rep.value['prior']},{rep.value['new']}")
+    return lines
+
+
+# A report is a JSON table (a dict) or CSV lines.
+REPORTS = {"t3-blocklength": ("", _t3_blocklength),
+           "dim-bounds": ("n d q rmax", _dim_bounds),
+           "rate-curve": ("t rmax", _rate_curve),
+           "dmin-curve": ("rmax", _dmin_curve),
+           "minlen-curve": ("k rmax", _minlen_curve)}
+
+TABLES = {"construct": FAMILIES, "bound": BOUNDS, "verify": PROPERTIES,
+          "report": REPORTS}
+HELP = {"construct": "build a code and emit code JSON",
+        "bound": "evaluate a bound formula",
+        "verify": "verify a property of a code file",
+        "report": "bound-comparison tables / CSV data"}
+
+# argparse keywords of each command's flags; a flag not listed is a
+# required integer.
+_OPT_INT = {"type": int}
+_SEED = {"type": int, "default": 0}
+FLAGS = {
+    "construct": {
+        "which": {"choices": ["ex1", "ex2"], "required": True},
+        "aux": {"choices": ["catalog", "random"], "default": "catalog"},
+        "graph": {"type": graph, "required": True, "help": "k4, petersen, "
+                  "heawood, hoffman-singleton, cycle:N or complete:N"},
+        "coeffs": {"choices": ["one", "random"], "default": "one"},
+        "seed": _SEED, "q": _OPT_INT, "p": _OPT_INT, "mdeg": _OPT_INT,
+        "modulus": {"help": "JSON list of modulus coefficients"}},
+    "bound": {
+        "w": _OPT_INT, "rc": {"required": True}, "rmax": {"required": True},
+        "mode": {"choices": list(B.MSR_SUBPKT_MODES), "required": True},
+        "oracle": {"help": "comma list: singleton,hamming,plotkin,griesmer"}},
+    "verify": {
+        "code": {"required": True, "help": "code JSON file"},
+        "r": _OPT_INT, "t": _OPT_INT, "seed": _SEED,
+        "mode": {"choices": ["auto", "exhaustive", "sampled", "certificate"],
+                 "default": "auto"},
+        "samples": {"type": int, "default": verify.DEFAULT_SAMPLES},
+        "jobs": {"type": int, "default": 1}},
+    "report": {flag: {"type": int, "default": value} for flag, value in
+               dict(n=31, d=5, q=2, k=20, t=4, rmax=20).items()},
+}
+
+
+def _call(args, **given):
+    """The row's call on its parsed flags, `given` overriding them."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("cmd", "name", "out")}
+    return TABLES[args.cmd][args.name][1](**{**flags, **given})
+
 
 def cmd_construct(args, argv) -> int:
-    fam = args.family
-    seed = getattr(args, "seed", 0)
-    if fam == "moore":
-        code = seq_codes.moore_code(args.r, args.t)
-    elif fam == "seq":
-        code = seq_codes.seq_general_code(args.r, args.t, aux=args.aux,
-                                          seed=seed)
-    elif fam == "near-regular":
-        code = seq_codes.t2_near_regular_code(args.k, args.r)
-    elif fam == "turan":
-        code = seq_codes.t2_turan_code(args.r, args.beta)
-    elif fam == "dim-optimal":
-        code = seq_codes.t2_dim_optimal_code(args.m, args.r)
-    elif fam == "t3":
-        code = seq_codes.t3_catalog(args.which)
-    elif fam == "pyramid":
-        code = lr_codes.pyramid_code(args.n, args.k, args.r,
-                                     _field_from_args(args))
-    elif fam == "tamobarg":
-        code = lr_codes.tamo_barg_code(args.n, args.k, args.r,
-                                       _field_from_args(args))
-    elif fam == "product":
-        code = lr_codes.product_avail_code(args.r, args.t)
-    elif fam == "wang":
-        code = lr_codes.wang_avail_code(args.r, args.t)
-    elif fam == "pgplane":
-        code = lr_codes.pg_plane_sa_code(args.s)
-    elif fam == "steiner":
-        code = lr_codes.steiner_sa_code(args.s)
-    elif fam == "pmr-split":
-        code = mr_codes.pmr_parity_split(args.m, args.r, args.delta,
-                                         _field_from_args(args))
-    elif fam == "pmr-a1":
-        code, report = mr_codes.pmr_general_a1(args.m, args.r, args.delta,
-                                               args.base_q, seed=seed)
-        payload = lio.code_to_json(code)
+    made = _call(args)
+    code, report = made if isinstance(made, tuple) else (made, None)
+    payload = lio.code_to_json(code)
+    if report is not None:
         payload["verdict"] = report.as_dict()
-        _emit(payload, args.out, argv, seed)
-        return 0 if report.verdict else 1
-    elif fam == "mr-r12":
-        code = mr_codes.mr_r12(args.m, args.r)
-    elif fam == "mr-rd2":
-        code = mr_codes.mr_rdelta2(args.m, args.r, args.delta, args.psi)
-    elif fam == "mr-coset":
-        code = mr_codes.mr_r2_coset_search(args.n, args.d_param,
-                                           _field_from_args(args))
-    elif fam == "incidence":
-        from . import graphs
-        named = {"k4": lambda: graphs.complete_graph(4),
-                 "petersen": graphs.petersen_graph,
-                 "heawood": graphs.heawood_graph,
-                 "hoffman-singleton": graphs.hoffman_singleton_graph}
-        if args.graph in named:
-            g = named[args.graph]()
-        elif args.graph and args.graph.startswith("cycle:"):
-            g = graphs.cycle_graph(int(args.graph.split(":")[1]))
-        elif args.graph and args.graph.startswith("complete:"):
-            g = graphs.complete_graph(int(args.graph.split(":")[1]))
-        else:
-            return _fail("usage", f"unknown graph {args.graph!r}")
-        gf = _field_from_args(args) if (args.q or args.p) else field_make(2)
-        code = graphs.incidence_code(g, gf, coefficients=args.coeffs,
-                                     seed=seed)
-    else:  # pragma: no cover
-        return _fail("usage", f"unknown family {fam}")
-    _emit(lio.code_to_json(code), args.out, argv, seed)
-    return 0
+    _emit(payload, args.out, argv, getattr(args, "seed", 0))
+    return 0 if report is None or report.verdict else 1
 
-
-# ---------------------------------------------------------------------------
-# bound
-# ---------------------------------------------------------------------------
 
 def cmd_bound(args, argv) -> int:
-    name = args.name
-    val: object
-    detail: Dict[str, object] = {}
-    if name == "lr-singleton":
-        val = B.lr_singleton_bound(args.n, args.k, args.r)
-    elif name == "msw":
-        val = list(B.msw_sequence(args.n, args.b1, args.r).e)
-    elif name == "hamming-type":
-        val = B.hamming_type_bound(args.n, args.r)
-    elif name == "lr-dim":
-        oracle = B.ClassicalOracle(args.oracle.split(",")) \
-            if args.oracle else B.DEFAULT_ORACLE
-        rep = B.lr_alphabet_dim_bound(args.n, args.d, args.r, args.q, oracle)
-        val, detail = rep.value, rep.detail
-    elif name == "lr-dmin":
-        oracle = B.ClassicalOracle(args.oracle.split(",")) \
-            if args.oracle else B.DEFAULT_ORACLE
-        rep = B.lr_alphabet_dmin_bound(args.n, args.k, args.r, args.q, oracle)
-        val, detail = rep.value, rep.detail
-    elif name == "seq-rate":
-        val = B.seq_rate_bound(args.r, args.t)
-    elif name == "seq-blocklength":
-        val = B.seq_blocklength_bounds(args.k, args.r, args.t).value
-    elif name == "seq-dim-t2":
-        val = B.seq_dim_bound_t2(args.m, args.r)
-    elif name == "avail-rate":
-        val = B.avail_rate_bounds(args.r, args.t)
-    elif name == "avail-dmin":
-        val = B.avail_dmin_bounds(args.n, args.k, args.r, args.t)
-    elif name == "avail-tradeoff":
-        val = B.avail_product_tradeoff(args.n, args.k, args.nc,
-                                       Fraction(args.rc), Fraction(args.rmax))
-    elif name == "sa-blocklength":
-        val = B.sa_blocklength_bound(args.r, args.t)
-    elif name == "moore":
-        val = B.moore_bound(args.r, args.t)
-    elif name == "msr-subpkt":
-        val = B.msr_subpkt_bounds(args.n, args.k, args.d, args.w, args.mode)
-    elif name == "cutset":
-        val = B.cutset_bound(B.RgParams(n=args.n, k=args.k, d=args.d,
-                                        alpha=args.alpha, beta=args.beta))
-    elif name == "msr-point":
-        val = B.msr_point(args.n, args.k, args.d)
-    elif name == "mbr-point":
-        val = B.mbr_point(args.k, args.d, args.beta)
-    else:  # pragma: no cover
-        return _fail("usage", f"unknown bound {name}")
-    rep = {"bound": name,
+    val = _call(args)
+    rep = {"bound": args.name,
            "inputs": {k: v for k, v in vars(args).items()
-                      if k not in ("func", "name", "out", "oracle") and
-                      v is not None},
-           "value": _enc(val)}
-    if detail:
-        rep["detail"] = _enc(detail)
+                      if k not in ("name", "out", "oracle") and
+                      v is not None}}
+    if isinstance(val, B.BoundReport):
+        val, rep["detail"] = val.value, _enc(val.detail)
+    rep["value"] = _enc(val)
     _emit(rep, args.out, argv)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
 def cmd_verify(args, argv) -> int:
-    if not 1 <= args.jobs <= max(args.samples, 1):  # >= 1 sample a job
-        return _fail("usage", f"--jobs {args.jobs} is not in 1..--samples")
-    if args.jobs > 1 and (args.property, args.mode) != ("seq", "sampled"):
-        return _fail("usage", "--jobs > 1 needs verify seq --mode sampled")
-    code = lio.code_from_json(lio.load(args.code))
-    prop = args.property
-    structure = code.provenance.get("local_structure")
-    r = args.r if args.r is not None else (code.params.r if code.params
-                                           else None)
-    t = args.t if args.t is not None else (code.params.t if code.params
-                                           else None)
-    if prop in ("seq", "avail", "sa", "staircase") and (r is None or
-                                                        t is None):
-        return _fail("usage", f"property {prop} needs --r and --t (the code "
-                              "file declares neither)")
-    if prop == "seq":
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            from itertools import repeat
-            # chunk i runs seed + i; the samples split exactly, and each
-            # chunk's seed and count are reported so any chunk replays
-            per, extra = divmod(args.samples, args.jobs)
-            chunks = [{"seed": args.seed + i, "samples": per + (i < extra)}
-                      for i in range(args.jobs)]
-            supports = verify.low_weight_dual_supports(code, r + 1)
-            with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                results = list(ex.map(
-                    verify._sampled_peel, repeat(code.n), repeat(supports),
-                    repeat(t), [c["samples"] for c in chunks],
-                    [c["seed"] for c in chunks]))
-            budgets = {"samples": args.samples, "seed": args.seed,
-                       "jobs": args.jobs, "chunks": chunks}
-            failed = next((i for i, x in enumerate(results)
-                           if not x.verdict), None)
-            if failed is not None:
-                budgets.update(failed_chunk=failed,
-                               failed_at=results[failed].budgets["failed_at"])
-            rep = verify.VerifyReport(
-                "seq-recovery", failed is None, "sampled", budgets=budgets,
-                witness=None if failed is None else results[failed].witness)
-        else:
-            rep = verify.seq_recovery_check(code, r, t, mode=args.mode,
-                                            samples=args.samples,
-                                            seed=args.seed)
-    elif prop == "avail":
-        rep = verify.availability_check(code, r, t)
-    elif prop == "sa":
-        rep = verify.sa_check(code.H, r, t)
-    elif prop == "pmds":
-        if structure is None:
-            return _fail("input", "code file carries no local structure")
-        if args.mode == "certificate":
-            return _fail("usage", "pmds has no certificate mode")
-        rep = verify.pmds_check(code, structure, args.delta, args.s_extra,
-                                mode=args.mode,
-                                samples=args.samples, seed=args.seed)
-    elif prop == "pmr":
-        rep = verify.pmr_check(code, structure)
-    elif prop == "mr-shape":
-        rep = verify.mr_shape_check(code, structure)
-    elif prop == "staircase":
-        rep = verify.staircase_check(code.H, r, t)
-    elif prop == "classify-t2":
-        rep = verify.classify_rate_optimal_t2(code, r=r)
-    else:  # pragma: no cover
-        return _fail("usage", f"unknown property {prop}")
-    _emit(rep.as_dict(), args.out, argv, args.seed)
+    rep = _call(args, code=lio.code_from_json(lio.load(args.code)))
+    _emit(rep.as_dict(), args.out, argv, getattr(args, "seed", 0))
     return 0 if rep.verdict else 1
 
 
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
 def cmd_report(args, argv) -> int:
-    name = args.name
-    if name == "t3-blocklength":
-        rows = []
-        for (k, r, n) in ((5, 3, 10), (8, 4, 14)):
-            rep = B.seq_blocklength_bounds(k, r, 3)
-            rows.append({"k": k, "r": r, "prior_bound": rep.value["prior"],
-                         "new_bound": rep.value["new"],
-                         "catalog_code_n": n})
-        _emit({"report": name, "rows": rows}, args.out, argv)
-        return 0
-    if name == "dim-bounds":
-        n, d, q = args.n, args.d, args.q
-        rows = []
-        for r in range(2, args.rmax + 1):
-            row: Dict[str, object] = {"r": r}
-            try:
-                row["packing_closed_form"] = B.hamming_type_bound(n, r)
-            except B.OutOfRegime:
-                row["packing_closed_form"] = None
-            rep = B.lr_alphabet_dim_bound(n, d, r, q)
-            row["msw_shortening"] = rep.value
-            row["msw_shortening_note"] = (
-                "oracle-dependent: uses closed-form classical bounds, not "
-                "best-known-code tables")
-            rows.append(row)
-        _emit({"report": name, "inputs": {"n": n, "d": d, "q": q},
-               "rows": rows}, args.out, argv)
-        return 0
-    if name == "rate-curve":
-        lines = ["r,product_form_bound,transpose_bound"]
-        for r in range(1, args.rmax + 1):
-            v = B.avail_rate_bounds(r, args.t)
-            tr = v["transpose"]
-            lines.append(f"{r},{float(v['tamo_barg']):.10f},"
-                         f"{float(tr) if tr is not None else ''}")
-    elif name == "dmin-curve":
-        lines = ["r,n,k,wang,tamo_barg,kruglik_frolov,msw_new"]
-        from math import comb
-        for r in range(3, args.rmax + 1):
-            n = comb(r + 3, 3)
-            k = n * r // (r + 3)
-            v = B.avail_dmin_bounds(n, k, r, 3)
-            lines.append(f"{r},{n},{k},{v['wang']},{v['tamo_barg']},"
-                         f"{v['kruglik_frolov']},{v['msw_new']}")
-    elif name == "minlen-curve":
-        lines = ["r,prior_bound,new_bound"]
-        for r in range(2, args.rmax + 1):
-            rep = B.seq_blocklength_bounds(args.k, r, 3)
-            lines.append(f"{r},{rep.value['prior']},{rep.value['new']}")
+    out = _call(args)
+    if isinstance(out, dict):
+        _emit({"report": args.name, **out}, args.out, argv)
     else:
-        return _fail("usage", f"unknown report {name}")
-    _write("\n".join(lines) + "\n", args.out)
+        _write("\n".join(out) + "\n", args.out)
     return 0
 
 
@@ -364,102 +347,50 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Raises `_UsageError` where argparse would print usage and exit 2, so
-    that `main` reports bad flags as JSON on stderr.  Subcommand parsers
-    are made with the class of their parent, so they raise too."""
+    that `main` reports bad flags as JSON on stderr; so do its subparsers."""
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _int(p, *names, **kw):
-    for n in names:
-        p.add_argument(n, type=int, **kw)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="lrckit",
-        description="erasure-code workbench: constructions, bounds, "
-                    "verifiers")
+    """`lrckit COMMAND NAME ...`: the flags after NAME go to its row."""
+    ap = _Parser(prog="lrckit", description="erasure-code workbench: "
+                 "constructions, bounds, verifiers")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    c = sub.add_parser("construct", help="build a code and emit code JSON")
-    c.add_argument("family", choices=[
-        "moore", "seq", "near-regular", "turan", "dim-optimal", "t3",
-        "pyramid", "tamobarg", "product", "wang", "pgplane", "steiner",
-        "pmr-split", "pmr-a1", "mr-r12", "mr-rd2", "mr-coset", "incidence"])
-    _int(c, "--r", "--t", "--k", "--n", "--m", "--s", "--beta", "--delta",
-         "--psi", "--base-q", "--d-param", "--p", "--mdeg", "--q")
-    c.add_argument("--which", choices=["ex1", "ex2"])
-    c.add_argument("--aux", choices=["catalog", "random"], default="catalog")
-    c.add_argument("--graph", help="named graph for family=incidence")
-    c.add_argument("--coeffs", choices=["one", "random"], default="one")
-    c.add_argument("--modulus", help="JSON list of modulus coefficients")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out")
-    c.set_defaults(func=cmd_construct)
-
-    b = sub.add_parser("bound", help="evaluate a bound formula")
-    b.add_argument("name", choices=[
-        "lr-singleton", "msw", "hamming-type", "lr-dim", "lr-dmin",
-        "seq-rate", "seq-blocklength", "seq-dim-t2", "avail-rate",
-        "avail-dmin", "avail-tradeoff", "sa-blocklength", "moore",
-        "msr-subpkt", "cutset", "msr-point", "mbr-point"])
-    _int(b, "--n", "--k", "--r", "--t", "--d", "--m", "--b1", "--q", "--w",
-         "--alpha", "--beta", "--nc")
-    b.add_argument("--rc")
-    b.add_argument("--rmax")
-    b.add_argument("--mode", choices=list(B.MSR_SUBPKT_MODES))
-    b.add_argument("--oracle", help="comma list: singleton,hamming,"
-                                    "plotkin,griesmer")
-    b.add_argument("--out")
-    b.set_defaults(func=cmd_bound)
-
-    v = sub.add_parser("verify", help="verify a property of a code file")
-    v.add_argument("property", choices=["seq", "avail", "sa", "pmds", "pmr",
-                                        "mr-shape", "staircase",
-                                        "classify-t2"])
-    v.add_argument("--code", required=True)
-    _int(v, "--r", "--t", "--delta", "--s-extra")
-    v.add_argument("--mode", default="auto",
-                   choices=["auto", "exhaustive", "sampled", "certificate"])
-    v.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--out")
-    v.set_defaults(func=cmd_verify)
-
-    rp = sub.add_parser("report", help="bound-comparison tables / CSV data")
-    rp.add_argument("name", choices=["t3-blocklength", "dim-bounds",
-                                     "rate-curve", "dmin-curve",
-                                     "minlen-curve"])
-    rp.add_argument("--n", type=int, default=31)
-    rp.add_argument("--d", type=int, default=5)
-    rp.add_argument("--q", type=int, default=2)
-    rp.add_argument("--k", type=int, default=20)
-    rp.add_argument("--t", type=int, default=4)
-    rp.add_argument("--rmax", type=int, default=20)
-    rp.add_argument("--out")
-    rp.set_defaults(func=cmd_report)
+    for cmd, table in TABLES.items():
+        p = sub.add_parser(cmd, help=HELP[cmd])
+        p.add_argument("name", choices=list(table))
+        p.add_argument("flags", nargs=argparse.REMAINDER,
+                       help=f"see lrckit {cmd} NAME --help")
     return ap
+
+
+def row_parser(cmd: str, name: str) -> argparse.ArgumentParser:
+    """The parser of one row: the flags its call reads, and --out."""
+    p = _Parser(prog=f"lrckit {cmd} {name}")
+    for flag in TABLES[cmd][name][0].split():
+        p.add_argument("--" + flag, **FLAGS[cmd].get(
+            flag, {"type": int, "required": True}))
+    p.add_argument("--out", help="write here instead of to stdout")
+    return p
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        top = build_parser().parse_args(argv)
+        args = row_parser(top.cmd, top.name).parse_args(
+            top.flags, argparse.Namespace(cmd=top.cmd, name=top.name))
+        run = {"construct": cmd_construct, "bound": cmd_bound,
+               "verify": cmd_verify, "report": cmd_report}[args.cmd]
+        return run(args, argv)
     except _UsageError as e:
         return _fail("usage", str(e))
     except SystemExit as e:  # --help printed its text
         return 2 if e.code not in (0, None) else 0
-    try:
-        return args.func(args, argv)
     except (ValueError, LookupError, RuntimeError) as e:
         return _fail(type(e).__name__, str(e))
-    except TypeError as e:
-        # almost always a missing required flag reaching arithmetic as None
-        return _fail("usage", f"missing or malformed flags: {e}")
     except OSError as e:
         return _fail("io", str(e))
     except Exception as e:  # a defect: still JSON on stderr, never exit 1

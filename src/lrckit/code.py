@@ -222,8 +222,8 @@ def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
     Picks the cheapest exact strategy: codeword enumeration (a Gray walk over
     the bit-packed generator over GF(2), else one word per 1-dimensional
     subspace via `support_weight`) or a search for the smallest dependent
-    column set of H.  Raises BudgetExceeded when neither fits, signalling
-    the caller to fall back to a sampled lower bound.
+    column set of H.  Raises BudgetExceeded when neither fits within
+    `budget` steps.
     """
     if c.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
@@ -238,23 +238,6 @@ def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
         return _min_distance_columns(c)
     raise BudgetExceeded(
         f"min_distance needs min({enum_cost}, {col_cost}) > {budget} steps")
-
-
-def min_weight_sample(c: LinearCode, samples: int, seed: int = 0) -> int:
-    """Sampled upper bound on the minimum distance (never exact)."""
-    import random
-    rng = random.Random(seed)
-    gf, G = c.gf, c.generator()
-    Gt = G.transpose()
-    best = c.n + 1
-    for _ in range(samples):
-        msg = [rng.randrange(gf.q) for _ in range(c.k)]
-        if not any(msg):
-            continue
-        w = sum(1 for x in Gt.mul_vec(msg) if x)
-        if 0 < w < best:
-            best = w
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ class GF:
             if modulus is None:
                 mod = _default_modulus(p, m)
             else:
-                mod = _poly_trim(tuple(c % p for c in modulus))
+                mod = _poly_trim(tuple(c % p for c in _coefficients(modulus)))
                 if len(mod) - 1 != m:
                     raise FieldError(f"modulus degree {len(mod)-1} != {m}")
                 if not _poly_is_irreducible(mod, p):
@@ -356,6 +356,13 @@ class GF:
         return f"GF({self.p}^{self.m}, modulus={list(self.modulus)})"
 
 
+def _coefficients(modulus) -> Tuple[int, ...]:
+    if not isinstance(modulus, (list, tuple)) or \
+            any(type(c) is not int for c in modulus):
+        raise FieldError(f"modulus must be a list of ints, got {modulus!r}")
+    return tuple(modulus)
+
+
 @lru_cache(maxsize=None)
 def _cached_field(p: int, m: int, modulus: Optional[Tuple[int, ...]]) -> GF:
     return GF(p, m, modulus)
@@ -369,7 +376,7 @@ def field_make(p: int, m: int = 1,
     coefficient-value order, for reproducibility; pass modulus explicitly to
     match a particular textbook representation.
     """
-    key = tuple(modulus) if modulus is not None else None
+    key = _coefficients(modulus) if modulus is not None else None
     return _cached_field(p, m, key)
 
 

@@ -23,10 +23,22 @@ class SchemaError(ValueError):
     pass
 
 
-def _check_fields(obj: dict, allowed: set, what: str) -> None:
-    unknown = set(obj) - allowed
+_OPT = type(None)  # in a field's types: the field may be left out
+_OPT_INT = (int, _OPT)
+
+
+def _check_fields(obj: dict, kinds: dict, what: str) -> None:
+    """SchemaError unless `obj` is an object whose fields are keys of
+    `kinds`, each of a type listed there (`_OPT` among them: the field may
+    be left out; None in place of the types: any value)."""
+    if type(obj) is not dict:
+        raise SchemaError(f"{what} must be an object, got {obj!r}")
+    unknown = set(obj) - set(kinds)
     if unknown:
         raise SchemaError(f"unknown fields in {what}: {sorted(unknown)}")
+    for key, types in kinds.items():
+        if types is not None and type(obj.get(key)) not in types:
+            raise SchemaError(f"malformed {what}.{key}: {obj.get(key)!r}")
 
 
 def field_to_json(gf: GF) -> dict:
@@ -34,11 +46,12 @@ def field_to_json(gf: GF) -> dict:
 
 
 def field_from_json(obj: dict) -> GF:
-    _check_fields(obj, {"p", "m", "modulus"}, "field")
-    modulus = obj.get("modulus") or None
-    if obj.get("m", 1) == 1:
-        modulus = None
-    return field_make(obj["p"], obj.get("m", 1), modulus)
+    _check_fields(obj, {"p": (int,), "m": _OPT_INT,
+                        "modulus": (list, _OPT)}, "field")
+    m = obj.get("m")
+    if m is None or m == 1:
+        return field_make(obj["p"])
+    return field_make(obj["p"], m, obj.get("modulus") or None)
 
 
 def matrix_to_json(M: Mat) -> dict:
@@ -47,7 +60,8 @@ def matrix_to_json(M: Mat) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Mat:
-    _check_fields(obj, {"schema", "field", "rows", "cols", "manifest"}, "matrix")
+    _check_fields(obj, {"schema": None, "field": None, "rows": None,
+                        "cols": _OPT_INT, "manifest": None}, "matrix")
     if obj.get("schema") != "matrix/1":
         raise SchemaError(f"unsupported matrix schema {obj.get('schema')}")
     gf = field_from_json(obj["field"])
@@ -59,7 +73,12 @@ def structure_to_json(s: LocalStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> LocalStructure:
-    _check_fields(obj, {"groups", "delta"}, "local_structure")
+    _check_fields(obj, {"groups": (list,), "delta": _OPT_INT},
+                  "local_structure")
+    if any(type(g) is not list or set(map(type, g)) - _INT
+           for g in obj["groups"]):
+        raise SchemaError(f"malformed local_structure.groups: "
+                          f"{obj['groups']!r}")
     return LocalStructure(tuple(tuple(g) for g in obj["groups"]),
                           delta=obj.get("delta", 1))
 
@@ -80,19 +99,21 @@ def code_to_json(code: LinearCode) -> dict:
 
 
 def code_from_json(obj: dict) -> LinearCode:
-    _check_fields(obj, {"schema", "field", "rows", "cols", "params",
-                        "provenance", "local_structure", "manifest",
-                        "verdict"}, "code")
+    _check_fields(obj, {"schema": None, "field": None, "rows": None,
+                        "cols": _OPT_INT, "params": None,
+                        "provenance": (dict, _OPT), "local_structure": None,
+                        "manifest": None, "verdict": None}, "code")
     if obj.get("schema") != "code/1":
         raise SchemaError(f"unsupported code schema {obj.get('schema')}")
     gf = field_from_json(obj["field"])
     H = Mat(gf, obj["rows"], cols=obj.get("cols"))
     params = None
     if "params" in obj:
-        allowed = {"n", "k", "r", "t", "d_min", "q", "role"}
-        _check_fields(obj["params"], allowed, "params")
+        _check_fields(obj["params"], dict(
+            n=(int,), k=(int,), r=_OPT_INT, t=_OPT_INT, d_min=_OPT_INT,
+            q=_OPT_INT, role=(str, _OPT)), "params")
         params = CodeParams(**obj["params"])
-    provenance = dict(obj.get("provenance", {}))
+    provenance = dict(obj.get("provenance") or {})
     if "local_structure" in obj:
         provenance["local_structure"] = structure_from_json(
             obj["local_structure"])
@@ -106,8 +127,8 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    _check_fields(obj, {"schema", "nodes", "edges", "labels", "manifest"},
-                  "graph")
+    _check_fields(obj, {"schema": None, "nodes": (int,), "edges": (list,),
+                        "labels": (dict, _OPT), "manifest": None}, "graph")
     if obj.get("schema") != "graph/1":
         raise SchemaError(f"unsupported graph schema {obj.get('schema')}")
     return Graph(obj["nodes"], [tuple(e) for e in obj["edges"]],

@@ -108,9 +108,9 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     that is constant on every coset.
     """
     q = gf.q
-    if n % (r + 1) or (q - 1) % n:
+    if min(n, r) < 1 or n % (r + 1) or (q - 1) % n:
         raise SubgroupUnavailable(
-            f"need (r+1) | n and n | q-1; got n={n}, r={r}, q={q}")
+            f"need n, r >= 1, (r+1) | n and n | q-1; got n={n}, r={r}, q={q}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     m = n // (r + 1)
@@ -160,6 +160,8 @@ def locality_witnesses(code: LinearCode,
 def product_avail_code(r: int, t: int) -> LinearCode:
     """t-fold product of [r+1, r] single-parity-check codes: a binary
     ((r+1)^t, r^t) code with availability t."""
+    if min(r, t) < 1:
+        raise ValueError(f"need r, t >= 1, got r={r}, t={t}")
     n = (r + 1) ** t
     if n > PRODUCT_CODE_BUDGET:
         raise BudgetExceeded(f"(r+1)^t = {n} > {PRODUCT_CODE_BUDGET}")

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
-from .code import LinearCode, is_mds, min_distance
+from .code import BudgetExceeded, LinearCode, is_mds, min_distance
 from .matrix import (Mat, columns_independent, first_dependent, mat_rank,
                      row_span)
 from .mr_codes import LocalStructure
@@ -55,6 +55,20 @@ class VerifyReport:
                 "mode": self.mode, "witness": self.witness,
                 "budgets": dict(self.budgets),
                 "detail": {k: v for k, v in self.detail.items()}}
+
+
+def declared(code: LinearCode, **given) -> list:
+    """The values of `given` (r, t, structure) in order, each None taken
+    from what `code` declares: r and t in its params, the local structure
+    in its provenance.  Raises ValueError where neither gives a value."""
+    structure = code.provenance.get("local_structure")
+    out = [value if value is not None else structure if name == "structure"
+           else getattr(code.params, name, None)
+           for name, value in given.items()]
+    if None in out:
+        raise ValueError(f"no {list(given)[out.index(None)]} given and the "
+                         "code declares none")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +207,14 @@ def _incidence_graph(code: LinearCode):
         return None, str(e)
 
 
-def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
+def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
+                       t: Optional[int] = None, mode: str = "auto",
                        samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                       budget: int = SEQ_EXHAUSTIVE_BUDGET) -> VerifyReport:
+                       budget: int = SEQ_EXHAUSTIVE_BUDGET,
+                       jobs: int = 1) -> VerifyReport:
     """Can every erasure pattern of size <= t be recovered one symbol at a
-    time, each from at most r unerased symbols?
+    time, each from at most r unerased symbols?  `r` and `t` default to the
+    code's declared ones.
 
     Modes: `exhaustive` peels every pattern, `sampled` peels random
     t-subsets, `certificate` (incidence-structured parity checks only)
@@ -206,12 +223,21 @@ def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
     failure witness; over larger fields it is only sufficient, and a short
     cycle downgrades the run to peeling instead of failing.  `auto` picks
     exhaustive when it fits the budget, else the certificate when
-    available, else sampling.
+    available, else sampling; an explicit `exhaustive` over the budget
+    raises BudgetExceeded.  `jobs` > 1 runs a sampled check in that many
+    processes (see `_sampled_peel`).
     """
+    r, t = declared(code, r=r, t=t)
     if min(r, t, samples) < 1:
         raise ValueError(f"need r, t, samples >= 1, got {r}, {t}, {samples}")
+    if not 1 <= jobs <= (samples if mode == "sampled" else 1):
+        raise ValueError(f"need 1 <= jobs <= samples, and mode 'sampled' "
+                         f"for jobs > 1; got jobs={jobs}, mode={mode!r}")
     n = code.n
     total = sum(math.comb(n, j) for j in range(1, t + 1))
+    if mode == "exhaustive" and total > budget:
+        raise BudgetExceeded(f"{total} patterns exceed the exhaustive "
+                             f"budget {budget}")
     if mode == "auto" and total <= budget:
         mode = "exhaustive"
     if mode in ("auto", "certificate"):
@@ -236,8 +262,8 @@ def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     supports = low_weight_dual_supports(code, r + 1)
-    if mode == "sampled" or total > budget:
-        return _sampled_peel(n, supports, t, samples, seed)
+    if mode == "sampled":
+        return _sampled_peel(n, supports, t, samples, seed, jobs)
     peeler = _Peeler(n, supports)
     for size in range(1, t + 1):
         for pattern in combinations(range(n), size):
@@ -251,12 +277,35 @@ def seq_recovery_check(code: LinearCode, r: int, t: int, mode: str = "auto",
 
 
 def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
-                  samples: int, seed: int) -> VerifyReport:
+                  samples: int, seed: int, jobs: int = 1) -> VerifyReport:
     """Peel `samples` random t-subsets of range(n), drawn from `seed`,
     against the low-weight dual supports: the sampled verdict of
-    `seq_recovery_check`, and one chunk of `verify seq --jobs`."""
+    `seq_recovery_check`.  With `jobs` > 1 the samples split into that many
+    chunks, one process each: chunk i draws its share from seed + i, and
+    the report lists every chunk's seed and count, so any chunk replays on
+    its own."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from itertools import repeat
+        per, extra = divmod(samples, jobs)
+        chunks = [{"seed": seed + i, "samples": per + (i < extra)}
+                  for i in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = list(ex.map(
+                _sampled_peel, repeat(n), repeat(supports), repeat(t),
+                [c["samples"] for c in chunks], [c["seed"] for c in chunks]))
+        budgets = {"samples": samples, "seed": seed, "jobs": jobs,
+                   "chunks": chunks}
+        failed = next((i for i, x in enumerate(results) if not x.verdict),
+                      None)
+        if failed is not None:
+            budgets.update(failed_chunk=failed,
+                           failed_at=results[failed].budgets["failed_at"])
+        return VerifyReport(
+            "seq-recovery", failed is None, "sampled", budgets=budgets,
+            witness=None if failed is None else results[failed].witness)
     peeler = _Peeler(n, supports)
     rng = random.Random(seed)
     for i in range(samples):
@@ -287,11 +336,13 @@ def _disjoint_packing(cands: List[FrozenSet[int]], t: int,
     return False
 
 
-def availability_check(code: LinearCode, r: int, t: int) -> VerifyReport:
+def availability_check(code: LinearCode, r: Optional[int] = None,
+                       t: Optional[int] = None) -> VerifyReport:
     """Does every coordinate have t pairwise-disjoint recovery sets of size
     <= r?  Candidate recovery sets are supports of weight <= r+1 dual words
     with the coordinate removed; packing is decided exactly by
-    backtracking."""
+    backtracking.  `r` and `t` default to the code's declared ones."""
+    r, t = declared(code, r=r, t=t)
     if min(r, t) < 1:
         raise ValueError(f"need r, t >= 1, got {r}, {t}")
     supports = low_weight_dual_supports(code, r + 1)
@@ -343,13 +394,16 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
 # maximal recoverability
 # ---------------------------------------------------------------------------
 
-def pmds_check(code: LinearCode, structure: LocalStructure, delta: int,
-               s_extra: int, mode: str = "auto",
+def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
+               delta: int, s_extra: int, mode: str = "auto",
                budget: int = PMDS_EXHAUSTIVE_BUDGET,
                samples: int = DEFAULT_SAMPLES, seed: int = 0) -> VerifyReport:
     """Partial-MDS property: delta erasures in every group plus s_extra
     arbitrary further erasures always leave independent parity-check
-    columns."""
+    columns.  A `structure` of None is the code's declared one."""
+    [structure] = declared(code, structure=structure)
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     if not structure.covers(code.n):
         raise ValueError("local structure does not cover the coordinates")
     groups = [list(g) for g in structure.groups]
@@ -395,14 +449,11 @@ def pmr_check(code: LinearCode,
     (one private coordinate per group) leaves an MDS code, and the minimum
     distance meets (n-k+1) - (ceil(k/r) - 1) with equality."""
     from .code import puncture
-    if structure is None:
-        structure = code.provenance.get("local_structure")
-    if structure is None:
-        raise ValueError("no local structure supplied")
+    [structure] = declared(code, structure=structure)
     pattern = structure.admissible_pattern()
     punctured = puncture(code, list(pattern))
     mds_ok = is_mds(punctured)
-    r = code.params.r if code.params and code.params.r else (
+    r = getattr(code.params, "r", None) or (
         max(len(g) for g in structure.groups) - 1)
     target = lr_singleton_bound(code.n, code.k, r)
     d = min_distance(code)
@@ -421,10 +472,7 @@ def mr_shape_check(code: LinearCode,
     """Canonical-form shape of an MR/PMR parity-check matrix: every group
     owns at least one row supported inside it, and every other row stays off
     the private (one-per-group) coordinates."""
-    if structure is None:
-        structure = code.provenance.get("local_structure")
-    if structure is None:
-        raise ValueError("no local structure supplied")
+    [structure] = declared(code, structure=structure)
     if not structure.covers(code.n):
         return VerifyReport("mr-shape", False, "exhaustive",
                             witness="groups do not cover the coordinates")
@@ -583,10 +631,9 @@ def classify_rate_optimal_t2(code: LinearCode,
     with explicit node parities."""
     from fractions import Fraction
     from .code import puncture
-    if r is None:
-        if code.params is None or code.params.r is None:
-            raise ValueError("locality r required")
-        r = code.params.r
+    [r] = declared(code, r=r)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
     if code.rate() != Fraction(r, r + 2):
         raise NotRateOptimal(f"rate {code.rate()} != {Fraction(r, r + 2)}")
     B = _greedy_low_weight_basis(code, r + 1)

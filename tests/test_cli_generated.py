@@ -1,11 +1,12 @@
 """Generated-input test of `lrckit.cli.main`.
 
-A fixed-seed stdlib `random` draws argument sets over every command, family,
-bound, property and mode, with integer flags in [-2, 12] on small codes.
-Every run must end in one of three ways:
+A fixed-seed stdlib `random` draws argument sets over every row of the CLI's
+tables (families, bounds, properties, reports), each with the flags that
+row declares, integer flags in [-2, 12], on small codes.  Every run must end
+in one of three ways:
   - exit 0;
   - exit 1, with a report that carries a witness;
-  - exit 2, with one JSON error object on stderr.
+  - exit 2, with one JSON error object on stderr, never an internal error.
 A PASS must also rest on work: no report may count zero patterns.
 """
 
@@ -15,37 +16,28 @@ import random
 
 import pytest
 
+from lrckit import cli
 from lrckit.cli import main
 
 RUNS = 1200
+SEED = 20261018
 INTS = (-2, 12)
 # Families whose code grows exponentially in their flags draw small ints:
-# `seq --r 5 --t 5` or `pgplane --s 5` alone take seconds.
+# `seq --r 5 --t 5` or `pgplane --s 5` alone take seconds.  So does a field
+# GF(p^mdeg): --mdeg draws small ints everywhere.
 SMALL_INTS = (-2, 3)
-
-CONSTRUCT_FLAGS = {
-    "moore": "r t", "seq": "r t", "near-regular": "k r", "turan": "r beta",
-    "dim-optimal": "m r", "t3": "", "pyramid": "n k r q",
-    "tamobarg": "n k r q", "product": "r t", "wang": "r t",
-    "pgplane": "s", "steiner": "s", "pmr-split": "m r delta q",
-    "pmr-a1": "m r delta base-q", "mr-r12": "m r",
-    "mr-rd2": "m r delta psi", "mr-coset": "n d-param q", "incidence": "q",
-}
 SMALL_FAMILIES = {"seq", "product", "wang", "pgplane", "steiner"}
-BOUND_FLAGS = {
-    "lr-singleton": "n k r", "msw": "n b1 r", "hamming-type": "n r",
-    "lr-dim": "n d r q", "lr-dmin": "n k r q", "seq-rate": "r t",
-    "seq-blocklength": "k r t", "seq-dim-t2": "m r", "avail-rate": "r t",
-    "avail-dmin": "n k r t", "avail-tradeoff": "n k nc rc rmax",
-    "sa-blocklength": "r t", "moore": "r t", "msr-subpkt": "n k d w mode",
-    "cutset": "n k d alpha beta", "msr-point": "n k d",
-    "mbr-point": "k d beta",
+# Values of the flags that are neither integers nor choices; some malformed.
+STRINGS = {
+    "graph": ["k4", "petersen", "heawood", "cycle:5", "complete:4",
+              "cycle:x", "nonsense"],
+    "modulus": ["[1,1,0,1]", "[1,0,1]", "5", '"x"', '{"a":1}', "[1.5,0,1]",
+                "x", "[]"],
+    "oracle": ["hamming", "singleton,plotkin", "griesmer"],
 }
-REPORTS = ["t3-blocklength", "dim-bounds", "rate-curve", "dmin-curve",
-           "minlen-curve"]
-PROPERTIES = ["seq", "avail", "sa", "pmds", "pmr", "mr-shape", "staircase",
-              "classify-t2"]
-MODES = ["auto", "exhaustive", "sampled", "certificate"]
+# Flags drawn on every run: the default of 10^5 samples takes seconds.
+ALWAYS = {"samples"}
+COMMANDS = {"construct": 3, "bound": 2, "verify": 6, "report": 1}
 # Small code files to verify: n <= 21, and q^(n-k) <= 10^4 wherever the
 # verifiers enumerate the whole dual (n <= 14).  The last three carry local
 # groups.
@@ -57,53 +49,34 @@ CODES = {"k4": "moore --r 2 --t 2", "petersen": "moore --r 2 --t 4",
          "mr-coset": "mr-coset --n 6 --d-param 1 --q 13"}
 
 
-def _value(rng, flag, ints):
-    if flag in ("rc", "rmax"):  # fractions
+def _value(rng, flag, spec, ints, files):
+    if flag == "code":
+        return files[rng.choice(list(files))]
+    if "choices" in spec:
+        return rng.choice(spec["choices"]) if rng.random() < 0.95 \
+            else "nonsense"
+    if flag in STRINGS:
+        return rng.choice(STRINGS[flag])
+    if "type" not in spec:  # the fractions --rc and --rmax
         return f"{rng.randint(*ints)}/{rng.randint(*ints)}"
-    if flag == "mode":
-        return rng.choice(["exact", "optimal-access", "nonsense"])
     if rng.random() < 0.02:
         return "x"  # not an integer
-    return str(rng.randint(*ints))
-
-
-def _flags(rng, names, ints, keep=0.9):
-    argv = []
-    for name in names.split():
-        if rng.random() < keep:
-            argv += ["--" + name, _value(rng, name, ints)]
-    return argv
+    return str(rng.randint(*(SMALL_INTS if flag == "mdeg" else ints)))
 
 
 def _argv(rng, files):
-    cmd = rng.choices(["construct", "bound", "verify", "report"],
-                      weights=[3, 2, 6, 1])[0]
-    if cmd == "construct":
-        family = rng.choice(list(CONSTRUCT_FLAGS))
-        ints = SMALL_INTS if family in SMALL_FAMILIES else INTS
-        argv = [cmd, family] + _flags(rng, CONSTRUCT_FLAGS[family], ints)
-        if family == "t3":
-            argv += ["--which", rng.choice(["ex1", "ex2"])]
-        if family == "incidence":
-            argv += ["--graph", rng.choice(
-                ["k4", "petersen", "heawood", "cycle:5", "complete:4",
-                 "cycle:x", "nonsense"])]
-        if family in ("incidence", "pmr-a1") and rng.random() < 0.5:
-            argv += ["--seed", _value(rng, "seed", INTS)]
-        return argv
-    if cmd == "bound":
-        name = rng.choice(list(BOUND_FLAGS))
-        return [cmd, name] + _flags(rng, BOUND_FLAGS[name], INTS)
-    if cmd == "report":
-        return [cmd, rng.choice(REPORTS)] + _flags(
-            rng, "n d q k t rmax", INTS, keep=0.5)
-    argv = [cmd, rng.choice(PROPERTIES), "--code",
-            files[rng.choice(list(files))],
-            "--samples", _value(rng, "samples", INTS)]
-    argv += _flags(rng, "r t delta s-extra", INTS, keep=0.6)
-    argv += _flags(rng, "seed jobs", INTS, keep=0.3)
-    if rng.random() < 0.8:
-        argv += ["--mode", rng.choice(MODES)]
+    """A command, one row of its table, and a draw of the flags that row
+    declares: a required flag is left out one time in ten."""
+    cmd = rng.choices(list(COMMANDS), weights=list(COMMANDS.values()))[0]
+    name = rng.choice(list(cli.TABLES[cmd]))
+    ints = SMALL_INTS if cmd == "construct" and name in SMALL_FAMILIES \
+        else INTS
+    argv = [cmd, name]
+    for flag in cli.TABLES[cmd][name][0].split():
+        spec = cli.FLAGS[cmd].get(flag, {"type": int, "required": True})
+        keep = 1 if flag in ALWAYS else 0.9 if spec.get("required") else 0.4
+        if rng.random() < keep:
+            argv += ["--" + flag, _value(rng, flag, spec, ints, files)]
     return argv
 
 
@@ -124,7 +97,7 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
     # and seeded, so their reports are the same either way.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         concurrent.futures.ThreadPoolExecutor)
-    rng = random.Random(20261018)
+    rng = random.Random(SEED)
     capsys.readouterr()
     exits = {0: 0, 1: 0, 2: 0}
     for _ in range(RUNS):
@@ -135,7 +108,9 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
         exits[rc] += 1
         if rc == 2:
             assert out == "" and err.count("\n") == 1, argv
-            assert {"error", "message"} <= set(json.loads(err)), argv
+            error = json.loads(err)
+            assert {"error", "message"} <= set(error), argv
+            assert error["error"] != "internal", (argv, error)
             continue
         assert err == "", argv
         if argv[0] == "report":  # CSV or JSON tables

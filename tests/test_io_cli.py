@@ -532,9 +532,11 @@ def test_dumps_rejects_what_json_rejects(obj):
     (["construct", "nosuch"], "invalid choice: 'nosuch'"),
     (["verify", "seq"], "required: --code"),
     (["construct", "seq", "--r", "three"], "invalid int value: 'three'"),
-    (["bound", "seq-rate", "--r", "3", "--bogus"],
+    (["bound", "seq-rate", "--r", "3", "--t", "5", "--bogus"],
      "unrecognized arguments: --bogus"),
     ([], "required: cmd"),
+    (["construct", "moore", "--r", "2", "--t", "4", "--k", "3"],
+     "lrckit construct moore: unrecognized arguments: --k 3"),
 ])
 def test_argparse_errors_are_json_exit_2(capsys, argv, needle):
     assert main(argv) == 2
@@ -548,3 +550,64 @@ def test_argparse_errors_are_json_exit_2(capsys, argv, needle):
 def test_help_still_exits_0(capsys):
     assert main(["verify", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: lrckit verify")
+
+
+def _set(path, value):
+    """Code JSON of the Petersen code with the field at `path` set."""
+    def edit(obj):
+        *outer, key = path.split(".")
+        for k in outer:
+            obj = obj.setdefault(k, {"groups": [[0, 1]]})
+        obj[key] = value
+    return edit
+
+
+# Malformed input is rejected where it enters: a --modulus by the field, a
+# code file by the loader.  Each used to end as an internal error, or as a
+# usage error guessed from a TypeError, or was accepted silently.
+MALFORMED = {
+    "modulus 5": ("5", "FieldError"),
+    "modulus string": ('"x"', "FieldError"),
+    "modulus object": ('{"a":1}', "FieldError"),
+    "modulus float": ("[1.5,0,1]", "FieldError"),
+    "field.p string": (_set("field.p", "2"), "SchemaError"),
+    "field.modulus int": (_set("field.modulus", 7), "SchemaError"),
+    "params.n string": (_set("params.n", "x"), "SchemaError"),
+    "groups int": (_set("local_structure.groups", 5), "SchemaError"),
+    "provenance list": (_set("provenance", [1, 2]), "SchemaError"),
+    "cols string": (_set("cols", "x"), "SchemaError"),
+    "params.role int": (_set("params.role", 5), "SchemaError"),
+    "delta string": (_set("local_structure.delta", "x"), "SchemaError"),
+}
+
+
+@pytest.mark.parametrize("bad,kind", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
+    if isinstance(bad, str):
+        argv = ["construct", "pyramid", "--n", "7", "--k", "4", "--r", "2",
+                "--p", "2", "--mdeg", "3", "--modulus", bad]
+    else:
+        obj = lio.code_to_json(moore_code(2, 4))
+        bad(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        argv = ["verify", "seq", "--code", str(path)]
+        with pytest.raises(lio.SchemaError):
+            lio.code_from_json(obj)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == kind
+
+
+def test_explicit_exhaustive_never_samples(tmp_path, capsys):
+    """C(175, <= 5) patterns exceed the exhaustive budget: `auto` falls back
+    to the girth certificate, an explicit `exhaustive` is refused."""
+    hs = str(tmp_path / "hs.json")
+    assert main(["construct", "incidence", "--graph", "hoffman-singleton",
+                 "--out", hs]) == 0
+    capsys.readouterr()
+    argv = ["verify", "seq", "--code", hs, "--r", "6", "--t", "5"]
+    assert main(argv + ["--mode", "exhaustive"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
+    assert main(argv + ["--mode", "auto"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mode"] == "certificate" and rep["witness"] == [0, 1, 2, 3, 4]

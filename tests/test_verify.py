@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from lrckit import graphs, verify
-from lrckit.code import LinearCode
+from lrckit.code import BudgetExceeded, LinearCode
 from lrckit.field import field_make
 from lrckit.graphs import girth, shortest_cycle
 from lrckit.lr_codes import product_avail_code, steiner_sa_code, \
@@ -284,6 +284,33 @@ def test_verifiers_reject_empty_budgets(r, t, samples):
     else:
         with pytest.raises(ValueError):
             availability_check(pet, r, t)
+
+
+def test_explicit_exhaustive_over_budget_raises():
+    """Only `auto` may fall back from enumeration; an explicit `exhaustive`
+    over the budget is an error, never a sampled verdict."""
+    pet = moore_code(2, 4)  # 15 coordinates: 1940 patterns of size <= 4
+    with pytest.raises(BudgetExceeded):
+        seq_recovery_check(pet, 2, 4, mode="exhaustive", budget=1939)
+    assert seq_recovery_check(pet, 2, 4, budget=1939).mode == "certificate"
+    assert seq_recovery_check(pet, mode="exhaustive").mode == "exhaustive"
+
+
+def test_parallel_sample_needs_sampled_mode():
+    pet = moore_code(2, 4)
+    for mode in ("auto", "exhaustive", "certificate"):
+        with pytest.raises(ValueError):
+            seq_recovery_check(pet, 2, 4, mode=mode, jobs=2)
+    with pytest.raises(ValueError):
+        seq_recovery_check(pet, 2, 4, mode="sampled", samples=3, jobs=4)
+
+
+@pytest.mark.parametrize("check", [availability_check, seq_recovery_check,
+                                   classify_rate_optimal_t2])
+def test_undeclared_locality_raises(check):
+    bare = LinearCode(moore_code(2, 4).H)  # no declared params
+    with pytest.raises(ValueError, match="declares none"):
+        check(bare)
 
 
 def test_availability_spc_fails():
