@@ -3,23 +3,22 @@
 A code is held by a parity-check matrix (possibly with redundant rows; the
 strict-availability constructions deliberately keep all local checks) and an
 optional generator.  The dimension is always derived from rank, never
-trusted from metadata.  Includes puncturing/shortening/dual, brute-force
-minimum distance, generalized Hamming weights (minimum support weights) and
-an MDS test.
+trusted from metadata.  Includes puncturing/shortening/dual, exact minimum
+distance, generalized Hamming weights (minimum support weights, both by
+`matrix.subspaces`) and an MDS test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
+from functools import partial, reduce
 from operator import or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
 from .matrix import (Mat, first_dependent, mat_nullspace, mat_rank, row_span,
-                     rref)
+                     rref, subspaces)
 
 #: enumeration ceilings, surfaced in verification reports
 MIN_DISTANCE_BUDGET = 2 ** 24
@@ -85,11 +84,11 @@ class LinearCode:
         self.gf: GF = H.gf
         self.H = H
         self.n = H.cols
-        self._rank_h = mat_rank(H)
-        self.k = self.n - self._rank_h
+        self.k = self.n - mat_rank(H)
         self._G = G
         if G is not None:
-            if G.cols != self.n or mat_rank(G) != self.k:
+            # k independent rows: the subspace walk needs them
+            if (G.cols, G.rows, mat_rank(G)) != (self.n, self.k, self.k):
                 raise ValueError("generator inconsistent with parity check")
             if not H.mul(G.transpose()).is_zero():
                 raise ValueError("G H^T != 0")
@@ -186,27 +185,6 @@ def shorten(c: LinearCode, S: Sequence[int]) -> LinearCode:
 # minimum distance
 # ---------------------------------------------------------------------------
 
-def _gray_flips(m: int) -> Iterator[int]:
-    """The bit that each step 1 .. 2^m - 1 of the binary-reflected Gray
-    code flips (the lowest set bit of the step), so XOR-ing the flipped
-    vector into a running word walks every combination of m vectors."""
-    for t in range(1, 1 << m):
-        yield (t & -t).bit_length() - 1
-
-
-def _min_distance_gf2(c: LinearCode) -> int:
-    """Gray-code enumeration of all nonzero codewords, bit-packed."""
-    basis = c.generator().bits
-    best = c.n + 1
-    cw = 0
-    for b in _gray_flips(len(basis)):
-        cw ^= basis[b]
-        w = cw.bit_count()
-        if 0 < w < best:
-            best = w
-    return best
-
-
 def _min_distance_columns(c: LinearCode) -> int:
     """Smallest number of linearly dependent columns of a full-rank H."""
     H = c.full_rank_checks()
@@ -219,11 +197,10 @@ def _min_distance_columns(c: LinearCode) -> int:
 def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
-    Picks the cheapest exact strategy: codeword enumeration (a Gray walk over
-    the bit-packed generator over GF(2), else one word per 1-dimensional
-    subspace via `support_weight`) or a search for the smallest dependent
-    column set of H.  Raises BudgetExceeded when neither fits within
-    `budget` steps.
+    Picks the cheaper exact strategy: enumerating one codeword per
+    1-dimensional subspace, `support_weight(c, 1)`, or searching for the
+    smallest dependent column set of H.  Raises BudgetExceeded when neither
+    fits within `budget` steps.
     """
     if c.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
@@ -231,8 +208,6 @@ def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
     col_cost = sum(math.comb(c.n, w) for w in range(1, c.n - c.k + 2))
     if enum_cost <= budget and (c.gf.q == 2 or enum_cost <= col_cost
                                 or col_cost > budget):
-        if c.gf.q == 2:
-            return _min_distance_gf2(c)
         return support_weight(c, 1, budget)
     if col_cost <= budget:
         return _min_distance_columns(c)
@@ -252,69 +227,24 @@ def _gaussian_binomial(k: int, i: int, q: int) -> int:
     return num // den
 
 
-def _subspace_bases(k: int, i: int, q: int) -> Iterator[List[List[int]]]:
-    """All i-dim subspaces of GF(q)^k, as canonical RREF basis matrices."""
-    for pivots in combinations(range(k), i):
-        free_positions = []
-        for row, pc in enumerate(pivots):
-            for col in range(pc + 1, k):
-                if col not in pivots:
-                    free_positions.append((row, col))
-        nfree = len(free_positions)
-        for code in range(q ** nfree):
-            basis = [[0] * k for _ in range(i)]
-            for row, pc in enumerate(pivots):
-                basis[row][pc] = 1
-            v = code
-            for (row, col) in free_positions:
-                basis[row][col] = v % q
-                v //= q
-            yield basis
-
-
-def _support_weight_gf2(rows: Sequence[int], i: int, best: int) -> int:
-    """`support_weight` over GF(2) on the generator's bit rows: the same
-    subspaces as `_subspace_bases`, each free entry walked in Gray order, so
-    one step XORs one generator row into one basis word, and a support is
-    the OR of the i words."""
-    k = len(rows)
-    for pivots in combinations(range(k), i):
-        words = [rows[pc] for pc in pivots]
-        flips = [(row, rows[col]) for row, pc in enumerate(pivots)
-                 for col in range(pc + 1, k) if col not in pivots]
-        best = min(best, reduce(or_, words).bit_count())
-        for b in _gray_flips(len(flips)):
-            row, v = flips[b]
-            words[row] ^= v
-            best = min(best, reduce(or_, words).bit_count())
-    return best
-
-
 def support_weight(c: LinearCode, i: int,
                    budget: int = SUPPORT_WEIGHT_BUDGET) -> int:
     """i-th minimum support weight: the smallest support of an i-dimensional
-    subcode.  i = 1 gives the minimum distance."""
+    subcode, over every subspace of the generator's span that `subspaces`
+    walks.  i = 1 gives the minimum distance."""
     if not 1 <= i <= c.k:
         raise ValueError(f"need 1 <= i <= k, got {i}")
     count = _gaussian_binomial(c.k, i, c.gf.q)
     if count > budget:
         raise BudgetExceeded(f"{count} subspaces > budget {budget}")
-    G = c.generator()
-    best = c.n + 1
-    if c.gf.q == 2:
-        return _support_weight_gf2(G.bits, i, best)
-    Gt = G.transpose()
-    for basis in _subspace_bases(c.k, i, c.gf.q):
-        support = set()
-        for msg in basis:
-            for j, x in enumerate(Gt.mul_vec(msg)):
-                if x:
-                    support.add(j)
-            if len(support) >= best:
-                break
-        if len(support) < best:
-            best = len(support)
-    return best
+    bases = subspaces(c.generator(), i)
+    if c.gf.q > 2:  # outside the support, every word's log is -1
+        return c.n - max((w[0] if i == 1 else list(map(max, *w))).count(-1)
+                         for w in bases)
+    if i == 1:  # min_distance's walk, which needs no union
+        return min(w.bit_count() for (w,) in bases)
+    # the support is the OR of the i bit masks
+    return min(map(int.bit_count, map(partial(reduce, or_), bases)))
 
 
 def is_mds(c: LinearCode, budget: int = IS_MDS_BUDGET) -> bool:

@@ -3,8 +3,8 @@
 Elements are plain Python ints in [0, p^m): the base-p digits of the int are
 the coefficients of the polynomial representation, so for GF(2^m) the int is
 the usual bit-packed form.  Multiplication and inversion go through
-precomputed log/antilog tables (fields used here never exceed 2^20 elements,
-so the tables are cheap and make the linear-algebra verifiers fast).
+precomputed log/antilog tables (`GF` refuses more than 2^20 elements, so
+the tables are cheap and make the linear-algebra verifiers fast).
 Addition is XOR in characteristic 2 and integer addition mod p in prime
 fields; in odd-characteristic extension fields it uses Zech logarithms,
 a + b = a (1 + b/a), read from a table of log(1 + g^i) built with the field.
@@ -15,6 +15,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+
+#: the largest field GF builds; its tables hold a few ints per element
+MAX_FIELD_SIZE = 1 << 20
 
 
 class FieldError(ValueError):
@@ -177,6 +181,10 @@ class GF:
             raise NotPrime(f"{p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
+        # p^21 > 2^20 already, so a larger m need not be raised to
+        if p ** min(m, 21) > MAX_FIELD_SIZE:
+            raise FieldError(f"GF({p}^{m}) has more than {MAX_FIELD_SIZE} "
+                             "elements")
         self.p = p
         self.m = m
         self.q = p ** m

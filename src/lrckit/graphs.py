@@ -13,11 +13,11 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .field import GF, field_make, prime_power
-from .matrix import Mat
+from .matrix import Mat, lines
 from .code import CodeParams, ConstructionFailed, LinearCode
 
 
@@ -42,7 +42,8 @@ class NotInCatalog(LookupError):
 
 
 class Graph:
-    """Undirected simple graph with optional node labels (layer tags)."""
+    """Undirected simple graph with optional node labels (the sides of a
+    bipartite graph, the points and lines of a geometry)."""
 
     __slots__ = ("node_count", "edges", "labels")
 
@@ -269,8 +270,7 @@ def hoffman_singleton_graph() -> Graph:
 def _projective_points(gf: GF, dim: int) -> List[Tuple[int, ...]]:
     """Normalized representatives (first nonzero coordinate 1) of the
     one-dimensional subspaces of GF(q)^dim, first coordinate fastest."""
-    vecs = (v[::-1] for v in product(range(gf.q), repeat=dim))
-    return [v for v in vecs if next((x for x in v if x), 0) == 1]
+    return sorted(lines(Mat.identity(gf, dim)), key=lambda v: v[::-1])
 
 
 def pg_incidence_graph(q: int) -> Graph:

@@ -12,10 +12,15 @@ Independence of column subsets is tested on a `ColumnBasis`, which inserts
 columns one at a time and undoes the last: `columns_independent` checks one
 subset, and `first_dependent` is the one exhaustive search, a depth-first
 walk over staged column subsets that shares each prefix's reduction.
+
+`subspaces` is the one enumeration of a row space, each i-dimensional
+subspace once in a Gray order; `row_span`, every combination in counter
+order, is kept as the plain reference.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
@@ -66,6 +71,8 @@ class Mat:
         ncols = len(rows[0]) if rows else (cols or 0)
         if any(len(r) != ncols for r in rows):
             raise MatrixError("ragged rows")
+        if cols is not None and cols != ncols:
+            raise MatrixError(f"rows of length {ncols}, declared cols {cols}")
         q = gf.q
         try:
             for r in rows:
@@ -339,18 +346,9 @@ def mat_solve(M: Mat, b: Sequence[int]) -> Optional[Tuple[int, ...]]:
 def row_span(M: Mat) -> Iterator[Tuple[int, ...]]:
     """Every linear combination of the rows of M, the zero word first; the
     coefficients count up in base q, the first row's fastest."""
-    q, k = M.gf.q, M.rows
     Mt = M.transpose()
-    msg = [0] * k
-    while True:
-        yield Mt.mul_vec(msg)
-        i = 0
-        while i < k and msg[i] == q - 1:
-            msg[i] = 0
-            i += 1
-        if i == k:
-            return
-        msg[i] += 1
+    for msg in product(range(M.gf.q), repeat=M.rows):  # the last digit fastest
+        yield Mt.mul_vec(msg[::-1])
 
 
 def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:
@@ -366,6 +364,68 @@ def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:
         raise MatrixError("more rows than points")
     data = [[gf.pow(x, i) for x in pts] for i in range(rows)]
     return Mat(gf, data, cols=len(pts))
+
+
+def subspaces(M: Mat, i: int) -> Iterator[list]:
+    """Each i-dimensional subspace of the row space of M, whose rows must be
+    independent, once, as the i words of its reduced basis.
+
+    For each set of i pivot rows, word j is pivot row j plus a free multiple
+    of each later row that is not a pivot.  The free coefficients follow the
+    modular q-ary Gray code: step s adds 1 mod q to the digit indexed by the
+    number of trailing zeros of s in base q, so each step adds one multiple
+    of one row to one word.  With i = 1 this visits each nonzero word once up
+    to a scalar.  A word is a bit mask over GF(2) and a log-domain list (as
+    in `_sub_mul`) over larger fields; the yielded list and its words change
+    with the next step, so copy what you keep.
+    """
+    k, gf = M.rows, M.gf
+    q, log = gf.q, gf._log
+    if q == 2:
+        rows = adds = M.bits
+    else:
+        rows = [[log[x] if x else -1 for x in row] for row in M.data]
+        adds = [[(c, x) for c, x in enumerate(row) if x >= 0] for row in rows]
+        # digit d stands for the element d, so the step from d to d + 1
+        # subtracts d - (d + 1) times the row
+        step = [log[gf.sub(d, (d + 1) % q)] for d in range(q)]
+    for pivots in combinations(range(k), i):
+        words = [rows[p] if q == 2 else rows[p][:] for p in pivots]
+        free = [(j, adds[c]) for j, p in enumerate(pivots)
+                for c in range(p + 1, k) if c not in pivots]
+        yield words
+        if q == 2:
+            if free:  # digit 0 flips on every odd step: walk in pairs
+                j0, v0 = free[0]
+                for s in range(2, 1 << len(free), 2):
+                    words[j0] ^= v0
+                    yield words
+                    j, v = free[(s & -s).bit_length() - 1]
+                    words[j] ^= v
+                    yield words
+                words[j0] ^= v0
+                yield words
+            continue
+        digits = [0] * len(free)
+        for s in range(1, q ** len(free)):
+            d = 0
+            while not s % q:
+                s //= q
+                d += 1
+            j, y = free[d]
+            _sub_mul(words[j], y, step[digits[d]], gf)
+            digits[d] = (digits[d] + 1) % q
+            yield words
+
+
+def lines(M: Mat) -> Iterator[Tuple[int, ...]]:
+    """One nonzero word of each 1-dimensional subspace of the row space of M,
+    whose rows must be independent, as a tuple of entries, in the order
+    `subspaces` walks them."""
+    exp = M.gf._exp + [0]  # a log of -1, a zero entry, reads the 0
+    for (w,) in subspaces(M, 1):
+        yield (tuple(_unpack(w, M.cols)) if M.bits is not None else
+               tuple(map(exp.__getitem__, w)))
 
 
 class ColumnBasis:

@@ -15,8 +15,8 @@ from itertools import accumulate, product
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .code import CodeParams, LinearCode, checked, code_from_generator
-from .field import (GF, FieldTooSmall, field_make, prime_power,
-                    subfield_embedding)
+from .field import (GF, MAX_FIELD_SIZE, FieldTooSmall, field_make,
+                    prime_power, subfield_embedding)
 from .matrix import Mat, first_dependent, vandermonde
 
 if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
@@ -230,7 +230,7 @@ def mr_r12(m: int, r: int) -> LinearCode:
 # (r, delta, 2) maximal recoverable codes with O(n) field size
 # ---------------------------------------------------------------------------
 
-def _prime_powers_from(start: int, limit: int = 1 << 20):
+def _prime_powers_from(start: int, limit: int = MAX_FIELD_SIZE):
     q = max(start, 2)
     while q <= limit:
         if prime_power(q):

@@ -231,9 +231,7 @@ def _base_graph_odd(r: int, s: int) -> Tuple[Graph, List[List[int]]]:
         for u in lg:
             for v in rg:
                 edges.append((u, v))
-    g = Graph(next_id, edges,
-              labels={f"layer{i}": layers[i] for i in range(s + 1)})
-    return g, layers
+    return Graph(next_id, edges), layers
 
 
 def _color_tree_and_gadgets(r: int, s: int):
@@ -289,8 +287,7 @@ def _color_tree_and_gadgets(r: int, s: int):
             # dbl nodes 0..half-1 take the first half of `members`,
             # half..count-1 the second half
             add_edge(members[u], members[v], allowed[gcolors.colors[eidx]])
-    g = Graph(next_id, edges,
-              labels={f"layer{i}": depth_nodes[i] for i in range(s + 1)})
+    g = Graph(next_id, edges)
     return g, depth_nodes, [colors[e] for e in g.edges]
 
 
@@ -342,12 +339,9 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
             base_colors.append(coloring.colors[eidx])
         base = Graph(g0.node_count - 1, base_edges)
         layer0 = [v - 1 for v in layers[0]]
-        base_node_layers = {i: [v - 1 for v in layers[i]]
-                            for i in range(s + 1)}
     else:
         base, depth_nodes, base_colors = _color_tree_and_gadgets(r, s)
         layer0 = depth_nodes[0]
-        base_node_layers = {i: depth_nodes[i] for i in range(s + 1)}
         if not check_proper_coloring(base, EdgeColoring(tuple(base_colors),
                                                         r + 1)):
             raise ConstructionFailed("base graph coloring is not proper")
@@ -388,11 +382,7 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
     for v in layer0:
         for u in range(n_aux):
             exp_edges.append((node_id(v, u), apex))
-    layer_labels = {f"layer{i}": [node_id(v, u) for v in vs
-                                  for u in range(n_aux)]
-                    for i, vs in base_node_layers.items()}
-    layer_labels["apex"] = [apex]
-    expanded = Graph(nb * n_aux + 1, exp_edges, labels=layer_labels)
+    expanded = Graph(nb * n_aux + 1, exp_edges)
     got_girth = girth(expanded)
     if got_girth < t + 1:
         raise ConstructionFailed(

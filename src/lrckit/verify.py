@@ -17,8 +17,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
 from .code import BudgetExceeded, LinearCode, is_mds, min_distance
-from .matrix import (Mat, columns_independent, first_dependent, mat_rank,
-                     row_span)
+from .matrix import (Mat, columns_independent, first_dependent, lines,
+                     mat_rank, rref)
 from .mr_codes import LocalStructure
 
 SEQ_EXHAUSTIVE_BUDGET = 10 ** 6
@@ -80,9 +80,9 @@ def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]
 
     Rows of the stored parity-check matrix are always candidates (the
     constructions carry their local checks there explicitly); for codes of
-    length <= 14 the whole dual is enumerated so nothing is missed.  Beyond
-    that, an adversarial code whose low-weight words are not among its
-    stored rows could be under-served — peeling verdicts are then
+    length <= 14 every line of the dual is walked so nothing is missed.
+    Beyond that, an adversarial code whose low-weight words are not among
+    its stored rows could be under-served — peeling verdicts are then
     conservative (may report unrecoverable for a recoverable pattern),
     never falsely positive.
     """
@@ -91,10 +91,9 @@ def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]
     if code.n <= DUAL_ENUM_MAX_N:
         basis = code.full_rank_checks()
         if code.gf.q ** basis.rows <= DUAL_ENUM_MAX_WORDS:
-            for word in row_span(basis):
-                sup = frozenset(j for j, x in enumerate(word) if x)
-                if 0 < len(sup) <= wmax:
-                    supports.add(sup)
+            for word in lines(basis):
+                if len(word) - word.count(0) <= wmax:
+                    supports.add(frozenset(j for j, x in enumerate(word) if x))
     return sorted(supports, key=lambda s: (len(s), sorted(s)))
 
 
@@ -603,24 +602,35 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
 
 def _greedy_low_weight_basis(code: LinearCode, wmax: int) -> Optional[Mat]:
     """A full dual basis chosen greedily from minimum-weight dual words
-    (falls back to parity-check rows when the dual is too big to walk)."""
+    (falls back to parity-check rows when the dual is too big to walk).
+    Words of one weight come in the order in which a count over the
+    coefficients of the RREF dual basis, the first row's digit fastest,
+    first reaches a multiple of each."""
     gf = code.gf
     m = code.n - code.k
-    basis = code.full_rank_checks()
-    source = (row_span(basis) if gf.q ** basis.rows <= DUAL_ENUM_MAX_WORDS
-              else code.H.data)
-    words = sorted((w for w in source if 0 < len(w) - w.count(0) <= wmax),
-                   key=lambda w: len(w) - w.count(0))
+    basis, pivots = rref(code.H)
+
+    def weight(w):
+        return len(w) - w.count(0)
+
+    def first_count(w):  # as digits, the most significant first
+        c = [w[p] for p in reversed(pivots)]  # coefficients: RREF pivots
+        inv = gf.inv(next(x for x in c if x))
+        return [gf.mul(x, inv) for x in c]
+
+    if gf.q ** basis.rows <= DUAL_ENUM_MAX_WORDS:
+        words = sorted((w for w in lines(basis) if weight(w) <= wmax),
+                       key=lambda w: (weight(w), first_count(w)))
+    else:
+        words = sorted((w for w in code.H.data if 0 < weight(w) <= wmax),
+                       key=weight)
     chosen: List[Tuple[int, ...]] = []
     for w in words:
         if len(chosen) == m:
             break
-        trial = Mat(gf, chosen + [list(w)], cols=code.n)
-        if mat_rank(trial) == len(chosen) + 1:
-            chosen.append(tuple(w))
-    if len(chosen) != m:
-        return None
-    return Mat(gf, [list(w) for w in chosen], cols=code.n)
+        if mat_rank(Mat(gf, chosen + [w], cols=code.n)) > len(chosen):
+            chosen.append(w)
+    return Mat(gf, chosen, cols=code.n) if len(chosen) == m else None
 
 
 def classify_rate_optimal_t2(code: LinearCode,

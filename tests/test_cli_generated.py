@@ -38,15 +38,16 @@ STRINGS = {
 # Flags drawn on every run: the default of 10^5 samples takes seconds.
 ALWAYS = {"samples"}
 COMMANDS = {"construct": 3, "bound": 2, "verify": 6, "report": 1}
-# Small code files to verify: n <= 21, and q^(n-k) <= 10^4 wherever the
-# verifiers enumerate the whole dual (n <= 14).  The last three carry local
-# groups.
+# Small code files to verify: n <= 21.  The last four carry local groups;
+# mr-r12 is a short code over GF(16) whose whole dual (16^5 words) the
+# verifiers walk.
 CODES = {"k4": "moore --r 2 --t 2", "petersen": "moore --r 2 --t 4",
          "heawood-gf3": "incidence --graph heawood --q 3",
          "t2": "turan --r 2 --beta 2",
          "mr-rd2": "mr-rd2 --m 2 --r 2 --delta 1 --psi 4",
          "pmr-split": "pmr-split --m 2 --r 3 --delta 2 --q 7",
-         "mr-coset": "mr-coset --n 6 --d-param 1 --q 13"}
+         "mr-coset": "mr-coset --n 6 --d-param 1 --q 13",
+         "mr-r12": "mr-r12 --m 3 --r 2"}
 
 
 def _value(rng, flag, spec, ints, files):

@@ -15,10 +15,11 @@ from lrckit.bounds import msw_sequence
 from lrckit.code import (BudgetExceeded, LinearCode, code_from_generator,
                          dual, is_mds, min_distance,
                          puncture, shorten, support_weight,
-                         _gray_flips, _min_distance_columns)
-from lrckit.field import field_make
+                         _gaussian_binomial, _min_distance_columns)
+from lrckit.field import field_make, field_of_size
 from lrckit.lr_codes import tamo_barg_code
-from lrckit.matrix import Mat, mat_rank, vandermonde
+from lrckit.matrix import (Mat, lines, mat_rank, rref, subspaces,
+                           vandermonde)
 
 GF2 = field_make(2)
 
@@ -97,9 +98,11 @@ def test_min_distance_strategies_agree():
             c = small_random_code(gf, 7, rng)
             if c.k == 0:
                 continue
-            by_enum = support_weight(c, 1)
+            reference = min(sum(map(bool, w)) for w in c.codewords()
+                            if any(w))
+            by_walk = support_weight(c, 1)
             by_cols = _min_distance_columns(c)
-            assert by_enum == by_cols == min_distance(c)
+            assert by_walk == by_cols == reference == min_distance(c)
 
 
 def test_min_distance_budget():
@@ -130,8 +133,10 @@ def test_support_weight_monotone():
 
 def _support_weight_reference(c, i):
     """Smallest support over every i-subset of nonzero codewords that spans
-    an i-dimensional subcode, by listing the codewords outright."""
-    words = [w for w in c.codewords() if any(w)]
+    an i-dimensional subcode, by listing the codewords outright; only those
+    whose first nonzero entry is 1, since scaling keeps a word's support."""
+    words = [w for w in c.codewords()
+             if any(w) and next(x for x in w if x) == 1]
     best = c.n + 1
     for subset in combinations(words, i):
         if mat_rank(Mat(c.gf, list(subset))) == i:
@@ -142,26 +147,54 @@ def _support_weight_reference(c, i):
 
 @pytest.mark.parametrize("m", range(7))
 def test_gray_flips_walk_every_combination_once(m):
-    # XOR-ing the flipped unit vector into a running word must visit all
-    # 2^m words, each once, starting after the zero word
-    word, seen = 0, [0]
-    for b in _gray_flips(m):
-        assert 0 <= b < m
-        word ^= 1 << b
-        seen.append(word)
+    # over GF(2), the 1-dimensional subspaces of the span of m unit vectors
+    # are its 2^m - 1 nonzero words, each walked once
+    seen = [0] + [word for (word,) in subspaces(Mat.identity(GF2, m), 1)]
     assert sorted(seen) == list(range(1 << m))
+
+
+def _entries(gf, word, n):
+    """A word that `subspaces` yields, as a tuple of entries."""
+    if gf.q == 2:
+        return Mat.from_bits(gf, [word], n).data[0]
+    return tuple(gf._exp[x] if x >= 0 else 0 for x in word)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_subspaces_walk_each_subspace_once(q):
+    gf = field_of_size(q)
+    rng = random.Random(q)
+    for k in range(1, 5):
+        n = k + rng.randrange(3)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        while mat_rank(Mat(gf, rows, cols=n)) < k:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        M = Mat(gf, rows, cols=n)
+        span = set(code_from_generator(M).codewords())
+        for i in range(1, min(k, 3) + 1):
+            seen = set()
+            for words in subspaces(M, i):
+                basis = [_entries(gf, w, n) for w in words]
+                assert len(basis) == i and set(basis) <= span
+                R, _ = rref(Mat(gf, basis, cols=n))
+                assert R.rows == i
+                seen.add(R)
+            assert len(seen) == _gaussian_binomial(k, i, q)
+        assert list(lines(M)) == [_entries(gf, w, n)
+                                  for (w,) in subspaces(M, 1)]
 
 
 def test_support_weight_gf2_matches_reference():
     rng = random.Random(7)
-    checked = 0
-    while checked < 12:
-        c = small_random_code(GF2, rng.randrange(4, 8), rng)
-        if not 1 <= c.k <= 4:
-            continue
-        for i in range(1, c.k + 1):
-            assert support_weight(c, i) == _support_weight_reference(c, i)
-        checked += 1
+    for gf, count in ((GF2, 12), (field_make(3), 6), (field_make(2, 2), 6)):
+        checked = 0
+        while checked < count:
+            c = small_random_code(gf, rng.randrange(4, 8), rng)
+            if not 1 <= c.k <= (4 if gf.q == 2 else 3):
+                continue
+            for i in range(1, c.k + 1):
+                assert support_weight(c, i) == _support_weight_reference(c, i)
+            checked += 1
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from lrckit.field import (DivideByZero, NotPrime, ReducibleModulus,
-                          field_make, field_of_size, prime_power,
-                          subfield_embedding)
+from lrckit.field import (GF, MAX_FIELD_SIZE, DivideByZero, FieldError,
+                          NotPrime, ReducibleModulus, field_make,
+                          field_of_size, prime_power, subfield_embedding)
 
 FIELDS = [field_make(2), field_make(3), field_make(7), field_make(2, 4),
           field_make(3, 2), field_make(2, 8), field_make(13)]
@@ -41,6 +41,16 @@ def test_gf9_multiplicative_group():
 def test_not_prime_rejected():
     with pytest.raises(NotPrime):
         field_make(6)
+
+
+@pytest.mark.parametrize("p,m", [(2, 21), (2, 10 ** 9), (1031, 2),
+                                 (1048583, 1)])
+def test_field_above_the_ceiling_rejected(p, m):
+    # before any modulus search or table: GF(2^21) alone would build for
+    # seconds, and GF(2^(10^9)) never finish
+    assert p ** min(m, 21) > MAX_FIELD_SIZE
+    with pytest.raises(FieldError, match="more than"):
+        GF(p, m)
 
 
 def test_reducible_modulus_rejected():

@@ -598,6 +598,23 @@ def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
     assert json.loads(capsys.readouterr().err)["error"] == kind
 
 
+def test_cols_that_disagree_with_the_rows_exit_2(tmp_path, capsys):
+    # the Petersen code, 15 columns, used to load with "cols": 3 as well
+    obj = lio.code_to_json(moore_code(2, 4))
+    obj["cols"] = 3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "seq", "--code", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "MatrixError"
+
+
+def test_field_above_the_ceiling_exit_2(capsys):
+    # GF(7^12) has about 1.4 * 10^10 elements: its tables would fill memory
+    assert main(["construct", "pyramid", "--n", "7", "--k", "4", "--r", "2",
+                 "--p", "7", "--mdeg", "12"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FieldError"
+
+
 def test_explicit_exhaustive_never_samples(tmp_path, capsys):
     """C(175, <= 5) patterns exceed the exhaustive budget: `auto` falls back
     to the girth certificate, an explicit `exhaustive` is refused."""

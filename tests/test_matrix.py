@@ -288,3 +288,13 @@ def test_constructor_rejects_entries_outside_the_field(pm):
         with pytest.raises(MatrixError):
             Mat(gf, rows)
     assert Mat(gf, ([1, 0], (0, 1))).to_lists() == [[1, 0], [0, 1]]
+
+
+def test_constructor_rejects_cols_that_disagree_with_the_rows():
+    for pm in ((2, 1), (5, 1)):
+        gf = field_make(*pm)
+        for cols in (2, 4, 0):
+            with pytest.raises(MatrixError, match="declared cols"):
+                Mat(gf, [[1, 0, 1], [0, 1, 1]], cols=cols)
+        assert Mat(gf, [[1, 0, 1]], cols=3).cols == 3
+        assert (Mat(gf, [], cols=3).rows, Mat(gf, [], cols=3).cols) == (0, 3)
