@@ -15,19 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 
 class BoundError(ValueError):
-    pass
-
-
-class OutOfRegime(BoundError):
-    """Formula preconditions (parameter regime) violated."""
-
-
-class EmptyS(BoundError):
-    """The index set the bound minimizes over is empty (bound vacuous)."""
-
-
-class InvalidMode(BoundError):
-    pass
+    """A bound formula asked outside its regime (docs/schemas.md, Errors)."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +49,7 @@ def hamming_type_bound(n: int, r: int) -> int:
     with minimum distance >= 5:
     k <= rn/(r+1) - min(log2(1 + rn/2), rn/((r+1)(r+2)))."""
     if not (2 <= r <= n / 2 - 2):
-        raise OutOfRegime(f"need 2 <= r <= n/2 - 2, got r={r}, n={n}")
+        raise BoundError(f"need 2 <= r <= n/2 - 2, got r={r}, n={n}")
     rn = r * n
     bound = rn / (r + 1) - min(math.log2(1 + rn / 2),
                                rn / ((r + 1) * (r + 2)))
@@ -177,7 +165,7 @@ def lr_alphabet_dmin_bound(n: int, k: int, r: int, q: int,
     seq = msw_sequence(n, b1, r)
     S = [i for i in range(1, b1 + 1) if seq.term(i) - i < k]
     if not S:
-        raise EmptyS("no shortening index i has e_i - i < k")
+        raise BoundError("no shortening index i has e_i - i < k")
     best, best_i = None, None
     for i in S:
         ei = seq.term(i)
@@ -201,7 +189,7 @@ def lr_alphabet_dim_bound(n: int, d: int, r: int, q: int,
     seq = msw_sequence(n, b1, r)
     S = [i for i in range(1, b1 + 1) if seq.term(i) < n - d + 1]
     if not S:
-        raise EmptyS("no shortening index i has e_i < n - d + 1")
+        raise BoundError("no shortening index i has e_i < n - d + 1")
     best, best_i = None, None
     for i in S:
         ei = seq.term(i)
@@ -259,7 +247,7 @@ def seq_blocklength_bounds(k: int, r: int, t: int) -> BoundReport:
         return BoundReport("seq-blocklength", {"k": k, "r": r, "t": 2}, v,
                            formula="k + ceil(2k/r)")
     if t != 3:
-        raise InvalidMode(f"block-length bounds implemented for t in (2, 3)")
+        raise BoundError(f"block-length bounds implemented for t in (2, 3)")
     prior = k + ceil_div(2 * k + ceil_div(k, r), r)
 
     def f1(s1: int) -> int:
@@ -477,22 +465,22 @@ def msr_subpkt_bounds(n: int, k: int, d: int, w: Optional[int],
     s = d - k + 1
     if mode == "msr_d_n1":
         if d != n - 1:
-            raise InvalidMode("mode msr_d_n1 requires d = n-1")
+            raise BoundError("mode msr_d_n1 requires d = n-1")
         return min(r ** ceil_div(n - 1, r), r ** (k - 1))
     if mode == "msr_const_repair":
         if d != n - 1:
-            raise InvalidMode("mode msr_const_repair requires d = n-1")
+            raise BoundError("mode msr_const_repair requires d = n-1")
         return min(r ** ceil_div(n, r), r ** (k - 1))
     if mode == "msr_any_d":
         return min(s ** ceil_div(n - 1, s), s ** (k - 1))
     if mode in ("mds_w_d_n1", "mds_w_any_d"):
         if w is None or not 1 <= w <= n:
-            raise InvalidMode("w in [1, n] required for the mds modes")
+            raise BoundError("w in [1, n] required for the mds modes")
         base = r if mode == "mds_w_d_n1" else s
         if mode == "mds_w_d_n1" and d != n - 1:
-            raise InvalidMode("mode mds_w_d_n1 requires d = n-1")
+            raise BoundError("mode mds_w_d_n1 requires d = n-1")
         v = base ** ceil_div(w, base)
         if w > k - 1:
             return min(v, base ** (k - 1))
         return v
-    raise InvalidMode(f"mode must be one of {MSR_SUBPKT_MODES}")
+    raise BoundError(f"mode must be one of {MSR_SUBPKT_MODES}")

@@ -9,7 +9,8 @@ run gets a parser, so a missing or foreign flag is a usage error naming it.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or input errors, or an internal error (machine-readable JSON on
-stderr in both cases).
+stderr in both cases).  The JSON's `error` is one of a closed set: `usage`,
+`io`, `internal`, `ValueError`, or the name of one of the `ERRORS` classes.
 """
 
 from __future__ import annotations
@@ -26,8 +27,16 @@ from . import bounds as B
 from . import graphs
 from . import io as lio
 from . import lr_codes, mr_codes, seq_codes, verify
-from .field import GF, field_make, prime_power
+from .code import (BudgetExceeded, ConstructionFailed, NotInCatalog,
+                   SearchExhausted)
+from .field import GF, DivideByZero, FieldError, field_make, prime_power
+from .matrix import MatrixError
 from .version import __version__
+
+#: lrckit's failure kinds, one class each; exit 2 reports the class name
+ERRORS = (FieldError, DivideByZero, MatrixError, graphs.GraphError,
+          lio.SchemaError, B.BoundError, NotInCatalog, SearchExhausted,
+          BudgetExceeded, ConstructionFailed)
 
 
 def _manifest(args: List[str], seed: Optional[int] = None) -> dict:
@@ -75,7 +84,10 @@ def _enc(v):
 
 def _field(q=None, p=None, mdeg=None, modulus=None) -> GF:
     """GF(q), or GF(p^mdeg); `modulus` is a JSON list of coefficients."""
-    modulus = json.loads(modulus) if modulus else None
+    try:
+        modulus = json.loads(modulus) if modulus else None
+    except json.JSONDecodeError:
+        raise FieldError(f"--modulus {modulus!r} is not JSON") from None
     if q:
         pm = prime_power(q)
         if pm is None:
@@ -211,7 +223,7 @@ def _dim_bounds(n: int, d: int, q: int, rmax: int) -> dict:
     for r in range(2, rmax + 1):
         try:
             packing = B.hamming_type_bound(n, r)
-        except B.OutOfRegime:
+        except B.BoundError:
             packing = None
         rows.append({"r": r, "packing_closed_form": packing,
                      "msw_shortening": B.lr_alphabet_dim_bound(n, d, r, q)
@@ -389,8 +401,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail("usage", str(e))
     except SystemExit as e:  # --help printed its text
         return 2 if e.code not in (0, None) else 0
-    except (ValueError, LookupError, RuntimeError) as e:
+    except ERRORS as e:
         return _fail(type(e).__name__, str(e))
+    except ValueError as e:  # an argument outside its domain
+        return _fail("ValueError", str(e))
     except OSError as e:
         return _fail("io", str(e))
     except Exception as e:  # a defect: still JSON on stderr, never exit 1

@@ -6,6 +6,9 @@ optional generator.  The dimension is always derived from rank, never
 trusted from metadata.  Includes puncturing/shortening/dual, exact minimum
 distance, generalized Hamming weights (minimum support weights, both by
 `matrix.subspaces`) and an MDS test.
+
+Also home to the four failure kinds that belong to no one input type:
+`NotInCatalog`, `SearchExhausted`, `BudgetExceeded`, `ConstructionFailed`.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ SUPPORT_WEIGHT_BUDGET = 10 ** 6
 IS_MDS_BUDGET = 10 ** 6
 
 
+class NotInCatalog(LookupError):
+    """Valid parameters that no construction or catalogued object serves."""
+
+
+class SearchExhausted(RuntimeError):
+    """A seeded or greedy search gave up; another field or seed may do."""
+
+
 class BudgetExceeded(RuntimeError):
     """Exact enumeration would exceed the declared budget."""
-
-
-class IndexOutOfRange(ValueError):
-    pass
 
 
 class ConstructionFailed(RuntimeError):
@@ -58,21 +65,6 @@ class CodeParams:
 
     def as_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    indices: Tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(self.indices))
-        if len(set(idx)) != len(idx):
-            raise IndexOutOfRange("repeated erasure index")
-        object.__setattr__(self, "indices", idx)
-
-    def check_range(self, n: int) -> None:
-        if self.indices and (self.indices[0] < 0 or self.indices[-1] >= n):
-            raise IndexOutOfRange(f"erasure index outside [0, {n})")
 
 
 class LinearCode:
@@ -154,7 +146,7 @@ def dual(c: LinearCode) -> LinearCode:
 def _complement(n: int, S: Sequence[int]) -> List[int]:
     s = set(S)
     if s and (min(s) < 0 or max(s) >= n):
-        raise IndexOutOfRange(f"coordinate set outside [0, {n})")
+        raise ValueError(f"coordinate set outside [0, {n})")
     return [i for i in range(n) if i not in s]
 
 

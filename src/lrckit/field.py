@@ -22,23 +22,12 @@ MAX_FIELD_SIZE = 1 << 20
 
 
 class FieldError(ValueError):
-    """Base class for field construction/arithmetic errors."""
-
-
-class NotPrime(FieldError):
-    """Characteristic is not a prime number."""
-
-
-class ReducibleModulus(FieldError):
-    """Supplied modulus polynomial is not irreducible over GF(p)."""
+    """A malformed field, one above `MAX_FIELD_SIZE`, or one that cannot
+    host the construction asked of it."""
 
 
 class DivideByZero(FieldError, ZeroDivisionError):
     """Inversion or division by the zero element."""
-
-
-class FieldTooSmall(FieldError):
-    """The field has fewer elements than a construction needs."""
 
 
 def is_prime(n: int) -> bool:
@@ -72,7 +61,11 @@ def prime_factors(n: int) -> List[int]:
 
 
 def prime_power(n: int) -> Optional[Tuple[int, int]]:
-    """Return (p, m) with n = p^m if n is a prime power, else None."""
+    """Return (p, m) with n = p^m if n is a prime power, else None;
+    FieldError above `MAX_FIELD_SIZE`, before a trial division in sqrt(n)."""
+    if n > MAX_FIELD_SIZE:
+        raise FieldError(f"{n} is above the largest field size, "
+                         f"{MAX_FIELD_SIZE}")
     if n < 2:
         return None
     fs = prime_factors(n)
@@ -177,14 +170,15 @@ class GF:
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
-        # p^21 > 2^20 already, so a larger m need not be raised to
+        # before the trial division of p; p^21 > 2^20 already, so a larger
+        # m need not be raised to
         if p ** min(m, 21) > MAX_FIELD_SIZE:
             raise FieldError(f"GF({p}^{m}) has more than {MAX_FIELD_SIZE} "
                              "elements")
+        if not is_prime(p):
+            raise FieldError(f"{p} is not prime")
         self.p = p
         self.m = m
         self.q = p ** m
@@ -200,7 +194,7 @@ class GF:
                 if len(mod) - 1 != m:
                     raise FieldError(f"modulus degree {len(mod)-1} != {m}")
                 if not _poly_is_irreducible(mod, p):
-                    raise ReducibleModulus(
+                    raise FieldError(
                         f"{list(mod)} is reducible over GF({p})")
             self.modulus = mod
         self._build_tables()
@@ -324,9 +318,6 @@ class GF:
             raise DivideByZero("zero has no multiplicative inverse")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -418,10 +409,4 @@ def subfield_embedding(sub: GF, big: GF) -> List[int]:
             break
     if root is None:
         raise FieldError("modulus has no root in the extension")
-    table = [0] * sub.q
-    for a in range(sub.q):
-        acc = 0
-        for c in reversed(sub.coeffs(a)):
-            acc = big.add(big.mul(acc, root), c)
-        table[a] = acc
-    return table
+    return [big.poly_eval(sub.coeffs(a), root) for a in range(sub.q)]

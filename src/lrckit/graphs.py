@@ -18,27 +18,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .field import GF, field_make, prime_power
 from .matrix import Mat, lines
-from .code import CodeParams, ConstructionFailed, LinearCode
+from .code import (CodeParams, ConstructionFailed, LinearCode, NotInCatalog,
+                   SearchExhausted)
 
 
 class GraphError(ValueError):
-    pass
-
-
-class DegreeSequenceInfeasible(GraphError):
-    pass
-
-
-class InvalidBeta(GraphError):
-    pass
-
-
-class NotBipartiteRegular(GraphError):
-    pass
-
-
-class NotInCatalog(LookupError):
-    pass
+    """A malformed graph, or one that cannot exist or has the wrong shape."""
 
 
 class Graph:
@@ -177,13 +162,13 @@ def graph_from_degree_sequence(degrees: Sequence[int]) -> Graph:
             break
         targets = [v for v in order[1:] if remaining[v] > 0][:d]
         if len(targets) < d:
-            raise DegreeSequenceInfeasible(f"sequence {list(degrees)}")
+            raise GraphError(f"sequence {list(degrees)}")
         remaining[u] = 0
         for v in targets:
             remaining[v] -= 1
             edges.append((u, v))
     if any(remaining):
-        raise DegreeSequenceInfeasible(f"sequence {list(degrees)}")
+        raise GraphError(f"sequence {list(degrees)}")
     return Graph(n, edges)
 
 
@@ -193,11 +178,11 @@ def near_regular_graph(k: int, r: int) -> Graph:
     Feasible when 2k/r >= r+1 (b = 0) or ceil(2k/r) >= r+2 (b > 0).
     """
     if k < 1 or r < 1:
-        raise DegreeSequenceInfeasible("need k, r >= 1")
+        raise GraphError("need k, r >= 1")
     a, b = divmod(2 * k, r)
     m = a + (1 if b else 0)
     if (b == 0 and m < r + 1) or (b > 0 and m < r + 2):
-        raise DegreeSequenceInfeasible(
+        raise GraphError(
             f"no near-regular graph for k={k}, r={r} (m={m})")
     degrees = [r] * a + ([b] if b else [])
     return graph_from_degree_sequence(degrees)
@@ -205,7 +190,7 @@ def near_regular_graph(k: int, r: int) -> Graph:
 
 def regular_graph(nodes: int, degree: int) -> Graph:
     if nodes <= degree or (nodes * degree) % 2:
-        raise DegreeSequenceInfeasible(
+        raise GraphError(
             f"no {degree}-regular graph on {nodes} nodes")
     return graph_from_degree_sequence([degree] * nodes)
 
@@ -213,7 +198,7 @@ def regular_graph(nodes: int, degree: int) -> Graph:
 def turan_graph(r: int, beta: int) -> Graph:
     """Complete multipartite graph on r + beta nodes in parts of size beta."""
     if not (1 <= beta <= r) or r % beta:
-        raise InvalidBeta(f"need beta | r and 1 <= beta <= r, got {beta}, {r}")
+        raise GraphError(f"need beta | r and 1 <= beta <= r, got {beta}, {r}")
     b = r + beta
     part = [i // beta for i in range(b)]
     edges = [(u, v) for u in range(b) for v in range(u + 1, b)
@@ -446,10 +431,10 @@ def edge_color_bipartite(g: Graph) -> EdgeColoring:
     colors, each color class a perfect matching (repeated Hopcroft-Karp)."""
     parts = bipartition(g)
     if parts is None:
-        raise NotBipartiteRegular("graph is not bipartite")
+        raise GraphError("graph is not bipartite")
     degs = set(g.degrees())
     if len(degs) != 1:
-        raise NotBipartiteRegular(f"degrees {sorted(degs)} not regular")
+        raise GraphError(f"degrees {sorted(degs)} not regular")
     d = degs.pop()
     left = set(parts[0])
     # edge lookup: (u, v) with u on the left
@@ -465,7 +450,7 @@ def edge_color_bipartite(g: Graph) -> EdgeColoring:
             adj.setdefault(u, []).append(v)
         matching = hopcroft_karp(adj)
         if len(matching) != len(parts[0]):
-            raise NotBipartiteRegular("no perfect matching found")
+            raise GraphError("no perfect matching found")
         for u, v in matching.items():
             ids = remaining[(u, v)]
             colors[ids.pop()] = color
@@ -516,7 +501,8 @@ def bipartite_regular_girth(degree: int, girth_req: int,
     left node in turn to farthest right nodes with spare degree, and gives
     up on an edge that would close a shorter cycle, so a finished build has
     girth >= girth_req by construction.  Failed builds are retried from
-    `seed`; the side starts at twice the Moore bound and doubles.
+    `seed`; the side starts at twice the Moore bound and doubles, and past
+    64 times it the search gives up with SearchExhausted.
     `girth_req` is rounded up to even (bipartite girths are even).
     """
     if degree < 2:
@@ -539,7 +525,7 @@ def bipartite_regular_girth(degree: int, girth_req: int,
             g = _peg(degree, need, moore_side << double, rng)
             if g is not None:
                 return g
-    raise ConstructionFailed(
+    raise SearchExhausted(
         f"no {degree}-regular bipartite graph of girth {need} found by "
         f"edge growth up to {moore_side << 6} nodes a side")
 

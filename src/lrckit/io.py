@@ -20,7 +20,7 @@ _INT = {int}
 
 
 class SchemaError(ValueError):
-    pass
+    """A malformed input file (docs/schemas.md, Errors)."""
 
 
 _OPT = type(None)  # in a field's types: the field may be left out
@@ -38,7 +38,8 @@ def _check_fields(obj: dict, kinds: dict, what: str) -> None:
         raise SchemaError(f"unknown fields in {what}: {sorted(unknown)}")
     for key, types in kinds.items():
         if types is not None and type(obj.get(key)) not in types:
-            raise SchemaError(f"malformed {what}.{key}: {obj.get(key)!r}")
+            raise SchemaError(f"malformed {what}.{key}: {obj[key]!r}"
+                              if key in obj else f"{what} has no {key}")
 
 
 def field_to_json(gf: GF) -> dict:
@@ -60,7 +61,7 @@ def matrix_to_json(M: Mat) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Mat:
-    _check_fields(obj, {"schema": None, "field": None, "rows": None,
+    _check_fields(obj, {"schema": None, "field": (dict,), "rows": (list,),
                         "cols": _OPT_INT, "manifest": None}, "matrix")
     if obj.get("schema") != "matrix/1":
         raise SchemaError(f"unsupported matrix schema {obj.get('schema')}")
@@ -79,8 +80,11 @@ def structure_from_json(obj: dict) -> LocalStructure:
            for g in obj["groups"]):
         raise SchemaError(f"malformed local_structure.groups: "
                           f"{obj['groups']!r}")
-    return LocalStructure(tuple(tuple(g) for g in obj["groups"]),
-                          delta=obj.get("delta", 1))
+    try:
+        return LocalStructure(tuple(tuple(g) for g in obj["groups"]),
+                              delta=obj.get("delta", 1))
+    except ValueError as e:
+        raise SchemaError(f"local_structure: {e}") from None
 
 
 def code_to_json(code: LinearCode) -> dict:
@@ -99,7 +103,7 @@ def code_to_json(code: LinearCode) -> dict:
 
 
 def code_from_json(obj: dict) -> LinearCode:
-    _check_fields(obj, {"schema": None, "field": None, "rows": None,
+    _check_fields(obj, {"schema": None, "field": (dict,), "rows": (list,),
                         "cols": _OPT_INT, "params": None,
                         "provenance": (dict, _OPT), "local_structure": None,
                         "manifest": None, "verdict": None}, "code")
@@ -185,5 +189,10 @@ def _write(obj, newline: str, put) -> None:
 
 
 def load(path: str) -> dict:
+    """The JSON value in the file at `path`; SchemaError if its bytes are
+    not UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+            raise SchemaError(f"{path} is not UTF-8 JSON: {e}") from None

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from .bounds import ceil_div, lr_singleton_bound
 from .code import (BudgetExceeded, CodeParams, ConstructionFailed, LinearCode,
                    checked, code_from_generator)
-from .field import GF, FieldTooSmall, field_make
+from .field import GF, FieldError, field_make
 from .graphs import pg_incidence_graph
 from .matrix import Mat, mat_nullspace, rref, vandermonde
 from .mr_codes import coordinate_groups
@@ -25,10 +25,6 @@ GF2 = field_make(2)
 
 PRODUCT_CODE_BUDGET = 2 ** 14
 WANG_BUDGET = 10 ** 4
-
-
-class SubgroupUnavailable(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ def pyramid_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     if n1 <= k:
         raise ValueError("no room for a global parity")
     if gf.q < n1:
-        raise FieldTooSmall(f"need q >= {n1}, got {gf.q}")
+        raise FieldError(f"need q >= {n1}, got {gf.q}")
     points = list(range(n1))
     G_rs = vandermonde(gf, points, k)
     G_sys, pivots = rref(G_rs)
@@ -109,7 +105,7 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     """
     q = gf.q
     if min(n, r) < 1 or n % (r + 1) or (q - 1) % n:
-        raise SubgroupUnavailable(
+        raise FieldError(
             f"need n, r >= 1, (r+1) | n and n | q-1; got n={n}, r={r}, q={q}")
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")

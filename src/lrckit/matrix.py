@@ -27,11 +27,7 @@ from .field import GF
 
 
 class MatrixError(ValueError):
-    pass
-
-
-class DuplicatePoint(MatrixError):
-    """Vandermonde evaluation points must be pairwise distinct."""
+    """A malformed matrix, or shapes that do not fit."""
 
 
 # Packing a GF(2) row: entry 0 -> "0", 1 -> "1", anything else -> "x",
@@ -359,7 +355,7 @@ def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
-        raise DuplicatePoint("evaluation points must be distinct")
+        raise MatrixError("evaluation points must be distinct")
     if rows > len(pts):
         raise MatrixError("more rows than points")
     data = [[gf.pow(x, i) for x in pts] for i in range(rows)]

@@ -14,22 +14,14 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .code import CodeParams, LinearCode, checked, code_from_generator
-from .field import (GF, MAX_FIELD_SIZE, FieldTooSmall, field_make,
-                    prime_power, subfield_embedding)
+from .code import (CodeParams, ConstructionFailed, LinearCode,
+                   SearchExhausted, checked, code_from_generator)
+from .field import (GF, MAX_FIELD_SIZE, FieldError, field_make, prime_power,
+                    subfield_embedding)
 from .matrix import Mat, first_dependent, vandermonde
 
 if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
     from .verify import VerifyReport
-
-
-class NoSuitableField(ValueError):
-    pass
-
-
-class SearchExhausted(RuntimeError):
-    """Greedy coset selection could not be extended; a larger field is the
-    usual remedy."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +161,7 @@ def pmr_parity_split(m: int, r: int, delta: int, gf: GF) -> LinearCode:
     shape = PmrParams(m, r, delta)
     k0 = shape.k0
     if gf.q < k0 + 1:
-        raise FieldTooSmall(f"need q >= {k0 + 1}, got {gf.q}")
+        raise FieldError(f"need q >= {k0 + 1}, got {gf.q}")
     points = [gf._exp[i] for i in range(k0)]  # distinct nonzero elements
     Hg = vandermonde(gf, points, delta + 1)
     last = Hg.data[delta]
@@ -215,7 +207,7 @@ def mr_r12(m: int, r: int) -> LinearCode:
         for j in range(1, r + 1):
             thetas.append(gf.mul(gf.pow(alpha, i - 1), gf.pow(beta, j)))
     if len(set(thetas)) != len(thetas):
-        raise NoSuitableField("theta points collide; field selection failed")
+        raise ConstructionFailed("theta points collide")
     squares = [gf.mul(x, x) for x in thetas]
     mds_rows = [[1] * (m * r), thetas]
     H = _split_parity_matrix(gf, m, r, squares, mds_rows)
@@ -257,7 +249,7 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
             q = cand
             break
     if q is None:
-        raise NoSuitableField("no prime power q with psi | q-1, q-1 >= psi*m")
+        raise FieldError("no prime power q with psi | q-1, q-1 >= psi*m")
     gf = field_make(*prime_power(q))
     alpha = gf.primitive
     beta = gf.pow(alpha, (q - 1) // psi)
@@ -311,7 +303,7 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
     shape = PmrParams(m, r, delta)
     pm = prime_power(base_q)
     if pm is None:
-        raise NoSuitableField(f"{base_q} is not a prime power")
+        raise FieldError(f"{base_q} is not a prime power")
     p, e = pm
     sub = field_make(p, e)
     big = field_make(p, 3 * e)
@@ -320,12 +312,12 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
         unity_order = next((u for u in range(r + 1, base_q)
                             if (base_q - 1) % u == 0), None)
         if unity_order is None:
-            raise NoSuitableField("no usable root-of-unity order")
+            raise FieldError("no usable root-of-unity order")
     u = unity_order
     if (base_q - 1) % u or u < r:
         raise ValueError(f"unity order {u} unusable (need u | q-1, u >= r)")
     if m > (base_q - 1) // u:
-        raise NoSuitableField("too many groups for distinct cosets")
+        raise FieldError("too many groups for distinct cosets")
     rng = random.Random(seed)
     alpha_s = sub.primitive
     beta_s = sub.pow(alpha_s, (base_q - 1) // u)
@@ -337,7 +329,7 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
             h = sub.mul(sub.pow(alpha_s, i - 1), sub.pow(beta_s, ex))
             thetas.append(big.add(xi, embed[h]))
     if len(set(thetas)) != len(thetas):
-        raise NoSuitableField("theta points collide")
+        raise ConstructionFailed("theta points collide")
     mds = vandermonde(big, thetas, delta)
     H = _split_parity_matrix(big, m, r, thetas, mds.data)
     structure = _pmr_layout(m, r)
@@ -384,7 +376,7 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
     if N % 3:
         raise ValueError("need 3 | N")
     if (q - 1) % 3:
-        raise NoSuitableField("need 3 | q-1 for cube-root cosets")
+        raise FieldError("need 3 | q-1 for cube-root cosets")
     if D < 0:
         raise ValueError("need D >= 0")
     k = 2 * D + 1
@@ -393,7 +385,7 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
     m_total = (q - 1) // 3
     want = N // 3
     if want > m_total:
-        raise NoSuitableField(f"only {m_total} cosets available in GF({q})")
+        raise FieldError(f"only {m_total} cosets available in GF({q})")
     alpha = gf.primitive
     beta = gf.pow(alpha, (q - 1) // 3)
     cosets = []

@@ -12,7 +12,8 @@ import math
 from typing import Dict, List, Tuple
 
 from .bounds import seq_rate_bound
-from .code import CodeParams, ConstructionFailed, LinearCode, checked
+from .code import (CodeParams, ConstructionFailed, LinearCode, NotInCatalog,
+                   checked)
 from .field import field_make
 from .graphs import (EdgeColoring, Graph, bipartite_regular_girth,
                      check_proper_coloring, complete_graph,
@@ -22,15 +23,6 @@ from .graphs import (EdgeColoring, Graph, bipartite_regular_girth,
 from .matrix import Mat
 
 GF2 = field_make(2)
-
-
-class UnsupportedT(ValueError):
-    """No general construction is provided for this t (t = 4 is served only
-    through Moore graphs)."""
-
-
-class ParamDecompositionFails(ValueError):
-    pass
 
 
 def _rate_optimal(rows: List[int], cols: int, r: int, t: int,
@@ -106,7 +98,7 @@ def t2_dim_optimal_code(m: int, r: int) -> LinearCode:
     0 <= J < C(m-1, L), gcd(L+1, m) = 1 and (L+1) | J.
     """
     if m < 1 or r < 1:
-        raise ParamDecompositionFails("need m, r >= 1")
+        raise ValueError("need m, r >= 1")
     L, acc = 1, 0
     while True:
         cap = math.comb(m - 1, L)
@@ -115,13 +107,13 @@ def t2_dim_optimal_code(m: int, r: int) -> LinearCode:
         acc += cap
         L += 1
         if L > m:
-            raise ParamDecompositionFails(
+            raise NotInCatalog(
                 f"r={r} too large for m={m} distinct columns")
     J = r - acc
     if math.gcd(L + 1, m) != 1:
-        raise ParamDecompositionFails(f"gcd(L+1={L+1}, m={m}) != 1")
+        raise NotInCatalog(f"gcd(L+1={L+1}, m={m}) != 1")
     if J % (L + 1):
-        raise ParamDecompositionFails(f"(L+1)={L+1} does not divide J={J}")
+        raise NotInCatalog(f"(L+1)={L+1} does not divide J={J}")
     from itertools import combinations
     cols: List[Tuple[int, ...]] = []
     for u in range(m):
@@ -132,7 +124,7 @@ def t2_dim_optimal_code(m: int, r: int) -> LinearCode:
     if J:
         classes = _cyclic_shift_classes(m, L + 1)
         if any(len(c) != m for c in classes):
-            raise ParamDecompositionFails("cyclic orbits not all full size")
+            raise NotInCatalog("cyclic orbits not all full size")
         for cls in classes[: J // (L + 1)]:
             cols.extend(cls)
     H = Mat(GF2, [[col[i] for col in cols] for i in range(m)],
@@ -314,11 +306,11 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
     as the parity-check matrix.
     """
     if t < 2:
-        raise UnsupportedT("need t >= 2")
+        raise ValueError("need t >= 2")
     if t == 4:
-        raise UnsupportedT("t = 4 is served by moore_code only")
+        raise NotInCatalog("t = 4 is served by moore_code only")
     if r < 3 and t >= 4:
-        raise UnsupportedT("the general construction needs r >= 3")
+        raise NotInCatalog("the general construction needs r >= 3")
     if t in (2, 3):
         g = complete_graph(r + 2) if t == 2 else _base_graph_odd(r, 1)[0]
         return _rate_optimal(incidence_bits(g)[1:], len(g.edges), r, t,

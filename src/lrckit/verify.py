@@ -28,10 +28,6 @@ DUAL_ENUM_MAX_N = 14
 DUAL_ENUM_MAX_WORDS = 2 ** 20
 
 
-class NotRateOptimal(ValueError):
-    pass
-
-
 @dataclass
 class VerifyReport:
     property_name: str
@@ -217,14 +213,16 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
 
     Modes: `exhaustive` peels every pattern, `sampled` peels random
     t-subsets, `certificate` (incidence-structured parity checks only)
-    passes when the underlying graph has girth >= t+1.  Over GF(2) the
-    girth condition is equivalent, so a short cycle is returned as a
-    failure witness; over larger fields it is only sufficient, and a short
-    cycle downgrades the run to peeling instead of failing.  `auto` picks
-    exhaustive when it fits the budget, else the certificate when
-    available, else sampling; an explicit `exhaustive` over the budget
-    raises BudgetExceeded.  `jobs` > 1 runs a sampled check in that many
-    processes (see `_sampled_peel`).
+    passes when the underlying graph has girth >= t+1 and every check
+    (row of H) has weight <= r+1: then any <= t erased edges form a forest,
+    whose leaf at a real node is recovered by that node's check.  Over
+    GF(2) a short cycle meets every dual word an even number of times, so
+    it is returned as a failure witness whatever r is; over larger fields
+    a short cycle, and with any field a check heavier than r+1, downgrades
+    the run to peeling instead.  `auto` picks exhaustive when it fits the
+    budget, else the certificate when available, else sampling; an
+    explicit `exhaustive` over the budget raises BudgetExceeded.  `jobs` > 1
+    runs a sampled check in that many processes (see `_sampled_peel`).
     """
     r, t = declared(code, r=r, t=t)
     if min(r, t, samples) < 1:
@@ -245,14 +243,16 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
             from .graphs import shortest_cycle
             cycle = shortest_cycle(graph)  # one pass gives girth and witness
             g = math.inf if cycle is None else len(cycle)
-            if g >= t + 1:
+            local = max(graph.degrees()[:-1], default=0) <= r + 1
+            if g >= t + 1 and local:
                 return VerifyReport("seq-recovery", True, "certificate",
                                     detail={"girth": g, "required": t + 1})
-            if code.gf.q == 2:
+            if g < t + 1 and code.gf.q == 2:
                 return VerifyReport("seq-recovery", False, "certificate",
                                     witness=cycle,
                                     detail={"girth": g, "required": t + 1})
-            # short girth is not conclusive beyond GF(2): peel instead
+            # short girth beyond GF(2), or checks heavier than r + 1, is not
+            # conclusive: peel instead
             mode = "exhaustive" if total <= budget else "sampled"
         elif mode == "certificate":
             raise ValueError(f"certificate unavailable: {graph_reason}")
@@ -645,7 +645,7 @@ def classify_rate_optimal_t2(code: LinearCode,
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if code.rate() != Fraction(r, r + 2):
-        raise NotRateOptimal(f"rate {code.rate()} != {Fraction(r, r + 2)}")
+        raise ValueError(f"rate {code.rate()} != {Fraction(r, r + 2)}")
     B = _greedy_low_weight_basis(code, r + 1)
     if B is None:
         return VerifyReport("classify-t2", False, "exhaustive",

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lrckit.bounds import (ClassicalOracle, EmptyS, InvalidMode,
-                           OutOfRegime, RgParams, avail_dmin_bounds,
-                           avail_product_tradeoff, avail_rate_bounds,
-                           cutset_bound, hamming_type_bound,
+from lrckit.bounds import (BoundError, ClassicalOracle, RgParams,
+                           avail_dmin_bounds, avail_product_tradeoff,
+                           avail_rate_bounds, cutset_bound, hamming_type_bound,
                            lr_alphabet_dim_bound, lr_alphabet_dmin_bound,
                            lr_singleton_bound, mbr_point, moore_bound,
                            msr_point, msr_subpkt_bounds, msw_sequence,
@@ -33,7 +32,7 @@ def test_lr_singleton_monotone_in_k():
 def test_hamming_type_row():
     assert [hamming_type_bound(31, r) for r in range(2, 7)] == \
         [15, 18, 20, 22, 23]
-    with pytest.raises(OutOfRegime):
+    with pytest.raises(BoundError):
         hamming_type_bound(31, 14)  # r > n/2 - 2
 
 
@@ -69,7 +68,7 @@ def test_alphabet_dim_bound_oracles():
 def test_alphabet_dmin_bound_runs():
     rep = lr_alphabet_dmin_bound(20, 10, 3, 4)
     assert rep.value >= 1
-    with pytest.raises(EmptyS):
+    with pytest.raises(BoundError):
         lr_alphabet_dmin_bound(12, 1, 2, 2)  # e_i - i never below k = 1
 
 
@@ -218,9 +217,9 @@ def test_msr_subpkt_modes():
         min(s ** math.ceil(9 / s), s ** 4)
     assert msr_subpkt_bounds(10, 8, 9, 1, "mds_w_d_n1") == 2
     assert msr_subpkt_bounds(10, 5, 7, 1, "mds_w_any_d") == 3
-    with pytest.raises(InvalidMode):
+    with pytest.raises(BoundError):
         msr_subpkt_bounds(10, 8, 9, None, "bogus")
-    with pytest.raises(InvalidMode):
+    with pytest.raises(BoundError):
         msr_subpkt_bounds(10, 8, 8, None, "msr_d_n1")
 
 

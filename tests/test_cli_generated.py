@@ -6,18 +6,36 @@ row declares, integer flags in [-2, 12], on small codes.  Every run must end
 in one of three ways:
   - exit 0;
   - exit 1, with a report that carries a witness;
-  - exit 2, with one JSON error object on stderr, never an internal error.
+  - exit 2, with one JSON error object on stderr whose `error` is one of
+    the documented kinds, never an internal error.
 A PASS must also rest on work: no report may count zero patterns.
+
+The documented kinds are also held against the source: lrckit defines one
+exception class per failure kind, exports each, and docs/schemas.md names
+each.
 """
 
 import concurrent.futures
+import importlib
+import inspect
 import json
+import pathlib
+import pkgutil
 import random
 
 import pytest
 
+import lrckit
 from lrckit import cli
 from lrckit.cli import main
+
+# The closed set of exit-2 `error` kinds: three of the CLI's own, then
+# ValueError and lrckit's exception classes, one per failure kind.
+ERROR_KINDS = ("usage", "io", "internal", "ValueError",
+               "FieldError", "DivideByZero", "MatrixError", "GraphError",
+               "SchemaError", "BoundError", "NotInCatalog", "SearchExhausted",
+               "BudgetExceeded", "ConstructionFailed")
+EXCEPTION_CLASSES = ERROR_KINDS[4:]
 
 RUNS = 1200
 SEED = 20261018
@@ -111,6 +129,7 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
             assert out == "" and err.count("\n") == 1, argv
             error = json.loads(err)
             assert {"error", "message"} <= set(error), argv
+            assert error["error"] in ERROR_KINDS, (argv, error)
             assert error["error"] != "internal", (argv, error)
             continue
         assert err == "", argv
@@ -134,3 +153,22 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
             assert all(c >= 1 for c in counted), argv
     # the draw reaches every outcome
     assert min(exits.values()) >= RUNS // 20, exits
+
+
+def test_one_exception_class_per_failure_kind():
+    defined = {}
+    for info in pkgutil.iter_modules(lrckit.__path__):
+        mod = importlib.import_module(f"lrckit.{info.name}")
+        defined.update((name, cls) for name, cls in
+                       inspect.getmembers(mod, inspect.isclass)
+                       if issubclass(cls, BaseException)
+                       and cls.__module__ == mod.__name__)
+    assert defined.pop("_UsageError") is cli._UsageError
+    assert sorted(defined) == sorted(EXCEPTION_CLASSES)
+    exported = {name: cls for name, cls in vars(lrckit).items()
+                if inspect.isclass(cls) and issubclass(cls, BaseException)}
+    assert exported == defined
+    assert sorted(cls.__name__ for cls in cli.ERRORS) == sorted(defined)
+    docs = pathlib.Path(__file__).parents[1] / "docs" / "schemas.md"
+    errors = docs.read_text().split("\n## Errors\n")[1].split("\n## ")[0]
+    assert [kind for kind in ERROR_KINDS if f"`{kind}`" not in errors] == []

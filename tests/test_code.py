@@ -246,17 +246,6 @@ def test_generator_parity_orthogonal():
     assert c.H.mul(G.transpose()).is_zero()
 
 
-def test_erasure_pattern_model():
-    from lrckit.code import ErasurePattern, IndexOutOfRange
-    p = ErasurePattern((4, 1, 2))
-    assert p.indices == (1, 2, 4)
-    p.check_range(5)
-    with pytest.raises(IndexOutOfRange):
-        p.check_range(4)
-    with pytest.raises(IndexOutOfRange):
-        ErasurePattern((1, 1))
-
-
 def _raises_assertion_error(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from lrckit.field import (GF, MAX_FIELD_SIZE, DivideByZero, FieldError,
-                          NotPrime, ReducibleModulus, field_make,
-                          field_of_size, prime_power, subfield_embedding)
+                          field_make, field_of_size, prime_power,
+                          subfield_embedding)
 
 FIELDS = [field_make(2), field_make(3), field_make(7), field_make(2, 4),
           field_make(3, 2), field_make(2, 8), field_make(13)]
@@ -39,7 +39,7 @@ def test_gf9_multiplicative_group():
 
 
 def test_not_prime_rejected():
-    with pytest.raises(NotPrime):
+    with pytest.raises(FieldError, match="not prime"):
         field_make(6)
 
 
@@ -54,7 +54,7 @@ def test_field_above_the_ceiling_rejected(p, m):
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(ReducibleModulus):
+    with pytest.raises(FieldError, match="reducible"):
         field_make(2, 4, [1, 0, 0, 0, 1])  # x^4 + 1 = (x+1)^4
 
 
@@ -108,6 +108,9 @@ def test_prime_power_detection():
     assert prime_power(13) == (13, 1)
     assert prime_power(12) is None
     assert field_of_size(9).q == 9
+    assert prime_power(MAX_FIELD_SIZE) == (2, 20)
+    with pytest.raises(FieldError, match="largest field"):
+        prime_power(10 ** 18 + 3)  # never trial-divided
 
 
 def test_subfield_embedding_homomorphism():

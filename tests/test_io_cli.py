@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_cli_bound_values(tmp_path, capsys):
 def test_cli_bound_errors(capsys):
     assert main(["bound", "hamming-type", "--n", "31", "--r", "20"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "OutOfRegime"
+    assert err["error"] == "BoundError"
 
 
 def test_cli_report_tables(capsys):
@@ -181,7 +182,8 @@ def test_cli_rejects_non_integer_entries(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("exc", [AssertionError("invariant"),
-                                 ZeroDivisionError("division by zero")])
+                                 ZeroDivisionError("division by zero"),
+                                 KeyError("rows"), RecursionError("depth")])
 def test_cli_internal_error_is_json_exit_2(monkeypatch, capsys, exc):
     def broken(args, argv):
         raise exc
@@ -191,6 +193,15 @@ def test_cli_internal_error_is_json_exit_2(monkeypatch, capsys, exc):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "internal"
     assert err["message"].startswith(type(exc).__name__)
+
+
+def test_cli_value_error_subclass_is_value_error(monkeypatch, capsys):
+    def broken(args, argv):
+        raise json.JSONDecodeError("Expecting value", "x", 0)
+
+    monkeypatch.setattr(cli, "cmd_bound", broken)
+    assert main(["bound", "seq-rate", "--r", "3", "--t", "5"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 # SHA-256 of the code JSON, `manifest` removed, of every seeded GF(2)
@@ -562,10 +573,17 @@ def _set(path, value):
     return edit
 
 
+def _drop(key):
+    """Code JSON of the Petersen code without the field `key`."""
+    return lambda obj: obj.pop(key)
+
+
 # Malformed input is rejected where it enters: a --modulus by the field, a
-# code file by the loader.  Each used to end as an internal error, or as a
-# usage error guessed from a TypeError, or was accepted silently.
+# code file (bytes, or an edit of the Petersen code JSON) by the loader.
+# Each used to end as an internal error, as a usage error guessed from a
+# TypeError, under a standard-library name, or was accepted silently.
 MALFORMED = {
+    "modulus not JSON": ("x", "FieldError"),
     "modulus 5": ("5", "FieldError"),
     "modulus string": ('"x"', "FieldError"),
     "modulus object": ('{"a":1}', "FieldError"),
@@ -578,6 +596,12 @@ MALFORMED = {
     "cols string": (_set("cols", "x"), "SchemaError"),
     "params.role int": (_set("params.role", 5), "SchemaError"),
     "delta string": (_set("local_structure.delta", "x"), "SchemaError"),
+    "not JSON": (b'{"schema": "code/1",', "SchemaError"),
+    "not UTF-8": (b'{"schema": "code/1\xff"}', "SchemaError"),
+    "no rows": (_drop("rows"), "SchemaError"),
+    "no field": (_drop("field"), "SchemaError"),
+    "groups overlap": (_set("local_structure.groups", [[0, 1], [1, 2]]),
+                       "SchemaError"),
 }
 
 
@@ -587,13 +611,16 @@ def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
         argv = ["construct", "pyramid", "--n", "7", "--k", "4", "--r", "2",
                 "--p", "2", "--mdeg", "3", "--modulus", bad]
     else:
-        obj = lio.code_to_json(moore_code(2, 4))
-        bad(obj)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(obj))
+        if isinstance(bad, bytes):
+            path.write_bytes(bad)
+        else:
+            obj = lio.code_to_json(moore_code(2, 4))
+            bad(obj)
+            path.write_text(json.dumps(obj))
         argv = ["verify", "seq", "--code", str(path)]
         with pytest.raises(lio.SchemaError):
-            lio.code_from_json(obj)
+            lio.code_from_json(lio.load(str(path)))
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == kind
 
@@ -609,10 +636,37 @@ def test_cols_that_disagree_with_the_rows_exit_2(tmp_path, capsys):
 
 
 def test_field_above_the_ceiling_exit_2(capsys):
-    # GF(7^12) has about 1.4 * 10^10 elements: its tables would fill memory
-    assert main(["construct", "pyramid", "--n", "7", "--k", "4", "--r", "2",
-                 "--p", "7", "--mdeg", "12"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "FieldError"
+    # GF(7^12) has about 1.4 * 10^10 elements: its tables would fill memory.
+    # A prime near 10^18 is refused before it is trial-divided, which would
+    # take minutes, whether it is a characteristic, a field size or the
+    # order of a projective plane.
+    huge = "1000000000000000003"
+    for flags in (["pyramid", "--n", "7", "--k", "4", "--r", "2",
+                   "--p", "7", "--mdeg", "12"],
+                  ["pyramid", "--n", "7", "--k", "4", "--r", "2",
+                   "--p", huge, "--mdeg", "1"],
+                  ["pyramid", "--n", "7", "--k", "4", "--r", "2", "--q", huge],
+                  ["pmr-a1", "--m", "2", "--r", "2", "--delta", "3",
+                   "--base-q", huge],
+                  ["moore", "--r", huge, "--t", "5"]):
+        start = time.perf_counter()
+        assert main(["construct"] + flags) == 2, flags
+        assert time.perf_counter() - start < 2, flags
+        assert json.loads(capsys.readouterr().err)["error"] == "FieldError"
+
+
+def test_certificate_needs_checks_of_weight_r_plus_1(tmp_path, capsys):
+    """The Petersen code has girth 5, but its checks have weight 3: with
+    locality 1 a leaf's check cannot recover its edge, so no certificate
+    PASS; the run peels every pattern and fails at once."""
+    pet = str(tmp_path / "pet.json")
+    assert main(["construct", "moore", "--r", "2", "--t", "4",
+                 "--out", pet]) == 0
+    capsys.readouterr()
+    assert main(["verify", "seq", "--code", pet, "--r", "1", "--t", "4",
+                 "--mode", "certificate"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mode"] == "exhaustive" and rep["witness"] == [0]
 
 
 def test_explicit_exhaustive_never_samples(tmp_path, capsys):

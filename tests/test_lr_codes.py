@@ -4,9 +4,8 @@ import pytest
 
 from lrckit.bounds import lr_singleton_bound, sa_blocklength_bound
 from lrckit.code import BudgetExceeded, is_mds, min_distance
-from lrckit.field import field_make
-from lrckit.lr_codes import (FieldTooSmall, SubgroupUnavailable,
-                             locality_witnesses, pg_plane_sa_code,
+from lrckit.field import FieldError, field_make
+from lrckit.lr_codes import (locality_witnesses, pg_plane_sa_code,
                              product_avail_code, pyramid_code,
                              steiner_sa_code, tamo_barg_code,
                              wang_avail_code)
@@ -44,7 +43,7 @@ def test_pyramid_uneven_groups():
 
 
 def test_pyramid_field_too_small():
-    with pytest.raises(FieldTooSmall):
+    with pytest.raises(FieldError):
         pyramid_code(12, 8, 2, field_make(5))
 
 
@@ -69,9 +68,9 @@ def test_tamo_barg_local_mds_property():
 
 
 def test_tamo_barg_divisibility_guard():
-    with pytest.raises(SubgroupUnavailable):
+    with pytest.raises(FieldError):
         tamo_barg_code(9, 4, 3, field_make(13))   # (r+1) does not divide n
-    with pytest.raises(SubgroupUnavailable):
+    with pytest.raises(FieldError):
         tamo_barg_code(8, 4, 3, field_make(11))   # n does not divide q-1
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from lrckit.field import field_make
 from lrckit.code import LinearCode
-from lrckit.matrix import (DuplicatePoint, Mat, MatrixError,
+from lrckit.matrix import (Mat, MatrixError,
                            columns_independent, first_dependent,
                            mat_nullspace, mat_rank, mat_solve, rref,
                            vandermonde)
@@ -103,7 +103,7 @@ def test_vandermonde_gf16_rank():
 
 def test_vandermonde_duplicate_point():
     gf = field_make(7)
-    with pytest.raises(DuplicatePoint):
+    with pytest.raises(MatrixError, match="distinct"):
         vandermonde(gf, [1, 1, 2], 2)
 
 

@@ -4,11 +4,11 @@ import pytest
 
 from lrckit.bounds import lr_singleton_bound
 from lrckit.code import LinearCode, is_mds, min_distance, puncture
-from lrckit.field import field_make
+from lrckit.field import FieldError, field_make
 from lrckit.matrix import Mat, mat_rank
-from lrckit.mr_codes import (LocalStructure, NoSuitableField,
-                             coordinate_groups, mr_r12, mr_r2_coset_search,
-                             mr_rdelta2, pmr_general_a1, pmr_parity_split)
+from lrckit.mr_codes import (LocalStructure, coordinate_groups, mr_r12,
+                             mr_r2_coset_search, mr_rdelta2, pmr_general_a1,
+                             pmr_parity_split)
 from lrckit.verify import mr_shape_check, pmds_check, pmr_check
 
 
@@ -44,17 +44,15 @@ def test_pmr_parity_split_distance():
 def test_pmr_parity_split_guards():
     with pytest.raises(ValueError):
         pmr_parity_split(3, 4, 4, field_make(13))  # delta > r-1
-    from lrckit.mr_codes import FieldTooSmall
-    with pytest.raises(FieldTooSmall):
+    with pytest.raises(FieldError):
         pmr_parity_split(3, 4, 3, field_make(11))  # q < mr + 1
 
 
 def test_one_field_too_small_class():
     import lrckit
     from lrckit import lr_codes, mr_codes
-    assert lr_codes.FieldTooSmall is mr_codes.FieldTooSmall \
-        is lrckit.FieldTooSmall
-    with pytest.raises(lrckit.FieldTooSmall):
+    assert lr_codes.FieldError is mr_codes.FieldError is lrckit.FieldError
+    with pytest.raises(lrckit.FieldError):
         pmr_parity_split(3, 4, 3, field_make(11))
 
 
@@ -150,7 +148,7 @@ def test_mr_coset_search_larger():
 def test_mr_coset_search_guards():
     with pytest.raises(ValueError):
         mr_r2_coset_search(8, 1, field_make(13))   # 3 does not divide N
-    with pytest.raises(NoSuitableField):
+    with pytest.raises(FieldError):
         mr_r2_coset_search(6, 1, field_make(11))   # 3 does not divide q-1
     with pytest.raises(ValueError):
         mr_r2_coset_search(6, 2, field_make(13))   # rate cap 2D/N < 2/3

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lrckit.bounds import moore_bound, seq_blocklength_bounds, seq_rate_bound
-from lrckit.code import min_distance
-from lrckit.graphs import NotInCatalog
+from lrckit.code import NotInCatalog, min_distance
 from lrckit.matrix import mat_rank
-from lrckit.seq_codes import (ParamDecompositionFails, UnsupportedT,
-                              moore_code, seq_general_code,
+from lrckit.seq_codes import (moore_code, seq_general_code,
                               t2_dim_optimal_code, t2_near_regular_code,
                               t2_turan_code, t3_catalog)
 from lrckit.verify import seq_recovery_check, staircase_check
@@ -59,7 +57,7 @@ def test_t2_dim_optimal():
     assert c.provenance["J"] == 3
     assert c.k == 10 + 5 * 3 // 3
     assert all(sum(row) == 8 for row in c.H.data)
-    with pytest.raises(ParamDecompositionFails):
+    with pytest.raises(NotInCatalog):
         t2_dim_optimal_code(6, 5)  # gcd(L+1, m) = 2
 
 
@@ -114,9 +112,9 @@ def test_seq_general_t2_t3():
 
 
 def test_seq_general_unsupported():
-    with pytest.raises(UnsupportedT):
+    with pytest.raises(NotInCatalog):
         seq_general_code(3, 4)
-    with pytest.raises(UnsupportedT):
+    with pytest.raises(NotInCatalog):
         seq_general_code(2, 5)  # needs r >= 3
 
 

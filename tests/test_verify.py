@@ -13,7 +13,7 @@ from lrckit.matrix import Mat
 from lrckit.seq_codes import (moore_code, seq_general_code,
                               t2_near_regular_code, t2_turan_code,
                               t3_catalog)
-from lrckit.verify import (NotRateOptimal, VerifyReport, availability_check,
+from lrckit.verify import (VerifyReport, availability_check,
                            classify_rate_optimal_t2, low_weight_dual_supports,
                            sa_check, seq_recovery_check, staircase_check,
                            _draw, _incidence_graph, _Peeler, _sampled_peel)
@@ -63,19 +63,20 @@ def test_peeling_agrees_with_ordering_brute_force(name, code, r, t):
 
 
 def test_girth_certificate_iff_exhaustive_binary():
-    # over GF(2) with incidence-shaped H the girth condition is equivalent
-    cases = [(moore_code(2, 4), 2, 4), (moore_code(2, 5), 2, 5),
-             (t2_turan_code(2, 1), 2, 2)]
-    # also a failing one: ask Petersen for more erasures than its girth - 1
-    for code, r, t in cases:
+    # over GF(2) with incidence-shaped H, checks of weight <= r + 1 and the
+    # girth condition together are equivalent
+    pet, heawood = moore_code(2, 4), moore_code(2, 5)
+    cases = [(pet, 2, 4, True), (heawood, 2, 5, True),
+             (t2_turan_code(2, 1), 2, 2, True),
+             # Petersen asked for more erasures than its girth - 1
+             (pet, 2, 5, False),
+             # girth enough, but every check has weight 3 > r + 1
+             (pet, 1, 4, False), (heawood, 1, 5, False)]
+    for code, r, t, verdict in cases:
         cert = seq_recovery_check(code, r, t, mode="certificate")
         exh = seq_recovery_check(code, r, t, mode="exhaustive")
-        assert cert.verdict == exh.verdict is True
-    pet = moore_code(2, 4)
-    cert = seq_recovery_check(pet, 2, 5, mode="certificate")
-    exh = seq_recovery_check(pet, 2, 5, mode="exhaustive")
-    assert cert.verdict == exh.verdict is False
-    assert sorted(cert.witness) == sorted(exh.witness) or cert.witness
+        assert cert.verdict == exh.verdict is verdict, (code, r, t)
+        assert verdict or cert.witness
 
 
 def test_certificate_witness_is_a_short_cycle(monkeypatch):
@@ -374,7 +375,7 @@ def test_classify_mds_product():
 
 def test_classify_rejects_wrong_rate():
     c = t3_catalog("ex1")
-    with pytest.raises(NotRateOptimal):
+    with pytest.raises(ValueError, match="rate"):
         classify_rate_optimal_t2(c, r=3)
 
 
