@@ -1,7 +1,9 @@
 """Command-line front end: construct codes, evaluate bounds, verify
 properties, and reproduce the bound-comparison tables and figure data as
 CSV.  Every output embeds a run manifest (command line, version, seeds,
-output digests) so randomized runs can be replayed exactly.
+Python version and platform, and for `verify` the SHA-256 of the code file
+read) so randomized runs can be replayed exactly.  Output is streamed as it
+is made, a code's matrix straight from its rows (`lrckit.io.dump`).
 
 Each subcommand is a row of a table (`FAMILIES`, `BOUNDS`, `PROPERTIES`,
 `REPORTS`): the flags it reads and the library call it makes.  Only the row
@@ -20,6 +22,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional
 
@@ -39,31 +42,40 @@ ERRORS = (FieldError, DivideByZero, MatrixError, graphs.GraphError,
           BudgetExceeded, ConstructionFailed)
 
 
-def _manifest(args: List[str], seed: Optional[int] = None) -> dict:
+def _manifest(args: List[str], seed: Optional[int] = None,
+              **extra) -> dict:
     out = {"tool": "lrckit", "version": __version__,
-           "command": list(args), "timestamp": int(time.time())}
+           "command": list(args), "timestamp": int(time.time()),
+           "python": sys.version.split()[0], "platform": sys.platform,
+           **extra}
     if seed is not None:
         out["seed"] = seed
     return out
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    """`text` to stdout, or to the file `out` with its name and SHA-256
-    echoed on stdout."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        print(json.dumps({"written": out, "sha256": digest}))
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(out: Optional[str]):
+    """A `put` for ASCII bytes, to stdout or to the file `out` as they are
+    made; a file's name and SHA-256 are echoed on stdout at the end."""
+    if not out:
+        yield lambda chunk: sys.stdout.write(chunk.decode())
+        return
+    digest = hashlib.sha256()
+    with open(out, "wb") as fh:
+        def put(chunk: bytes) -> None:
+            fh.write(chunk)
+            digest.update(chunk)
+        yield put
+    print(json.dumps({"written": out, "sha256": digest.hexdigest()}))
 
 
 def _emit(payload: dict, out: Optional[str], argv: List[str],
-          seed: Optional[int] = None) -> None:
+          seed: Optional[int] = None, **manifest) -> None:
     payload = dict(payload)
-    payload["manifest"] = _manifest(argv, seed)
-    _write(lio.dumps(payload) + "\n", out)
+    payload["manifest"] = _manifest(argv, seed, **manifest)
+    with _output(out) as put:
+        lio.dump(payload, put)
+        put(b"\n")
 
 
 def _fail(kind: str, message: str, **extra) -> int:
@@ -91,7 +103,7 @@ def _field(q=None, p=None, mdeg=None, modulus=None) -> GF:
     if q:
         pm = prime_power(q)
         if pm is None:
-            raise ValueError(f"{q} is not a prime power")
+            raise FieldError(f"{q} is not a prime power")
         return field_make(*pm, modulus or None)
     if p is None:
         raise ValueError("specify the field via --q or --p/--mdeg")
@@ -314,7 +326,7 @@ def _call(args, **given):
 def cmd_construct(args, argv) -> int:
     made = _call(args)
     code, report = made if isinstance(made, tuple) else (made, None)
-    payload = lio.code_to_json(code)
+    payload = lio.code_to_json(code, lists=False)
     if report is not None:
         payload["verdict"] = report.as_dict()
     _emit(payload, args.out, argv, getattr(args, "seed", 0))
@@ -335,8 +347,10 @@ def cmd_bound(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
-    rep = _call(args, code=lio.code_from_json(lio.load(args.code)))
-    _emit(rep.as_dict(), args.out, argv, getattr(args, "seed", 0))
+    code, digest = lio.load_code(args.code)
+    rep = _call(args, code=code)
+    _emit(rep.as_dict(), args.out, argv, getattr(args, "seed", 0),
+          input_sha256=digest)
     return 0 if rep.verdict else 1
 
 
@@ -345,7 +359,8 @@ def cmd_report(args, argv) -> int:
     if isinstance(out, dict):
         _emit({"report": args.name, **out}, args.out, argv)
     else:
-        _write("\n".join(out) + "\n", args.out)
+        with _output(args.out) as put:
+            put(("\n".join(out) + "\n").encode())
     return 0
 
 

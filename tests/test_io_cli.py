@@ -482,13 +482,22 @@ CONSTRUCT_FAMILIES = [
 
 def test_dumps_matches_json_on_every_payload(monkeypatch, tmp_path):
     """The CLI's writer equals `json.dumps(indent=1, sort_keys=True)` on the
-    payload of every construct family, of verify reports, and of bounds."""
+    JSON-native payload of every construct family (where the code's matrix
+    stands for its rows as lists), of verify reports, and of bounds, and
+    each file written holds exactly that text."""
     payloads = []
     real_emit = cli._emit
 
-    def capture(payload, out, argv, seed=None):
-        payloads.append(dict(payload, manifest=cli._manifest(argv, seed)))
-        real_emit(payload, out, argv, seed)
+    def capture(payload, out, argv, seed=None, **manifest):
+        real_emit(payload, out, argv, seed, **manifest)
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        native = {k: v.to_lists() if isinstance(v, Mat) else v
+                  for k, v in payload.items()}
+        # the manifest the file holds: its timestamp may have ticked
+        native["manifest"] = json.loads(text)["manifest"]
+        payloads.append((dict(payload, manifest=native["manifest"]), native,
+                         text))
 
     monkeypatch.setattr(cli, "_emit", capture)
     files = {}
@@ -506,11 +515,11 @@ def test_dumps_matches_json_on_every_payload(monkeypatch, tmp_path):
     assert main(["bound", "lr-dim", "--n", "31", "--d", "5", "--r", "4",
                  "--q", "2", "--out", str(tmp_path / "b.json")]) == 0
     assert len(payloads) == len(CONSTRUCT_FAMILIES) + 6
-    for payload in payloads:
-        assert lio.dumps(payload) == _dumps_reference(payload)
-    # and the file holds exactly that text
-    text = (tmp_path / "b.json").read_text()
-    assert text == _dumps_reference(payloads[-1]) + "\n"
+    assert sum(isinstance(p["rows"], Mat) for p, _, _ in payloads
+               if "rows" in p) == len(CONSTRUCT_FAMILIES)
+    for payload, native, text in payloads:
+        assert lio.dumps(payload) == _dumps_reference(native)
+        assert text == _dumps_reference(native) + "\n"
 
 
 @pytest.mark.parametrize("obj", [
@@ -578,8 +587,9 @@ def _drop(key):
     return lambda obj: obj.pop(key)
 
 
-# Malformed input is rejected where it enters: a --modulus by the field, a
-# code file (bytes, or an edit of the Petersen code JSON) by the loader.
+# Malformed input is rejected where it enters: a --modulus or a --q by the
+# field, a code file (bytes, or an edit of the Petersen code JSON) by the
+# loader.
 # Each used to end as an internal error, as a usage error guessed from a
 # TypeError, under a standard-library name, or was accepted silently.
 MALFORMED = {
@@ -588,6 +598,7 @@ MALFORMED = {
     "modulus string": ('"x"', "FieldError"),
     "modulus object": ('{"a":1}', "FieldError"),
     "modulus float": ("[1.5,0,1]", "FieldError"),
+    "q not a prime power": (["--q", "6"], "FieldError"),
     "field.p string": (_set("field.p", "2"), "SchemaError"),
     "field.modulus int": (_set("field.modulus", 7), "SchemaError"),
     "params.n string": (_set("params.n", "x"), "SchemaError"),
@@ -607,9 +618,11 @@ MALFORMED = {
 
 @pytest.mark.parametrize("bad,kind", MALFORMED.values(), ids=list(MALFORMED))
 def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
-    if isinstance(bad, str):
-        argv = ["construct", "pyramid", "--n", "7", "--k", "4", "--r", "2",
-                "--p", "2", "--mdeg", "3", "--modulus", bad]
+    if isinstance(bad, (str, list)):
+        field = bad if isinstance(bad, list) else \
+            ["--p", "2", "--mdeg", "3", "--modulus", bad]
+        argv = ["construct", "pyramid", "--n", "7", "--k", "4", "--r", "2"] \
+            + field
     else:
         path = tmp_path / "bad.json"
         if isinstance(bad, bytes):

@@ -1,0 +1,252 @@
+"""The GF(2) code-file codec.
+
+`io.dump` writes a GF(2) `Mat` straight from its bit rows, and
+`io.load_code` reads rows in exactly that layout back into bit rows,
+parsing only the rest of the file as JSON.  Both are held to the plain
+path: the writer to `json.dumps(indent=1, sort_keys=True)` of the lists,
+byte for byte, and the reader to `io.load` -> `code_from_json`, which must
+give the same code or fail with the same error on every file.
+"""
+
+import hashlib
+import json
+import random
+import sys
+
+import pytest
+
+from lrckit import io as lio
+from lrckit.cli import main
+from lrckit.code import LinearCode
+from lrckit.field import field_make
+from lrckit.matrix import Mat
+
+from test_io_cli import CONSTRUCT_FAMILIES
+
+GF2 = field_make(2)
+
+
+def _outcome(read, path):
+    """What reading `path` gives: the code's matrix, parameters, provenance
+    and dimension, or the error's kind and message."""
+    try:
+        code = read(path)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    H = code.H
+    return (H.gf, H.rows, H.cols, H.bits, H.bits is None and H.data,
+            code.params, code.provenance, code.k)
+
+
+def _fast(path):
+    return lio.load_code(path)[0]
+
+
+def _plain(path):
+    return lio.code_from_json(lio.load(path))
+
+
+@pytest.fixture
+def plain_reads(monkeypatch):
+    """How many times `code_from_json` runs, that is, the plain path."""
+    calls = []
+    real = lio.code_from_json
+
+    def counted(obj):
+        calls.append(1)
+        return real(obj)
+
+    monkeypatch.setattr(lio, "code_from_json", counted)
+    return calls
+
+
+def _differ(path, plain_reads):
+    """The reader's and the plain path's outcomes on `path`, and whether
+    the reader took the plain path."""
+    fast = _outcome(_fast, path)
+    took_plain = bool(plain_reads)
+    return fast, _outcome(_plain, path), took_plain
+
+
+@pytest.mark.parametrize("args", CONSTRUCT_FAMILIES)
+def test_reader_matches_plain_path_on_every_family(tmp_path, plain_reads,
+                                                   args):
+    path = str(tmp_path / "code.json")
+    assert main(["construct"] + args.split() + ["--out", path]) == 0
+    fast, plain, took_plain = _differ(path, plain_reads)
+    assert fast == plain
+    assert not isinstance(fast[0], str)
+    # GF(2) files take the bit-row reader, the others the plain path
+    assert took_plain is (fast[0] != GF2)
+
+
+@pytest.fixture(scope="module")
+def petersen(tmp_path_factory):
+    path = tmp_path_factory.mktemp("codec") / "petersen.json"
+    assert main(["construct", "moore", "--r", "2", "--t", "4",
+                 "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _rows_span(data):
+    start = data.index(b'\n "rows": ') + len(b'\n "rows": ')
+    return start, data.index(b"\n ]", start) + 3
+
+
+def _digit(rng, data, digits=b"01"):
+    start, end = _rows_span(data)
+    return rng.choice([i for i in range(start, end) if data[i] in digits])
+
+
+def _at(rng, data, byte):
+    start, end = _rows_span(data)
+    return rng.choice([i for i in range(start, end) if data[i] == byte])
+
+
+def _frame(rng, data):
+    """A byte around the digits of the rows, set to another of the bytes
+    the rows' text is made of: the positions of the digits stay."""
+    i = _at(rng, data, rng.choice(b" ,\n[]"))
+    return _replace(data, i, bytes([rng.choice(
+        [b for b in b" ,\n[]1" if b != data[i]])]))
+
+
+def _replace(data, i, new):
+    return data[:i] + new + data[i + 1:]
+
+
+OTHER_ROWS = b'"rows": [[1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]], '
+
+# Edits of the Petersen code file at a place a seeded Random picks.
+SEEDED = {
+    "digit 2": lambda d, rng: _replace(d, _digit(rng, d), b"2"),
+    "true for 1": lambda d, rng: _replace(d, _digit(rng, d, b"1"), b"true"),
+    "extra space": lambda d, rng: _replace(d, _at(rng, d, 32), b"  "),
+    "missing space": lambda d, rng: _replace(d, _at(rng, d, 32), b""),
+    "missing comma": lambda d, rng: _replace(d, _at(rng, d, 44), b""),
+    "truncated": lambda d, rng: d[:rng.randrange(len(d))],
+    # int(digits, 2) would take a row's digits, read last to first, with a
+    # sign in front
+    "sign": lambda d, rng: _replace(d, rng.choice(
+        [i - 1 for i in range(*_rows_span(d)) if d.startswith(b"\n  ]", i)]),
+        b"-"),
+    "frame byte": lambda d, rng: _frame(rng, d),
+    "any byte": lambda d, rng: _replace(d, rng.randrange(len(d)),
+                                        bytes([rng.choice(b'0 1,[]\n"2-+_')])),
+}
+
+# Edits of the Petersen code file with one place each.
+FIXED = {
+    "CRLF": lambda d: d.replace(b"\n", b"\r\n"),
+    "BOM": lambda d: b"\xef\xbb\xbf" + d,
+    "second rows before": lambda d: d.replace(b"{", b"{" + OTHER_ROWS, 1),
+    "second rows after": lambda d: d.replace(b'"schema"',
+                                             OTHER_ROWS + b'"schema"'),
+    "second rows NaN after": lambda d: d.replace(
+        b'"schema"', b'"rows": NaN, "schema"'),
+    "cols disagree": lambda d: d.replace(b'"cols": 15', b'"cols": 14'),
+    "field GF(3)": lambda d: d.replace(b'"p": 2', b'"p": 3'),
+    "row of no entries": lambda d: d.replace(d[slice(*_rows_span(d))],
+                                             b"[\n  [\n  ]\n ]"),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("edit", SEEDED.values(), ids=list(SEEDED))
+def test_reader_matches_plain_path_on_seeded_edits(tmp_path, plain_reads,
+                                                   petersen, edit, seed):
+    path = tmp_path / "bad.json"
+    path.write_bytes(edit(petersen, random.Random(seed)))
+    fast, plain, _ = _differ(str(path), plain_reads)
+    assert fast == plain
+
+
+@pytest.mark.parametrize("edit", FIXED.values(), ids=list(FIXED))
+def test_reader_matches_plain_path_on_fixed_edits(tmp_path, plain_reads,
+                                                  petersen, edit):
+    path = tmp_path / "bad.json"
+    path.write_bytes(edit(petersen))
+    fast, plain, _ = _differ(str(path), plain_reads)
+    assert fast == plain
+
+
+def test_reader_takes_the_last_rows_as_json_does(tmp_path, plain_reads,
+                                                 petersen):
+    """A "rows" key before the written one is overridden by it, so the
+    bit-row reader may read the file; one after it overrides the written
+    rows, so the file takes the plain path."""
+    path = tmp_path / "twice.json"
+    path.write_bytes(FIXED["second rows before"](petersen))
+    fast, plain, took_plain = _differ(str(path), plain_reads)
+    assert fast == plain and fast[1:3] == (9, 15) and not took_plain
+    path.write_bytes(FIXED["second rows after"](petersen))
+    fast, plain, took_plain = _differ(str(path), plain_reads)
+    assert fast == plain and fast[1:3] == (1, 15) and took_plain
+
+
+def _shapes():
+    rng = random.Random(7)
+    yield Mat.from_bits(GF2, [1, 0, 1], 1)  # cols 1
+    yield Mat.from_bits(GF2, [], 5)  # no rows
+    yield Mat.from_bits(GF2, [], 0)
+    yield Mat(GF2, [[], []])  # rows of no entries
+    yield Mat.from_bits(GF2, [2 ** 13 - 1, 0, 5], 13)  # all ones; 13 wide
+    yield Mat.from_bits(GF2, [2 ** 16 - 1], 16)
+    for cols in (2, 7, 8, 9, 63, 64, 65, 200):
+        yield Mat.from_bits(GF2, [rng.getrandbits(cols)
+                                  for _ in range(rng.randrange(1, 6))], cols)
+
+
+SHAPES = list(_shapes())
+
+
+@pytest.mark.parametrize("M", SHAPES, ids=[repr(M) for M in SHAPES])
+def test_writer_is_json_dumps_on_edge_shapes(M):
+    lists = M.to_lists()
+    for obj, native in ((M, lists), ({"rows": M, "cols": M.cols},
+                                     {"rows": lists, "cols": M.cols}),
+                        ([[M], {"a": M}], [[lists], {"a": lists}])):
+        assert lio.dumps(obj) == json.dumps(native, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("M", SHAPES, ids=[repr(M) for M in SHAPES])
+def test_reader_round_trips_edge_shapes(tmp_path, plain_reads, M):
+    path = tmp_path / "code.json"
+    path.write_text(lio.dumps(lio.code_to_json(LinearCode(M), lists=False)))
+    fast, plain, took_plain = _differ(str(path), plain_reads)
+    assert fast == plain and fast[3] == M.bits
+    assert took_plain is (M.rows == 0 or M.cols == 0)
+
+
+def test_output_guard_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    """The Petersen code's H is 9 x 15 = 135 entries."""
+    out = tmp_path / "code.json"
+    argv = ["construct", "moore", "--r", "2", "--t", "4", "--out", str(out)]
+    monkeypatch.setattr(lio, "MAX_CODE_ENTRIES", 134)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)
+    assert err["error"] == "BudgetExceeded"
+    assert "135" in err["message"] and "134" in err["message"]
+    monkeypatch.setattr(lio, "MAX_CODE_ENTRIES", 135)
+    assert main(argv) == 0
+
+
+def test_manifest_records_input_hash_python_and_platform(tmp_path, capsys):
+    code, report, bound = (tmp_path / f"{name}.json"
+                           for name in ("code", "report", "bound"))
+    assert main(["construct", "moore", "--r", "2", "--t", "4",
+                 "--out", str(code)]) == 0
+    assert main(["verify", "seq", "--code", str(code),
+                 "--out", str(report)]) == 0
+    assert main(["bound", "seq-rate", "--r", "3", "--t", "5",
+                 "--out", str(bound)]) == 0
+    made, checked, bound = (json.loads(p.read_text())
+                            for p in (code, report, bound))
+    assert checked["manifest"]["input_sha256"] == \
+        hashlib.sha256(code.read_bytes()).hexdigest()
+    for payload in (made, checked, bound):
+        assert payload["manifest"]["python"] == sys.version.split()[0]
+        assert payload["manifest"]["platform"] == sys.platform
+    assert "input_sha256" not in made["manifest"]
