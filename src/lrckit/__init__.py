@@ -10,11 +10,11 @@ from .version import __version__
 from .field import (DivideByZero, FieldError, GF, field_make, field_of_size,
                     prime_power, subfield_embedding)
 from .matrix import (Mat, MatrixError, columns_independent, mat_nullspace,
-                     mat_rank, mat_solve, rref, vandermonde)
+                     mat_rank, rref, vandermonde)
 from .code import (BudgetExceeded, CodeParams, ConstructionFailed,
                    LinearCode, NotInCatalog, SearchExhausted,
-                   code_from_generator, dual, is_mds, min_distance,
-                   puncture, shorten, support_weight)
+                   code_from_generator, is_mds, min_distance, puncture,
+                   support_weight)
 from .graphs import (EdgeColoring, Graph, GraphError,
                      bipartite_regular_girth, edge_color_bipartite, girth,
                      incidence_code, moore_catalog, near_regular_graph,

@@ -32,7 +32,7 @@ from . import io as lio
 from . import lr_codes, mr_codes, seq_codes, verify
 from .code import (BudgetExceeded, ConstructionFailed, NotInCatalog,
                    SearchExhausted)
-from .field import GF, DivideByZero, FieldError, field_make, prime_power
+from .field import GF, DivideByZero, FieldError, field_make, field_of_size
 from .matrix import MatrixError
 from .version import __version__
 
@@ -101,10 +101,7 @@ def _field(q=None, p=None, mdeg=None, modulus=None) -> GF:
     except json.JSONDecodeError:
         raise FieldError(f"--modulus {modulus!r} is not JSON") from None
     if q:
-        pm = prime_power(q)
-        if pm is None:
-            raise FieldError(f"{q} is not a prime power")
-        return field_make(*pm, modulus or None)
+        return field_of_size(q, modulus or None)
     if p is None:
         raise ValueError("specify the field via --q or --p/--mdeg")
     return field_make(p, mdeg or 1, modulus)
@@ -326,7 +323,7 @@ def _call(args, **given):
 def cmd_construct(args, argv) -> int:
     made = _call(args)
     code, report = made if isinstance(made, tuple) else (made, None)
-    payload = lio.code_to_json(code, lists=False)
+    payload = lio.code_to_json(code)
     if report is not None:
         payload["verdict"] = report.as_dict()
     _emit(payload, args.out, argv, getattr(args, "seed", 0))

@@ -3,8 +3,8 @@
 A code is held by a parity-check matrix (possibly with redundant rows; the
 strict-availability constructions deliberately keep all local checks) and an
 optional generator.  The dimension is always derived from rank, never
-trusted from metadata.  Includes puncturing/shortening/dual, exact minimum
-distance, generalized Hamming weights (minimum support weights, both by
+trusted from metadata.  Includes puncturing, exact minimum distance,
+generalized Hamming weights (minimum support weights, both by
 `matrix.subspaces`) and an MDS test.
 
 Also home to the four failure kinds that belong to no one input type:
@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .field import GF
-from .matrix import (Mat, first_dependent, mat_nullspace, mat_rank, row_span,
-                     rref, subspaces)
+from .matrix import (Mat, first_dependent, mat_nullspace, mat_rank, rref,
+                     subspaces)
 
 #: enumeration ceilings, surfaced in verification reports
 MIN_DISTANCE_BUDGET = 2 ** 24
@@ -86,16 +86,6 @@ class LinearCode:
                 raise ValueError("G H^T != 0")
         self.params = params
         self.provenance = provenance or {}
-        self._column_supports: Optional[List[Tuple[int, ...]]] = None
-
-    # -- basic views --
-
-    def column_supports(self) -> List[Tuple[int, ...]]:
-        """Row indices of the nonzero entries of each column of H; built
-        once, from the set bits of H's rows over GF(2)."""
-        if self._column_supports is None:
-            self._column_supports = self.H.column_supports()
-        return self._column_supports
 
     def generator(self) -> Mat:
         if self._G is None:
@@ -110,10 +100,6 @@ class LinearCode:
     def rate(self):
         from fractions import Fraction
         return Fraction(self.k, self.n)
-
-    def codewords(self) -> Iterator[Tuple[int, ...]]:
-        """All q^k codewords (use only when that is small)."""
-        return row_span(self.generator())
 
     def __repr__(self) -> str:
         return f"LinearCode[n={self.n}, k={self.k}] over {self.gf}"
@@ -136,41 +122,14 @@ def code_from_generator(G: Mat, params: Optional[CodeParams] = None,
     return LinearCode(H, G=rref(G)[0], params=params, provenance=provenance)
 
 
-def dual(c: LinearCode) -> LinearCode:
-    """The dual code: parity checks and generators swap roles."""
-    return LinearCode(rref(c.generator())[0] if c.k else
-                      Mat.identity(c.gf, c.n),
-                      G=c.full_rank_checks() if c.k < c.n else None)
-
-
-def _complement(n: int, S: Sequence[int]) -> List[int]:
-    s = set(S)
-    if s and (min(s) < 0 or max(s) >= n):
-        raise ValueError(f"coordinate set outside [0, {n})")
-    return [i for i in range(n) if i not in s]
-
-
 def puncture(c: LinearCode, S: Sequence[int]) -> LinearCode:
     """Restrict all codewords to the coordinates outside S."""
-    keep = _complement(c.n, S)
+    s = set(S)
+    if s and (min(s) < 0 or max(s) >= c.n):
+        raise ValueError(f"coordinate set outside [0, {c.n})")
+    keep = [i for i in range(c.n) if i not in s]
     Gp = c.generator().select_columns(keep)
     return code_from_generator(rref(Gp)[0])
-
-
-def shorten(c: LinearCode, S: Sequence[int]) -> LinearCode:
-    """Keep codewords that vanish on S, then drop those coordinates."""
-    keep = _complement(c.n, S)
-    G = c.generator()
-    if not S:
-        return code_from_generator(G)
-    # messages whose encoding is zero on S
-    Gs = G.select_columns(list(S))
-    kernel = mat_nullspace(Gs.transpose())  # rows: messages
-    Gk = kernel.mul(G).select_columns(keep)
-    R, _ = rref(Gk)
-    if R.rows == 0:
-        return LinearCode(Mat.identity(c.gf, len(keep)))
-    return code_from_generator(R)
 
 
 # ---------------------------------------------------------------------------

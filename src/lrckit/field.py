@@ -379,12 +379,13 @@ def field_make(p: int, m: int = 1,
     return _cached_field(p, m, key)
 
 
-def field_of_size(q: int) -> GF:
-    """GF(q) for a prime power q, with the default modulus."""
+def field_of_size(q: int, modulus: Optional[Sequence[int]] = None) -> GF:
+    """GF(q) for a prime power q, with `modulus` or else the default one;
+    FieldError if q is not a prime power."""
     pm = prime_power(q)
     if pm is None:
         raise FieldError(f"{q} is not a prime power")
-    return field_make(*pm)
+    return field_make(*pm, modulus)
 
 
 def subfield_embedding(sub: GF, big: GF) -> List[int]:

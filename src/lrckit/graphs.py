@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .field import GF, field_make, prime_power
+from .field import GF, field_of_size, prime_power
 from .matrix import Mat, lines
 from .code import (CodeParams, ConstructionFailed, LinearCode, NotInCatalog,
                    SearchExhausted)
@@ -27,13 +27,11 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Undirected simple graph with optional node labels (the sides of a
-    bipartite graph, the points and lines of a geometry)."""
+    """Undirected simple graph on nodes 0..node_count-1."""
 
-    __slots__ = ("node_count", "edges", "labels")
+    __slots__ = ("node_count", "edges")
 
-    def __init__(self, node_count: int, edges: Iterable[Tuple[int, int]],
-                 labels: Optional[Dict[str, Sequence[int]]] = None):
+    def __init__(self, node_count: int, edges: Iterable[Tuple[int, int]]):
         es = []
         seen: Set[Tuple[int, int]] = set()
         for u, v in edges:
@@ -48,7 +46,6 @@ class Graph:
             es.append(e)
         self.node_count = node_count
         self.edges = tuple(es)
-        self.labels = {k: tuple(v) for k, v in (labels or {}).items()}
 
     def adjacency(self) -> List[List[Tuple[int, int]]]:
         """adj[u] = list of (neighbor, edge index)."""
@@ -211,8 +208,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)],
-                 labels={"left": range(a), "right": range(a, a + b)})
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -266,7 +262,7 @@ def pg_incidence_graph(q: int) -> Graph:
     """
     if prime_power(q) is None:
         raise NotInCatalog(f"{q} is not a prime power")
-    gf = field_make(*prime_power(q))
+    gf = field_of_size(q)
     pts = _projective_points(gf, 3)
     npts = len(pts)
     index = {p: i for i, p in enumerate(pts)}
@@ -279,8 +275,7 @@ def pg_incidence_graph(q: int) -> Graph:
                 acc = gf.add(acc, gf.mul(a, b))
             if acc == 0:
                 edges.append((index[p], npts + li))
-    g = Graph(2 * npts, edges,
-              labels={"points": range(npts), "lines": range(npts, 2 * npts)})
+    g = Graph(2 * npts, edges)
     if girth(g) != 6:
         raise ConstructionFailed("projective plane incidence girth != 6")
     return g
@@ -296,7 +291,7 @@ def gq_incidence_graph(q: int) -> Graph:
     (q+1)-regular bipartite graph of girth 8 on 2(q^3+q^2+q+1) nodes."""
     if prime_power(q) is None:
         raise NotInCatalog(f"{q} is not a prime power")
-    gf = field_make(*prime_power(q))
+    gf = field_of_size(q)
     pts = _projective_points(gf, 4)
     index = {p: i for i, p in enumerate(pts)}
 
@@ -325,9 +320,7 @@ def gq_incidence_graph(q: int) -> Graph:
     for li, line in enumerate(sorted(lines, key=sorted)):
         for p in line:
             edges.append((p, npts + li))
-    g = Graph(npts + len(lines), edges,
-              labels={"points": range(npts),
-                      "lines": range(npts, npts + len(lines))})
+    g = Graph(npts + len(lines), edges)
     if len(lines) != npts or girth(g) != 8:
         raise ConstructionFailed("generalized quadrangle incidence failed")
     return g
@@ -493,8 +486,10 @@ def _peg(degree: int, need: int, side: int,
 
 def bipartite_regular_girth(degree: int, girth_req: int,
                             seed: int = 0,
-                            catalog: bool = True) -> Graph:
-    """A degree-regular bipartite graph of girth >= girth_req.
+                            catalog: bool = True) -> Tuple[Graph, bool]:
+    """A degree-regular bipartite graph of girth >= girth_req, and whether
+    it was grown by progressive edge growth rather than taken from the
+    catalog.
 
     Known incidence geometries cover girth 4, 6, 8 (and 12 for degree 3);
     otherwise (or with catalog=False) progressive edge growth joins each
@@ -510,21 +505,21 @@ def bipartite_regular_girth(degree: int, girth_req: int,
     need = girth_req + (girth_req % 2)
     if catalog:
         if need <= 4:
-            return complete_bipartite(degree, degree)
+            return complete_bipartite(degree, degree), False
         q = degree - 1
         if need <= 6 and prime_power(q):
-            return pg_incidence_graph(q)
+            return pg_incidence_graph(q), False
         if need <= 8 and prime_power(q) and q <= 5:
-            return gq_incidence_graph(q)
+            return gq_incidence_graph(q), False
         if need <= 12 and degree == 3:
-            return tutte_12_cage()
+            return tutte_12_cage(), False
     rng = random.Random(seed)
     moore_side = sum((degree - 1) ** i for i in range(need // 2))
     for double in range(1, 7):
         for _attempt in range(128):
             g = _peg(degree, need, moore_side << double, rng)
             if g is not None:
-                return g
+                return g, True
     raise SearchExhausted(
         f"no {degree}-regular bipartite graph of girth {need} found by "
         f"edge growth up to {moore_side << 6} nodes a side")
@@ -582,7 +577,10 @@ def incidence_bits(g: Graph) -> List[int]:
 def incidence_code(g: Graph, gf: GF, coefficients: str = "one",
                    seed: int = 0) -> LinearCode:
     """Code whose parity-check matrix is the node-edge incidence matrix of g
-    (entries 1 by default; `coefficients="random"` draws nonzero values)."""
+    (entries 1 by default; `coefficients="random"` draws nonzero values).
+    GraphError if g has no edge: the code would have length 0."""
+    if not g.edges:
+        raise GraphError(f"{g} has no edge, so its code has no coordinate")
     if gf.q == 2:
         H = Mat.from_bits(gf, incidence_bits(g), len(g.edges))
     else:

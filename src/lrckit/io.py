@@ -1,8 +1,8 @@
-"""JSON serialization: matrices, codes, graphs, local structures.
+"""JSON serialization of codes and their local structures.
 
-Schemas are versioned ("matrix/1", "code/1", "graph/1"); loaders reject
-unknown fields so stale files fail loudly.  Matrix round-trips are bit-exact
-(field elements are plain ints).
+A code file is versioned by its schema ("code/1"); the loader rejects
+unknown fields so stale files fail loudly.  Field elements are plain ints,
+so round-trips are bit-exact.
 
 GF(2) parity checks go between bit rows and text with no dense lists: `dump`
 writes a GF(2) `Mat` straight from its bit masks, and `load_code` reads rows
@@ -18,7 +18,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .code import BudgetExceeded, CodeParams, LinearCode
 from .field import GF, field_make
-from .graphs import Graph
 from .matrix import Mat
 from .mr_codes import LocalStructure
 
@@ -66,20 +65,6 @@ def field_from_json(obj: dict) -> GF:
     return field_make(obj["p"], m, obj.get("modulus") or None)
 
 
-def matrix_to_json(M: Mat) -> dict:
-    return {"schema": "matrix/1", "field": field_to_json(M.gf),
-            "rows": M.to_lists(), "cols": M.cols}
-
-
-def matrix_from_json(obj: dict) -> Mat:
-    _check_fields(obj, {"schema": None, "field": (dict,), "rows": (list,),
-                        "cols": _OPT_INT, "manifest": None}, "matrix")
-    if obj.get("schema") != "matrix/1":
-        raise SchemaError(f"unsupported matrix schema {obj.get('schema')}")
-    gf = field_from_json(obj["field"])
-    return Mat(gf, obj["rows"], cols=obj.get("cols"))
-
-
 def structure_to_json(s: LocalStructure) -> dict:
     return {"groups": [list(g) for g in s.groups], "delta": s.delta}
 
@@ -98,10 +83,10 @@ def structure_from_json(obj: dict) -> LocalStructure:
         raise SchemaError(f"local_structure: {e}") from None
 
 
-def code_to_json(code: LinearCode, lists: bool = True) -> dict:
-    """The code/1 payload of `code`.  Its `rows` are lists of ints, or, with
-    `lists` false, the matrix H itself, which `dump` writes as those lists.
-    BudgetExceeded if H has more than MAX_CODE_ENTRIES entries."""
+def code_to_json(code: LinearCode) -> dict:
+    """The code/1 payload of `code`, with the matrix H itself in `rows`;
+    `dump` writes it as lists of ints.  BudgetExceeded if H has more than
+    MAX_CODE_ENTRIES entries."""
     H = code.H
     if H.rows * H.cols > MAX_CODE_ENTRIES:
         raise BudgetExceeded(
@@ -109,7 +94,7 @@ def code_to_json(code: LinearCode, lists: bool = True) -> dict:
             f"{H.rows * H.cols} entries, above MAX_CODE_ENTRIES = "
             f"{MAX_CODE_ENTRIES}")
     out = {"schema": "code/1", "field": field_to_json(code.gf),
-           "rows": H.to_lists() if lists else H, "cols": code.n}
+           "rows": H, "cols": code.n}
     if code.params is not None:
         out["params"] = code.params.as_dict()
     prov = {k: v for k, v in code.provenance.items()
@@ -122,15 +107,11 @@ def code_to_json(code: LinearCode, lists: bool = True) -> dict:
     return out
 
 
-def code_from_json(obj: dict) -> LinearCode:
-    """The code of a code/1 payload, as `json.loads` gives it."""
-    return _code(obj)
-
-
-def _code(obj: dict, H: Optional[Mat] = None) -> LinearCode:
-    """The code of a code/1 payload.  `H`, when given, is the matrix of its
-    rows, already read by `load_code`, and `obj["rows"]` only stands in for
-    it."""
+def code_from_json(obj: dict, H: Optional[Mat] = None) -> LinearCode:
+    """The code of a code/1 payload, as `json.loads` gives it.  `H`, when
+    given, is the matrix of its rows, already read by `load_code`, and
+    `obj["rows"]` only stands in for it.  SchemaError for a code of length
+    0."""
     _check_fields(obj, {"schema": None, "field": (dict,), "rows": (list,),
                         "cols": _OPT_INT, "params": None,
                         "provenance": (dict, _OPT), "local_structure": None,
@@ -140,6 +121,8 @@ def _code(obj: dict, H: Optional[Mat] = None) -> LinearCode:
     gf = field_from_json(obj["field"])
     if H is None:
         H = Mat(gf, obj["rows"], cols=obj.get("cols"))
+    if not H.cols:
+        raise SchemaError("a code needs at least one coordinate, got cols 0")
     params = None
     if "params" in obj:
         _check_fields(obj["params"], dict(
@@ -151,21 +134,6 @@ def _code(obj: dict, H: Optional[Mat] = None) -> LinearCode:
         provenance["local_structure"] = structure_from_json(
             obj["local_structure"])
     return LinearCode(H, params=params, provenance=provenance)
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"schema": "graph/1", "nodes": g.node_count,
-            "edges": [list(e) for e in g.edges],
-            "labels": {k: list(v) for k, v in g.labels.items()}}
-
-
-def graph_from_json(obj: dict) -> Graph:
-    _check_fields(obj, {"schema": None, "nodes": (int,), "edges": (list,),
-                        "labels": (dict, _OPT), "manifest": None}, "graph")
-    if obj.get("schema") != "graph/1":
-        raise SchemaError(f"unsupported graph schema {obj.get('schema')}")
-    return Graph(obj["nodes"], [tuple(e) for e in obj["edges"]],
-                 labels=obj.get("labels"))
 
 
 def dumps(obj) -> str:
@@ -296,8 +264,7 @@ def load_code(path: str) -> Tuple[LinearCode, str]:
     fast = _gf2_code_file(data)
     if fast is None:
         return code_from_json(_parse(data, path)), digest
-    obj, H = fast
-    return _code(obj, H), digest
+    return code_from_json(*fast), digest
 
 
 def _gf2_code_file(data: bytes) -> Optional[Tuple[dict, Mat]]:

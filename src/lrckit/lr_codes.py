@@ -79,15 +79,15 @@ def pyramid_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     row_groups = coordinate_groups(group_sizes)
     cols: List[List[int]] = []
     coord_groups: List[List[int]] = []
-    split_source = [G_sys[(i, k)] for i in range(k)]
+    columns = G_sys.transpose().data
+    split_source = columns[k]
     for grp in row_groups:
         start = len(cols)
         for i in grp:
             cols.append([1 if j == i else 0 for j in range(k)])
         cols.append([split_source[j] if j in grp else 0 for j in range(k)])
         coord_groups.append(list(range(start, len(cols))))
-    for c in range(k + 1, n1):
-        cols.append([G_sys[(i, c)] for i in range(k)])
+    cols.extend(map(list, columns[k + 1:]))
     G = Mat(gf, list(zip(*cols)), cols=len(cols))
     d = lr_singleton_bound(n, k, r)
     return checked(code_from_generator(
@@ -186,6 +186,8 @@ def wang_avail_code(r: int, t: int) -> LinearCode:
     columns t-subsets of an (r+t)-set, with containment incidence.  Strict
     availability with row weight r+1 and column weight t; the parity-check
     matrix has rank C(r+t-1, t-1), giving rate r/(r+t)."""
+    if min(r, t) < 1:
+        raise ValueError(f"need r, t >= 1, got r={r}, t={t}")
     ell = r + t
     n = math.comb(ell, t)
     if n > WANG_BUDGET:

@@ -1,4 +1,4 @@
-"""Exact matrices over GF(p^m): rank, row reduction, null space, solving.
+"""Exact matrices over GF(p^m): rank, row reduction, null space.
 
 Matrices are immutable.  Over GF(2) each row is stored as one int bit mask,
 since the binary parity-check matrices of the graph constructions run to
@@ -14,13 +14,12 @@ subset, and `first_dependent` is the one exhaustive search, a depth-first
 walk over staged column subsets that shares each prefix's reduction.
 
 `subspaces` is the one enumeration of a row space, each i-dimensional
-subspace once in a Gray order; `row_span`, every combination in counter
-order, is kept as the plain reference.
+subspace once in a Gray order.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import GF
@@ -102,10 +101,6 @@ class Mat:
         return M
 
     @classmethod
-    def zeros(cls, gf: GF, rows: int, cols: int) -> "Mat":
-        return cls(gf, [[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, gf: GF, n: int) -> "Mat":
         return cls(gf, [[1 if i == j else 0 for j in range(n)]
                         for i in range(n)])
@@ -117,13 +112,6 @@ class Mat:
         if self.bits is None:
             return self._data
         return tuple(tuple(_unpack(v, self.cols)) for v in self.bits)
-
-    def __getitem__(self, ij: Tuple[int, int]) -> int:
-        i, j = ij
-        if self.bits is None:
-            return self._data[i][j]
-        # indexing a range wraps a negative j and bounds-checks it
-        return self.bits[i] >> range(self.cols)[j] & 1
 
     def row_supports(self) -> List[Tuple[int, ...]]:
         """Column indices of the nonzero entries of each row."""
@@ -189,20 +177,6 @@ class Mat:
                 orow.append(acc)
             out.append(orow)
         return Mat(gf, out, cols=other.cols)
-
-    def mul_vec(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        if self.bits is not None:
-            m = _pack(tuple(vec))
-            return tuple((v & m).bit_count() & 1 for v in self.bits)
-        gf = self.gf
-        out = []
-        for row in self._data:
-            acc = 0
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc = gf.add(acc, gf.mul(a, b))
-            out.append(acc)
-        return tuple(out)
 
     def is_zero(self) -> bool:
         return not any(map(any, self._data) if self.bits is None
@@ -323,28 +297,6 @@ def mat_nullspace(M: Mat) -> Mat:
                 vec[pc] = gf.neg(row[f])
         basis.append(vec)
     return Mat(gf, basis, cols=n)
-
-
-def mat_solve(M: Mat, b: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """One solution x of M x^T = b^T, or None if inconsistent."""
-    gf = M.gf
-    aug = Mat(gf, [list(r) + [v] for r, v in zip(M.data, b)],
-              cols=M.cols + 1)
-    R, pivots = rref(aug)
-    if M.cols in pivots:
-        return None
-    x = [0] * M.cols
-    for row, pc in zip(R.data, pivots):
-        x[pc] = row[-1]
-    return tuple(x)
-
-
-def row_span(M: Mat) -> Iterator[Tuple[int, ...]]:
-    """Every linear combination of the rows of M, the zero word first; the
-    coefficients count up in base q, the first row's fastest."""
-    Mt = M.transpose()
-    for msg in product(range(M.gf.q), repeat=M.rows):  # the last digit fastest
-        yield Mt.mul_vec(msg[::-1])
 
 
 def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:

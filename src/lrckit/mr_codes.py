@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .code import (CodeParams, ConstructionFailed, LinearCode,
                    SearchExhausted, checked, code_from_generator)
-from .field import (GF, MAX_FIELD_SIZE, FieldError, field_make, prime_power,
-                    subfield_embedding)
+from .field import (GF, MAX_FIELD_SIZE, FieldError, field_make,
+                    field_of_size, prime_power, subfield_embedding)
 from .matrix import Mat, first_dependent, vandermonde
 
 if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
@@ -250,7 +250,7 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
             break
     if q is None:
         raise FieldError("no prime power q with psi | q-1, q-1 >= psi*m")
-    gf = field_make(*prime_power(q))
+    gf = field_of_size(q)
     alpha = gf.primitive
     beta = gf.pow(alpha, (q - 1) // psi)
     width = rp + 1  # = r + delta
@@ -301,12 +301,8 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
     if not r <= delta <= 2 * r - 1:
         raise ValueError("need r <= delta <= 2r-1 (the a = 1 regime)")
     shape = PmrParams(m, r, delta)
-    pm = prime_power(base_q)
-    if pm is None:
-        raise FieldError(f"{base_q} is not a prime power")
-    p, e = pm
-    sub = field_make(p, e)
-    big = field_make(p, 3 * e)
+    sub = field_of_size(base_q)
+    big = field_make(sub.p, 3 * sub.m)
     embed = subfield_embedding(sub, big)
     if unity_order is None:
         unity_order = next((u for u in range(r + 1, base_q)

@@ -340,10 +340,10 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
 
     # ---- step 2: auxiliary graph with girth >= t+1, colored by matchings --
     if aux == "catalog":
-        aux_graph = bipartite_regular_girth(r + 1, t + 1)
+        aux_graph, peg = bipartite_regular_girth(r + 1, t + 1)
     elif aux == "random":
-        aux_graph = bipartite_regular_girth(r + 1, t + 1, seed=seed,
-                                            catalog=False)
+        aux_graph, peg = bipartite_regular_girth(r + 1, t + 1, seed=seed,
+                                                 catalog=False)
     else:
         raise ValueError("aux must be 'catalog' or 'random'")
     if girth(aux_graph) < t + 1:
@@ -386,7 +386,4 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
                                 "base_nodes": base.node_count,
                                 "aux_nodes": n_aux, "aux": aux, "seed": seed,
                                 "colors": r + 1, "girth": got_girth,
-                                # geometries label points and lines; graphs
-                                # grown edge by edge carry no labels
-                                **({} if aux_graph.labels
-                                   else {"aux_algorithm": "peg"})})
+                                **({"aux_algorithm": "peg"} if peg else {})})

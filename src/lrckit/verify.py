@@ -75,10 +75,12 @@ def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]
     """Supports of dual codewords of weight <= wmax.
 
     Rows of the stored parity-check matrix are always candidates (the
-    constructions carry their local checks there explicitly); for codes of
-    length <= 14 every line of the dual is walked so nothing is missed.
-    Beyond that, an adversarial code whose low-weight words are not among
-    its stored rows could be under-served — peeling verdicts are then
+    constructions carry their local checks there explicitly); when the code
+    has length <= DUAL_ENUM_MAX_N = 14 and its dual at most
+    DUAL_ENUM_MAX_WORDS = 2^20 words (q^(n-k)), every line of the dual is
+    walked so nothing is missed.  Otherwise, over GF(256) at n = 14 and
+    n - k = 3 for one, an adversarial code whose low-weight words are not
+    among its stored rows could be under-served — peeling verdicts are then
     conservative (may report unrecoverable for a recoverable pattern),
     never falsely positive.
     """
@@ -189,7 +191,7 @@ def _incidence_graph(code: LinearCode):
     from .graphs import Graph, GraphError
     m = code.H.rows
     edges = []
-    for j, sup in enumerate(code.column_supports()):
+    for j, sup in enumerate(code.H.column_supports()):
         if len(sup) == 2:
             edges.append(sup)
         elif len(sup) == 1:

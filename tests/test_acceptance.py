@@ -18,7 +18,8 @@ from lrckit.bounds import (avail_dmin_bounds, avail_rate_bounds,
                            msr_subpkt_bounds, msw_sequence, RgParams,
                            cutset_bound, sa_blocklength_bound,
                            seq_blocklength_bounds, seq_rate_bound)
-from lrckit.code import LinearCode, dual, min_distance, support_weight
+from lrckit.code import (LinearCode, code_from_generator, min_distance,
+                         support_weight)
 from lrckit.field import field_make
 from lrckit.lr_codes import pg_plane_sa_code, steiner_sa_code
 from lrckit.matrix import Mat, mat_rank
@@ -143,7 +144,7 @@ def test_criterion_07_pmr():
 def test_criterion_08_msw_vs_ghw():
     t0 = time.monotonic()
     code = t2_turan_code(2, 2)
-    dl = dual(code)
+    dl = code_from_generator(code.full_rank_checks())  # the dual code
     b1 = -(-2 * code.n // (2 + 2))  # number of independent local checks
     seq = msw_sequence(code.n, b1, 2)
     for i in range(1, b1 + 1):

@@ -161,22 +161,28 @@ def test_turan():
 
 
 def test_bipartite_regular_girth_catalog():
-    assert bipartite_regular_girth(3, 4).node_count == 6  # K_{3,3}
-    g = bipartite_regular_girth(3, 6)
+    g, grown = bipartite_regular_girth(3, 4)
+    assert g.node_count == 6 and not grown  # K_{3,3}
+    g, grown = bipartite_regular_girth(3, 6)
     assert g.node_count == 14 and girth(g) == 6  # smallest 3-regular girth 6
-    g = bipartite_regular_girth(4, 6)
-    assert g.node_count == 26 and girth(g) == 6
+    g, grown = bipartite_regular_girth(4, 6)
+    assert g.node_count == 26 and girth(g) == 6 and not grown
+    # no geometry of degree 2 past girth 4: a catalog miss grows from seed 0
+    g, grown = bipartite_regular_girth(2, 6)
+    assert grown and girth(g) >= 6
+    assert g.edges == bipartite_regular_girth(2, 6, catalog=False)[0].edges
 
 
 def test_bipartite_regular_girth_randomized():
     for degree in (3, 4):
         for seed in range(16):
-            g = bipartite_regular_girth(degree, 6, seed=seed, catalog=False)
-            assert girth(g) >= 6
+            g, grown = bipartite_regular_girth(degree, 6, seed=seed,
+                                               catalog=False)
+            assert grown and girth(g) >= 6
             assert set(g.degrees()) == {degree}
             assert bipartition(g) is not None
-            again = bipartite_regular_girth(degree, 6, seed=seed,
-                                            catalog=False)
+            again, _ = bipartite_regular_girth(degree, 6, seed=seed,
+                                               catalog=False)
             assert again.edges == g.edges
 
 
@@ -252,6 +258,14 @@ def test_incidence_code_cycle_space_dimension():
     # trees have full column rank
     path = Graph(3, [(0, 1), (1, 2)])
     assert incidence_code(path, gf2).k == 0
+
+
+def test_incidence_code_refuses_an_edgeless_graph():
+    # no edge, no coordinate: a code of length 0 would pass every check
+    for g in (complete_graph(1), complete_graph(0), Graph(3, [])):
+        for gf in (field_make(2), field_make(3)):
+            with pytest.raises(GraphError, match="no edge"):
+                incidence_code(g, gf)
 
 
 def test_incidence_code_random_coefficients():

@@ -7,8 +7,8 @@ import pytest
 from lrckit import cli
 from lrckit import io as lio
 from lrckit.cli import main
+from lrckit.code import LinearCode
 from lrckit.field import field_make
-from lrckit.graphs import petersen_graph
 from lrckit.matrix import Mat, MatrixError
 from lrckit.mr_codes import mr_r12
 from lrckit.seq_codes import moore_code
@@ -16,39 +16,33 @@ from lrckit.verify import seq_recovery_check
 
 
 def test_matrix_round_trip_bit_exact():
-    gf = field_make(2, 4)
+    # GF(2^4) modulo x^4 + x^3 + 1, not the default x^4 + x + 1
+    gf = field_make(2, 4, [1, 0, 0, 1, 1])
     M = Mat(gf, [[0, 1, 7, 15], [3, 3, 0, 9]])
-    again = lio.matrix_from_json(lio.matrix_to_json(M))
-    assert again == M
+    again = lio.code_from_json(json.loads(lio.dumps(
+        lio.code_to_json(LinearCode(M)))))
+    assert again.H == M and again.H.data == M.data
     assert again.gf.modulus == gf.modulus
 
 
 def test_code_round_trip_with_structure():
     code = mr_r12(3, 2)
-    obj = lio.code_to_json(code)
-    text = json.dumps(obj)
-    again = lio.code_from_json(json.loads(text))
+    again = lio.code_from_json(json.loads(lio.dumps(lio.code_to_json(code))))
     assert again.H == code.H
     assert again.params == code.params
     st = again.provenance["local_structure"]
     assert st.groups == code.provenance["local_structure"].groups
 
 
-def test_graph_round_trip():
-    g = petersen_graph()
-    again = lio.graph_from_json(lio.graph_to_json(g))
-    assert again.edges == g.edges and again.node_count == g.node_count
-
-
 def test_unknown_fields_rejected():
-    obj = lio.code_to_json(moore_code(2, 4))
+    obj = json.loads(lio.dumps(lio.code_to_json(moore_code(2, 4))))
     obj["surprise"] = 1
-    with pytest.raises(lio.SchemaError):
+    with pytest.raises(lio.SchemaError, match="unknown fields"):
         lio.code_from_json(obj)
-    mobj = lio.matrix_to_json(Mat(field_make(2), [[1, 0]]))
-    mobj["schema"] = "matrix/9"
-    with pytest.raises(lio.SchemaError):
-        lio.matrix_from_json(mobj)
+    del obj["surprise"]
+    obj["schema"] = "code/9"
+    with pytest.raises(lio.SchemaError, match="unsupported code schema"):
+        lio.code_from_json(obj)
 
 
 def test_cli_construct_verify_round_trip(tmp_path):
@@ -168,17 +162,15 @@ def test_cli_verify_jobs_report_replays(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [1.7, "1", True, False, 1.0, None, 2])
 def test_cli_rejects_non_integer_entries(tmp_path, capsys, bad):
-    obj = lio.code_to_json(moore_code(2, 4))
+    obj = json.loads(lio.dumps(lio.code_to_json(moore_code(2, 4))))
     obj["rows"][0][1] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     assert main(["verify", "seq", "--code", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MatrixError"
-    mobj = lio.matrix_to_json(Mat(field_make(2), [[1, 0]]))
-    mobj["rows"][0][0] = bad
     with pytest.raises(MatrixError):
-        lio.matrix_from_json(mobj)
+        lio.code_from_json(obj)
 
 
 @pytest.mark.parametrize("exc", [AssertionError("invariant"),
@@ -628,7 +620,7 @@ def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
         if isinstance(bad, bytes):
             path.write_bytes(bad)
         else:
-            obj = lio.code_to_json(moore_code(2, 4))
+            obj = json.loads(lio.dumps(lio.code_to_json(moore_code(2, 4))))
             bad(obj)
             path.write_text(json.dumps(obj))
         argv = ["verify", "seq", "--code", str(path)]
@@ -638,9 +630,38 @@ def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
     assert json.loads(capsys.readouterr().err)["error"] == kind
 
 
+def test_code_of_length_zero_is_refused(tmp_path, capsys):
+    """A code with no coordinate is refused where it enters, so no verifier
+    reports a vacuous PASS on it."""
+    for argv in (["wang", "--r", "0", "--t", "2"],
+                 ["wang", "--r", "1", "--t", "0"],
+                 ["incidence", "--graph", "complete:1"]):
+        out = tmp_path / "never.json"
+        assert main(["construct"] + argv + ["--out", str(out)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == (
+            "GraphError" if argv[0] == "incidence" else "ValueError")
+        assert not out.exists()
+    empty = {"schema": "code/1", "field": {"p": 2}, "rows": [], "cols": 0}
+    no_cols = {k: v for k, v in empty.items() if k != "cols"}
+    for obj in (empty, dict(empty, rows=[[], []]), no_cols):
+        with pytest.raises(lio.SchemaError, match="cols 0"):
+            lio.code_from_json(obj)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(empty))
+    for prop in (["seq"], ["seq", "--mode", "sampled"], ["avail"], ["sa"]):
+        argv = ["verify"] + prop + ["--code", str(path), "--r", "1",
+                                    "--t", "1"]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert json.loads(captured.err)["error"] == "SchemaError", argv
+
+
 def test_cols_that_disagree_with_the_rows_exit_2(tmp_path, capsys):
     # the Petersen code, 15 columns, used to load with "cols": 3 as well
-    obj = lio.code_to_json(moore_code(2, 4))
+    obj = json.loads(lio.dumps(lio.code_to_json(moore_code(2, 4))))
     obj["cols"] = 3
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))

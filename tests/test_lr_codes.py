@@ -115,6 +115,10 @@ def test_wang_code():
     # constant row and column weights and the counting identity
     assert sa_check(c.H, 3, 2).verdict
     assert availability_check(c, 3, 2).verdict
+    # r = 0 used to build a k = 0 code, t = 0 to fail inside itertools
+    for r, t in ((0, 2), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="need r, t >= 1"):
+            wang_avail_code(r, t)
 
 
 def test_wang_is_sequential_too():

@@ -78,7 +78,8 @@ def test_mr_r12_r3():
     assert (c.n, c.k) == (8, 4)
     assert pmds_check(c, st, 1, 2).verdict
     # distinct evaluation points by the coset argument
-    thetas = [c.H[(c.H.rows - 1, j)] for j in range(2, c.n)]
+    thetas = c.H.data[-1][2:]
+    assert len(set(thetas)) == len(thetas)
 
 
 def test_mr_rdelta2_exhaustive():

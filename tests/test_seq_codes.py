@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lrckit import seq_codes
 from lrckit.bounds import moore_bound, seq_blocklength_bounds, seq_rate_bound
 from lrckit.code import NotInCatalog, min_distance
 from lrckit.matrix import mat_rank
@@ -159,6 +160,19 @@ def test_seq_general_random_aux():
     assert "aux_algorithm" not in seq_general_code(3, 5).provenance
     rep = seq_recovery_check(c, 3, 5, mode="sampled", samples=2000, seed=1)
     assert rep.verdict
+
+
+def test_seq_general_catalog_miss_records_peg(monkeypatch):
+    # a degree and girth that no catalogued geometry serves (each real one
+    # takes minutes): the catalog build grows its auxiliary graph, and says
+    # so
+    real = seq_codes.bipartite_regular_girth
+    monkeypatch.setattr(seq_codes, "bipartite_regular_girth",
+                        lambda *args, **kw: real(*args,
+                                                 **dict(kw, catalog=False)))
+    c = seq_general_code(3, 5)
+    assert c.provenance["aux"] == "catalog"
+    assert c.provenance["aux_algorithm"] == "peg"
 
 
 def test_moore_code_large_uses_certificate_and_sampling():
