@@ -12,7 +12,6 @@ a + b = a (1 + b/a), read from a table of log(1 + g^i) built with the field.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -217,9 +216,6 @@ class GF:
             raise FieldError("coefficient vector too long")
         return v
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def nonzero_elements(self) -> range:
         return range(1, self.q)
 
@@ -326,13 +322,6 @@ class GF:
                 raise DivideByZero("zero to a negative power")
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise DivideByZero("zero has no multiplicative order")
-        n = self.q - 1
-        return n // math.gcd(self._log[a], n) if n else 1
 
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         """Evaluate a polynomial with field coefficients at x (Horner)."""

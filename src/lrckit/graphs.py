@@ -72,12 +72,6 @@ class EdgeColoring:
     colors: Tuple[int, ...]
     palette: int
 
-    def classes(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in range(self.palette)]
-        for idx, c in enumerate(self.colors):
-            out[c].append(idx)
-        return out
-
 
 def check_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
     adj = g.adjacency()

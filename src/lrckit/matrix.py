@@ -2,16 +2,17 @@
 
 Matrices are immutable.  Over GF(2) each row is stored as one int bit mask,
 since the binary parity-check matrices of the graph constructions run to
-thousands of columns: rank and row reduction use one XOR basis keyed by each
-row's lowest set bit, and the tuple-of-ints form is unpacked only on demand.
-Over larger fields rows are tuples of int elements, and elimination works on
-log-domain vectors with one row operation, `_sub_mul`, which adds by Zech
-logarithms.
+thousands of columns, and the tuple-of-ints form is unpacked only on demand.
+Over larger fields rows are tuples of int elements.
 
-Independence of column subsets is tested on a `ColumnBasis`, which inserts
-columns one at a time and undoes the last: `columns_independent` checks one
-subset, and `first_dependent` is the one exhaustive search, a depth-first
-walk over staged column subsets that shares each prefix's reduction.
+All elimination goes through one `Echelon` basis, which keeps each vector
+under the position of its lowest nonzero entry: a bit mask over GF(2), and
+over larger fields a log-domain vector reduced with one row operation,
+`_sub_mul`, which adds by Zech logarithms.  `mat_rank` counts the rows it
+keeps, `rref` back-substitutes them, and `columns_independent` and
+`first_dependent` insert columns into it; `first_dependent` is the one
+exhaustive search, a depth-first walk over staged column subsets that shares
+each prefix's reduction and undoes the last column on the way back up.
 
 `subspaces` is the one enumeration of a row space, each i-dimensional
 subspace once in a Gray order.
@@ -146,9 +147,6 @@ class Mat:
     def __repr__(self) -> str:
         return f"Mat({self.gf}, {self.rows}x{self.cols})"
 
-    def to_lists(self) -> List[List[int]]:
-        return [list(r) for r in self.data]
-
     # -- shape operations --
 
     def transpose(self) -> "Mat":
@@ -187,20 +185,6 @@ class Mat:
 # elimination
 # ---------------------------------------------------------------------------
 
-def _xor_basis(bits: Iterable[int]) -> dict:
-    """A GF(2) row basis keyed by each row's lowest set bit (its pivot)."""
-    basis: dict = {}
-    for v in bits:
-        while v:
-            low = v & -v
-            u = basis.get(low)
-            if u is None:
-                basis[low] = v
-                break
-            v ^= u
-    return basis
-
-
 def _sub_mul(x: List[int], y: Sequence[Tuple[int, int]], lf: int,
              gf: GF) -> None:
     """x <- x - f*y in place, for f = g^lf, in the log domain.
@@ -224,20 +208,99 @@ def _sub_mul(x: List[int], y: Sequence[Tuple[int, int]], lf: int,
             x[i] = -1 if z < 0 else (lx + z) % order
 
 
+class Echelon(dict):
+    """Linearly independent vectors over GF(q), each kept under its pivot,
+    the position of its lowest nonzero entry.
+
+    `insert(v)` clears v's lowest entry with the vector kept at that pivot,
+    and repeats: it keeps v, and returns True, when v reaches a free pivot,
+    and returns False when v reaches zero (a list v is changed in place).  `pop()` drops the vector kept
+    last, so a depth-first walk over column subsets can carry the basis down
+    the tree and undo it on the way back up.  Over GF(2) a vector is a bit
+    mask, kept under its lowest set bit; over larger fields it is a
+    log-domain list (as in `_sub_mul`), kept as its nonzero (index, log)
+    pairs, the pivot first.
+    """
+
+    __slots__ = ("gf",)
+
+    def __init__(self, gf: GF):
+        self.gf = gf
+
+    pop = dict.popitem
+
+    def insert(self, v) -> bool:
+        if self.gf.q == 2:
+            get = self.get
+            while v:
+                low = v & -v
+                u = get(low)
+                if u is None:
+                    self[low] = v
+                    return True
+                v ^= u
+            return False
+        # enumerate reads each entry of v only once it gets there, after
+        # the clears at the entries before it
+        for i, lv in enumerate(v):
+            if lv >= 0:
+                if i not in self:
+                    self[i] = [(j, x) for j, x in enumerate(v) if x >= 0]
+                    return True
+                u = self[i]
+                _sub_mul(v, u, lv - u[0][1], self.gf)
+        return False
+
+    def insert_row(self, row: Sequence[int]) -> bool:
+        """Insert the vector with the given entries."""
+        if self.gf.q == 2:
+            return self.insert(_pack(row))
+        log = self.gf._log
+        return self.insert([log[x] if x else -1 for x in row])
+
+    def insert_column(self, M: Mat, j: int) -> bool:
+        """Insert column j of M, read from the last row up.
+
+        Over a matrix in RREF, such as `LinearCode.full_rank_checks()`, the
+        lowest entry of a column read this way lies in the last pivot row
+        at or before it: a pivot column is a unit vector, and the others
+        fill in few entries.
+        """
+        if self.gf.q == 2:
+            v = 0
+            for i, row in enumerate(reversed(M.bits)):
+                if row >> j & 1:
+                    v |= 1 << i
+            return self.insert(v)
+        log = self.gf._log
+        return self.insert([log[row[j]] if row[j] else -1
+                            for row in reversed(M._data)])
+
+
+def _row_basis(M: Mat) -> Echelon:
+    basis = Echelon(M.gf)
+    if M.bits is None:
+        for row in M.data:
+            basis.insert_row(row)
+    else:
+        for v in M.bits:
+            basis.insert(v)
+    return basis
+
+
 def rref(M: Mat):
     """Reduced row echelon form; returns (Mat of nonzero rows, pivot list).
 
-    GF(2) back-substitutes the XOR basis of the bit rows; every larger field
-    eliminates on log-domain rows with `_sub_mul`.
+    The rows kept by the `Echelon` basis of M, sorted by pivot, each scaled
+    to pivot entry 1 and cleared of the later pivots, the last row first: a
+    row whose pivot is later is already clear of every other pivot.
     """
-    gf = M.gf
+    gf, n = M.gf, M.cols
+    basis = _row_basis(M)
+    pivots = sorted(basis)
     if gf.q == 2:
-        basis = _xor_basis(M.bits)
-        order = sorted(basis)
-        pivot_mask = sum(order)
-        # clear the later pivots from each row, the last row first: a row
-        # whose pivot is later is already clear of every other pivot
-        for low in reversed(order):
+        pivot_mask = sum(pivots)
+        for low in reversed(pivots):
             v = basis[low]
             extra = v & pivot_mask ^ low
             while extra:
@@ -245,39 +308,25 @@ def rref(M: Mat):
                 v ^= basis[b]
                 extra ^= b
             basis[low] = v
-        return (Mat.from_bits(gf, [basis[b] for b in order], M.cols),
-                [b.bit_length() - 1 for b in order])
-    log, order, ncols = gf._log, gf.q - 1, M.cols
-    mat = [[log[x] if x else -1 for x in row] for row in M.data]
-    nrows = len(mat)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if mat[i][c] >= 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        row = mat[r]
-        lp = row[c]
-        if lp:
-            row[:] = [(x - lp) % order if x >= 0 else -1 for x in row]
-        y = [(j, row[j]) for j in range(c, ncols) if row[j] >= 0]
-        for i in range(nrows):
-            if i != r and mat[i][c] >= 0:
-                _sub_mul(mat[i], y, mat[i][c], gf)
-        pivots.append(c)
-        r += 1
-    exp = gf._exp
-    return Mat(gf, [[exp[x] if x >= 0 else 0 for x in row]
-                    for row in mat[:r]], cols=ncols), pivots
+        return (Mat.from_bits(gf, [basis[b] for b in pivots], n),
+                [b.bit_length() - 1 for b in pivots])
+    order, exp = gf.q - 1, gf._exp + [0]  # a log of -1 reads the 0
+    rows = []
+    for at in reversed(range(len(pivots))):
+        u = basis[pivots[at]]
+        v = [-1] * n
+        for j, x in u:
+            v[j] = (x - u[0][1]) % order
+        for p in pivots[at + 1:]:
+            if v[p] >= 0:
+                _sub_mul(v, basis[p], v[p], gf)
+        basis[pivots[at]] = [(j, x) for j, x in enumerate(v) if x >= 0]
+        rows.append([exp[x] for x in v])
+    return Mat(gf, rows[::-1], cols=n), pivots
 
 
 def mat_rank(M: Mat) -> int:
-    if M.gf.q == 2:
-        return len(_xor_basis(M.bits))
-    return len(rref(M)[1])
+    return len(_row_basis(M))
 
 
 def mat_nullspace(M: Mat) -> Mat:
@@ -376,74 +425,22 @@ def lines(M: Mat) -> Iterator[Tuple[int, ...]]:
                tuple(map(exp.__getitem__, w)))
 
 
-class ColumnBasis:
-    """Linearly independent columns of M, inserted one at a time.
-
-    `insert(j)` reduces column j against the columns already kept, in the
-    order they were kept, and keeps it iff it does not reduce to zero;
-    `pop()` drops the column kept last.  A depth-first walk over column
-    subsets can therefore carry the reduced basis down the tree and undo it
-    on the way back up.  Over GF(2) a column is a bit mask; over larger
-    fields it is a log-domain vector reduced with `_sub_mul`, as in `rref`.
-    """
-
-    __slots__ = ("gf", "rows", "kept")
-
-    def __init__(self, M: Mat):
-        self.gf = M.gf
-        self.rows = M.data if M.bits is None else M.bits
-        # Over GF(2), (pivot bit, column); else (pivot row, log of the pivot
-        # entry, column).  Each column is zero on the pivot rows of the
-        # columns kept before it.
-        self.kept: List[tuple] = []
-
-    def insert(self, j: int) -> bool:
-        kept = self.kept
-        if self.gf.q == 2:
-            v = 0
-            for i, row in enumerate(self.rows):
-                if row >> j & 1:
-                    v |= 1 << i
-            for bit, u in kept:
-                if v & bit:
-                    v ^= u
-            if not v:
-                return False
-            kept.append((v & -v, v))
-            return True
-        gf = self.gf
-        log = gf._log
-        v = [log[row[j]] if row[j] else -1 for row in self.rows]
-        for p, lu, u in kept:
-            lv = v[p]
-            if lv >= 0:
-                _sub_mul(v, u, lv - lu, gf)
-        nonzero = [(i, x) for i, x in enumerate(v) if x >= 0]
-        if not nonzero:
-            return False
-        kept.append(nonzero[0] + (nonzero,))
-        return True
-
-    def pop(self) -> None:
-        self.kept.pop()
-
-
 def columns_independent(M: Mat, cols: Iterable[int]) -> bool:
     """True iff the selected columns of M are linearly independent.
 
-    The columns are inserted one at a time into a `ColumnBasis`; the check
-    stops with False at the first column that reduces to zero against the
-    ones before it, and builds no sub-matrix.
+    The columns are inserted one at a time into an `Echelon` basis; the
+    check stops with False at the first column that reduces to zero against
+    the ones before it, and builds no sub-matrix.
     """
-    basis = ColumnBasis(M)
-    return all(basis.insert(c) for c in cols)
+    basis = Echelon(M.gf)
+    return all(basis.insert_column(M, c) for c in cols)
 
 
 def first_dependent(
         M: Mat, stages: Sequence[Tuple[Optional[Sequence[int]], int]]
 ) -> Tuple[int, Optional[List[int]]]:
     """Walk column subsets of M depth first, one column per tree level,
-    carrying one `ColumnBasis` down the tree.
+    carrying one `Echelon` basis down the tree.
 
     `stages` is a list of (items, count): a subset takes `count` of each
     stage's items, and items None means every column of M that the earlier
@@ -454,7 +451,7 @@ def first_dependent(
     least one subset to exist.
     """
     n = M.cols
-    basis = ColumnBasis(M)
+    basis = Echelon(M.gf)
     cols: List[int] = []
 
     def items_of(s: int) -> Sequence[int]:
@@ -492,7 +489,7 @@ def first_dependent(
             continue
         top[2] = pos + 1
         cols.append(items[pos])
-        if not basis.insert(items[pos]):
+        if not basis.insert_column(M, items[pos]):
             cols.extend(items[pos + 1:pos + need])
             for t in range(s + 1, len(stages)):
                 cols.extend(items_of(t)[:stages[t][1]])

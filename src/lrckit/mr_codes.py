@@ -35,15 +35,10 @@ class LocalStructure:
         flat = [i for g in self.groups for i in g]
         if len(set(flat)) != len(flat):
             raise ValueError("groups must be disjoint")
+        # disjoint groups: every coordinate of a group is private to it
         for gi, g in enumerate(self.groups):
-            others = {i for gj, h in enumerate(self.groups)
-                      for i in h if gj != gi}
-            if not set(g) - others:
+            if not g:
                 raise ValueError(f"group {gi} has no private coordinate")
-
-    @property
-    def n(self) -> int:
-        return sum(len(g) for g in self.groups)
 
     def covers(self, n: int) -> bool:
         return set(range(n)) == {i for g in self.groups for i in g}
@@ -51,12 +46,7 @@ class LocalStructure:
     def admissible_pattern(self) -> Tuple[int, ...]:
         """Canonical puncturing pattern: the first private coordinate of
         each group."""
-        out = []
-        for gi, g in enumerate(self.groups):
-            others = {i for gj, h in enumerate(self.groups)
-                      for i in h if gj != gi}
-            out.append(min(set(g) - others))
-        return tuple(out)
+        return tuple(min(g) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -104,11 +94,6 @@ class PmrParams:
     @property
     def k(self) -> int:
         return self.k0 - self.Delta
-
-    @property
-    def split(self) -> Tuple[int, int]:
-        """Delta = a*r + b with 0 <= b < r."""
-        return divmod(self.Delta, self.r)
 
 
 def coordinate_groups(sizes: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:

@@ -340,7 +340,7 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
 
     # ---- step 2: auxiliary graph with girth >= t+1, colored by matchings --
     if aux == "catalog":
-        aux_graph, peg = bipartite_regular_girth(r + 1, t + 1)
+        aux_graph, peg = bipartite_regular_girth(r + 1, t + 1, seed=seed)
     elif aux == "random":
         aux_graph, peg = bipartite_regular_girth(r + 1, t + 1, seed=seed,
                                                  catalog=False)

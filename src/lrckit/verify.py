@@ -17,8 +17,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
 from .code import BudgetExceeded, LinearCode, is_mds, min_distance
-from .matrix import (Mat, columns_independent, first_dependent, lines,
-                     mat_rank, rref)
+# `mat_rank` is not called here; perfbench's tracer self-test patches it
+from .matrix import (Echelon, Mat, columns_independent, first_dependent,
+                     lines, mat_rank, rref)
 from .mr_codes import LocalStructure
 
 SEQ_EXHAUSTIVE_BUDGET = 10 ** 6
@@ -373,8 +374,7 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
         if len(sup) != r + 1:
             return VerifyReport("strict-availability", False, "exhaustive",
                                 witness={"row": i, "weight": len(sup)})
-    for j in range(H.cols):
-        through = [i for i, sup in enumerate(rows) if j in sup]
+    for j, through in enumerate(H.column_supports()):
         if len(through) != t:
             return VerifyReport("strict-availability", False, "exhaustive",
                                 witness={"column": j,
@@ -627,10 +627,11 @@ def _greedy_low_weight_basis(code: LinearCode, wmax: int) -> Optional[Mat]:
         words = sorted((w for w in code.H.data if 0 < weight(w) <= wmax),
                        key=weight)
     chosen: List[Tuple[int, ...]] = []
+    span = Echelon(gf)
     for w in words:
         if len(chosen) == m:
             break
-        if mat_rank(Mat(gf, chosen + [w], cols=code.n)) > len(chosen):
+        if span.insert_row(w):
             chosen.append(w)
     return Mat(gf, chosen, cols=code.n) if len(chosen) == m else None
 

@@ -269,7 +269,7 @@ def test_criterion_11_property_suites():
     st = base.provenance["local_structure"]
     m = len(st.groups)
     target_d = lr_singleton_bound(base.n, base.k, 2)
-    H0 = base.H.to_lists()
+    H0 = [list(r) for r in base.H.data]
     for i in range(len(H0)):
         for j in range(len(H0[0])):
             rows = [row[:] for row in H0]

@@ -33,7 +33,8 @@ def test_explicit_modulus_matches_default():
 
 def test_gf9_multiplicative_group():
     gf = field_make(3, 2)
-    orders = sorted(gf.order(a) for a in gf.nonzero_elements())
+    orders = [next(e for e in range(1, gf.q) if gf.pow(a, e) == 1)
+              for a in gf.nonzero_elements()]
     assert max(orders) == 8
     assert orders.count(8) == 4  # phi(8) generators
 
@@ -85,7 +86,7 @@ def test_field_axioms_randomized(gf):
 @pytest.mark.parametrize("gf", [field_make(2, 2), field_make(3, 2),
                                 field_make(5)], ids=str)
 def test_field_axioms_exhaustive_small(gf):
-    els = list(gf.elements())
+    els = range(gf.q)
     for a in els:
         assert gf.add(a, 0) == a and gf.mul(a, 1) == a and gf.mul(a, 0) == 0
         assert gf.add(a, gf.neg(a)) == 0

@@ -484,7 +484,7 @@ def test_dumps_matches_json_on_every_payload(monkeypatch, tmp_path):
         real_emit(payload, out, argv, seed, **manifest)
         with open(out, encoding="utf-8") as fh:
             text = fh.read()
-        native = {k: v.to_lists() if isinstance(v, Mat) else v
+        native = {k: [list(r) for r in v.data] if isinstance(v, Mat) else v
                   for k, v in payload.items()}
         # the manifest the file holds: its timestamp may have ticked
         native["manifest"] = json.loads(text)["manifest"]

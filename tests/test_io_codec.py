@@ -204,7 +204,7 @@ SHAPES = list(_shapes())
 
 @pytest.mark.parametrize("M", SHAPES, ids=[repr(M) for M in SHAPES])
 def test_writer_is_json_dumps_on_edge_shapes(M):
-    lists = M.to_lists()
+    lists = [list(r) for r in M.data]
     for obj, native in ((M, lists), ({"rows": M, "cols": M.cols},
                                      {"rows": lists, "cols": M.cols}),
                         ([[M], {"a": M}], [[lists], {"a": lists}])):

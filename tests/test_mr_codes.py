@@ -163,7 +163,7 @@ def test_mutation_guard():
     base = mr_r12(3, 2)
     st = base.provenance["local_structure"]
     m = len(st.groups)
-    H0 = base.H.to_lists()
+    H0 = [list(r) for r in base.H.data]
     gf = base.gf
     target_d = lr_singleton_bound(base.n, base.k, 2)
     structural_escapes = []
@@ -190,7 +190,7 @@ def test_mutation_guard():
 def test_zeroing_a_global_row_fails_with_witness():
     base = mr_r12(3, 2)
     st = base.provenance["local_structure"]
-    rows = base.H.to_lists()
+    rows = [list(r) for r in base.H.data]
     rows[-1] = [0] * base.n
     mut = LinearCode(Mat(base.gf, rows))
     rep = pmds_check(mut, st, 1, 2)
@@ -233,7 +233,7 @@ def test_pmds_walk_matches_flat_loop_on_duplicated_column(
         make, dup, s_extra, checked, witness):
     base = make()
     st = base.provenance["local_structure"]
-    rows = base.H.to_lists()
+    rows = [list(r) for r in base.H.data]
     for row in rows:
         row[dup[1]] = row[dup[0]]
     mut = LinearCode(Mat(base.gf, rows))
@@ -285,7 +285,6 @@ def test_param_shapes():
     assert (p.n, p.k) == (9, 4)
     q = PmrParams(m=3, r=3, Delta=5)
     assert (q.n, q.k0, q.k) == (12, 9, 4)
-    assert q.split == (1, 2)
     with pytest.raises(ValueError):
         MrParams(r=1, delta=1, s=2, m=1)  # k would be negative
 

@@ -173,6 +173,10 @@ def test_seq_general_catalog_miss_records_peg(monkeypatch):
     c = seq_general_code(3, 5)
     assert c.provenance["aux"] == "catalog"
     assert c.provenance["aux_algorithm"] == "peg"
+    # the graph grows from the seed that the provenance records
+    c7 = seq_general_code(3, 5, seed=7)
+    assert c7.provenance["seed"] == 7
+    assert c7.H == seq_general_code(3, 5, aux="random", seed=7).H != c.H
 
 
 def test_moore_code_large_uses_certificate_and_sampling():
