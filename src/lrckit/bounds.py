@@ -97,11 +97,8 @@ def _volume(n: int, radius: int, q: int) -> int:
 
 def _k_feasible(n: int, d: int, k: int, q: int,
                 use: Sequence[str]) -> bool:
-    """Can an [n, k, d] q-ary code pass every selected closed-form test?"""
-    if k == 0:
-        return True
-    if d > n:
-        return False
+    """Can an [n, k, d] q-ary code pass every selected closed-form test?
+    Callers keep 1 <= k and d <= n."""
     if "singleton" in use and k > n - d + 1:
         return False
     if "hamming" in use:

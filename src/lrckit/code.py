@@ -128,8 +128,7 @@ def puncture(c: LinearCode, S: Sequence[int]) -> LinearCode:
     if s and (min(s) < 0 or max(s) >= c.n):
         raise ValueError(f"coordinate set outside [0, {c.n})")
     keep = [i for i in range(c.n) if i not in s]
-    Gp = c.generator().select_columns(keep)
-    return code_from_generator(rref(Gp)[0])
+    return code_from_generator(c.generator().select_columns(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +144,15 @@ def _min_distance_columns(c: LinearCode) -> int:
                 c.n - c.k + 1)
 
 
-def min_distance(c: LinearCode, budget: int = MIN_DISTANCE_BUDGET) -> int:
+def min_distance(c: LinearCode) -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
     Picks the cheaper exact strategy: enumerating one codeword per
     1-dimensional subspace, `support_weight(c, 1)`, or searching for the
     smallest dependent column set of H.  Raises BudgetExceeded when neither
-    fits within `budget` steps.
+    fits within MIN_DISTANCE_BUDGET steps.
     """
+    budget = MIN_DISTANCE_BUDGET
     if c.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     enum_cost = c.gf.q ** c.k
@@ -198,13 +198,15 @@ def support_weight(c: LinearCode, i: int,
     return min(map(int.bit_count, map(partial(reduce, or_), bases)))
 
 
-def is_mds(c: LinearCode, budget: int = IS_MDS_BUDGET) -> bool:
-    """True iff every k columns of G are linearly independent."""
+def is_mds(c: LinearCode) -> bool:
+    """True iff every k columns of G are linearly independent.  Raises
+    BudgetExceeded past IS_MDS_BUDGET column subsets."""
     if c.k == 0 or c.k == c.n:
         return True
     use_h = (c.n - c.k) < c.k
     M = c.full_rank_checks() if use_h else rref(c.generator())[0]
     w = c.n - c.k if use_h else c.k
-    if math.comb(c.n, w) > budget:
-        raise BudgetExceeded(f"C({c.n},{w}) column subsets > {budget}")
+    if math.comb(c.n, w) > IS_MDS_BUDGET:
+        raise BudgetExceeded(
+            f"C({c.n},{w}) column subsets > {IS_MDS_BUDGET}")
     return first_dependent(M, [(None, w)])[1] is None

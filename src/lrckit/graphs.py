@@ -424,12 +424,11 @@ def edge_color_bipartite(g: Graph) -> EdgeColoring:
         raise GraphError(f"degrees {sorted(degs)} not regular")
     d = degs.pop()
     left = set(parts[0])
-    # edge lookup: (u, v) with u on the left
-    edge_ids: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (u, v) in enumerate(g.edges):
-        u2, v2 = (u, v) if u in left else (v, u)
-        edge_ids.setdefault((u2, v2), []).append(idx)
-    remaining = {pair: list(ids) for pair, ids in edge_ids.items()}
+    # uncoloured edges, (u, v) with u on the left -> edge id; a Graph has no
+    # parallel edges, so each pair has one id
+    remaining: Dict[Tuple[int, int], int] = {
+        (u, v) if u in left else (v, u): idx
+        for idx, (u, v) in enumerate(g.edges)}
     colors = [-1] * len(g.edges)
     for color in range(d):
         adj: Dict[int, List[int]] = {}
@@ -438,11 +437,8 @@ def edge_color_bipartite(g: Graph) -> EdgeColoring:
         matching = hopcroft_karp(adj)
         if len(matching) != len(parts[0]):
             raise GraphError("no perfect matching found")
-        for u, v in matching.items():
-            ids = remaining[(u, v)]
-            colors[ids.pop()] = color
-            if not ids:
-                del remaining[(u, v)]
+        for pair in matching.items():
+            colors[remaining.pop(pair)] = color
     coloring = EdgeColoring(tuple(colors), d)
     if not check_proper_coloring(g, coloring):
         raise ConstructionFailed("matchings do not give a proper coloring")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, product
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 from .code import (CodeParams, ConstructionFailed, LinearCode,
                    SearchExhausted, checked, code_from_generator)
@@ -270,17 +270,16 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
-                   unity_order: Optional[int] = None,
                    seed: int = 0) -> Tuple[LinearCode, "VerifyReport"]:
     """Candidate partial-MR code for r <= Delta <= 2r-1 (one extra local
     erasure beyond the global checks), decided by brute force.
 
     Points are theta_ij = xi + h_ij in the cubic extension of GF(base_q),
     with xi a generator of the extension and h_ij = alpha^(i-1) times a
-    root of unity of order `unity_order` in the base field (choices drawn
-    from `seed`).  The local row of group i carries the theta_ij themselves.
-    There is no general proof that this succeeds, so the verdict of the
-    verifier is returned alongside the code.
+    root of unity of order u in the base field, u the least divisor of
+    base_q - 1 above r (choices drawn from `seed`).  The local row of group
+    i carries the theta_ij themselves.  There is no general proof that this
+    succeeds, so the verdict of the verifier is returned alongside the code.
     """
     from .verify import pmr_check
     if not r <= delta <= 2 * r - 1:
@@ -289,14 +288,10 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
     sub = field_of_size(base_q)
     big = field_make(sub.p, 3 * sub.m)
     embed = subfield_embedding(sub, big)
-    if unity_order is None:
-        unity_order = next((u for u in range(r + 1, base_q)
-                            if (base_q - 1) % u == 0), None)
-        if unity_order is None:
-            raise FieldError("no usable root-of-unity order")
-    u = unity_order
-    if (base_q - 1) % u or u < r:
-        raise ValueError(f"unity order {u} unusable (need u | q-1, u >= r)")
+    u = next((u for u in range(r + 1, base_q) if (base_q - 1) % u == 0),
+             None)
+    if u is None:
+        raise FieldError("no usable root-of-unity order")
     if m > (base_q - 1) // u:
         raise FieldError("too many groups for distinct cosets")
     rng = random.Random(seed)

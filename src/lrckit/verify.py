@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -185,22 +186,27 @@ def _draw(rng: random.Random, n: int, k: int) -> List[int]:
     return result
 
 
+def _non_edge_column(col_sup: Sequence[Tuple[int, ...]]) -> Optional[dict]:
+    """The first column whose weight is not 1 or 2, as a failure witness:
+    the incidence graph, the staircase and the t = 2 classification need
+    every column to be an edge or a half-edge."""
+    return next(({"column": j, "weight": len(sup)}
+                 for j, sup in enumerate(col_sup) if not 1 <= len(sup) <= 2),
+                None)
+
+
 def _incidence_graph(code: LinearCode):
     """If every column of H has (nonzero-pattern) weight <= 2, interpret H
     as a node-edge incidence matrix with a virtual node absorbing the
     weight-1 columns; returns (Graph, None) or (None, reason)."""
     from .graphs import Graph, GraphError
     m = code.H.rows
-    edges = []
-    for j, sup in enumerate(code.H.column_supports()):
-        if len(sup) == 2:
-            edges.append(sup)
-        elif len(sup) == 1:
-            edges.append((sup[0], m))  # virtual apex node
-        else:
-            return None, f"column {j} has weight {len(sup)}"
-    try:
-        return Graph(m + 1, edges), None
+    col_sup = code.H.column_supports()
+    if non_edge := _non_edge_column(col_sup):
+        return None, "column {column} has weight {weight}".format(**non_edge)
+    try:  # a weight-1 column ends at the virtual apex node m
+        return Graph(m + 1, [sup if len(sup) == 2 else (sup[0], m)
+                             for sup in col_sup]), None
     except GraphError as e:
         return None, str(e)
 
@@ -208,7 +214,6 @@ def _incidence_graph(code: LinearCode):
 def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
                        t: Optional[int] = None, mode: str = "auto",
                        samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                       budget: int = SEQ_EXHAUSTIVE_BUDGET,
                        jobs: int = 1) -> VerifyReport:
     """Can every erasure pattern of size <= t be recovered one symbol at a
     time, each from at most r unerased symbols?  `r` and `t` default to the
@@ -222,10 +227,11 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     GF(2) a short cycle meets every dual word an even number of times, so
     it is returned as a failure witness whatever r is; over larger fields
     a short cycle, and with any field a check heavier than r+1, downgrades
-    the run to peeling instead.  `auto` picks exhaustive when it fits the
-    budget, else the certificate when available, else sampling; an
-    explicit `exhaustive` over the budget raises BudgetExceeded.  `jobs` > 1
-    runs a sampled check in that many processes (see `_sampled_peel`).
+    the run to peeling instead.  `auto` picks exhaustive when it fits
+    SEQ_EXHAUSTIVE_BUDGET, else the certificate when available, else
+    sampling; an explicit `exhaustive` over the budget raises
+    BudgetExceeded.  `jobs` > 1 runs a sampled check in that many processes
+    (see `_sampled_peel`).
     """
     r, t = declared(code, r=r, t=t)
     if min(r, t, samples) < 1:
@@ -233,7 +239,7 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     if not 1 <= jobs <= (samples if mode == "sampled" else 1):
         raise ValueError(f"need 1 <= jobs <= samples, and mode 'sampled' "
                          f"for jobs > 1; got jobs={jobs}, mode={mode!r}")
-    n = code.n
+    n, budget = code.n, SEQ_EXHAUSTIVE_BUDGET
     total = sum(math.comb(n, j) for j in range(1, t + 1))
     if mode == "exhaustive" and total > budget:
         raise BudgetExceeded(f"{total} patterns exceed the exhaustive "
@@ -369,6 +375,8 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
     """Strict-availability shape: every row of weight r+1, every column of
     weight t, and the rows through any coordinate meet pairwise exactly in
     that coordinate."""
+    if min(r, t) < 1:
+        raise ValueError(f"need r, t >= 1, got {r}, {t}")
     rows = [frozenset(sup) for sup in H.row_supports()]
     for i, sup in enumerate(rows):
         if len(sup) != r + 1:
@@ -397,11 +405,12 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
 
 def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
                delta: int, s_extra: int, mode: str = "auto",
-               budget: int = PMDS_EXHAUSTIVE_BUDGET,
                samples: int = DEFAULT_SAMPLES, seed: int = 0) -> VerifyReport:
     """Partial-MDS property: delta erasures in every group plus s_extra
     arbitrary further erasures always leave independent parity-check
-    columns.  A `structure` of None is the code's declared one."""
+    columns.  A `structure` of None is the code's declared one.  `auto`
+    replays every pattern when there are at most PMDS_EXHAUSTIVE_BUDGET,
+    else samples."""
     [structure] = declared(code, structure=structure)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -415,7 +424,7 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
         raise ValueError(f"need patterns, samples >= 1: {total}, {samples}")
     Hfull = code.full_rank_checks()
     if mode == "auto":
-        mode = "exhaustive" if total <= budget else "sampled"
+        mode = "exhaustive" if total <= PMDS_EXHAUSTIVE_BUDGET else "sampled"
     rng = random.Random(seed)
 
     checked, witness = 0, None
@@ -434,7 +443,8 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
             if not columns_independent(Hfull, pattern):
                 witness = pattern
                 break
-    budgets = {"patterns": total, "budget": budget, "checked": checked}
+    budgets = {"patterns": total, "budget": PMDS_EXHAUSTIVE_BUDGET,
+               "checked": checked}
     if mode == "sampled":
         budgets.update({"seed": seed, "samples": samples})
     if witness is not None:
@@ -468,12 +478,11 @@ def pmr_check(code: LinearCode,
                                 "d_target": target})
 
 
-def mr_shape_check(code: LinearCode,
-                   structure: Optional[LocalStructure] = None) -> VerifyReport:
-    """Canonical-form shape of an MR/PMR parity-check matrix: every group
-    owns at least one row supported inside it, and every other row stays off
-    the private (one-per-group) coordinates."""
-    [structure] = declared(code, structure=structure)
+def mr_shape_check(code: LinearCode) -> VerifyReport:
+    """Canonical-form shape of an MR/PMR parity-check matrix under its
+    declared groups: every group owns at least one row supported inside it,
+    and every other row stays off the private (one-per-group) coordinates."""
+    [structure] = declared(code, structure=None)
     if not structure.covers(code.n):
         return VerifyReport("mr-shape", False, "exhaustive",
                             witness="groups do not cover the coordinates")
@@ -511,91 +520,66 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
     previous one through single-parent weight-2 columns, and the final
     block is intra-layer (t even) or a multi-edge fan-in (t odd).
 
+    One pass over the column supports per level finds the level's new rows,
+    each with its parent columns (the weight-2 columns from a row of the
+    previous layer to it).  `r` enters only the check r, t >= 1.
+
     Returns the block profile (column group sizes a_i, row layer sizes
     rho_i) as the structural witness on success.
     """
+    if min(r, t) < 1:
+        raise ValueError(f"need r, t >= 1, got {r}, {t}")
+
+    def fail(witness):
+        return VerifyReport("staircase", False, "exhaustive", witness=witness)
+
     s = (t - 1) // 2
-    m, n = H.rows, H.cols
     col_sup = H.column_supports()
-    for j, sup in enumerate(col_sup):
-        if not 1 <= len(sup) <= 2:
-            return VerifyReport("staircase", False, "exhaustive",
-                                witness={"column": j, "weight": len(sup)})
-    layer_of = [-1] * m
+    if non_edge := _non_edge_column(col_sup):
+        return fail(non_edge)
+    layer_of = [-1] * H.rows
     ones = [j for j, sup in enumerate(col_sup) if len(sup) == 1]
-    layer0_rows = set()
     for j in ones:
         row = col_sup[j][0]
-        if row in layer0_rows:
-            return VerifyReport("staircase", False, "exhaustive",
-                                witness={"row": row,
-                                         "reason": "two weight-1 columns"})
-        layer0_rows.add(row)
+        if layer_of[row] == 0:
+            return fail({"row": row, "reason": "two weight-1 columns"})
         layer_of[row] = 0
-    if not layer0_rows:
-        return VerifyReport("staircase", False, "exhaustive",
-                            witness="no weight-1 columns")
-    a = [len(ones)]
-    rho = [len(layer0_rows)]
-    assigned_cols = set(ones)
+    if not ones:
+        return fail("no weight-1 columns")
+    a, rho = [len(ones)], [len(ones)]
+    taken = set(ones)
     deepest_single = s if t % 2 == 0 else s - 1
     for level in range(1, s + 1):
-        frontier = []
+        parents: Dict[int, List[int]] = {}  # new row -> its parent columns
         for j, sup in enumerate(col_sup):
-            if j in assigned_cols or len(sup) != 2:
-                continue
-            la, lb = layer_of[sup[0]], layer_of[sup[1]]
-            if (la == level - 1) != (lb == level - 1):
-                other = sup[1] if la == level - 1 else sup[0]
-                if layer_of[other] == -1:
-                    frontier.append((j, other))
-                elif layer_of[other] < level - 1:
-                    return VerifyReport(
-                        "staircase", False, "exhaustive",
-                        witness={"column": j, "reason": "skips a layer"})
-        new_rows = set()
-        parents_seen: Dict[int, int] = {}
-        for j, row in frontier:
-            new_rows.add(row)
-            parents_seen[row] = parents_seen.get(row, 0) + 1
-        if level <= deepest_single:
-            bad = [row for row, cnt in parents_seen.items() if cnt != 1]
-            if bad:
-                return VerifyReport(
-                    "staircase", False, "exhaustive",
-                    witness={"row": bad[0], "level": level,
-                             "reason": "multiple parent columns"})
-        if not new_rows:
-            return VerifyReport("staircase", False, "exhaustive",
-                                witness={"level": level,
-                                         "reason": "empty layer"})
-        for row in new_rows:
+            ends = [layer_of[i] for i in sup]
+            if sorted(ends) == [-1, level - 1]:
+                parents.setdefault(sup[ends.index(-1)], []).append(j)
+        bad = [row for row, cols in parents.items() if len(cols) > 1]
+        if level <= deepest_single and bad:
+            return fail({"row": bad[0], "level": level,
+                         "reason": "multiple parent columns"})
+        if not parents:
+            return fail({"level": level, "reason": "empty layer"})
+        for row, cols in parents.items():
             layer_of[row] = level
-        for j, _ in frontier:
-            assigned_cols.add(j)
-        a.append(len(frontier))
-        rho.append(len(new_rows))
-    leftovers = [j for j in range(n) if j not in assigned_cols]
+            taken.update(cols)
+        a.append(sum(map(len, parents.values())))
+        rho.append(len(parents))
+    leftovers = [j for j in range(H.cols) if j not in taken]  # weight 2
     if t % 2 == 0:
         for j in leftovers:
-            sup = col_sup[j]
-            if len(sup) != 2 or layer_of[sup[0]] != s or layer_of[sup[1]] != s:
-                return VerifyReport(
-                    "staircase", False, "exhaustive",
-                    witness={"column": j, "reason": "not intra-final-layer"})
+            if any(layer_of[i] != s for i in col_sup[j]):
+                return fail({"column": j, "reason": "not intra-final-layer"})
         a.append(len(leftovers))
     elif leftovers:
-        return VerifyReport("staircase", False, "exhaustive",
-                            witness={"columns": leftovers[:5],
-                                     "reason": "columns outside template"})
-    if any(l == -1 for l in layer_of):
-        return VerifyReport("staircase", False, "exhaustive",
-                            witness={"rows": [i for i, l in enumerate(layer_of)
-                                              if l == -1],
-                                     "reason": "rows outside template"})
+        return fail({"columns": leftovers[:5],
+                     "reason": "columns outside template"})
+    if -1 in layer_of:
+        return fail({"rows": [i for i, l in enumerate(layer_of) if l == -1],
+                     "reason": "rows outside template"})
     return VerifyReport("staircase", True, "exhaustive",
-                        detail={"profile": {"s": s, "a": list(a),
-                                            "rho": list(rho)}})
+                        detail={"profile": {"s": s, "a": a, "rho": rho}})
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +625,12 @@ def classify_rate_optimal_t2(code: LinearCode,
     """Decompose a rate-optimal two-erasure code into its canonical parts:
     [r+2, r] MDS blocks (two checks sharing r weight-2 columns) and at most
     one component per connected piece that is a code on an r-regular graph
-    with explicit node parities."""
+    with explicit node parities.
+
+    The rows of a greedy low-weight dual basis are the nodes, its weight-2
+    columns the edges: one pass over the column supports joins the rows
+    into components, and a second puts each column in the component of its
+    first row."""
     from fractions import Fraction
     from .code import puncture
     [r] = declared(code, r=r)
@@ -649,18 +638,18 @@ def classify_rate_optimal_t2(code: LinearCode,
         raise ValueError(f"need r >= 1, got {r}")
     if code.rate() != Fraction(r, r + 2):
         raise ValueError(f"rate {code.rate()} != {Fraction(r, r + 2)}")
+
+    def fail(witness):
+        return VerifyReport("classify-t2", False, "exhaustive",
+                            witness=witness)
+
     B = _greedy_low_weight_basis(code, r + 1)
     if B is None:
-        return VerifyReport("classify-t2", False, "exhaustive",
-                            witness="low-weight words do not span the dual")
-    m = B.rows
+        return fail("low-weight words do not span the dual")
     col_sup = B.column_supports()
-    for j, sup in enumerate(col_sup):
-        if not 1 <= len(sup) <= 2:
-            return VerifyReport("classify-t2", False, "exhaustive",
-                                witness={"column": j, "weight": len(sup)})
-    # union-find over basis rows through shared columns
-    parent = list(range(m))
+    if non_edge := _non_edge_column(col_sup):
+        return fail(non_edge)
+    parent = list(range(B.rows))  # union-find over the rows
 
     def find(x):
         while parent[x] != x:
@@ -668,66 +657,35 @@ def classify_rate_optimal_t2(code: LinearCode,
             x = parent[x]
         return x
 
-    for sup in col_sup:
-        if len(sup) == 2:
-            parent[find(sup[0])] = find(sup[1])
-    comp_rows: Dict[int, List[int]] = {}
-    for i in range(m):
-        comp_rows.setdefault(find(i), []).append(i)
-    components = []
-    for rows in comp_rows.values():
-        rowset = set(rows)
-        coords = [j for j, sup in enumerate(col_sup)
-                  if set(sup) <= rowset]
-        components.append((rows, coords))
-    parts = []
-    for rows, coords in components:
-        rowset = set(rows)
-        singles = [j for j in coords if len(col_sup[j]) == 1]
-        doubles = [j for j in coords if len(col_sup[j]) == 2]
-        per_row_single: Dict[int, int] = {}
-        for j in singles:
-            per_row_single[col_sup[j][0]] = per_row_single.get(
-                col_sup[j][0], 0) + 1
-        if any(v != 1 for v in per_row_single.values()) or \
-                len(per_row_single) != len(rows):
-            return VerifyReport("classify-t2", False, "exhaustive",
-                                witness={"rows": rows,
-                                         "reason": "node parities missing"})
-        pair_counts: Dict[Tuple[int, int], int] = {}
-        for j in doubles:
-            key = tuple(sorted(col_sup[j]))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-        if len(rows) == 2 and len(doubles) == r and \
-                len(pair_counts) == 1:
-            sub = puncture(code, [j for j in range(code.n)
-                                  if j not in set(coords)])
+    for sup in col_sup:  # a weight-1 column joins its row to itself
+        parent[find(sup[0])] = find(sup[-1])
+    components: Dict[int, Tuple[List[int], List[int]]] = {}  # rows, coords
+    for i in range(B.rows):
+        components.setdefault(find(i), ([], []))[0].append(i)
+    for j, sup in enumerate(col_sup):
+        components[find(sup[0])][1].append(j)
+    parts, graph_coords = [], []
+    for rows, coords in components.values():
+        singles = [col_sup[j][0] for j in coords if len(col_sup[j]) == 1]
+        edges = Counter(col_sup[j] for j in coords if len(col_sup[j]) == 2)
+        if sorted(singles) != rows:
+            return fail({"rows": rows, "reason": "node parities missing"})
+        if len(rows) == 2 and list(edges.values()) == [r]:
+            sub = puncture(code, sorted(set(range(code.n)).difference(coords)))
             if sub.k == r and is_mds(sub):
-                parts.append({"type": "mds_block", "coords": sorted(coords)})
+                parts.append({"type": "mds_block", "coords": coords})
                 continue
-            return VerifyReport("classify-t2", False, "exhaustive",
-                                witness={"coords": coords,
-                                         "reason": "block not MDS"})
-        if any(v > 1 for v in pair_counts.values()):
-            return VerifyReport("classify-t2", False, "exhaustive",
-                                witness={"rows": rows,
-                                         "reason": "parallel edges outside "
-                                                   "an MDS block"})
-        degree: Dict[int, int] = {i: 0 for i in rows}
-        for (u, v) in pair_counts:
-            degree[u] += 1
-            degree[v] += 1
-        if any(d != r for d in degree.values()):
-            return VerifyReport("classify-t2", False, "exhaustive",
-                                witness={"rows": rows,
-                                         "reason": "graph part not "
-                                                   f"{r}-regular"})
-        parts.append({"type": "regular_graph", "coords": sorted(coords)})
+            return fail({"coords": coords, "reason": "block not MDS"})
+        if any(count > 1 for count in edges.values()):
+            return fail({"rows": rows,
+                         "reason": "parallel edges outside an MDS block"})
+        degree = Counter(i for edge in edges for i in edge)
+        if any(degree[i] != r for i in rows):
+            return fail({"rows": rows,
+                         "reason": f"graph part not {r}-regular"})
+        graph_coords += coords
     # several graph pieces just make one (disconnected) r-regular graph code
-    graph_coords = sorted(c for p in parts if p["type"] == "regular_graph"
-                          for c in p["coords"])
-    merged = [p for p in parts if p["type"] == "mds_block"]
     if graph_coords:
-        merged.append({"type": "regular_graph", "coords": graph_coords})
+        parts.append({"type": "regular_graph", "coords": sorted(graph_coords)})
     return VerifyReport("classify-t2", True, "exhaustive",
-                        detail={"parts": merged})
+                        detail={"parts": parts})

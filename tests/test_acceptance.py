@@ -274,9 +274,9 @@ def test_criterion_11_property_suites():
         for j in range(len(H0[0])):
             rows = [row[:] for row in H0]
             rows[i][j] = 0 if rows[i][j] else 1
-            mut = LinearCode(Mat(base.gf, rows))
+            mut = LinearCode(Mat(base.gf, rows), provenance=base.provenance)
             caught = (mut.k != base.k
-                      or not mr_shape_check(mut, st).verdict
+                      or not mr_shape_check(mut).verdict
                       or not pmds_check(mut, st, 1, 2).verdict
                       or min_distance(mut) != target_d)
             if not caught:

@@ -105,11 +105,13 @@ def test_min_distance_strategies_agree():
             assert by_walk == by_cols == reference == min_distance(c)
 
 
-def test_min_distance_budget():
+def test_min_distance_budget(monkeypatch):
     H = Mat(field_make(2, 4), [[1] * 30])
     c = LinearCode(H)
+    assert min_distance(c) == 2
+    monkeypatch.setattr(lcode, "MIN_DISTANCE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        min_distance(c, budget=10)
+        min_distance(c)
 
 
 def test_support_weight_first_is_distance():
@@ -259,18 +261,32 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+UNSET_OPTIONS_ALLOWED = {
+    "main(argv)": "the entry point: the console script calls `main()`, and "
+                  "the tests pass argv",
+}
+
+
 def test_no_public_name_is_reached_only_from_the_package_exports():
     """A public top-level function or class of `src/lrckit`, or a public
     method or property of one of its public classes, is referenced, as a
     Name or an Attribute, from some module other than `__init__.py`, or it
     is dead API and is deleted; UNREFERENCED_ALLOWED lists the exceptions.
+    Likewise a defaulted parameter of a public function or method is set,
+    by position or by keyword, by some call in `src/lrckit` (a `*` argument
+    sets every positional one, a `**` argument every one), or it is an
+    option nobody uses and becomes a constant; UNSET_OPTIONS_ALLOWED lists
+    the exceptions.
 
     The scan matches bare names, so a name that some other attribute or
     local variable shares hides from it: a method `order`, `split`, `n` or
     `classes` would pass whoever calls it, and so does `io.dumps`, which
-    `json.dumps` shares.  A subscript such as `Mat.__getitem__` is not seen
-    at all."""
+    `json.dumps` shares.  Calls too are matched by bare name: a parameter
+    passes when any function of the same name, `json.dumps` for
+    `io.dumps`, is called with it.  A subscript such as `Mat.__getitem__`
+    is not seen at all."""
     defined, referenced = set(), set()
+    options, calls = [], []  # (function, position or None, parameter)
     for path in pathlib.Path(lrckit.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -280,13 +296,41 @@ def test_no_public_name_is_reached_only_from_the_package_exports():
         defined.update(node.name for node in tree.body + members
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                        and not node.name.startswith("_"))
+        for node in tree.body + members:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                if node in members:  # self or cls is not passed in the call
+                    positional = positional[1:]
+                options += [(node.name, i, p.arg)
+                            for i, p in enumerate(positional)
+                            if i >= len(positional) - len(args.defaults)]
+                options += [(node.name, None, p.arg) for p, default
+                            in zip(args.kwonlyargs, args.kw_defaults)
+                            if default is not None]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
     assert set(UNREFERENCED_ALLOWED) <= defined
     assert sorted(defined - referenced - set(UNREFERENCED_ALLOWED)) == []
+
+    def sets(call, name, i, param):
+        fn = call.func
+        return getattr(fn, "id", getattr(fn, "attr", None)) == name and (
+            any(k.arg in (None, param) for k in call.keywords)
+            or i is not None and (len(call.args) > i or any(
+                isinstance(a, ast.Starred) for a in call.args)))
+
+    unset = {f"{name}({param})" for name, i, param in options
+             if not any(sets(call, name, i, param) for call in calls)}
+    assert set(UNSET_OPTIONS_ALLOWED) <= {f"{name}({param})"
+                                          for name, _, param in options}
+    assert sorted(unset - set(UNSET_OPTIONS_ALLOWED)) == []
 
 
 _BROKEN_CONSTRUCTIONS = """

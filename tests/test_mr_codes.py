@@ -174,7 +174,7 @@ def test_mutation_guard():
             rows[i][j] = 0 if rows[i][j] else 1
             mut = LinearCode(Mat(gf, rows), provenance=base.provenance)
             caught = (mut.k != base.k
-                      or not mr_shape_check(mut, st).verdict
+                      or not mr_shape_check(mut).verdict
                       or not pmds_check(mut, st, 1, 2).verdict
                       or min_distance(mut) != target_d)
             in_global_data = i >= m and j >= m

@@ -285,16 +285,22 @@ def test_verifiers_reject_empty_budgets(r, t, samples):
     else:
         with pytest.raises(ValueError):
             availability_check(pet, r, t)
+        # the shape verifiers refuse the same r, t (the Fano code is SA)
+        for check, H in ((staircase_check, pet.H),
+                         (sa_check, steiner_sa_code(3).H)):
+            with pytest.raises(ValueError, match="need r, t >= 1"):
+                check(H, r, t)
 
 
-def test_explicit_exhaustive_over_budget_raises():
+def test_explicit_exhaustive_over_budget_raises(monkeypatch):
     """Only `auto` may fall back from enumeration; an explicit `exhaustive`
     over the budget is an error, never a sampled verdict."""
     pet = moore_code(2, 4)  # 15 coordinates: 1940 patterns of size <= 4
-    with pytest.raises(BudgetExceeded):
-        seq_recovery_check(pet, 2, 4, mode="exhaustive", budget=1939)
-    assert seq_recovery_check(pet, 2, 4, budget=1939).mode == "certificate"
     assert seq_recovery_check(pet, mode="exhaustive").mode == "exhaustive"
+    monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 1939)
+    with pytest.raises(BudgetExceeded):
+        seq_recovery_check(pet, 2, 4, mode="exhaustive")
+    assert seq_recovery_check(pet, 2, 4).mode == "certificate"
 
 
 def test_parallel_sample_needs_sampled_mode():
@@ -331,10 +337,38 @@ def test_sa_check_shape_violations():
     assert not sa_check(H, 2, 1).verdict
 
 
+# (H over GF(2), t, witness): one input per way the staircase template fails
+STAIRCASE_FAILURES = [
+    ([[0]], 1, {"column": 0, "weight": 0}),
+    ([[1], [1], [1]], 3, {"column": 0, "weight": 3}),
+    ([[0, 0], [1, 1]], 7, {"row": 1, "reason": "two weight-1 columns"}),
+    ([[1], [1]], 7, "no weight-1 columns"),
+    ([[1, 1], [0, 1]], 7, {"level": 2, "reason": "empty layer"}),
+    ([[1, 0, 0, 1], [0, 1, 1, 1], [0, 1, 1, 0]], 6,
+     {"row": 2, "level": 2, "reason": "multiple parent columns"}),
+    # rows 3 and 2 both take two parents; row 3's come first, by column
+    ([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1],
+      [0, 0, 1, 1, 0, 0]], 4,
+     {"row": 3, "level": 1, "reason": "multiple parent columns"}),
+    ([[0, 0, 1], [1, 1, 0], [0, 1, 1]], 4,
+     {"column": 2, "reason": "not intra-final-layer"}),
+    ([[1, 1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1]], 1,
+     {"columns": [1, 2, 3, 4, 5], "reason": "columns outside template"}),
+    ([[0, 0], [1, 1], [0, 0], [0, 1]], 3,
+     {"rows": [0, 2], "reason": "rows outside template"}),
+]
+
+
 def test_staircase_random_fails():
+    """A random matrix fails, and so does each input of STAIRCASE_FAILURES,
+    with exactly its witness."""
     rng = random.Random(2)
     H = Mat(GF2, [[rng.randrange(2) for _ in range(12)] for _ in range(5)])
     assert not staircase_check(H, 2, 4).verdict
+    for rows, t, witness in STAIRCASE_FAILURES:
+        assert staircase_check(Mat(GF2, rows), 2, t).as_dict() == {
+            "property": "staircase", "verdict": False, "mode": "exhaustive",
+            "witness": witness, "budgets": {}, "detail": {}}
 
 
 def test_staircase_t2_complete_graph_code():
@@ -373,10 +407,48 @@ def test_classify_mds_product():
         ["mds_block", "mds_block"]
 
 
+# (field, H, r, witness): one input per way a rate-r/(r+2) code fails to
+# classify.  GF(2^8) duals of n - k >= 3 are too big to walk, so there the
+# basis is taken from the rows of H.
+CLASSIFY_FAILURES = [
+    ((2, 1), [[1, 0, 1, 0, 1, 1], [0, 0, 1, 1, 0, 0], [1, 1, 0, 0, 1, 1]], 2,
+     "low-weight words do not span the dual"),
+    ((2, 1), [[0, 0, 1, 0, 1, 0], [0, 1, 0, 1, 1, 0], [1, 1, 0, 1, 0, 1]], 2,
+     {"column": 4, "weight": 3}),
+    ((2, 8), [[1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 1, 0], [1, 0, 0, 0, 1, 1]], 2,
+     {"column": 0, "weight": 3}),
+    ((3, 1), [[0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1, 0],
+              [0, 1, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0],
+              [0, 0, 0, 2, 0, 2, 0, 0, 1, 0, 2, 0],
+              [2, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0],
+              [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 2],
+              [0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2]], 2,
+     {"rows": [2, 3, 4], "reason": "node parities missing"}),
+    # the first block is MDS, the second has two equal columns
+    ((2, 8), [[1, 0, 1, 1, 0, 0, 0, 0], [0, 1, 1, 2, 0, 0, 0, 0],
+              [0, 0, 0, 0, 1, 0, 1, 1], [0, 0, 0, 0, 0, 1, 1, 1]], 2,
+     {"coords": [4, 5, 6, 7], "reason": "block not MDS"}),
+    # a 3-regular multigraph on 4 nodes, two of its edges doubled
+    ((2, 8), [[1, 0, 0, 0, 1, 1, 0, 0, 1, 0], [0, 1, 0, 0, 1, 1, 0, 0, 0, 1],
+              [0, 0, 1, 0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 0, 0, 1, 1, 0, 1]],
+     3, {"rows": [0, 1, 2, 3],
+         "reason": "parallel edges outside an MDS block"}),
+    ((2, 1), [[1, 0, 1], [0, 1, 0]], 1,
+     {"rows": [0], "reason": "graph part not 1-regular"}),
+]
+
+
 def test_classify_rejects_wrong_rate():
+    """A code of another rate is refused; each code of CLASSIFY_FAILURES
+    has the rate and fails with exactly its witness."""
     c = t3_catalog("ex1")
     with pytest.raises(ValueError, match="rate"):
         classify_rate_optimal_t2(c, r=3)
+    for (p, m), rows, r, witness in CLASSIFY_FAILURES:
+        code = LinearCode(Mat(field_make(p, m), rows))
+        assert classify_rate_optimal_t2(code, r).as_dict() == {
+            "property": "classify-t2", "verdict": False, "mode": "exhaustive",
+            "witness": witness, "budgets": {}, "detail": {}}
 
 
 def test_mixed_product_and_graph_classification():
