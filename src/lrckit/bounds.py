@@ -69,11 +69,6 @@ class MswSequence:
     b1: int
     e: Tuple[int, ...]  # e[i-1] is the i-th term
 
-    def term(self, i: int) -> int:
-        if not 1 <= i <= self.b1:
-            raise IndexError(f"term index {i} outside 1..{self.b1}")
-        return self.e[i - 1]
-
 
 def msw_sequence(n: int, b1: int, r: int) -> MswSequence:
     """e_{b1} = n and e_{i-1} = min(e_i, e_i - ceil(2 e_i / i) + r + 1)."""
@@ -160,15 +155,10 @@ def lr_alphabet_dmin_bound(n: int, k: int, r: int, q: int,
         raise BoundError(f"need r >= 1 and q >= 2, got r={r}, q={q}")
     b1 = ceil_div(n, r + 1)
     seq = msw_sequence(n, b1, r)
-    S = [i for i in range(1, b1 + 1) if seq.term(i) - i < k]
+    S = [(i, e) for i, e in enumerate(seq.e, 1) if e - i < k]
     if not S:
         raise BoundError("no shortening index i has e_i - i < k")
-    best, best_i = None, None
-    for i in S:
-        ei = seq.term(i)
-        v = oracle.d_opt(n - ei, k + i - ei, q)
-        if best is None or v < best:
-            best, best_i = v, i
+    best, best_i = min((oracle.d_opt(n - e, k + i - e, q), i) for i, e in S)
     return BoundReport(
         "lr-alphabet-dmin", {"n": n, "k": k, "r": r, "q": q}, best,
         formula="min_i d_opt(n - e_i, k + i - e_i)",
@@ -184,15 +174,10 @@ def lr_alphabet_dim_bound(n: int, d: int, r: int, q: int,
         raise BoundError(f"need r >= 1 and q >= 2, got r={r}, q={q}")
     b1 = ceil_div(n, r + 1)
     seq = msw_sequence(n, b1, r)
-    S = [i for i in range(1, b1 + 1) if seq.term(i) < n - d + 1]
+    S = [(i, e) for i, e in enumerate(seq.e, 1) if e < n - d + 1]
     if not S:
         raise BoundError("no shortening index i has e_i < n - d + 1")
-    best, best_i = None, None
-    for i in S:
-        ei = seq.term(i)
-        v = ei - i + oracle.k_opt(n - ei, d, q)
-        if best is None or v < best:
-            best, best_i = v, i
+    best, best_i = min((e - i + oracle.k_opt(n - e, d, q), i) for i, e in S)
     return BoundReport(
         "lr-alphabet-dim", {"n": n, "d": d, "r": r, "q": q}, best,
         formula="min_i e_i - i + k_opt(n - e_i, d)",
@@ -270,14 +255,9 @@ def seq_dim_bound_t2(m: int, r: int) -> int:
     k <= min_L floor((m(r-L) + sum_{i=1}^{L} (L+1-i) C(m,i)) / (L+1))."""
     if m < 1 or r < 1:
         raise BoundError("need m, r >= 1")
-    best = None
-    for L in range(1, m + 1):
-        num = m * (r - L) + sum((L + 1 - i) * math.comb(m, i)
-                                for i in range(1, L + 1))
-        v = num // (L + 1)
-        if best is None or v < best:
-            best = v
-    return best
+    return min((m * (r - L) + sum((L + 1 - i) * math.comb(m, i)
+                                  for i in range(1, L + 1))) // (L + 1)
+               for L in range(1, m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +312,10 @@ def avail_dmin_bounds(n: int, k: int, r: int, t: int
         return {"wang": wang, "tamo_barg": tamo_barg,
                 "kruglik_frolov": kru_fro, "msw_new": None}
     b1 = math.ceil(n * (1 - _avail_rho(r, t)))
-    msw_new: Optional[int] = None
-    if b1 >= 1:
-        seq = msw_sequence(n, b1, r)
-        best = None
-        for i in range(1, b1 + 1):
-            ei = seq.term(i)
-            if ei - i >= k:
-                continue
-            v = n - k - i + 1 - sum((k + i - ei - 1) // r ** j
-                                    for j in range(1, t + 1))
-            if best is None or v < best:
-                best = v
-        msw_new = best
+    seq = msw_sequence(n, b1, r).e if b1 >= 1 else ()
+    msw_new = min((n - k - i + 1 - sum((k + i - e - 1) // r ** j
+                                       for j in range(1, t + 1))
+                   for i, e in enumerate(seq, 1) if e - i < k), default=None)
     return {"wang": wang, "tamo_barg": tamo_barg,
             "kruglik_frolov": kru_fro, "msw_new": msw_new}
 

@@ -211,6 +211,46 @@ def _incidence_graph(code: LinearCode):
         return None, str(e)
 
 
+def _stopping_set(n: int, supports: Sequence[FrozenSet[int]], t: int,
+                  budget: int) -> Tuple[Optional[List[int]], int]:
+    """A stopping set of at most t coordinates (no support meets it exactly
+    once; a pattern fails to peel iff it holds one), or None, and the node
+    count.  A set branches on the open coordinates of the support meeting it
+    once with the fewest, each branch (root too) excluding earlier siblings:
+    each node is a distinct pattern.  Over `budget` nodes: BudgetExceeded."""
+    by_coord = _Peeler(n, supports).by_coord
+    meets = [0] * len(supports)  # how many coordinates of the set it holds
+    blocked = [False] * n  # in the set, or excluded by an earlier sibling
+    chosen: List[int] = []
+    levels = [(range(n), iter(range(n)))]  # each branch, and what is left
+    nodes = 0
+    while levels:  # a loop, not recursion: t may pass the recursion limit
+        branch, rest = levels[-1]
+        c = next(rest, None)
+        if c is None:  # the branch is done: free it, and drop its parent
+            levels.pop()
+            for j in branch:
+                blocked[j] = False
+            for i in by_coord[chosen.pop()] if chosen else ():
+                meets[i] -= 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"search over its {budget}-node budget")
+        blocked[c] = True  # it stays so for its later siblings
+        chosen.append(c)
+        for i in by_coord[c]:
+            meets[i] += 1
+        once = [i for j in chosen for i in by_coord[j] if meets[i] == 1]
+        if not once:
+            return sorted(chosen), nodes
+        branch = [] if len(chosen) == t else min(
+            ([j for j in supports[i] if not blocked[j]] for i in once),
+            key=len)
+        levels.append((branch, iter(branch)))
+    return None, nodes
+
+
 def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
                        t: Optional[int] = None, mode: str = "auto",
                        samples: int = DEFAULT_SAMPLES, seed: int = 0,
@@ -219,19 +259,17 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     time, each from at most r unerased symbols?  `r` and `t` default to the
     code's declared ones.
 
-    Modes: `exhaustive` peels every pattern, `sampled` peels random
-    t-subsets, `certificate` (incidence-structured parity checks only)
-    passes when the underlying graph has girth >= t+1 and every check
-    (row of H) has weight <= r+1: then any <= t erased edges form a forest,
-    whose leaf at a real node is recovered by that node's check.  Over
-    GF(2) a short cycle meets every dual word an even number of times, so
-    it is returned as a failure witness whatever r is; over larger fields
-    a short cycle, and with any field a check heavier than r+1, downgrades
-    the run to peeling instead.  `auto` picks exhaustive when it fits
-    SEQ_EXHAUSTIVE_BUDGET, else the certificate when available, else
-    sampling; an explicit `exhaustive` over the budget raises
-    BudgetExceeded.  `jobs` > 1 runs a sampled check in that many processes
-    (see `_sampled_peel`).
+    Modes: `exhaustive` searches for a stopping set (`_stopping_set`),
+    `sampled` peels random t-subsets, `certificate` (incidence-structured
+    parity checks only) passes when the underlying graph has girth >= t+1
+    and every check (row of H) has weight <= r+1: then any <= t erased edges
+    form a forest, whose leaf at a real node is recovered by that node's
+    check.  Over GF(2) a short cycle, which meets every dual word an even
+    number of times, is a failure witness whatever r is; a certificate that
+    does not decide leaves the run to the search.  `auto` searches first
+    when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET, else tries the certificate
+    first, and samples once the search passes that many nodes (`exhaustive`
+    raises BudgetExceeded); `jobs` > 1 samples in that many processes.
     """
     r, t = declared(code, r=r, t=t)
     if min(r, t, samples) < 1:
@@ -241,9 +279,6 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
                          f"for jobs > 1; got jobs={jobs}, mode={mode!r}")
     n, budget = code.n, SEQ_EXHAUSTIVE_BUDGET
     total = sum(math.comb(n, j) for j in range(1, t + 1))
-    if mode == "exhaustive" and total > budget:
-        raise BudgetExceeded(f"{total} patterns exceed the exhaustive "
-                             f"budget {budget}")
     if mode == "auto" and total <= budget:
         mode = "exhaustive"
     if mode in ("auto", "certificate"):
@@ -253,35 +288,26 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
             cycle = shortest_cycle(graph)  # one pass gives girth and witness
             g = math.inf if cycle is None else len(cycle)
             local = max(graph.degrees()[:-1], default=0) <= r + 1
-            if g >= t + 1 and local:
-                return VerifyReport("seq-recovery", True, "certificate",
+            if g > t and local or g <= t and code.gf.q == 2:
+                return VerifyReport("seq-recovery", g > t, "certificate",
+                                    witness=None if g > t else cycle,
                                     detail={"girth": g, "required": t + 1})
-            if g < t + 1 and code.gf.q == 2:
-                return VerifyReport("seq-recovery", False, "certificate",
-                                    witness=cycle,
-                                    detail={"girth": g, "required": t + 1})
-            # short girth beyond GF(2), or checks heavier than r + 1, is not
-            # conclusive: peel instead
-            mode = "exhaustive" if total <= budget else "sampled"
         elif mode == "certificate":
             raise ValueError(f"certificate unavailable: {graph_reason}")
-        else:
-            mode = "sampled"
-    if mode not in ("exhaustive", "sampled"):
+    elif mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     supports = low_weight_dual_supports(code, r + 1)
-    if mode == "sampled":
-        return _sampled_peel(n, supports, t, samples, seed, jobs)
-    peeler = _Peeler(n, supports)
-    for size in range(1, t + 1):
-        for pattern in combinations(range(n), size):
-            if not peeler.recovers(pattern):
-                return VerifyReport("seq-recovery", False, "exhaustive",
-                                    witness=list(pattern),
-                                    budgets={"patterns": total,
-                                             "budget": budget})
-    return VerifyReport("seq-recovery", True, "exhaustive",
-                        budgets={"patterns": total, "budget": budget})
+    if mode != "sampled":
+        try:
+            witness, nodes = _stopping_set(n, supports, t, budget)
+            return VerifyReport("seq-recovery", witness is None, "exhaustive",
+                                witness=witness,
+                                budgets={"patterns": total, "budget": budget,
+                                         "nodes": nodes})
+        except BudgetExceeded:
+            if mode == "exhaustive":
+                raise
+    return _sampled_peel(n, supports, t, samples, seed, jobs)
 
 
 def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
@@ -522,7 +548,7 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
 
     One pass over the column supports per level finds the level's new rows,
     each with its parent columns (the weight-2 columns from a row of the
-    previous layer to it).  `r` enters only the check r, t >= 1.
+    previous layer to it).  Every row must then have weight r + 1.
 
     Returns the block profile (column group sizes a_i, row layer sizes
     rho_i) as the structural witness on success.
@@ -578,6 +604,9 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
     if -1 in layer_of:
         return fail({"rows": [i for i, l in enumerate(layer_of) if l == -1],
                      "reason": "rows outside template"})
+    for i, sup in enumerate(H.row_supports()):
+        if len(sup) != r + 1:
+            return fail({"row": i, "weight": len(sup)})
     return VerifyReport("staircase", True, "exhaustive",
                         detail={"profile": {"s": s, "a": a, "rho": rho}})
 

@@ -148,7 +148,7 @@ def test_criterion_08_msw_vs_ghw():
     b1 = -(-2 * code.n // (2 + 2))  # number of independent local checks
     seq = msw_sequence(code.n, b1, 2)
     for i in range(1, b1 + 1):
-        assert support_weight(dl, i) == seq.term(i), f"term {i}"
+        assert support_weight(dl, i) == seq.e[i - 1], f"term {i}"
     report(8, "Turan-code dual support weights equal the recursive "
               f"sequence {list(seq.e)}", t0, limit=300)
 

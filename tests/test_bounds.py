@@ -50,8 +50,8 @@ def test_msw_linear_cap():
         for n in range(5, 40, 3):
             for b1 in range((n + r - 1) // r, n + 1):
                 seq = msw_sequence(n, b1, r)
-                assert all(seq.term(i) <= i * r + 1
-                           for i in range(1, b1 + 1))
+                assert all(e <= i * r + 1
+                           for i, e in enumerate(seq.e, 1))
 
 
 # -- alphabet-dependent bounds via shortening --

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from lrckit import cli
+from lrckit import cli, verify
 from lrckit import io as lio
 from lrckit.cli import main
 from lrckit.code import LinearCode
@@ -419,6 +419,22 @@ def test_sampled_reports_replay_pinned(code_files, tmp_path, argv, expected):
     assert report == expected
 
 
+def test_hoffman_singleton_gf3_stopping_set(tmp_path, capsys):
+    """Over GF(3) a 5-cycle does not decide the certificate, and C(175, <= 5)
+    patterns are past the budget; both `auto` and an explicit `exhaustive`
+    search, and find a stopping set of at most 5 coordinates."""
+    hs = str(tmp_path / "hs3.json")
+    assert main(["construct", "incidence", "--graph", "hoffman-singleton",
+                 "--q", "3", "--out", hs]) == 0
+    capsys.readouterr()
+    argv = ["verify", "seq", "--code", hs, "--r", "6", "--t", "5"]
+    for mode in ("auto", "exhaustive"):
+        assert main(argv + ["--mode", mode]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["mode"] == "exhaustive" and 1 <= len(rep["witness"]) <= 5
+        assert rep["budgets"]["nodes"] <= rep["budgets"]["budget"]
+
+
 # Inputs that leave a verifier no pattern to check, that split its work into
 # empty chunks, or that ask for parallel jobs a verifier would ignore.  Each
 # used to pass with exit 0; each must exit 2 with one JSON error on stderr.
@@ -703,14 +719,20 @@ def test_certificate_needs_checks_of_weight_r_plus_1(tmp_path, capsys):
     assert rep["mode"] == "exhaustive" and rep["witness"] == [0]
 
 
-def test_explicit_exhaustive_never_samples(tmp_path, capsys):
-    """C(175, <= 5) patterns exceed the exhaustive budget: `auto` falls back
-    to the girth certificate, an explicit `exhaustive` is refused."""
+def test_explicit_exhaustive_never_samples(tmp_path, capsys, monkeypatch):
+    """C(175, <= 5) patterns exceed the budget: `auto` takes the girth
+    certificate, an explicit `exhaustive` searches for a stopping set, and
+    is refused once its search passes the budget."""
     hs = str(tmp_path / "hs.json")
     assert main(["construct", "incidence", "--graph", "hoffman-singleton",
                  "--out", hs]) == 0
     capsys.readouterr()
     argv = ["verify", "seq", "--code", hs, "--r", "6", "--t", "5"]
+    assert main(argv + ["--mode", "exhaustive"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mode"] == "exhaustive" and len(rep["witness"]) <= 5
+    monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET",
+                        rep["budgets"]["nodes"] - 1)
     assert main(argv + ["--mode", "exhaustive"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
     assert main(argv + ["--mode", "auto"]) == 1

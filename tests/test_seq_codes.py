@@ -131,6 +131,16 @@ def test_seq_general_t5():
     assert c.n % den == 0
 
 
+def test_seq_general_t5_exact_pass_agrees_with_certificate():
+    """C(1352, <= 5) patterns are far past the budget; the stopping-set
+    search still decides, and it agrees with the girth certificate."""
+    c = seq_general_code(3, 5)
+    rep = seq_recovery_check(c, 3, 5, mode="exhaustive")
+    assert rep.verdict and rep.mode == "exhaustive"
+    assert rep.budgets["nodes"] <= rep.budgets["budget"]
+    assert seq_recovery_check(c, 3, 5, mode="certificate").verdict
+
+
 def test_seq_general_t6():
     c = seq_general_code(3, 6)
     assert c.rate() == seq_rate_bound(3, 6)

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -60,6 +62,82 @@ def test_peeling_agrees_with_ordering_brute_force(name, code, r, t):
             assert peeler.recovers(pattern) == via_orders
     # all fixtures are genuine codes for their declared t
     assert seq_recovery_check(code, r, t, mode="exhaustive").verdict
+
+
+def _search_matches_peeling(code, r, t):
+    """Pin `_stopping_set` to brute-force peeling of every pattern of at
+    most t coordinates; returns whether every pattern peels."""
+    supports = low_weight_dual_supports(code, r + 1)
+    peeler = _Peeler(code.n, supports)
+    total = sum(math.comb(code.n, j) for j in range(1, t + 1))
+    witness, nodes = verify._stopping_set(code.n, supports, t, total)
+    peels = all(peeler.recovers(p) for size in range(1, t + 1)
+                for p in combinations(range(code.n), size))
+    assert (witness is None) == peels, (code.H.data, r, t)
+    assert 1 <= nodes <= total  # every node is a distinct pattern
+    if witness is not None:
+        assert witness == sorted(set(witness)) and len(witness) <= t
+        assert not peeler.recovers(witness)
+    return peels
+
+
+def _incidence(graph, q, coefficients="one"):
+    return graphs.incidence_code(graph, field_make(q),
+                                 coefficients=coefficients)
+
+
+# (name, code, r, t) beyond FIXTURES_SMALL: Petersen (girth 5) and Heawood
+# (girth 6) at t = girth - 1 and t = girth, Petersen with too small a
+# locality, and Petersen over GF(3), where the certificate does not decide
+SEARCH_CASES = FIXTURES_SMALL + [
+    ("t3-ex2", t3_catalog("ex2"), 4, 3),
+    ("petersen-t4", moore_code(2, 4), 2, 4),
+    ("petersen-t5", moore_code(2, 4), 2, 5),
+    ("petersen-r1", moore_code(2, 4), 1, 4),
+    ("heawood-t5", moore_code(2, 5), 2, 5),
+    ("heawood-t6", moore_code(2, 5), 2, 6),
+    ("petersen-gf3-t4", _incidence(graphs.petersen_graph(), 3), 2, 4),
+    ("petersen-gf3-t5", _incidence(graphs.petersen_graph(), 3), 2, 5),
+    ("petersen-gf3-random-t5",
+     _incidence(graphs.petersen_graph(), 3, "random"), 2, 5),
+]
+
+
+@pytest.mark.parametrize("name,code,r,t", SEARCH_CASES,
+                         ids=[c[0] for c in SEARCH_CASES])
+def test_stopping_set_search_matches_peeling(name, code, r, t):
+    _search_matches_peeling(code, r, t)
+
+
+def test_stopping_set_search_matches_peeling_on_random_codes():
+    """240 seeded random codes over GF(2) and GF(3), n <= 12, t <= 4; both
+    verdicts occur."""
+    rng = random.Random(20261019)
+    verdicts = []
+    for i in range(240):
+        gf = field_make((2, 3)[i % 2])
+        n, m = rng.randint(3, 12), rng.randint(1, 5)
+        density = rng.choice((0.25, 0.4, 0.6))
+        rows = [[rng.randrange(1, gf.q) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(m)]
+        code = LinearCode(Mat(gf, rows, cols=n))
+        verdicts.append(_search_matches_peeling(
+            code, rng.randint(1, 4), rng.randint(1, 4)))
+    assert 20 <= sum(verdicts) <= 220, sum(verdicts)
+
+
+def test_stopping_set_search_deeper_than_the_recursion_limit():
+    """On a path of weight-2 checks the only stopping set is every
+    coordinate, so the search goes n levels deep: root 0 grows one path,
+    and every later root stops at once, since its check to the left holds
+    no open coordinate."""
+    n = sys.getrecursionlimit() + 100
+    path = Mat.from_bits(GF2, [3 << i for i in range(n - 1)], n)
+    code = LinearCode(path)
+    rep = seq_recovery_check(code, 1, n - 1, mode="exhaustive")
+    assert rep.verdict and rep.budgets["nodes"] == (n - 1) + (n - 1)
+    rep = seq_recovery_check(code, 1, n, mode="exhaustive")
+    assert rep.witness == list(range(n)) and rep.budgets["nodes"] == n
 
 
 def test_girth_certificate_iff_exhaustive_binary():
@@ -293,11 +371,14 @@ def test_verifiers_reject_empty_budgets(r, t, samples):
 
 
 def test_explicit_exhaustive_over_budget_raises(monkeypatch):
-    """Only `auto` may fall back from enumeration; an explicit `exhaustive`
-    over the budget is an error, never a sampled verdict."""
+    """Only `auto` may fall back from the search; an explicit `exhaustive`
+    whose search passes the budget is an error, never a sampled verdict."""
     pet = moore_code(2, 4)  # 15 coordinates: 1940 patterns of size <= 4
-    assert seq_recovery_check(pet, mode="exhaustive").mode == "exhaustive"
-    monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 1939)
+    rep = seq_recovery_check(pet, mode="exhaustive")
+    assert rep.verdict and rep.mode == "exhaustive"
+    assert rep.budgets["nodes"] <= rep.budgets["patterns"] == 1940
+    monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET",
+                        rep.budgets["nodes"] - 1)
     with pytest.raises(BudgetExceeded):
         seq_recovery_check(pet, 2, 4, mode="exhaustive")
     assert seq_recovery_check(pet, 2, 4).mode == "certificate"
@@ -356,6 +437,9 @@ STAIRCASE_FAILURES = [
      {"columns": [1, 2, 3, 4, 5], "reason": "columns outside template"}),
     ([[0, 0], [1, 1], [0, 0], [0, 1]], 3,
      {"rows": [0, 2], "reason": "rows outside template"}),
+    # the template holds, but row 1 has weight 2, not r + 1 = 3
+    ([[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]], 2,
+     {"row": 1, "weight": 2}),
 ]
 
 
