@@ -13,6 +13,9 @@ keeps, `rref` back-substitutes them, and `columns_independent` and
 `first_dependent` insert columns into it; `first_dependent` is the one
 exhaustive search, a depth-first walk over staged column subsets that shares
 each prefix's reduction and undoes the last column on the way back up.
+Column inserts read a per-matrix column view, built lazily on the first
+insert against that matrix: a matrix that no column insert touches never
+holds one.
 
 `subspaces` is the one enumeration of a row space, each i-dimensional
 subspace once in a Gray order.
@@ -53,10 +56,12 @@ class Mat:
 
     Over GF(2) the rows are bit masks, `bits[i]` with bit j = entry (i, j),
     and `data`, the rows as tuples of ints, is unpacked on each access.
-    Over larger fields `bits` is None and `data` is stored.
+    Over larger fields `bits` is None and `data` is stored.  `_columns` is
+    the column view that `Echelon.insert_column` builds on first use (see
+    `_column_view`), None until then; equality and hashing ignore it.
     """
 
-    __slots__ = ("gf", "rows", "cols", "bits", "_data")
+    __slots__ = ("gf", "rows", "cols", "bits", "_data", "_columns")
 
     def __init__(self, gf: GF, data: Iterable[Iterable[int]],
                  cols: Optional[int] = None):
@@ -87,6 +92,7 @@ class Mat:
         self.cols = ncols
         self.bits = bits
         self._data = None if q == 2 else tuple(rows)
+        self._columns = None
 
     # -- constructors --
 
@@ -98,7 +104,7 @@ class Mat:
             raise MatrixError("bit rows require GF(2)")
         M = cls.__new__(cls)
         M.gf, M.rows, M.cols = gf, len(bits), cols
-        M.bits, M._data = tuple(bits), None
+        M.bits, M._data, M._columns = tuple(bits), None, None
         return M
 
     @classmethod
@@ -214,12 +220,17 @@ class Echelon(dict):
 
     `insert(v)` clears v's lowest entry with the vector kept at that pivot,
     and repeats: it keeps v, and returns True, when v reaches a free pivot,
-    and returns False when v reaches zero (a list v is changed in place).  `pop()` drops the vector kept
-    last, so a depth-first walk over column subsets can carry the basis down
-    the tree and undo it on the way back up.  Over GF(2) a vector is a bit
-    mask, kept under its lowest set bit; over larger fields it is a
-    log-domain list (as in `_sub_mul`), kept as its nonzero (index, log)
-    pairs, the pivot first.
+    and returns False when v reaches zero (a list v is changed in place).
+    `pop()` drops the vector kept last, so a depth-first walk over column
+    subsets can carry the basis down the tree and undo it on the way back
+    up.  Over GF(2) a vector is a bit mask, kept under its lowest set bit;
+    over larger fields it is a log-domain list (as in `_sub_mul`), kept as
+    its nonzero (index, log) pairs, the pivot first.
+
+    A kept pair list may be the very list held in a matrix's column view
+    (`insert_column`), so no kept vector is ever changed in place:
+    `_sub_mul` only reads the vector it subtracts, and `rref` binds a new
+    list to each pivot.
     """
 
     __slots__ = ("gf",)
@@ -259,22 +270,56 @@ class Echelon(dict):
         return self.insert([log[x] if x else -1 for x in row])
 
     def insert_column(self, M: Mat, j: int) -> bool:
-        """Insert column j of M, read from the last row up.
+        """Insert column j of M, read from the last row up, as M's column
+        view holds it (`_column_view`).
 
+        Over larger fields a column whose lowest entry lands on a free pivot
+        is kept as the view's own pair list, which is exactly what `insert`
+        would build; any other is expanded to a log-domain list and reduced.
         Over a matrix in RREF, such as `LinearCode.full_rank_checks()`, the
         lowest entry of a column read this way lies in the last pivot row
         at or before it: a pivot column is a unit vector, and the others
         fill in few entries.
         """
+        view = M._columns
+        if view is None:
+            view = _column_view(M)
+        col = view[j]
         if self.gf.q == 2:
-            v = 0
-            for i, row in enumerate(reversed(M.bits)):
-                if row >> j & 1:
-                    v |= 1 << i
-            return self.insert(v)
-        log = self.gf._log
-        return self.insert([log[row[j]] if row[j] else -1
-                            for row in reversed(M._data)])
+            return self.insert(col)
+        if not col:
+            return False
+        low = col[0][0]
+        if low not in self:
+            self[low] = col
+            return True
+        v = [-1] * M.rows
+        for i, x in col:
+            v[i] = x
+        return self.insert(v)
+
+
+def _column_view(M: Mat):
+    """The columns of M read from the last row up, built once and kept on M:
+    over GF(2) each column as a bit mask, bit i = entry (rows - 1 - i, j);
+    over larger fields as its nonzero (i, log) pairs, i ascending."""
+    if M.bits is not None:
+        view = [0] * M.cols
+        for i, row in enumerate(reversed(M.bits)):
+            bit = 1 << i
+            while row:
+                low = row & -row
+                view[low.bit_length() - 1] |= bit
+                row ^= low
+    else:
+        log = M.gf._log
+        view = [[] for _ in range(M.cols)]
+        for i, row in enumerate(reversed(M._data)):
+            for j, x in enumerate(row):
+                if x:
+                    view[j].append((i, log[x]))
+    M._columns = view = tuple(view)
+    return view
 
 
 def _row_basis(M: Mat) -> Echelon:

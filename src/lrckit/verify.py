@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, filterfalse
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
@@ -97,6 +97,16 @@ def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]
     return sorted(supports, key=lambda s: (len(s), sorted(s)))
 
 
+def _supports_by_coord(n: int, supports: Sequence[FrozenSet[int]]
+                       ) -> List[List[int]]:
+    """For each coordinate, the indices of the supports that hold it."""
+    by_coord: List[List[int]] = [[] for _ in range(n)]
+    for idx, s in enumerate(supports):
+        for c in s:
+            by_coord[c].append(idx)
+    return by_coord
+
+
 class _Peeler:
     """Greedy peeling against an indexed list of low-weight dual supports.
     Peeling is confluent, so greedy order cannot miss a recoverable
@@ -113,10 +123,7 @@ class _Peeler:
     """
 
     def __init__(self, n: int, supports: Sequence[FrozenSet[int]]):
-        self.by_coord: List[List[int]] = [[] for _ in range(n)]
-        for idx, s in enumerate(supports):
-            for c in s:
-                self.by_coord[c].append(idx)
+        self.by_coord = _supports_by_coord(n, supports)
         self.neighbours: List[Optional[FrozenSet[int]]] = [
             frozenset(c for idx in ids for c in supports[idx]) - {j}
             if ids else None
@@ -218,7 +225,7 @@ def _stopping_set(n: int, supports: Sequence[FrozenSet[int]], t: int,
     count.  A set branches on the open coordinates of the support meeting it
     once with the fewest, each branch (root too) excluding earlier siblings:
     each node is a distinct pattern.  Over `budget` nodes: BudgetExceeded."""
-    by_coord = _Peeler(n, supports).by_coord
+    by_coord = _supports_by_coord(n, supports)
     meets = [0] * len(supports)  # how many coordinates of the set it holds
     blocked = [False] * n  # in the set, or excluded by an earlier sibling
     chosen: List[int] = []
@@ -268,8 +275,9 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     number of times, is a failure witness whatever r is; a certificate that
     does not decide leaves the run to the search.  `auto` searches first
     when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET, else tries the certificate
-    first, and samples once the search passes that many nodes (`exhaustive`
-    raises BudgetExceeded); `jobs` > 1 samples in that many processes.
+    first, and samples once the search passes that many nodes, recording
+    the nodes it spent (`exhaustive` raises BudgetExceeded); `jobs` > 1
+    samples in that many processes.
     """
     r, t = declared(code, r=r, t=t)
     if min(r, t, samples) < 1:
@@ -307,7 +315,10 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
         except BudgetExceeded:
             if mode == "exhaustive":
                 raise
-    return _sampled_peel(n, supports, t, samples, seed, jobs)
+    report = _sampled_peel(n, supports, t, samples, seed, jobs)
+    if mode == "auto":  # the search ran first, and stopped at its budget
+        report.budgets["nodes"] = budget
+    return report
 
 
 def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
@@ -458,13 +469,16 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
         checked, witness = first_dependent(
             Hfull, [(g, delta) for g in groups] + [(None, s_extra)])
     else:
+        # what no sample changes: each group's picker and size, the range
+        picks = [(g.__getitem__, len(g)) for g in groups]
+        everyone = range(code.n)
         for _ in range(samples):
             pattern = []
-            for g in groups:
-                pattern += [g[j] for j in _draw(rng, len(g), delta)]
-            taken = set(pattern)
-            others = [i for i in range(code.n) if i not in taken]
-            pattern += [others[j] for j in _draw(rng, len(others), s_extra)]
+            for pick, size in picks:
+                pattern += map(pick, _draw(rng, size, delta))
+            others = list(filterfalse(set(pattern).__contains__, everyone))
+            pattern += map(others.__getitem__,
+                           _draw(rng, len(others), s_extra))
             checked += 1
             if not columns_independent(Hfull, pattern):
                 witness = pattern

@@ -198,6 +198,95 @@ def test_first_dependent_matches_per_subset_checks(pm):
     assert verdicts == {True, False}
 
 
+# The column view behind `Echelon.insert_column`, on each kind of field:
+# GF(2) bits, a binary extension, a prime field and an odd extension.
+VIEW_FIELDS = [(2, 1), (2, 4), (13, 1), (3, 3)]
+
+
+def _view_matrices(gf, rng):
+    """A matrix with no rows, the planted matrix, and sparse random ones
+    whose column 1 is all zero."""
+    out = [Mat(gf, [], cols=4), _planted_matrix(gf, rng)]
+    for rows, cols in ((3, 6), (6, 4), (4, 8)):
+        data = [[rng.randrange(gf.q) if rng.random() < 0.5 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+        for row in data:
+            row[1] = 0
+        out.append(Mat(gf, data, cols=cols))
+    return out
+
+
+def _independent_by_rank(M, cols):
+    return mat_rank(M.select_columns(cols)) == len(cols)
+
+
+def _first_dependent_by_rank(M, w):
+    """(subsets checked, first dependent w-subset or None), by rank."""
+    subsets = list(combinations(range(M.cols), w))
+    for i, cols in enumerate(subsets):
+        if not _independent_by_rank(M, cols):
+            return i + 1, list(cols)
+    return len(subsets), None
+
+
+@pytest.mark.parametrize("pm", VIEW_FIELDS, ids=str)
+def test_column_view_queries_match_rank(pm):
+    """`columns_independent` and `first_dependent` agree with the rank of
+    the selected columns, on one matrix queried again and again before and
+    after its column view fills, in a shuffled order with repeated column
+    sets, and with walks and single checks interleaved."""
+    gf = field_make(*pm)
+    rng = random.Random(2026)
+    outcomes = set()
+    for M in _view_matrices(gf, rng):
+        assert columns_independent(M, [])  # no insert: the view stays unbuilt
+        assert M._columns is None
+        subsets = [list(c) for w in range(min(M.cols, M.rows + 1) + 1)
+                   for c in combinations(range(M.cols), w)]
+        rng.shuffle(subsets)
+        for cols in subsets + subsets[:25]:
+            got = columns_independent(M, cols)
+            assert got == _independent_by_rank(M, cols), cols
+            outcomes.add(got)
+        # a fresh twin: the walk fills its view, then single checks read it
+        twin = Mat(gf, M.data, cols=M.cols)
+        for w in range(min(M.cols, M.rows + 1) + 1):
+            assert first_dependent(twin, [(None, w)]) == \
+                first_dependent(M, [(None, w)]) == \
+                _first_dependent_by_rank(M, w), w
+            for cols in subsets[:10]:
+                assert columns_independent(twin, cols) == \
+                    _independent_by_rank(M, cols)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("pm", VIEW_FIELDS, ids=str)
+def test_column_view_is_lazy_and_changes_nothing(pm):
+    """A matrix holds no column view until a column insert reads it; once
+    built, the view changes neither equality nor the hash, and no query
+    changes the view."""
+    gf = field_make(*pm)
+    M = _planted_matrix(gf, random.Random(5))
+    twin = Mat(gf, M.data)
+    made = [M, twin, Mat.identity(gf, 3), M.transpose(), rref(M)[0],
+            M.select_columns([0, 2]), mat_nullspace(M)]
+    if gf.q == 2:
+        made.append(Mat.from_bits(gf, M.bits, M.cols))
+    mat_rank(M), rref(M), M.row_supports(), M.column_supports(), M.data
+    assert all(X._columns is None for X in made)
+    h = hash(M)
+    assert not columns_independent(M, [0, 3, 7])
+    assert M._columns is not None and twin._columns is None
+    assert M == twin and twin == M and hash(M) == hash(twin) == h
+    view = repr(M._columns)
+    for w in range(1, M.rows + 2):
+        first_dependent(M, [(None, w)])
+        for cols in combinations(range(M.cols), w):
+            columns_independent(M, cols)
+    assert repr(M._columns) == view
+    assert M == twin and hash(M) == h
+
+
 @pytest.mark.parametrize("pm", KERNEL_FIELDS, ids=str)
 def test_rref_matches_entrywise_elimination(pm):
     gf = field_make(*pm)

@@ -384,6 +384,26 @@ def test_explicit_exhaustive_over_budget_raises(monkeypatch):
     assert seq_recovery_check(pet, 2, 4).mode == "certificate"
 
 
+def test_sampled_after_the_search_records_its_nodes(monkeypatch):
+    """When `auto` samples because the search passed its budget, the report
+    records the nodes the search spent; a plain sampled run records none,
+    and both replay the same patterns."""
+    code = _incidence(graphs.petersen_graph(), 3)  # GF(3): no cycle witness
+    full = seq_recovery_check(code, 2, 5, mode="exhaustive")
+    budget = full.budgets["nodes"] - 1
+    monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", budget)
+    with pytest.raises(BudgetExceeded):
+        verify._stopping_set(code.n, low_weight_dual_supports(code, 3), 5,
+                             budget)
+    rep = seq_recovery_check(code, 2, 5, samples=300, seed=5)
+    plain = seq_recovery_check(code, 2, 5, mode="sampled", samples=300,
+                               seed=5)
+    assert rep.mode == plain.mode == "sampled"
+    assert rep.budgets == dict(plain.budgets, nodes=budget)
+    assert "nodes" not in plain.budgets
+    assert (rep.verdict, rep.witness) == (plain.verdict, plain.witness)
+
+
 def test_parallel_sample_needs_sampled_mode():
     pet = moore_code(2, 4)
     for mode in ("auto", "exhaustive", "certificate"):
