@@ -20,13 +20,12 @@ from .bounds import lr_singleton_bound
 from .code import BudgetExceeded, LinearCode, is_mds, min_distance
 # `mat_rank` is not called here; perfbench's tracer self-test patches it
 from .matrix import (Echelon, Mat, columns_independent, first_dependent,
-                     lines, mat_rank, rref)
+                     mat_rank, rref, subspaces)
 from .mr_codes import LocalStructure
 
 SEQ_EXHAUSTIVE_BUDGET = 10 ** 6
 PMDS_EXHAUSTIVE_BUDGET = 10 ** 7
 DEFAULT_SAMPLES = 10 ** 5
-DUAL_ENUM_MAX_N = 14
 DUAL_ENUM_MAX_WORDS = 2 ** 20
 
 
@@ -73,28 +72,46 @@ def declared(code: LinearCode, **given) -> list:
 # low-weight dual words
 # ---------------------------------------------------------------------------
 
-def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]]:
-    """Supports of dual codewords of weight <= wmax.
+def _low_weight_words(code: LinearCode, wmax: int) -> Tuple[Mat, bool]:
+    """The dual words of weight 1 to wmax as the rows of a Mat, and whether
+    they are all of them.  When q^(n-k) <= DUAL_ENUM_MAX_WORDS they are: one
+    word per line of the dual, kept on its packed form, in the order in
+    which a count over the coefficients of the RREF dual basis, the first
+    row's digit fastest, first reaches a multiple of each.  Otherwise they
+    are the stored rows of H, which may miss some: a verdict on them is
+    conservative, never falsely positive."""
+    gf, n, H = code.gf, code.n, code.H
+    if gf.q ** (n - code.k) > DUAL_ENUM_MAX_WORDS:  # no RREF, no unpacking
+        if H.bits is None:
+            return Mat(gf, [w for w in H.data if 0 < n - w.count(0) <= wmax],
+                       cols=n), False
+        return Mat.from_bits(gf, [v for v in H.bits
+                                  if 0 < v.bit_count() <= wmax], n), False
+    basis, pivots = rref(H)
+    walk = (w for (w,) in subspaces(basis, 1))
+    if basis.bits is not None:  # the count is the word on the pivots
+        mask = sum(1 << p for p in pivots)
+        return Mat.from_bits(gf, sorted((w for w in walk
+                                         if w.bit_count() <= wmax),
+                                        key=mask.__and__), n), True
+    exp, pivots = gf._exp, pivots[::-1]
 
-    Rows of the stored parity-check matrix are always candidates (the
-    constructions carry their local checks there explicitly); when the code
-    has length <= DUAL_ENUM_MAX_N = 14 and its dual at most
-    DUAL_ENUM_MAX_WORDS = 2^20 words (q^(n-k)), every line of the dual is
-    walked so nothing is missed.  Otherwise, over GF(256) at n = 14 and
-    n - k = 3 for one, an adversarial code whose low-weight words are not
-    among its stored rows could be under-served — peeling verdicts are then
-    conservative (may report unrecoverable for a recoverable pattern),
-    never falsely positive.
-    """
-    supports = {frozenset(sup) for sup in code.H.row_supports()
-                if 0 < len(sup) <= wmax}
-    if code.n <= DUAL_ENUM_MAX_N:
-        basis = code.full_rank_checks()
-        if code.gf.q ** basis.rows <= DUAL_ENUM_MAX_WORDS:
-            for word in lines(basis):
-                if len(word) - word.count(0) <= wmax:
-                    supports.add(frozenset(j for j, x in enumerate(word) if x))
-    return sorted(supports, key=lambda s: (len(s), sorted(s)))
+    def count(w):  # as digits, the most significant first and scaled to 1
+        c = [w[p] for p in pivots]
+        lead = next(x for x in c if x >= 0)
+        return [exp[x - lead] if x >= 0 else 0 for x in c]  # exp wraps
+
+    words = sorted((w[:] for w in walk if n - w.count(-1) <= wmax), key=count)
+    entry = exp + [0]  # a log of -1 reads the 0
+    return Mat(gf, [[entry[x] for x in w] for w in words], cols=n), True
+
+
+def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]]:
+    """The supports of the words of `_low_weight_words`, each once, by size
+    and then in order; peeling on those of stored rows is conservative."""
+    words, _ = _low_weight_words(code, wmax)
+    return sorted(set(map(frozenset, words.row_supports())),
+                  key=lambda s: (len(s), sorted(s)))
 
 
 def _supports_by_coord(n: int, supports: Sequence[FrozenSet[int]]
@@ -391,14 +408,10 @@ def availability_check(code: LinearCode, r: Optional[int] = None,
     if min(r, t) < 1:
         raise ValueError(f"need r, t >= 1, got {r}, {t}")
     supports = low_weight_dual_supports(code, r + 1)
-    per_coord: List[List[FrozenSet[int]]] = [[] for _ in range(code.n)]
-    for s in supports:
-        for i in s:
-            rec = frozenset(s - {i})
-            if len(rec) <= r:
-                per_coord[i].append(rec)
-    for i in range(code.n):
-        cands = sorted(set(per_coord[i]), key=lambda s: (len(s), sorted(s)))
+    # removing the coordinate from the supports through it keeps them
+    # distinct, of size <= r, and in their order
+    for i, ids in enumerate(_supports_by_coord(code.n, supports)):
+        cands = [supports[j] - {i} for j in ids]
         if not _disjoint_packing(cands, t, []):
             return VerifyReport("availability", False, "exhaustive",
                                 witness={"coordinate": i,
@@ -630,37 +643,20 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 def _greedy_low_weight_basis(code: LinearCode, wmax: int) -> Optional[Mat]:
-    """A full dual basis chosen greedily from minimum-weight dual words
-    (falls back to parity-check rows when the dual is too big to walk).
-    Words of one weight come in the order in which a count over the
-    coefficients of the RREF dual basis, the first row's digit fastest,
-    first reaches a multiple of each."""
-    gf = code.gf
+    """A full dual basis chosen greedily, lightest first, from the words of
+    `_low_weight_words`: words of one weight come in its order, so the
+    basis is drawn from every low-weight word when the dual has at most
+    2^20 words, else from the stored rows of H."""
+    words, _ = _low_weight_words(code, wmax)
     m = code.n - code.k
-    basis, pivots = rref(code.H)
-
-    def weight(w):
-        return len(w) - w.count(0)
-
-    def first_count(w):  # as digits, the most significant first
-        c = [w[p] for p in reversed(pivots)]  # coefficients: RREF pivots
-        inv = gf.inv(next(x for x in c if x))
-        return [gf.mul(x, inv) for x in c]
-
-    if gf.q ** basis.rows <= DUAL_ENUM_MAX_WORDS:
-        words = sorted((w for w in lines(basis) if weight(w) <= wmax),
-                       key=lambda w: (weight(w), first_count(w)))
-    else:
-        words = sorted((w for w in code.H.data if 0 < weight(w) <= wmax),
-                       key=weight)
     chosen: List[Tuple[int, ...]] = []
-    span = Echelon(gf)
-    for w in words:
+    span = Echelon(code.gf)
+    for w in sorted(words.data, key=lambda w: len(w) - w.count(0)):
         if len(chosen) == m:
             break
         if span.insert_row(w):
             chosen.append(w)
-    return Mat(gf, chosen, cols=code.n) if len(chosen) == m else None
+    return Mat(code.gf, chosen, cols=code.n) if len(chosen) == m else None
 
 
 def classify_rate_optimal_t2(code: LinearCode,

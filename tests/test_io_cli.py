@@ -57,6 +57,14 @@ def test_cli_construct_verify_round_trip(tmp_path):
     assert seq_recovery_check(moore_code(2, 4), 2, 4).verdict
     # asking beyond the true recovery radius fails with exit 1
     assert main(["verify", "seq", "--code", str(out), "--t", "5"]) == 1
+    # a Tamo-Barg code has locality r by construction, also at n > 14: its
+    # dual of 16^5 words is walked, since the light rows of its stored H
+    # miss coordinate 10
+    tb = tmp_path / "tamobarg.json"
+    assert main(["construct", "tamobarg", "--n", "15", "--k", "10", "--r",
+                 "4", "--q", "16", "--out", str(tb)]) == 0
+    for prop in ("avail", "seq"):
+        assert main(["verify", prop, "--code", str(tb), "--t", "1"]) == 0
 
 
 def test_cli_bound_values(tmp_path, capsys):

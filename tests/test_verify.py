@@ -317,6 +317,62 @@ def test_round_one_filter_on_coordinates_without_support():
     assert not peeler.recovers([3]) and not peeler.recovers([0, 1])
 
 
+def _dual_words_brute_force(gf, rows):
+    """Every word of the row space of `rows`, grown one row at a time over
+    every coefficient: no echelon form, no walk."""
+    words = {(0,) * len(rows[0])}
+    for row in rows:
+        words = {tuple(gf.add(x, gf.mul(c, y)) for x, y in zip(w, row))
+                 for w in words for c in range(gf.q)}
+    return words
+
+
+def test_low_weight_dual_supports_are_every_light_dual_word():
+    """At n from 15 to 18, as at any n while q^(n-k) <= 2^20, the supports
+    are those of every dual word of weight <= wmax, one walked word per
+    line, whatever rows hold the code: here light rows mixed into heavy
+    ones."""
+    rng = random.Random(20261020)
+    for i in range(9):
+        gf = field_make(*((2, 1), (3, 1), (2, 2))[i % 3])
+        n = rng.randint(15, 18)
+        m = rng.randint(2, int(math.log(2 ** 12, gf.q)))
+        rows = [[rng.randrange(1, gf.q) if rng.random() < 0.2 else 0
+                 for _ in range(n)] for _ in range(m)]
+        for _ in range(2 * m):  # add a multiple of one row to another
+            a, b = rng.sample(range(m), 2)
+            c = rng.randrange(1, gf.q)
+            rows[a] = [gf.add(x, gf.mul(c, y))
+                       for x, y in zip(rows[a], rows[b])]
+        code = LinearCode(Mat(gf, rows, cols=n))
+        wmax = rng.randint(2, 6)
+        light = [w for w in _dual_words_brute_force(gf, rows)
+                 if 0 < n - w.count(0) <= wmax]
+        assert low_weight_dual_supports(code, wmax) == sorted(
+            {frozenset(j for j, x in enumerate(w) if x) for w in light},
+            key=lambda s: (len(s), sorted(s)))
+        words, complete = verify._low_weight_words(code, wmax)
+        assert complete and words.rows * (gf.q - 1) == len(light)
+        assert set(words.data) <= set(light)
+
+
+def test_stored_rows_take_no_dual_work(seq_1352, monkeypatch):
+    """A dual of 2^(n-k) > 2^20 words is not walked: no RREF, no walk and
+    no unpacked row; the supports are those of the 650 rows of H."""
+    def no_dual_work(*args):
+        raise AssertionError("dual work on the stored-rows branch")
+
+    for name in ("rref", "subspaces"):
+        monkeypatch.setattr(verify, name, no_dual_work)
+    monkeypatch.setattr(LinearCode, "full_rank_checks", no_dual_work)
+    monkeypatch.setattr(Mat, "data", property(no_dual_work))
+    code = seq_1352
+    supports = low_weight_dual_supports(code, 4)
+    assert len(supports) == code.H.rows == 650
+    assert set(supports) == set(map(frozenset, code.H.row_supports()))
+    assert not verify._low_weight_words(code, 4)[1]
+
+
 # n = 1 .. 99 crosses `Random.sample`'s switch from its pool branch to its
 # rejection branch at n = 21 (k <= 5) and at n = 85 (6 <= k <= 12)
 @pytest.mark.parametrize("n", list(range(1, 100)) + [1352, 8480])
