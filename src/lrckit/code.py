@@ -92,6 +92,12 @@ class LinearCode:
             self._G = mat_nullspace(self.H)
         return self._G
 
+    def local_dual(self, group: Sequence[int]) -> Mat:
+        """The dual words supported inside `group`, as the rows of a Mat
+        whose columns are the group's coordinates in the given order: the
+        null space of the generator's columns there."""
+        return mat_nullspace(self.generator().select_columns(list(group)))
+
     def full_rank_checks(self) -> Mat:
         """A full-row-rank parity-check matrix (RREF rows of H)."""
         R, _ = rref(self.H)

@@ -18,7 +18,7 @@ from .code import (BudgetExceeded, CodeParams, ConstructionFailed, LinearCode,
                    checked, code_from_generator)
 from .field import GF, FieldError, field_make
 from .graphs import pg_incidence_graph
-from .matrix import Mat, mat_nullspace, rref, vandermonde
+from .matrix import Mat, rref, vandermonde
 from .mr_codes import coordinate_groups
 
 GF2 = field_make(2)
@@ -136,10 +136,9 @@ def locality_witnesses(code: LinearCode,
                        groups: Sequence[Sequence[int]]) -> List[List[int]]:
     """For each coordinate group, a dual codeword supported inside the group
     (the local parity); raises if some group has no such word."""
-    G = code.generator()
     out = []
     for grp in groups:
-        local = mat_nullspace(G.select_columns(list(grp)))
+        local = code.local_dual(grp)
         if local.rows == 0:
             raise ValueError(f"group {list(grp)} carries no local parity")
         w = [0] * code.n

@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, filterfalse
+from itertools import accumulate, combinations, filterfalse
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import lr_singleton_bound
@@ -291,10 +291,13 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     check.  Over GF(2) a short cycle, which meets every dual word an even
     number of times, is a failure witness whatever r is; a certificate that
     does not decide leaves the run to the search.  `auto` searches first
-    when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET, else tries the certificate
-    first, and samples once the search passes that many nodes, recording
-    the nodes it spent (`exhaustive` raises BudgetExceeded); `jobs` > 1
-    samples in that many processes.
+    when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET.  Else it tries the
+    certificate, then availability's own test (`_unavailable`): t
+    pairwise-disjoint recovery sets at every coordinate leave each erasure
+    of a <= t pattern one set clear of the others, a `certificate` PASS.
+    Then it searches, and samples once the search passes that many nodes,
+    recording the nodes it spent (`exhaustive` raises BudgetExceeded);
+    `jobs` > 1 samples in that many processes.
     """
     r, t = declared(code, r=r, t=t)
     if min(r, t, samples) < 1:
@@ -322,6 +325,9 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     elif mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     supports = low_weight_dual_supports(code, r + 1)
+    if mode == "auto" and _unavailable(n, supports, t) is None:
+        return VerifyReport("seq-recovery", True, "certificate",
+                            detail={"recovery_sets": t})
     if mode != "sampled":
         try:
             witness, nodes = _stopping_set(n, supports, t, budget)
@@ -398,6 +404,20 @@ def _disjoint_packing(cands: List[FrozenSet[int]], t: int,
     return False
 
 
+def _unavailable(n: int, supports: Sequence[FrozenSet[int]],
+                 t: int) -> Optional[dict]:
+    """The first coordinate without t pairwise-disjoint recovery sets, the
+    supports through it with it removed, as a witness; None when every
+    coordinate has them."""
+    # removing the coordinate from the supports through it keeps them
+    # distinct, of size <= r, and in their order
+    for i, ids in enumerate(_supports_by_coord(n, supports)):
+        cands = [supports[j] - {i} for j in ids]
+        if not _disjoint_packing(cands, t, []):
+            return {"coordinate": i, "candidates": len(cands)}
+    return None
+
+
 def availability_check(code: LinearCode, r: Optional[int] = None,
                        t: Optional[int] = None) -> VerifyReport:
     """Does every coordinate have t pairwise-disjoint recovery sets of size
@@ -407,18 +427,9 @@ def availability_check(code: LinearCode, r: Optional[int] = None,
     r, t = declared(code, r=r, t=t)
     if min(r, t) < 1:
         raise ValueError(f"need r, t >= 1, got {r}, {t}")
-    supports = low_weight_dual_supports(code, r + 1)
-    # removing the coordinate from the supports through it keeps them
-    # distinct, of size <= r, and in their order
-    for i, ids in enumerate(_supports_by_coord(code.n, supports)):
-        cands = [supports[j] - {i} for j in ids]
-        if not _disjoint_packing(cands, t, []):
-            return VerifyReport("availability", False, "exhaustive",
-                                witness={"coordinate": i,
-                                         "candidates": len(cands)},
-                                detail={"r": r, "t": t})
-    return VerifyReport("availability", True, "exhaustive",
-                        detail={"r": r, "t": t})
+    witness = _unavailable(code.n, low_weight_dual_supports(code, r + 1), t)
+    return VerifyReport("availability", witness is None, "exhaustive",
+                        witness=witness, detail={"r": r, "t": t})
 
 
 def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
@@ -453,14 +464,85 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
 # maximal recoverability
 # ---------------------------------------------------------------------------
 
+def _locally_mds(code: LinearCode, groups: Sequence[Sequence[int]],
+                 delta: int) -> bool:
+    """Is every delta-subset of every group independent in the group's
+    local dual (`LinearCode.local_dual`)?  Then a codeword that a pattern
+    erases is zero on each group where the pattern holds exactly delta
+    coordinates: its part there lies in the local code, whose nonzero words
+    have weight above delta.  False too when the subsets pass the budget."""
+    if sum(math.comb(len(g), delta) for g in groups) > PMDS_EXHAUSTIVE_BUDGET:
+        return False
+    return all(first_dependent(code.local_dual(g), [(None, delta)])[1] is None
+               for g in groups)
+
+
+def _spreads(rooms: Sequence[int], s: int):
+    """Each way to spread s extra erasures over groups with the given room:
+    the groups that take some, each with how many (at least 1, at most its
+    room), as a list of (group index, count); s = 0 spreads once, to no
+    group.  A spread grows one group at a time, trying a group only while
+    the rooms from it on can take what is left, so every partial spread
+    completes: at most s steps per spread, however many groups have none."""
+    held = [i for i, room in enumerate(rooms) if room]
+    after = list(accumulate(rooms[i] for i in reversed(held)))[::-1] + [0]
+    stack = [(0, s, [])]
+    while stack:
+        start, left, spread = stack.pop()
+        if not left:
+            yield spread
+            continue
+        for at in range(start, len(held)):
+            if after[at] < left:
+                break
+            i = held[at]
+            for e in range(max(1, left - after[at + 1]),
+                           min(rooms[i], left) + 1):
+                stack.append((at + 1, left - e, spread + [(i, e)]))
+
+
+def _reduced_patterns(sizes: Sequence[int], delta: int, s: int) -> int:
+    """How many column sets the reduction ranks: delta + e_i coordinates of
+    each group i that takes e_i >= 1 extras, summed over the spreads.  The
+    coefficient of x^s in the product over the groups of
+    1 + sum_e C(size, delta + e) x^e."""
+    poly = [1] + [0] * s
+    for size in sizes:
+        ways = [math.comb(size, delta + e) for e in range(s + 1)]
+        poly = [poly[j] + sum(ways[e] * poly[j - e] for e in range(1, j + 1))
+                for j in range(s + 1)]
+    return poly[s]
+
+
+def _reduction_passes(H: Mat, groups: List[List[int]], delta: int,
+                      s: int) -> bool:
+    """Do the reduced patterns fit PMDS_EXHAUSTIVE_BUDGET, and are their
+    columns of H all independent?  One `first_dependent` walk per spread,
+    each taking delta + e_i columns of every group i that holds extras."""
+    if _reduced_patterns(map(len, groups), delta, s) > PMDS_EXHAUSTIVE_BUDGET:
+        return False
+    rooms = [len(g) - delta for g in groups]
+    return all(first_dependent(H, [(groups[i], delta + e) for i, e in spread]
+                               )[1] is None for spread in _spreads(rooms, s))
+
+
 def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
                delta: int, s_extra: int, mode: str = "auto",
                samples: int = DEFAULT_SAMPLES, seed: int = 0) -> VerifyReport:
     """Partial-MDS property: delta erasures in every group plus s_extra
     arbitrary further erasures always leave independent parity-check
-    columns.  A `structure` of None is the code's declared one.  `auto`
-    replays every pattern when there are at most PMDS_EXHAUSTIVE_BUDGET,
-    else samples."""
+    columns.  A `structure` of None is the code's declared one.
+
+    When every group is locally MDS (`_locally_mds`), a pattern is
+    dependent exactly when its part on the groups that hold extras is, so
+    the exhaustive modes rank those reduced patterns, one `first_dependent`
+    walk per spread of the extras, and a sampled run ranks each distinct
+    reduced set once.  A PASS so found counts every pattern as checked.  A
+    reduced pattern that is dependent sends the run to the full walk, which
+    gives the witness and the count; so do groups that are not locally MDS.
+    `auto` is exact when the patterns, or the reduced patterns that then all
+    pass, fit PMDS_EXHAUSTIVE_BUDGET, else samples; `exhaustive` raises
+    BudgetExceeded where `auto` would sample."""
     [structure] = declared(code, structure=structure)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -473,18 +555,29 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
     if min(total, samples) < 1:
         raise ValueError(f"need patterns, samples >= 1: {total}, {samples}")
     Hfull = code.full_rank_checks()
-    if mode == "auto":
-        mode = "exhaustive" if total <= PMDS_EXHAUSTIVE_BUDGET else "sampled"
-    rng = random.Random(seed)
+    budget = PMDS_EXHAUSTIVE_BUDGET
+    local = _locally_mds(code, groups, delta)
 
     checked, witness = 0, None
-    if mode == "exhaustive":
+    if mode != "sampled" and local and _reduction_passes(Hfull, groups, delta,
+                                                         s_extra):
+        mode, checked = "exhaustive", total
+    elif mode == "exhaustive" or mode == "auto" and total <= budget:
+        if total > budget:
+            raise BudgetExceeded(f"{total} patterns > budget {budget}, and "
+                                 "the local reduction does not decide them")
+        mode = "exhaustive"
         checked, witness = first_dependent(
             Hfull, [(g, delta) for g in groups] + [(None, s_extra)])
     else:
+        mode = "sampled"
+        rng = random.Random(seed)
         # what no sample changes: each group's picker and size, the range
         picks = [(g.__getitem__, len(g)) for g in groups]
         everyone = range(code.n)
+        group_of = {c: i for i, g in enumerate(groups) for c in g}
+        base = delta * len(groups)
+        reduced: Dict[Tuple[int, ...], bool] = {}  # sorted set -> verdict
         for _ in range(samples):
             pattern = []
             for pick, size in picks:
@@ -493,11 +586,20 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
             pattern += map(others.__getitem__,
                            _draw(rng, len(others), s_extra))
             checked += 1
-            if not columns_independent(Hfull, pattern):
+            if local:  # group i's picks are pattern[i * delta:][:delta]
+                extras = pattern[base:]
+                key = tuple(sorted(extras + [
+                    c for i in {group_of[c] for c in extras}
+                    for c in pattern[i * delta:(i + 1) * delta]]))
+                ok = reduced.get(key)
+                if ok is None:
+                    ok = reduced[key] = columns_independent(Hfull, key)
+            else:
+                ok = columns_independent(Hfull, pattern)
+            if not ok:
                 witness = pattern
                 break
-    budgets = {"patterns": total, "budget": PMDS_EXHAUSTIVE_BUDGET,
-               "checked": checked}
+    budgets = {"patterns": total, "budget": budget, "checked": checked}
     if mode == "sampled":
         budgets.update({"seed": seed, "samples": samples})
     if witness is not None:

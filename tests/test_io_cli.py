@@ -135,6 +135,36 @@ def test_cli_verify_pmds_and_structure(tmp_path):
     assert main(["verify", "mr-shape", "--code", str(out)]) == 0
 
 
+def test_cli_pmds_exhaustive_over_the_pattern_budget(tmp_path, capsys):
+    """mr-r12 (8, 3) at s = 2 has 18 087 936 patterns, past the pmds
+    budget.  The local reduction decides them: `--mode exhaustive` exits 0
+    with an exact report that counts every pattern.  With its last global
+    row zeroed, a reduced pattern is dependent, and the walk that would give
+    the witness is past the budget: `exhaustive` exits 2 with a
+    `BudgetExceeded` error, and `auto` samples, finding the failure."""
+    code = mr_r12(8, 3)
+    rows = [list(r) for r in code.H.data]
+    rows[-1] = [0] * code.n
+    files = {"mr": code, "zeroed": LinearCode(Mat(code.gf, rows),
+                                              provenance=code.provenance)}
+    for name, c in files.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(lio.dumps(lio.code_to_json(c)))
+    argv = ["verify", "pmds", "--delta", "1", "--s-extra", "2", "--code"]
+    assert main(argv + [str(files["mr"]), "--mode", "exhaustive"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mode"] == "exhaustive" and rep["verdict"]
+    assert rep["budgets"]["checked"] == rep["budgets"]["patterns"] \
+        == 18087936 > rep["budgets"]["budget"]
+    assert main(argv + [str(files["zeroed"]), "--mode", "exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "BudgetExceeded"
+    assert main(argv + [str(files["zeroed"]), "--samples", "100"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mode"] == "sampled" and rep["witness"]
+
+
 def test_cli_verify_jobs_parallel(tmp_path):
     out = tmp_path / "pet.json"
     main(["construct", "moore", "--r", "2", "--t", "4", "--out", str(out)])

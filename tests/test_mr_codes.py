@@ -1,9 +1,13 @@
+import math
+import random
 from itertools import combinations, product
 
 import pytest
 
+from lrckit import matrix, verify
 from lrckit.bounds import lr_singleton_bound
-from lrckit.code import LinearCode, is_mds, min_distance, puncture
+from lrckit.code import BudgetExceeded, LinearCode, is_mds, min_distance, \
+    puncture
 from lrckit.field import FieldError, field_make
 from lrckit.matrix import Mat, mat_rank
 from lrckit.mr_codes import (LocalStructure, coordinate_groups, mr_r12,
@@ -259,6 +263,166 @@ def test_pmds_sampled_mode_records_seed():
     rep = pmds_check(c, st, 1, 2, mode="sampled", samples=300, seed=11)
     assert rep.verdict and rep.mode == "sampled"
     assert rep.budgets["seed"] == 11 and rep.budgets["samples"] == 300
+
+
+def _pmds_both_ways(monkeypatch, code, st, delta, s_extra, **kw):
+    """The pmds report as a dict, with the local reduction and without it
+    (every group taken as not locally MDS, so every pattern is ranked in
+    full)."""
+    on = pmds_check(code, st, delta, s_extra, **kw).as_dict()
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_locally_mds", lambda *args: False)
+        off = pmds_check(code, st, delta, s_extra, **kw).as_dict()
+    return on, off
+
+
+# MR and PMR codes at small m, over GF(2^m), GF(p), GF(p^2) and GF(p^3)
+REDUCTION_CODES = {
+    "mr-r12 3 2, GF(16)": lambda: mr_r12(3, 2),
+    "mr-r12 2 3, GF(64)": lambda: mr_r12(2, 3),
+    "mr-rd2 2 2 2 4, GF(9)": lambda: mr_rdelta2(2, 2, 2, 4),
+    "mr-rd2 3 2 2 4, GF(13)": lambda: mr_rdelta2(3, 2, 2, 4),
+    "mr-rd2 3 2 1 3, GF(13)": lambda: mr_rdelta2(3, 2, 1, 3),
+    "mr-coset 9 2, GF(13)": lambda: mr_r2_coset_search(9, 2, field_make(13)),
+    "pmr-split 3 3 2, GF(16)": lambda: pmr_parity_split(3, 3, 2,
+                                                        field_make(2, 4)),
+    "pmr-a1 3 3 5 13, GF(13^3)": lambda: pmr_general_a1(3, 3, 5, 13)[0],
+}
+
+
+def test_pmds_reduction_matches_the_full_replay(monkeypatch):
+    """Whole reports, exhaustive and sampled, with the local reduction and
+    without it: on each code of REDUCTION_CODES, and on 30 seeded one-entry
+    mutations of its H, each at an s_extra from 0 to the most the code's
+    redundancy allows.  Each code passes by the reduction, and the corpus
+    takes every path: groups not locally MDS (the full replay), a dependent
+    reduced pattern (the full walk for the witness), and a reduced PASS."""
+    paths = set()
+    for name, make in REDUCTION_CODES.items():
+        base = make()
+        st = base.provenance["local_structure"]
+        groups = [list(g) for g in st.groups]
+        assert verify._locally_mds(base, groups, st.delta), name
+        rng = random.Random(base.n * base.gf.q)
+        H0 = [list(r) for r in base.H.data]
+        codes = [base]
+        for _ in range(30):
+            rows = [r[:] for r in H0]
+            rows[rng.randrange(len(rows))][rng.randrange(base.n)] = \
+                rng.randrange(base.gf.q)
+            codes.append(LinearCode(Mat(base.gf, rows)))
+        for i, code in enumerate(codes):
+            s_extra = rng.randint(0, base.n - base.k - st.delta * len(groups))
+            for kw in ({"mode": "exhaustive"},
+                       {"mode": "sampled", "samples": 100, "seed": i}):
+                on, off = _pmds_both_ways(monkeypatch, code, st, st.delta,
+                                          s_extra, **kw)
+                assert on == off, (name, i, s_extra, kw)
+            paths.add((verify._locally_mds(code, groups, st.delta),
+                       on["verdict"]))
+            assert i or on["verdict"], name
+    assert paths >= {(False, False), (True, False), (True, True)}, paths
+
+
+def test_pmds_fallback_when_a_group_is_not_locally_mds(monkeypatch):
+    """Column 1 duplicated onto column 0, inside group 0 of a delta = 2
+    code: the 2-subset {0, 1} is dependent in the group's local dual, so
+    the reduction is off and the full walk decides, as the flat loop does."""
+    base = mr_rdelta2(3, 2, 2, 4)
+    st = base.provenance["local_structure"]
+    rows = [list(r) for r in base.H.data]
+    for row in rows:
+        row[0] = row[1]
+    mut = LinearCode(Mat(base.gf, rows))
+    assert not verify._locally_mds(mut, [list(g) for g in st.groups], 2)
+    assert verify._locally_mds(base, [list(g) for g in st.groups], 2)
+    for s_extra in (0, 1, 2):
+        rep = pmds_check(mut, st, 2, s_extra)
+        assert rep.mode == "exhaustive" and not rep.verdict
+        assert (rep.budgets["checked"], rep.witness) \
+            == _pmds_flat(mut, st, 2, s_extra)
+        on, off = _pmds_both_ways(monkeypatch, mut, st, 2, s_extra,
+                                  mode="sampled", samples=100)
+        assert on == off and not on["verdict"]
+
+
+def test_pmds_sampled_ranks_each_reduced_set_once(monkeypatch):
+    """The benchmark's sampled shape: mr-rd2 (5, 2, 2, 4), delta 2, s 2,
+    5000 samples of 12 columns each.  The full replay inserts all 60 000
+    columns; with the reduction the 5000 patterns fall into at most 165
+    reduced sets of at most 6 columns, each ranked once.  The reports are
+    the same."""
+    code = mr_rdelta2(5, 2, 2, 4)
+    inserts = []
+    insert_column = matrix.Echelon.insert_column
+
+    def counted(self, M, j):
+        inserts.append(j)
+        return insert_column(self, M, j)
+
+    monkeypatch.setattr(matrix.Echelon, "insert_column", counted)
+    counts, reports = [], []
+    for reduction in (True, False):
+        inserts.clear()
+        with monkeypatch.context() as m:
+            if not reduction:
+                m.setattr(verify, "_locally_mds", lambda *args: False)
+            rep = pmds_check(code, None, 2, 2, mode="sampled", samples=5000,
+                             seed=3)
+        assert rep.verdict and rep.budgets["checked"] == 5000
+        counts.append(len(inserts))
+        reports.append(rep.as_dict())
+    assert reports[0] == reports[1]
+    assert counts[1] == 5000 * 12
+    # the reduced sets, then each group's local dual: its 2-subsets of 4
+    # columns take 3 + 6 inserts
+    assert counts[0] <= 165 * 6 + 5 * 9
+
+
+def test_pmds_exact_past_the_pattern_budget():
+    """mr-r12 (8, 3) at s = 2 has 18 087 936 patterns, past the budget, but
+    1040 reduced ones: `auto` and `exhaustive` both pass exactly, and
+    count every pattern.  Where the reduction cannot decide, `exhaustive`
+    raises BudgetExceeded and `auto` samples: groups not locally MDS, or a
+    dependent reduced pattern."""
+    code = mr_r12(8, 3)
+    st = code.provenance["local_structure"]
+    assert verify._reduced_patterns([4] * 8, 1, 2) == 1040
+    for mode in ("auto", "exhaustive"):
+        rep = pmds_check(code, None, 1, 2, mode=mode)
+        assert (rep.verdict, rep.mode) == (True, "exhaustive")
+        assert rep.budgets["checked"] == rep.budgets["patterns"] \
+            == 18087936 > verify.PMDS_EXHAUSTIVE_BUDGET
+    rows = [list(r) for r in code.H.data]
+    zeroed = [r[:] for r in rows]
+    zeroed[-1] = [0] * code.n  # a global row: the groups stay locally MDS
+    unmixed = [r[:] for r in rows]
+    unmixed[0][8] = 0  # group 0's local row no longer covers coordinate 8
+    groups = [list(g) for g in st.groups]
+    for H, local in ((zeroed, True), (unmixed, False)):
+        mut = LinearCode(Mat(code.gf, H))
+        assert verify._locally_mds(mut, groups, 1) is local
+        with pytest.raises(BudgetExceeded):
+            pmds_check(mut, st, 1, 2, mode="exhaustive")
+        rep = pmds_check(mut, st, 1, 2, samples=50)
+        assert rep.mode == "sampled" and not rep.verdict
+
+
+def test_spreads_and_reduced_counts_agree():
+    """`_reduced_patterns` counts the column sets of the spreads that
+    `_spreads` yields, each spread once and within the rooms; groups with
+    no room take no step."""
+    for sizes, delta, s in (([4, 4, 4], 1, 2), ([3, 5, 2, 4], 2, 3),
+                            ([2, 2], 2, 1), ([6], 1, 4), ([3, 3], 1, 0),
+                            ([2, 5, 2, 3, 2, 4], 2, 4), ([1] * 200, 1, 1)):
+        rooms = [size - delta for size in sizes]
+        spreads = list(verify._spreads(rooms, s))
+        assert len(set(map(tuple, spreads))) == len(spreads)
+        assert all(sum(e for _, e in sp) == s for sp in spreads)
+        assert all(1 <= e <= rooms[i] for sp in spreads for i, e in sp)
+        assert verify._reduced_patterns(sizes, delta, s) == sum(
+            math.prod(math.comb(sizes[i], delta + e) for i, e in sp)
+            for sp in spreads)
 
 
 def test_mr_coset_search_degenerate_repetition():

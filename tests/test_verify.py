@@ -9,8 +9,8 @@ from lrckit import graphs, verify
 from lrckit.code import BudgetExceeded, LinearCode
 from lrckit.field import field_make
 from lrckit.graphs import girth, shortest_cycle
-from lrckit.lr_codes import product_avail_code, steiner_sa_code, \
-    wang_avail_code
+from lrckit.lr_codes import pg_plane_sa_code, product_avail_code, \
+    steiner_sa_code, wang_avail_code
 from lrckit.matrix import Mat
 from lrckit.seq_codes import (moore_code, seq_general_code,
                               t2_near_regular_code, t2_turan_code,
@@ -109,11 +109,10 @@ def test_stopping_set_search_matches_peeling(name, code, r, t):
     _search_matches_peeling(code, r, t)
 
 
-def test_stopping_set_search_matches_peeling_on_random_codes():
-    """240 seeded random codes over GF(2) and GF(3), n <= 12, t <= 4; both
-    verdicts occur."""
+def _random_codes():
+    """240 seeded random codes over GF(2) and GF(3), n <= 12, each with an
+    r and a t <= 4: (code, r, t)."""
     rng = random.Random(20261019)
-    verdicts = []
     for i in range(240):
         gf = field_make((2, 3)[i % 2])
         n, m = rng.randint(3, 12), rng.randint(1, 5)
@@ -121,9 +120,48 @@ def test_stopping_set_search_matches_peeling_on_random_codes():
         rows = [[rng.randrange(1, gf.q) if rng.random() < density else 0
                  for _ in range(n)] for _ in range(m)]
         code = LinearCode(Mat(gf, rows, cols=n))
-        verdicts.append(_search_matches_peeling(
-            code, rng.randint(1, 4), rng.randint(1, 4)))
+        yield code, rng.randint(1, 4), rng.randint(1, 4)
+
+
+def test_stopping_set_search_matches_peeling_on_random_codes():
+    """The codes of `_random_codes`; both verdicts occur."""
+    verdicts = [_search_matches_peeling(*case) for case in _random_codes()]
     assert 20 <= sum(verdicts) <= 220, sum(verdicts)
+
+
+def test_availability_certificate_implies_peeling(monkeypatch):
+    """Where every coordinate has t pairwise-disjoint recovery sets, every
+    pattern of at most t erasures peels: checked against brute-force
+    peeling on the codes of `_random_codes`.  With the search budget at 0,
+    `auto` returns the certificate exactly where the test holds, and
+    samples otherwise."""
+    certified = 0
+    for code, r, t in _random_codes():
+        supports = low_weight_dual_supports(code, r + 1)
+        if verify._unavailable(code.n, supports, t) is None:
+            certified += 1
+            peeler = _Peeler(code.n, supports)
+            assert all(peeler.recovers(p) for size in range(1, t + 1)
+                       for p in combinations(range(code.n), size))
+            assert availability_check(code, r, t).verdict
+        if t > code.n:  # no t-pattern to sample
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 0)
+            rep = seq_recovery_check(code, r, t, samples=50)
+        assert rep.mode == ("certificate" if verify._unavailable(
+            code.n, supports, t) is None else "sampled")
+    assert 10 <= certified <= 200, certified
+
+
+def test_availability_certificate_decides_the_pg_plane():
+    """PG(2, 8) at r = 8, t = 9: C(73, <= 9) patterns are past the budget,
+    its columns are not edges, and the stopping-set search runs out of
+    nodes; each point lies on 9 lines that meet only there, so `auto`
+    passes by the availability certificate."""
+    rep = seq_recovery_check(pg_plane_sa_code(3), 8, 9, samples=1000)
+    assert (rep.verdict, rep.mode) == (True, "certificate")
+    assert rep.detail == {"recovery_sets": 9}
 
 
 def test_stopping_set_search_deeper_than_the_recursion_limit():
