@@ -13,8 +13,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate, combinations, filterfalse
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import accumulate, combinations, filterfalse, islice
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .bounds import lr_singleton_bound
 from .code import BudgetExceeded, LinearCode, is_mds, min_distance
@@ -173,41 +174,50 @@ class _Peeler:
         return True
 
 
-def _draw(rng: random.Random, n: int, k: int) -> List[int]:
-    """`rng.sample(range(n), k)`, drawn from `rng.getrandbits` alone.
+def _draws(rng: random.Random, n: int, k: int) -> Iterator[List[int]]:
+    """The successive draws of `rng.sample(range(n), k)`, taken from
+    `rng.getrandbits` alone: a seed replays the same patterns whatever
+    `sample` does in a later Python.
 
-    The same two branches as the standard library's `Random.sample`: a pool
-    of n candidates when it is smaller than a set of k (`setsize`), else
-    rejection of repeats; each index comes from its `_randbelow` loop.  So a
-    seed replays the same patterns whatever `sample` does in a later Python.
-    """
-    getrandbits = rng.getrandbits
+    The standard library's algorithm, with what is fixed per (n, k) set up
+    once: its branch, a pool of n candidates when that is smaller than a
+    set of k (`setsize`), else rejection of repeats; and each index's range
+    m and bit count, for its `_randbelow` loop (`getrandbits(bits)` until
+    below m).  A draw consumes nothing until it is asked for, so generators
+    over one `rng` interleave exactly as calls of `sample` would."""
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
-    result = [0] * k
+    getrandbits = rng.getrandbits
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(range(n))
-        for i in range(k):
-            m = n - i
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
+    if n <= setsize:  # index i is drawn below n - i, then swapped out
+        steps = [(m, m.bit_length(), m - 1) for m in range(n, n - k, -1)]
+
+        def pooled():
+            start = list(range(n))
+            while True:
+                pool, out = start[:], []
+                for m, bits, last in steps:
+                    j = getrandbits(bits)
+                    while j >= m:
+                        j = getrandbits(bits)
+                    out.append(pool[j])
+                    pool[j] = pool[last]
+                yield out
+        return pooled()
+    bits, indices = n.bit_length(), range(k)
+
+    def rejected():  # k < n / 3 here, so a repeat is rare
+        while True:
+            out = []
+            for _ in indices:
                 j = getrandbits(bits)
-            result[i] = pool[j]
-            pool[j] = pool[m - 1]
-    else:
-        bits = n.bit_length()
-        selected = set()
-        for i in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in selected:
-                j = getrandbits(bits)
-            selected.add(j)
-            result[i] = j
-    return result
+                while j >= n or j in out:
+                    j = getrandbits(bits)
+                out.append(j)
+            yield out
+    return rejected()
 
 
 def _non_edge_column(col_sup: Sequence[Tuple[int, ...]]) -> Optional[dict]:
@@ -284,16 +294,16 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     code's declared ones.
 
     Modes: `exhaustive` searches for a stopping set (`_stopping_set`),
-    `sampled` peels random t-subsets, `certificate` (incidence-structured
-    parity checks only) passes when the underlying graph has girth >= t+1
-    and every check (row of H) has weight <= r+1: then any <= t erased edges
-    form a forest, whose leaf at a real node is recovered by that node's
-    check.  Over GF(2) a short cycle, which meets every dual word an even
-    number of times, is a failure witness whatever r is; a certificate that
-    does not decide leaves the run to the search.  `auto` searches first
-    when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET.  Else it tries the
-    certificate, then availability's own test (`_unavailable`): t
-    pairwise-disjoint recovery sets at every coordinate leave each erasure
+    `sampled` peels random min(t, n)-subsets, `certificate`
+    (incidence-structured parity checks only) passes when the underlying
+    graph has girth >= t+1 and every check (row of H) has weight <= r+1:
+    then any <= t erased edges form a forest, whose leaf at a real node is
+    recovered by that node's check.  Over GF(2) a short cycle, which meets
+    every dual word an even number of times, is a failure witness whatever r
+    is; a certificate that does not decide leaves the run to the search.
+    `auto` searches first when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET.  Else
+    it tries the certificate, then availability's own test (`_unavailable`):
+    t pairwise-disjoint recovery sets at every coordinate leave each erasure
     of a <= t pattern one set clear of the others, a `certificate` PASS.
     Then it searches, and samples once the search passes that many nodes,
     recording the nodes it spent (`exhaustive` raises BudgetExceeded);
@@ -346,8 +356,8 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
 
 def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
                   samples: int, seed: int, jobs: int = 1) -> VerifyReport:
-    """Peel `samples` random t-subsets of range(n), drawn from `seed`,
-    against the low-weight dual supports: the sampled verdict of
+    """Peel `samples` random min(t, n)-subsets of range(n), drawn from
+    `seed`, against the low-weight dual supports: the sampled verdict of
     `seq_recovery_check`.  With `jobs` > 1 the samples split into that many
     chunks, one process each: chunk i draws its share from seed + i, and
     the report lists every chunk's seed and count, so any chunk replays on
@@ -375,9 +385,9 @@ def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
             "seq-recovery", failed is None, "sampled", budgets=budgets,
             witness=None if failed is None else results[failed].witness)
     peeler = _Peeler(n, supports)
-    rng = random.Random(seed)
-    for i in range(samples):
-        pattern = _draw(rng, n, t)
+    # every subset of a pattern that peels peels: past n, test the largest
+    draws = _draws(random.Random(seed), n, min(t, n))
+    for i, pattern in enumerate(islice(draws, samples)):
         if not peeler.recovers(pattern):
             return VerifyReport("seq-recovery", False, "sampled",
                                 witness=sorted(pattern),
@@ -572,19 +582,19 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        # what no sample changes: each group's picker and size, the range
-        picks = [(g.__getitem__, len(g)) for g in groups]
+        # what no sample changes: each group's picker and draws, the range
+        picks = [(g.__getitem__, _draws(rng, len(g), delta)) for g in groups]
+        extra_draws = _draws(rng, rest, s_extra)
         everyone = range(code.n)
         group_of = {c: i for i, g in enumerate(groups) for c in g}
         base = delta * len(groups)
         reduced: Dict[Tuple[int, ...], bool] = {}  # sorted set -> verdict
         for _ in range(samples):
             pattern = []
-            for pick, size in picks:
-                pattern += map(pick, _draw(rng, size, delta))
+            for pick, draws in picks:
+                pattern += map(pick, next(draws))
             others = list(filterfalse(set(pattern).__contains__, everyone))
-            pattern += map(others.__getitem__,
-                           _draw(rng, len(others), s_extra))
+            pattern += map(others.__getitem__, next(extra_draws))
             checked += 1
             if local:  # group i's picks are pattern[i * delta:][:delta]
                 extras = pattern[base:]

@@ -231,20 +231,51 @@ DUPLICATED_COLUMN_CASES = [
 ]
 
 
+# sampled runs at delta = 1, s_extra = 2, 5000 samples, whose draws take
+# the standard library's rejection branch (a population past 21): the
+# 23-coordinate groups of mr_r12(2, 22), and the 24 coordinates left for the
+# extras of mr_r12(8, 3).  (code, duplicated column -> copy, seed, pinned
+# checked, pinned witness)
+SAMPLED_DUPLICATED_COLUMN_CASES = [
+    (lambda: mr_r12(2, 22), (5, 40), 3, 39, [0, 10, 22, 40]),
+    (lambda: mr_r12(2, 22), (5, 40), 4, 192, [7, 12, 15, 40]),
+    (lambda: mr_r12(8, 3), (1, 29), 3, 15,
+     [0, 11, 15, 16, 17, 21, 23, 27, 28, 29]),
+    (lambda: mr_r12(8, 3), (1, 29), 4, 8,
+     [3, 4, 5, 9, 11, 14, 15, 23, 27, 29]),
+]
+
+
+def _duplicated(make, dup):
+    """The code `make()` with column dup[1] made a copy of column dup[0],
+    and the structure it declares."""
+    base = make()
+    rows = [list(r) for r in base.H.data]
+    for row in rows:
+        row[dup[1]] = row[dup[0]]
+    return LinearCode(Mat(base.gf, rows)), \
+        base.provenance["local_structure"]
+
+
 @pytest.mark.parametrize("make, dup, s_extra, checked, witness",
                          DUPLICATED_COLUMN_CASES)
 def test_pmds_walk_matches_flat_loop_on_duplicated_column(
         make, dup, s_extra, checked, witness):
-    base = make()
-    st = base.provenance["local_structure"]
-    rows = [list(r) for r in base.H.data]
-    for row in rows:
-        row[dup[1]] = row[dup[0]]
-    mut = LinearCode(Mat(base.gf, rows))
+    mut, st = _duplicated(make, dup)
     rep = pmds_check(mut, st, st.delta, s_extra)
     assert rep.mode == "exhaustive" and not rep.verdict
     assert (rep.budgets["checked"], rep.witness) == (checked, witness)
     assert _pmds_flat(mut, st, st.delta, s_extra) == (checked, witness)
+
+
+@pytest.mark.parametrize("make, dup, seed, checked, witness",
+                         SAMPLED_DUPLICATED_COLUMN_CASES)
+def test_pmds_sampled_rejection_draws_replay_pinned(make, dup, seed, checked,
+                                                    witness):
+    mut, st = _duplicated(make, dup)
+    rep = pmds_check(mut, st, 1, 2, mode="sampled", samples=5000, seed=seed)
+    assert rep.mode == "sampled" and not rep.verdict
+    assert (rep.budgets["checked"], rep.witness) == (checked, witness)
 
 
 def test_pmds_walk_counts_every_pattern_on_a_pass():
@@ -329,11 +360,7 @@ def test_pmds_fallback_when_a_group_is_not_locally_mds(monkeypatch):
     code: the 2-subset {0, 1} is dependent in the group's local dual, so
     the reduction is off and the full walk decides, as the flat loop does."""
     base = mr_rdelta2(3, 2, 2, 4)
-    st = base.provenance["local_structure"]
-    rows = [list(r) for r in base.H.data]
-    for row in rows:
-        row[0] = row[1]
-    mut = LinearCode(Mat(base.gf, rows))
+    mut, st = _duplicated(lambda: base, (1, 0))
     assert not verify._locally_mds(mut, [list(g) for g in st.groups], 2)
     assert verify._locally_mds(base, [list(g) for g in st.groups], 2)
     for s_extra in (0, 1, 2):

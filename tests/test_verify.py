@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -6,6 +7,8 @@ from itertools import combinations, permutations
 import pytest
 
 from lrckit import graphs, verify
+from lrckit import io as lio
+from lrckit.cli import main
 from lrckit.code import BudgetExceeded, LinearCode
 from lrckit.field import field_make
 from lrckit.graphs import girth, shortest_cycle
@@ -18,7 +21,7 @@ from lrckit.seq_codes import (moore_code, seq_general_code,
 from lrckit.verify import (VerifyReport, availability_check,
                            classify_rate_optimal_t2, low_weight_dual_supports,
                            sa_check, seq_recovery_check, staircase_check,
-                           _draw, _incidence_graph, _Peeler, _sampled_peel)
+                           _draws, _incidence_graph, _Peeler, _sampled_peel)
 
 GF2 = field_make(2)
 
@@ -144,8 +147,6 @@ def test_availability_certificate_implies_peeling(monkeypatch):
             assert all(peeler.recovers(p) for size in range(1, t + 1)
                        for p in combinations(range(code.n), size))
             assert availability_check(code, r, t).verdict
-        if t > code.n:  # no t-pattern to sample
-            continue
         with monkeypatch.context() as m:
             m.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 0)
             rep = seq_recovery_check(code, r, t, samples=50)
@@ -162,6 +163,27 @@ def test_availability_certificate_decides_the_pg_plane():
     rep = seq_recovery_check(pg_plane_sa_code(3), 8, 9, samples=1000)
     assert (rep.verdict, rep.mode) == (True, "certificate")
     assert rep.detail == {"recovery_sets": 9}
+
+
+STRICT_AVAILABILITY_CODES = {
+    "fano": lambda: steiner_sa_code(3),
+    "wang-4-3": lambda: wang_avail_code(4, 3),
+    "product-3-3": lambda: product_avail_code(3, 3),
+    "pg-plane-2": lambda: pg_plane_sa_code(2),
+}
+
+
+@pytest.mark.parametrize("make", STRICT_AVAILABILITY_CODES.values(),
+                         ids=list(STRICT_AVAILABILITY_CODES))
+def test_availability_certificate_agrees_with_the_search(make):
+    """At its declared r, t each code has t pairwise-disjoint recovery sets
+    at every coordinate, and the search, with no node budget, finds no
+    stopping set of at most t coordinates (under 700 nodes each)."""
+    code = make()
+    r, t = code.params.r, code.params.t
+    supports = low_weight_dual_supports(code, r + 1)
+    assert verify._unavailable(code.n, supports, t) is None
+    assert verify._stopping_set(code.n, supports, t, math.inf)[0] is None
 
 
 def test_stopping_set_search_deeper_than_the_recursion_limit():
@@ -418,8 +440,9 @@ def test_draw_is_random_sample(n):
     for seed in (0, 1, 5, 77, 2 ** 40 + 3):
         for k in range(min(n, 12) + 1):
             mine, stdlib = random.Random(seed), random.Random(seed)
+            draws = _draws(mine, n, k)
             for _ in range(20):
-                assert _draw(mine, n, k) == stdlib.sample(range(n), k)
+                assert next(draws) == stdlib.sample(range(n), k)
             # the same bits were consumed, so later draws stay in step
             assert mine.getstate() == stdlib.getstate()
 
@@ -427,7 +450,76 @@ def test_draw_is_random_sample(n):
 def test_draw_rejects_sizes_outside_the_population():
     for n, k in ((3, 4), (0, 1), (5, -1)):
         with pytest.raises(ValueError):
-            _draw(random.Random(0), n, k)
+            _draws(random.Random(0), n, k)
+
+
+def test_draws_over_one_generator_interleave_as_sample_calls():
+    """Draws of a pool-branch and a rejection-branch sampler, each set up
+    once, taking turns over one `Random`, equal the `sample` calls made in
+    the same turns.  At n = 22, k = 5 (just past the pool) about 40 % of
+    the draws reject a repeated index, and at n = 4, k = 2 a quarter take
+    their second index from a swapped pool slot."""
+    for seed in (0, 3, 2 ** 33 + 1):
+        mine, stdlib = random.Random(seed), random.Random(seed)
+        turns = [(4, 2), (22, 5), (22, 5), (0, 0), (1352, 5), (4, 2)]
+        draws = {nk: _draws(mine, *nk) for nk in set(turns)}
+        for _ in range(200):
+            for n, k in turns:
+                assert next(draws[n, k]) == stdlib.sample(range(n), k)
+        assert mine.getstate() == stdlib.getstate()
+
+
+def _peels_everything(n, supports):
+    """Brute force: does erasing every coordinate peel to nothing, one
+    support meeting the erased set once at a time?"""
+    erased = set(range(n))
+    while erased:
+        s = next((s for s in supports if len(s & erased) == 1), None)
+        if s is None:
+            return False
+        erased -= s
+    return True
+
+
+def test_sampled_seq_past_n_draws_every_coordinate(monkeypatch, tmp_path,
+                                                    capsys):
+    """With t > n there is no t-subset to draw, so a sampled run draws
+    n-subsets, that is every coordinate: a pattern that peels peels with any
+    subset of it, so the largest patterns are the strictest test.  With the
+    search budget at 0, `auto` samples on random codes with n >= 20 (the
+    codes of `_random_codes`, made longer) and on lower-triangular ones,
+    which peel from their first coordinate on; the verdict is a
+    brute-force peel of range(n), and the CLI exits 0 or 1 by it."""
+    rng = random.Random(20261020)
+    monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 0)
+    verdicts = []
+    for i in range(6):
+        gf = field_make((2, 3)[i % 2])
+        n = rng.randint(20, 24)
+        if i < 3:
+            density = rng.choice((0.25, 0.4, 0.6))
+            rows = [[rng.randrange(1, gf.q) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(rng.randint(1, 8))]
+        else:  # row j holds coordinate j and some before it: k = 0
+            rows = [[rng.randrange(1, gf.q) if c == j or c < j and
+                     rng.random() < 0.3 else 0 for c in range(n)]
+                    for j in range(n)]
+        code = LinearCode(Mat(gf, rows, cols=n))
+        r, t = n, n + rng.randint(1, 5)
+        expected = _peels_everything(
+            n, low_weight_dual_supports(code, r + 1))
+        rep = seq_recovery_check(code, r, t, samples=20, seed=i)
+        assert (rep.mode, rep.verdict) == ("sampled", expected), i
+        if not expected:
+            assert rep.witness == list(range(n))
+        path = tmp_path / f"code{i}.json"
+        path.write_text(lio.dumps(lio.code_to_json(code)))
+        argv = ["verify", "seq", "--code", str(path), "--r", str(r),
+                "--t", str(t), "--samples", "20"]
+        assert main(argv) == (0 if expected else 1), i
+        assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
+        verdicts.append(expected)
+    assert verdicts == [False] * 3 + [True] * 3
 
 
 def test_sampled_mode_records_seed():
