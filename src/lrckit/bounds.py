@@ -367,23 +367,18 @@ def moore_bound(r: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class RgParams:
-    """Parameter set ((n, k, d), (alpha, beta), B) of a regenerating code;
-    w counts the nodes given optimal-access repair."""
+    """Parameter set ((n, k, d), (alpha, beta)) of a regenerating code."""
     n: int
     k: int
     d: int
     alpha: int
     beta: int
-    B: Optional[int] = None
-    w: Optional[int] = None
 
     def __post_init__(self):
         if not (1 <= self.k <= self.d <= self.n - 1):
             raise BoundError("need 1 <= k <= d <= n-1")
         if self.beta > self.alpha:
             raise BoundError("need beta <= alpha")
-        if self.B is not None and self.B > self.k * self.alpha:
-            raise BoundError("file size exceeds k * alpha")
 
 
 def cutset_bound(params: RgParams) -> int:

@@ -2,8 +2,9 @@
 properties, and reproduce the bound-comparison tables and figure data as
 CSV.  Every output embeds a run manifest (command line, version, seeds,
 Python version and platform, and for `verify` the SHA-256 of the code file
-read) so randomized runs can be replayed exactly.  Output is streamed as it
-is made, a code's matrix straight from its rows (`lrckit.io.dump`).
+read) so randomized runs can be replayed exactly.  Every JSON output,
+Fractions included, is written by `lrckit.io.dump` and streamed as it is
+made, a code's matrix straight from its rows.
 
 Each subcommand is a row of a table (`FAMILIES`, `BOUNDS`, `PROPERTIES`,
 `REPORTS`): the flags it reads and the library call it makes.  Only the row
@@ -23,7 +24,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import List, Optional
 
 from . import bounds as B
@@ -82,16 +82,6 @@ def _fail(kind: str, message: str, **extra) -> int:
     sys.stderr.write(json.dumps({"error": kind, "message": message,
                                  **extra}) + "\n")
     return 2
-
-
-def _enc(v):
-    if isinstance(v, Fraction):
-        return {"num": v.numerator, "den": v.denominator, "float": float(v)}
-    if isinstance(v, dict):
-        return {k: _enc(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_enc(x) for x in v]
-    return v
 
 
 def _field(q=None, p=None, mdeg=None, modulus=None) -> GF:
@@ -337,8 +327,8 @@ def cmd_bound(args, argv) -> int:
                       if k not in ("name", "out", "oracle") and
                       v is not None}}
     if isinstance(val, B.BoundReport):
-        val, rep["detail"] = val.value, _enc(val.detail)
-    rep["value"] = _enc(val)
+        val, rep["detail"] = val.value, val.detail
+    rep["value"] = val
     _emit(rep, args.out, argv)
     return 0
 

@@ -29,21 +29,6 @@ class DivideByZero(FieldError, ZeroDivisionError):
     """Inversion or division by the zero element."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> List[int]:
     """Distinct prime factors of n by trial division."""
     out = []
@@ -176,7 +161,7 @@ class GF:
         if p ** min(m, 21) > MAX_FIELD_SIZE:
             raise FieldError(f"GF({p}^{m}) has more than {MAX_FIELD_SIZE} "
                              "elements")
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.m = m

@@ -13,11 +13,11 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .field import GF, field_of_size, prime_power
-from .matrix import Mat, lines
+from .matrix import Mat
 from .code import (CodeParams, ConstructionFailed, LinearCode, NotInCatalog,
                    SearchExhausted)
 
@@ -242,10 +242,11 @@ def hoffman_singleton_graph() -> Graph:
 
 # -- incidence graphs of classical point-line geometries --
 
-def _projective_points(gf: GF, dim: int) -> List[Tuple[int, ...]]:
+def _projective_points(q: int, dim: int) -> List[Tuple[int, ...]]:
     """Normalized representatives (first nonzero coordinate 1) of the
     one-dimensional subspaces of GF(q)^dim, first coordinate fastest."""
-    return sorted(lines(Mat.identity(gf, dim)), key=lambda v: v[::-1])
+    vectors = (u[::-1] for u in product(range(q), repeat=dim))
+    return [v for v in vectors if next(filter(None, v), 0) == 1]
 
 
 def pg_incidence_graph(q: int) -> Graph:
@@ -257,7 +258,7 @@ def pg_incidence_graph(q: int) -> Graph:
     if prime_power(q) is None:
         raise NotInCatalog(f"{q} is not a prime power")
     gf = field_of_size(q)
-    pts = _projective_points(gf, 3)
+    pts = _projective_points(q, 3)
     npts = len(pts)
     index = {p: i for i, p in enumerate(pts)}
     edges = []
@@ -286,7 +287,7 @@ def gq_incidence_graph(q: int) -> Graph:
     if prime_power(q) is None:
         raise NotInCatalog(f"{q} is not a prime power")
     gf = field_of_size(q)
-    pts = _projective_points(gf, 4)
+    pts = _projective_points(q, 4)
     index = {p: i for i, p in enumerate(pts)}
 
     def form(x, y):

@@ -4,17 +4,20 @@ A code file is versioned by its schema ("code/1"); the loader rejects
 unknown fields so stale files fail loudly.  Field elements are plain ints,
 so round-trips are bit-exact.
 
-GF(2) parity checks go between bit rows and text with no dense lists: `dump`
-writes a GF(2) `Mat` straight from its bit masks, and `load_code` reads rows
-in exactly that layout back into bit masks, parsing only the rest of the
-file as JSON.
+Every JSON output is written by `dump`: `json.dumps(indent=1,
+sort_keys=True)`, with a Fraction as {"num", "den", "float"}, except a
+code's matrix rows.  Those `json` writes as NaN, and `dump` splices the
+rows' text in there; a GF(2) `Mat` is written straight from its bit masks.
+`load_code` reads rows in exactly that layout back into bit masks, parsing
+only the rest of the file, with the same NaN in place of the rows, as JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterator, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .code import BudgetExceeded, CodeParams, LinearCode
 from .field import GF, field_make
@@ -138,94 +141,88 @@ def code_from_json(obj: dict, H: Optional[Mat] = None) -> LinearCode:
 
 def dumps(obj) -> str:
     """`json.dumps(obj, indent=1, sort_keys=True)`, byte for byte, where a
-    `Mat` in `obj` stands for its rows as lists of ints.
-
-    With any indent the standard library falls back to its pure-Python
-    encoder, which emits every matrix entry as its own token.  Here a list
-    of plain ints is written with one `str.join`, a GF(2) `Mat` straight
-    from its bit masks, and only keys and other scalars go through
-    `json.dumps`.
-    """
+    Fraction stands for {"num", "den", "float"} and a `Mat` at the
+    top-level "rows" for its rows as lists of ints."""
     out: List[bytes] = []
     dump(obj, out.append)
     return b"".join(out).decode()
 
 
 def dump(obj, put) -> None:
-    """Put the text of `dumps(obj)`, in order, as ASCII byte strings."""
-    _write(obj, "\n", put)
+    """Put the text of `dumps(obj)`, in order, as ASCII byte strings.
 
-
-def _write(obj, newline: str, put) -> None:
-    if isinstance(obj, Mat):
-        if obj.bits is None:
-            _write(obj.data, newline, put)
-        else:
-            for piece in _bit_matrix(obj.bits, obj.cols, newline):
-                put(piece)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            put(b"[]")
-            return
-        inner = newline + " "
-        if set(map(type, obj)) == _INT:
-            put(("[" + inner + ("," + inner).join(map(str, obj)) + newline
-                 + "]").encode())
-            return
-        sep = "[" + inner
-        for x in obj:
-            put(sep.encode())
-            _write(x, inner, put)
-            sep = "," + inner
-        put((newline + "]").encode())
-    elif isinstance(obj, dict):
-        if not obj:
-            put(b"{}")
-            return
-        inner = newline + " "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                if key is not None and not isinstance(key, (int, float)):
-                    raise TypeError("keys must be str, int, float, bool or "
-                                    f"None, not {type(key).__name__}")
-                key = json.dumps(key)  # 1 -> "1", True -> "true", as json
-            put((sep + json.dumps(key) + ": ").encode())
-            _write(value, inner, put)
-            sep = "," + inner
-        put((newline + "}").encode())
-    else:
-        put(json.dumps(obj).encode())
-
-
-def _bit_matrix(bits: Sequence[int], cols: int,
-                newline: str) -> Iterator[bytes]:
-    """The text of the GF(2) matrix with rows `bits` as `_write` writes its
-    lists at `newline`, in pieces: `[`, each row, the separators, `]`."""
-    if not bits:
-        yield b"[]"
+    With any indent the standard library's encoder emits every matrix entry
+    as its own token, so a `Mat` at the top-level "rows" (`code_to_json`
+    puts it there) is written by `json` as NaN, and the rows' text is
+    spliced in at `\n "rows": NaN`: JSON strings hold no raw newline, so
+    only that key gives this text, the stand-in `load_code` reads around.
+    A GF(2) matrix is written straight from its bit masks, a GF(q) row with
+    one `str.join`.  A `Mat` anywhere else is a TypeError, as in `json`.
+    """
+    rows = obj.get("rows") if isinstance(obj, dict) else None
+    if not isinstance(rows, Mat):
+        put(_json(obj).encode())
         return
-    inner = newline + " "
-    sep = ("[" + inner).encode()
-    for row in _bit_rows(bits, cols, inner):
+    head, _, tail = _json({**obj, "rows": float("nan")}).partition(
+        _ROWS_KEY + "NaN")
+    put((head + _ROWS_KEY).encode())
+    for piece in _rows_text(_bit_rows(rows.bits, rows.cols)
+                            if rows.bits is not None else
+                            map(_int_row, rows.data)):
+        put(piece)
+    put(tail.encode())
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True, default=_fraction)
+
+
+def _fraction(v) -> dict:
+    """`json`'s `default`: a Fraction as {"num", "den", "float"}; anything
+    else it cannot write is a TypeError, as in `json`."""
+    if isinstance(v, Fraction):
+        return {"num": v.numerator, "den": v.denominator, "float": float(v)}
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON "
+                    "serializable")
+
+
+# `dump`'s layout of a code's top-level rows: this key, then the rows at
+# depth 1 (each at depth 2, one entry a line at depth 3).
+_ROWS_KEY = '\n "rows": '
+_ROWS_AT, _ROW_AT = "\n ", "\n  "
+
+
+def _rows_text(rows: Iterable[bytes]) -> Iterator[bytes]:
+    """The text of the list at depth 1 whose items have the texts `rows`,
+    in pieces: `[`, each row, the separators, `]`."""
+    first = sep = ("[" + _ROW_AT).encode()
+    for row in rows:
         yield sep
         yield row
-        sep = ("," + inner).encode()
-    yield (newline + "]").encode()
+        sep = ("," + _ROW_AT).encode()
+    yield b"[]" if sep is first else (_ROWS_AT + "]").encode()
 
 
-def _row_template(cols: int, newline: str) -> Tuple[bytes, int, int]:
-    """The text of an all-zero row of `cols` entries at `newline`, and the
+def _int_row(row: Sequence[int]) -> bytes:
+    """The text of a row of ints at depth 2."""
+    if not row:
+        return b"[]"
+    inner = _ROW_AT + " "
+    return ("[" + inner + ("," + inner).join(map(str, row)) + _ROW_AT
+            + "]").encode()
+
+
+def _row_template(cols: int) -> Tuple[bytes, int, int]:
+    """The text of an all-zero row of `cols` entries at depth 2, and the
     offset of its first digit and the step between digits."""
-    inner = (newline + " ").encode()
+    inner = (_ROW_AT + " ").encode()
     text = (b"[" + inner + (b"," + inner).join([b"0"] * cols)
-            + newline.encode() + b"]")
+            + _ROW_AT.encode() + b"]")
     return text, 1 + len(inner), 2 + len(inner)
 
 
-def _bit_rows(bits: Sequence[int], cols: int,
-              newline: str) -> Iterator[bytearray]:
-    """The text of each bit row at `newline`: a copy of the zero row's text
+def _bit_rows(bits: Sequence[int], cols: int) -> Iterator[bytearray]:
+    """The text of each bit row at depth 2: a copy of the zero row's text
     whose digits one extended-slice assignment sets.  After the last digit
     the template holds fewer bytes than a step, so the slice has exactly
     `cols` places."""
@@ -233,18 +230,12 @@ def _bit_rows(bits: Sequence[int], cols: int,
         for _ in bits:
             yield bytearray(b"[]")
         return
-    template, first, step = _row_template(cols, newline)
+    template, first, step = _row_template(cols)
     digits = f"0{cols}b"
     for v in bits:
         row = bytearray(template)
         row[first::step] = format(v, digits)[::-1].encode()
         yield row
-
-
-# `dump`'s layout of a code's top-level rows: this key, then the rows at
-# depth 1 (each at depth 2, one entry a line at depth 3).
-_ROWS_KEY = b'\n "rows": '
-_ROWS_AT, _ROW_AT = "\n ", "\n  "
 
 
 def load_code(path: str) -> Tuple[LinearCode, str]:
@@ -271,7 +262,7 @@ def _gf2_code_file(data: bytes) -> Optional[Tuple[dict, Mat]]:
     """(the file's JSON with its rows left out, its rows as a GF(2) `Mat`)
     if its field is GF(2) and its top-level rows are in `dump`'s layout;
     otherwise None."""
-    key = data.find(_ROWS_KEY)
+    key = data.find(_ROWS_KEY.encode())
     if key < 0:
         return None
     start = key + len(_ROWS_KEY)
@@ -308,9 +299,9 @@ def _gf2_code_file(data: bytes) -> Optional[Tuple[dict, Mat]]:
 def _read_bit_rows(data: bytes, start: int,
                    end: int) -> Optional[Tuple[List[int], int]]:
     """(bit masks, cols) of the rows that `data[start:end]` holds, if it is
-    exactly the text `_bit_matrix` makes of them at depth 1: the first row's
-    length gives cols, each row's digits its mask, and the text rebuilt from
-    the masks must be the bytes read.  Otherwise None."""
+    exactly the text `dump` makes of them: the first row's length gives
+    cols, each row's digits its mask, and the text rebuilt from the masks
+    must be the bytes read.  Otherwise None."""
     head, sep = len("[" + _ROW_AT), len("," + _ROW_AT)
     # a row of c entries is c * (len(_ROW_AT) + 3) + len(_ROW_AT) + 1 bytes
     size = data.find((_ROW_AT + "]").encode(), start) + len(_ROW_AT) + 1 \
@@ -318,7 +309,7 @@ def _read_bit_rows(data: bytes, start: int,
     cols = (size - len(_ROW_AT) - 1) // (len(_ROW_AT) + 3)
     if cols < 1:
         return None
-    _, first, step = _row_template(cols, _ROW_AT)
+    _, first, step = _row_template(cols)
     bits = []
     for at in range(start + head, end, size + sep):
         digits = data[at + first:at + size:step]
@@ -326,7 +317,7 @@ def _read_bit_rows(data: bytes, start: int,
             return None
         bits.append(int(digits[::-1], 2))
     at = start
-    for piece in _bit_matrix(bits, cols, _ROWS_AT):
+    for piece in _rows_text(_bit_rows(bits, cols)):
         if not data.startswith(piece, at):
             return None
         at += len(piece)

@@ -107,11 +107,6 @@ class Mat:
         M.bits, M._data, M._columns = tuple(bits), None, None
         return M
 
-    @classmethod
-    def identity(cls, gf: GF, n: int) -> "Mat":
-        return cls(gf, [[1 if i == j else 0 for j in range(n)]
-                        for i in range(n)])
-
     # -- trivial accessors --
 
     @property
@@ -458,16 +453,6 @@ def subspaces(M: Mat, i: int) -> Iterator[list]:
             _sub_mul(words[j], y, step[digits[d]], gf)
             digits[d] = (digits[d] + 1) % q
             yield words
-
-
-def lines(M: Mat) -> Iterator[Tuple[int, ...]]:
-    """One nonzero word of each 1-dimensional subspace of the row space of M,
-    whose rows must be independent, as a tuple of entries, in the order
-    `subspaces` walks them."""
-    exp = M.gf._exp + [0]  # a log of -1, a zero entry, reads the 0
-    for (w,) in subspaces(M, 1):
-        yield (tuple(_unpack(w, M.cols)) if M.bits is not None else
-               tuple(map(exp.__getitem__, w)))
 
 
 def columns_independent(M: Mat, cols: Iterable[int]) -> bool:

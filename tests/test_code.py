@@ -17,8 +17,7 @@ from lrckit.code import (BudgetExceeded, LinearCode, code_from_generator,
                          _gaussian_binomial, _min_distance_columns)
 from lrckit.field import field_make, field_of_size
 from lrckit.lr_codes import tamo_barg_code
-from lrckit.matrix import (Mat, lines, mat_rank, rref, subspaces,
-                           vandermonde)
+from lrckit.matrix import Mat, mat_rank, rref, subspaces, vandermonde
 
 GF2 = field_make(2)
 
@@ -151,7 +150,8 @@ def _support_weight_reference(c, i):
 def test_gray_flips_walk_every_combination_once(m):
     # over GF(2), the 1-dimensional subspaces of the span of m unit vectors
     # are its 2^m - 1 nonzero words, each walked once
-    seen = [0] + [word for (word,) in subspaces(Mat.identity(GF2, m), 1)]
+    unit = Mat(GF2, [[int(i == j) for j in range(m)] for i in range(m)])
+    seen = [0] + [word for (word,) in subspaces(unit, 1)]
     assert sorted(seen) == list(range(1 << m))
 
 
@@ -182,8 +182,6 @@ def test_subspaces_walk_each_subspace_once(q):
                 assert R.rows == i
                 seen.add(R)
             assert len(seen) == _gaussian_binomial(k, i, q)
-        assert list(lines(M)) == [_entries(gf, w, n)
-                                  for (w,) in subspaces(M, 1)]
 
 
 def test_support_weight_gf2_matches_reference():
@@ -274,11 +272,12 @@ def test_no_public_name_is_reached_only_from_the_package_exports():
     method or property of one of its public classes, is referenced, as a
     Name or an Attribute, from some module other than `__init__.py`, or it
     is dead API and is deleted; UNREFERENCED_ALLOWED lists the exceptions.
-    Likewise a defaulted parameter of a public function or method is set,
-    by position or by keyword, by some call in `src/lrckit` (a `*` argument
-    sets every positional one, a `**` argument every one), or it is an
-    option nobody uses and becomes a constant; UNSET_OPTIONS_ALLOWED lists
-    the exceptions.
+    Likewise a defaulted parameter of a public function or method, or a
+    defaulted field of a public dataclass, is set, by position or by
+    keyword, by some call in `src/lrckit` (a `*` argument sets every
+    positional one, a `**` argument every one), or it is an option nobody
+    uses and becomes a constant; UNSET_OPTIONS_ALLOWED lists the
+    exceptions.
 
     The scan matches bare names, so a name that some other attribute or
     local variable shares hides from it: a method `order`, `split`, `n` or
@@ -311,6 +310,16 @@ def test_no_public_name_is_reached_only_from_the_package_exports():
                 options += [(node.name, None, p.arg) for p, default
                             in zip(args.kwonlyargs, args.kw_defaults)
                             if default is not None]
+            elif isinstance(node, ast.ClassDef) and node in tree.body \
+                    and not node.name.startswith("_") and any(
+                        getattr(getattr(d, "func", d), "id", None)
+                        == "dataclass" for d in node.decorator_list):
+                # a dataclass's fields are the parameters of its __init__
+                fields = [f for f in node.body
+                          if isinstance(f, ast.AnnAssign)]
+                options += [(node.name, i, f.target.id)
+                            for i, f in enumerate(fields)
+                            if f.value is not None]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)

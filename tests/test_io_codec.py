@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from lrckit.code import LinearCode
 from lrckit.field import field_make
 from lrckit.matrix import Mat
 
-from test_io_cli import CONSTRUCT_FAMILIES
+from test_io_cli import CONSTRUCT_FAMILIES, _dumps_reference
 
 GF2 = field_make(2)
 
@@ -202,13 +203,87 @@ def _shapes():
 SHAPES = list(_shapes())
 
 
-@pytest.mark.parametrize("M", SHAPES, ids=[repr(M) for M in SHAPES])
+# GF(q) matrices, which `dump` writes a row at a time
+GFQ_SHAPES = [Mat(field_make(3), [], cols=4),  # no rows
+              Mat(field_make(3), [[], []]),  # rows of no entries
+              Mat(field_make(7), [[6]]),
+              Mat(field_make(2, 2), [[0, 3, 1, 2], [2, 0, 0, 1]])]
+
+
+@pytest.mark.parametrize("M", SHAPES + GFQ_SHAPES,
+                         ids=[repr(M) for M in SHAPES + GFQ_SHAPES])
 def test_writer_is_json_dumps_on_edge_shapes(M):
     lists = [list(r) for r in M.data]
-    for obj, native in ((M, lists), ({"rows": M, "cols": M.cols},
-                                     {"rows": lists, "cols": M.cols}),
-                        ([[M], {"a": M}], [[lists], {"a": lists}])):
-        assert lio.dumps(obj) == json.dumps(native, indent=1, sort_keys=True)
+    assert lio.dumps({"rows": M, "cols": M.cols}) == \
+        _dumps_reference({"rows": lists, "cols": M.cols})
+
+
+FRACTION = Fraction(-7, 3)
+FRACTION_JSON = {"num": -7, "den": 3, "float": -7 / 3}
+
+# (payload, what `json` writes in its place)
+PAYLOADS = {
+    # the rows of a report table, as `report t3-blocklength` writes them
+    "rows a list": ({"report": "t3", "rows": [{"k": 5, "n": 10}, {"k": 8}]},
+                    {"report": "t3", "rows": [{"k": 5, "n": 10}, {"k": 8}]}),
+    "rows NaN": ({"rows": float("nan"), "x": "NaN"},
+                 {"rows": float("nan"), "x": "NaN"}),
+    "fraction": ({"value": FRACTION, "detail": {"f": [FRACTION, 1]}},
+                 {"value": FRACTION_JSON,
+                  "detail": {"f": [FRACTION_JSON, 1]}}),
+    "fraction beside a Mat": (
+        {"rows": SHAPES[0], "value": FRACTION},
+        {"rows": [list(r) for r in SHAPES[0].data], "value": FRACTION_JSON}),
+}
+
+
+@pytest.mark.parametrize("payload,native", PAYLOADS.values(),
+                         ids=list(PAYLOADS))
+def test_writer_is_json_dumps_on_payloads(payload, native):
+    assert lio.dumps(payload) == _dumps_reference(native)
+
+
+B = SHAPES[4]
+
+
+@pytest.mark.parametrize("obj", [
+    B, [B], {"a": B}, {"rows": [B]}, {"x": {"rows": B}}, {"rows": B, "x": B},
+    {"x": object()}, {"rows": B, "x": object()}, {"rows": B, "x": {1, 2}},
+], ids=["bare", "in a list", "under another key", "rows a list of Mats",
+        "nested rows", "second Mat", "object", "object beside a Mat",
+        "set beside a Mat"])
+def test_writer_refuses_what_json_cannot_write(obj):
+    """Of the types `json` does not know, `dump` writes a Fraction, and a
+    `Mat` only at the top-level "rows"; anything else is a TypeError, as in
+    `json`."""
+    with pytest.raises(TypeError):
+        lio.dumps(obj)
+
+
+STAND_IN = '\n "rows": NaN'
+
+
+@pytest.mark.parametrize("M", [SHAPES[4], GFQ_SHAPES[3]], ids=repr)
+def test_writer_splices_rows_at_the_top_level_key_only(tmp_path, plain_reads,
+                                                       M):
+    """Strings that hold NaN, or the stand-in's own text, ahead of the rows
+    (provenance and manifest sort before "rows") are escaped by `json`, and
+    a nested "rows" is indented deeper, so the rows go in at the top-level
+    key, and the file reads back the same as it does on the plain path."""
+    code = LinearCode(M, provenance={"rows": STAND_IN, STAND_IN: ["NaN"],
+                                     "note": "NaN"})
+    payload = dict(lio.code_to_json(code),
+                   manifest={"command": ["NaN", STAND_IN]})
+    lists = [list(r) for r in M.data]
+    text = lio.dumps(payload)
+    assert text == _dumps_reference(dict(payload, rows=lists))
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    fast, plain, took_plain = _differ(str(path), plain_reads)
+    assert fast == plain == _outcome(lambda _: code, path)
+    assert took_plain is (M.bits is None)
+    nested = dict(payload, manifest={"rows": float("nan")})
+    assert lio.dumps(nested) == _dumps_reference(dict(nested, rows=lists))
 
 
 @pytest.mark.parametrize("M", SHAPES, ids=[repr(M) for M in SHAPES])
