@@ -410,9 +410,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as e:
         return _fail("io", str(e))
     except Exception as e:  # a defect: still JSON on stderr, never exit 1
-        import traceback  # only here: importing it costs every start 3 ms
-        return _fail("internal", f"{type(e).__name__}: {e}",
-                     traceback=traceback.format_exc())
+        # the frames read by hand: importing `traceback` costs every start
+        # 3 ms, and after a MemoryError the import can raise another
+        lines, tb = ["Traceback (most recent call last):"], e.__traceback__
+        while tb is not None:
+            code = tb.tb_frame.f_code
+            lines.append(f'  File "{code.co_filename}", line {tb.tb_lineno},'
+                         f' in {code.co_name}')
+            tb = tb.tb_next
+        message = f"{type(e).__name__}: {e}"
+        return _fail("internal", message,
+                     traceback="\n".join(lines + [message]))
 
 
 if __name__ == "__main__":  # pragma: no cover

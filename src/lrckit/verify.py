@@ -524,16 +524,20 @@ def _reduced_patterns(sizes: Sequence[int], delta: int, s: int) -> int:
     return poly[s]
 
 
-def _reduction_passes(H: Mat, groups: List[List[int]], delta: int,
-                      s: int) -> bool:
-    """Do the reduced patterns fit PMDS_EXHAUSTIVE_BUDGET, and are their
-    columns of H all independent?  One `first_dependent` walk per spread,
-    each taking delta + e_i columns of every group i that holds extras."""
-    if _reduced_patterns(map(len, groups), delta, s) > PMDS_EXHAUSTIVE_BUDGET:
-        return False
+def _reduced_witness(H: Mat, groups: List[List[int]], delta: int, s: int
+                     ) -> Tuple[int, Optional[List[int]]]:
+    """The reduced patterns ranked, and the first whose columns of H are
+    dependent, or None.  One `first_dependent` walk per spread, each taking
+    delta + e_i columns of every group i that holds extras."""
     rooms = [len(g) - delta for g in groups]
-    return all(first_dependent(H, [(groups[i], delta + e) for i, e in spread]
-                               )[1] is None for spread in _spreads(rooms, s))
+    ranked = 0
+    for spread in _spreads(rooms, s):
+        done, witness = first_dependent(
+            H, [(groups[i], delta + e) for i, e in spread])
+        ranked += done
+        if witness is not None:
+            return ranked, witness
+    return ranked, None
 
 
 def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
@@ -544,15 +548,20 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
     columns.  A `structure` of None is the code's declared one.
 
     When every group is locally MDS (`_locally_mds`), a pattern is
-    dependent exactly when its part on the groups that hold extras is, so
-    the exhaustive modes rank those reduced patterns, one `first_dependent`
-    walk per spread of the extras, and a sampled run ranks each distinct
-    reduced set once.  A PASS so found counts every pattern as checked.  A
-    reduced pattern that is dependent sends the run to the full walk, which
-    gives the witness and the count; so do groups that are not locally MDS.
-    `auto` is exact when the patterns, or the reduced patterns that then all
-    pass, fit PMDS_EXHAUSTIVE_BUDGET, else samples; `exhaustive` raises
-    BudgetExceeded where `auto` would sample."""
+    dependent exactly when its part on the groups that hold extras is.  The
+    reduced patterns are then ranked, one `first_dependent` walk per spread
+    of the extras, if there are at most PMDS_EXHAUSTIVE_BUDGET of them, or
+    in a sampled run at most `samples`: no more ranks than it has draws.
+    If all pass, so does every pattern: the exhaustive modes count every
+    pattern as checked, and a sampled run draws nothing and reports the
+    PASS its draws would give, since each draw's verdict is its reduced
+    pattern's.  Past the budget, a dependent reduced pattern plus delta
+    coordinates of each group without extras is an exhaustive witness;
+    within it the full walk gives the witness and the count, and a sampled
+    run draws until a pattern fails, as it does when a group is not locally
+    MDS.  `auto` is exact when the patterns, or the reduced patterns of
+    locally MDS groups, fit PMDS_EXHAUSTIVE_BUDGET, else samples;
+    `exhaustive` raises BudgetExceeded where `auto` would sample."""
     [structure] = declared(code, structure=structure)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -567,11 +576,19 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
     Hfull = code.full_rank_checks()
     budget = PMDS_EXHAUSTIVE_BUDGET
     local = _locally_mds(code, groups, delta)
+    ranked, found = 0, None  # reduced patterns ranked; the first dependent
+    if local and _reduced_patterns(map(len, groups), delta, s_extra) <= (
+            samples if mode == "sampled" else budget):
+        ranked, found = _reduced_witness(Hfull, groups, delta, s_extra)
 
     checked, witness = 0, None
-    if mode != "sampled" and local and _reduction_passes(Hfull, groups, delta,
-                                                         s_extra):
-        mode, checked = "exhaustive", total
+    if ranked and found is None:  # every pattern is independent
+        mode, checked = (mode, samples) if mode == "sampled" \
+            else ("exhaustive", total)
+    elif ranked and mode != "sampled" and total > budget:
+        hit = set(found)  # a superset of a dependent set is dependent
+        mode, checked, witness = "exhaustive", ranked, found + [
+            c for g in groups if hit.isdisjoint(g) for c in g[:delta]]
     elif mode == "exhaustive" or mode == "auto" and total <= budget:
         if total > budget:
             raise BudgetExceeded(f"{total} patterns > budget {budget}, and "

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import time
@@ -9,7 +10,7 @@ from lrckit import io as lio
 from lrckit.cli import main
 from lrckit.code import LinearCode
 from lrckit.field import field_make
-from lrckit.matrix import Mat, MatrixError
+from lrckit.matrix import Mat, MatrixError, columns_independent
 from lrckit.mr_codes import mr_r12
 from lrckit.seq_codes import moore_code
 from lrckit.verify import seq_recovery_check
@@ -139,9 +140,9 @@ def test_cli_pmds_exhaustive_over_the_pattern_budget(tmp_path, capsys):
     """mr-r12 (8, 3) at s = 2 has 18 087 936 patterns, past the pmds
     budget.  The local reduction decides them: `--mode exhaustive` exits 0
     with an exact report that counts every pattern.  With its last global
-    row zeroed, a reduced pattern is dependent, and the walk that would give
-    the witness is past the budget: `exhaustive` exits 2 with a
-    `BudgetExceeded` error, and `auto` samples, finding the failure."""
+    row zeroed, a reduced pattern is dependent: `exhaustive` and `auto` both
+    exit 1 with an exact FAIL, whose witness is that pattern with one
+    coordinate of each other group added, 8 + 2 dependent columns."""
     code = mr_r12(8, 3)
     rows = [list(r) for r in code.H.data]
     rows[-1] = [0] * code.n
@@ -156,13 +157,16 @@ def test_cli_pmds_exhaustive_over_the_pattern_budget(tmp_path, capsys):
     assert rep["mode"] == "exhaustive" and rep["verdict"]
     assert rep["budgets"]["checked"] == rep["budgets"]["patterns"] \
         == 18087936 > rep["budgets"]["budget"]
-    assert main(argv + [str(files["zeroed"]), "--mode", "exhaustive"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "BudgetExceeded"
-    assert main(argv + [str(files["zeroed"]), "--samples", "100"]) == 1
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["mode"] == "sampled" and rep["witness"]
+    zeroed, _ = lio.load_code(str(files["zeroed"]))
+    groups = code.provenance["local_structure"].groups
+    for mode in ("exhaustive", "auto"):
+        assert main(argv + [str(files["zeroed"]), "--mode", mode]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["mode"], rep["verdict"]) == ("exhaustive", False)
+        witness = rep["witness"]
+        assert len(set(witness)) == len(witness) == 8 + 2
+        assert all(set(g) & set(witness) for g in groups)
+        assert not columns_independent(zeroed.full_rank_checks(), witness)
 
 
 def test_cli_verify_jobs_parallel(tmp_path):
@@ -223,6 +227,28 @@ def test_cli_internal_error_is_json_exit_2(monkeypatch, capsys, exc):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "internal"
     assert err["message"].startswith(type(exc).__name__)
+
+
+def test_cli_internal_error_survives_memory_error(monkeypatch, capsys):
+    """A MemoryError leaves so little memory that an import in the handler
+    can raise again: the handler imports nothing, so the run still ends
+    with exit 2 and an `internal` error, not a raw traceback."""
+    def broken(args, argv):
+        raise MemoryError
+
+    def no_traceback(name, *args, **kwargs):
+        if name == "traceback":
+            raise MemoryError
+        return real_import(name, *args, **kwargs)
+
+    real_import = builtins.__import__
+    monkeypatch.setattr(cli, "cmd_bound", broken)
+    monkeypatch.setattr(builtins, "__import__", no_traceback)
+    assert main(["bound", "seq-rate", "--r", "3", "--t", "5"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "internal"
+    assert err["message"].startswith("MemoryError")
+    assert err["traceback"].endswith("in broken\nMemoryError: ")
 
 
 def test_cli_value_error_subclass_is_value_error(monkeypatch, capsys):

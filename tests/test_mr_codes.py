@@ -9,7 +9,7 @@ from lrckit.bounds import lr_singleton_bound
 from lrckit.code import BudgetExceeded, LinearCode, is_mds, min_distance, \
     puncture
 from lrckit.field import FieldError, field_make
-from lrckit.matrix import Mat, mat_rank
+from lrckit.matrix import Mat, columns_independent, mat_rank
 from lrckit.mr_codes import (LocalStructure, coordinate_groups, mr_r12,
                              mr_r2_coset_search, mr_rdelta2, pmr_general_a1,
                              pmr_parity_split)
@@ -325,9 +325,12 @@ def test_pmds_reduction_matches_the_full_replay(monkeypatch):
     """Whole reports, exhaustive and sampled, with the local reduction and
     without it: on each code of REDUCTION_CODES, and on 30 seeded one-entry
     mutations of its H, each at an s_extra from 0 to the most the code's
-    redundancy allows.  Each code passes by the reduction, and the corpus
-    takes every path: groups not locally MDS (the full replay), a dependent
-    reduced pattern (the full walk for the witness), and a reduced PASS."""
+    redundancy allows.  Sampled runs take 100 samples, and R - 1, R and
+    R + 1, R the number of reduced patterns, so runs on both sides of the
+    sampled PASS by the reduction (R <= samples) meet the full replay.  Each
+    code passes by the reduction, and the corpus takes every path: groups
+    not locally MDS (the full replay), a dependent reduced pattern (the full
+    walk or the draws, for the witness), and a reduced PASS."""
     paths = set()
     for name, make in REDUCTION_CODES.items():
         base = make()
@@ -344,8 +347,12 @@ def test_pmds_reduction_matches_the_full_replay(monkeypatch):
             codes.append(LinearCode(Mat(base.gf, rows)))
         for i, code in enumerate(codes):
             s_extra = rng.randint(0, base.n - base.k - st.delta * len(groups))
-            for kw in ({"mode": "exhaustive"},
-                       {"mode": "sampled", "samples": 100, "seed": i}):
+            reduced = verify._reduced_patterns(map(len, groups), st.delta,
+                                               s_extra)
+            for kw in [{"mode": "exhaustive"}] + [
+                    {"mode": "sampled", "samples": samples, "seed": i}
+                    for samples in (100, reduced - 1, reduced, reduced + 1)
+                    if samples >= 1]:
                 on, off = _pmds_both_ways(monkeypatch, code, st, st.delta,
                                           s_extra, **kw)
                 assert on == off, (name, i, s_extra, kw)
@@ -376,10 +383,11 @@ def test_pmds_fallback_when_a_group_is_not_locally_mds(monkeypatch):
 def test_pmds_sampled_ranks_each_reduced_set_once(monkeypatch):
     """The benchmark's sampled shape: mr-rd2 (5, 2, 2, 4), delta 2, s 2,
     5000 samples of 12 columns each.  The full replay inserts all 60 000
-    columns; with the reduction the 5000 patterns fall into at most 165
-    reduced sets of at most 6 columns, each ranked once.  The reports are
-    the same."""
+    columns.  With the reduction the run draws nothing: its 165 reduced
+    patterns, at most 5000, are ranked by one walk per spread, and all
+    pass.  The reports are the same."""
     code = mr_rdelta2(5, 2, 2, 4)
+    assert verify._reduced_patterns([4] * 5, 2, 2) == 165
     inserts = []
     insert_column = matrix.Echelon.insert_column
 
@@ -401,17 +409,50 @@ def test_pmds_sampled_ranks_each_reduced_set_once(monkeypatch):
         reports.append(rep.as_dict())
     assert reports[0] == reports[1]
     assert counts[1] == 5000 * 12
-    # the reduced sets, then each group's local dual: its 2-subsets of 4
-    # columns take 3 + 6 inserts
-    assert counts[0] <= 165 * 6 + 5 * 9
+    # each group's local dual: its 2-subsets of 4 columns take 3 + 6
+    # inserts.  The walks: 4 inserts for a group that takes both extras;
+    # for two groups that take one each, the 9 tree nodes of the first
+    # group's 3-subsets of 4, then 9 under each of its 4 subsets.
+    assert counts[0] == 5 * 9 + 5 * 4 + 10 * (9 + 4 * 9) < 165 * 6
+
+
+def test_pmds_sampled_pass_by_the_reduction_draws_nothing(monkeypatch):
+    """The benchmark's sampled shape at seed 0: 165 reduced patterns, at
+    most the 5000 samples, all independent.  The run takes that PASS
+    without drawing a pattern, and its report is the one the draws give
+    without the reduction."""
+    code = mr_rdelta2(5, 2, 2, 4)
+    kw = {"mode": "sampled", "samples": 5000, "seed": 0}
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_locally_mds", lambda *args: False)
+        drawn = pmds_check(code, None, 2, 2, **kw).as_dict()
+
+    def no_draws(*args):
+        raise AssertionError("a sampled PASS by the reduction drew")
+
+    monkeypatch.setattr(verify, "_draws", no_draws)
+    assert pmds_check(code, None, 2, 2, **kw).as_dict() == drawn
+    assert drawn["verdict"] and drawn["budgets"]["checked"] == 5000
+
+
+def _whole_dependent_pattern(code, st, delta, s_extra, pattern):
+    """Is `pattern` a pmds pattern, delta coordinates of every group plus
+    s_extra more, whose columns of the full-rank checks are dependent?"""
+    held = set(pattern)
+    return len(held) == len(pattern) == delta * len(st.groups) + s_extra \
+        and all(len(held.intersection(g)) >= delta for g in st.groups) \
+        and not columns_independent(code.full_rank_checks(), pattern)
 
 
 def test_pmds_exact_past_the_pattern_budget():
     """mr-r12 (8, 3) at s = 2 has 18 087 936 patterns, past the budget, but
     1040 reduced ones: `auto` and `exhaustive` both pass exactly, and
-    count every pattern.  Where the reduction cannot decide, `exhaustive`
-    raises BudgetExceeded and `auto` samples: groups not locally MDS, or a
-    dependent reduced pattern."""
+    count every pattern.  With its last global row zeroed, the groups stay
+    locally MDS and the first reduced pattern, [7, 29, 30], is dependent:
+    both modes FAIL exactly, with one coordinate of each other group added
+    as the witness, and count the one reduced pattern ranked.  Where the
+    groups are not locally MDS the reduction cannot decide: `exhaustive`
+    raises BudgetExceeded and `auto` samples."""
     code = mr_r12(8, 3)
     st = code.provenance["local_structure"]
     assert verify._reduced_patterns([4] * 8, 1, 2) == 1040
@@ -426,13 +467,60 @@ def test_pmds_exact_past_the_pattern_budget():
     unmixed = [r[:] for r in rows]
     unmixed[0][8] = 0  # group 0's local row no longer covers coordinate 8
     groups = [list(g) for g in st.groups]
-    for H, local in ((zeroed, True), (unmixed, False)):
-        mut = LinearCode(Mat(code.gf, H))
-        assert verify._locally_mds(mut, groups, 1) is local
-        with pytest.raises(BudgetExceeded):
-            pmds_check(mut, st, 1, 2, mode="exhaustive")
-        rep = pmds_check(mut, st, 1, 2, samples=50)
-        assert rep.mode == "sampled" and not rep.verdict
+    mut = LinearCode(Mat(code.gf, zeroed))
+    assert verify._locally_mds(mut, groups, 1)
+    for mode in ("auto", "exhaustive"):
+        rep = pmds_check(mut, st, 1, 2, mode=mode)
+        assert (rep.verdict, rep.mode) == (False, "exhaustive")
+        assert rep.witness == list(range(8)) + [29, 30]
+        assert rep.budgets["checked"] == 1
+        assert _whole_dependent_pattern(mut, st, 1, 2, rep.witness)
+    mut = LinearCode(Mat(code.gf, unmixed))
+    assert not verify._locally_mds(mut, groups, 1)
+    with pytest.raises(BudgetExceeded):
+        pmds_check(mut, st, 1, 2, mode="exhaustive")
+    rep = pmds_check(mut, st, 1, 2, samples=50)
+    assert rep.mode == "sampled" and not rep.verdict
+
+
+def test_pmds_padded_witness_is_a_dependent_pattern(monkeypatch):
+    """Past the budget, a dependent reduced pattern plus delta coordinates
+    of each group without extras is the exact witness.  With the budget
+    lowered below each code's patterns, but not below its reduced patterns
+    or its groups' delta-subsets, every locally MDS one-entry mutation of
+    REDUCTION_CODES that fails so gets a whole pattern whose columns are
+    dependent, and counts no more than the reduced patterns.  Each field
+    kind (GF(2^m), GF(p), GF(p^2), GF(p^3)) gives such failures."""
+    kinds = set()
+    for name, make in REDUCTION_CODES.items():
+        base = make()
+        st = base.provenance["local_structure"]
+        sizes = [len(g) for g in st.groups]
+        rng = random.Random(base.n * base.gf.q + 1)
+        H0 = [list(r) for r in base.H.data]
+        for _ in range(30):
+            rows = [r[:] for r in H0]
+            rows[rng.randrange(len(rows))][rng.randrange(base.n)] = \
+                rng.randrange(base.gf.q)
+            code = LinearCode(Mat(base.gf, rows))
+            s_extra = rng.randint(1, base.n - base.k - st.delta * len(sizes))
+            reduced = verify._reduced_patterns(sizes, st.delta, s_extra)
+            budget = max(reduced, sum(math.comb(size, st.delta)
+                                      for size in sizes))
+            monkeypatch.setattr(verify, "PMDS_EXHAUSTIVE_BUDGET", budget)
+            if not verify._locally_mds(code, [list(g) for g in st.groups],
+                                       st.delta):
+                continue
+            rep = pmds_check(code, st, st.delta, s_extra, mode="exhaustive")
+            assert rep.budgets["patterns"] > budget, name
+            assert rep.mode == "exhaustive", name
+            if not rep.verdict:
+                assert rep.budgets["checked"] <= reduced
+                assert _whole_dependent_pattern(code, st, st.delta, s_extra,
+                                                rep.witness), (name, rows)
+                kinds.add((base.gf.p == 2, base.gf.m))
+    assert kinds >= {(True, 4), (True, 6), (False, 1), (False, 2),
+                     (False, 3)}, kinds
 
 
 def test_spreads_and_reduced_counts_agree():
