@@ -89,51 +89,109 @@ def check_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
 # girth
 # ---------------------------------------------------------------------------
 
+GIRTH_BLOCK = 1024  # roots per bit-parallel pass of `_first_shortest`
+
+
+def _first_shortest(g: Graph, below: float) -> Tuple[float, int]:
+    """(girth, w*) with w* the lowest node on a shortest cycle, when the
+    girth is below `below`; else (math.inf, -1).
+
+    A BFS from root w closes a walk of length dist(u) + dist(v) + 1 on each
+    non-tree edge (u, v), and the shortest such walk is a cycle through w.
+    All roots run at once as bits (multi-source BFS, Then et al., "The More
+    the Merrier", VLDB 2014): at level j, cur[x] holds the roots at distance
+    exactly j from x.  Folding cur over x's neighbours gives `once` (roots
+    at level j next to x) and `twice` (at least two such neighbours).  Then
+    once & cur[x] is an edge inside level j, a walk of length 2j + 1, and
+    twice & new, with new the roots reaching x first at level j + 1, is a
+    node with two parents, a walk of length 2j + 2.  Roots run in blocks of
+    GIRTH_BLOCK, about 3 * nodes * GIRTH_BLOCK / 8 bytes of masks, and each
+    block stops at the level where it can no longer beat the best so far,
+    so a later block only replaces an earlier one with a shorter cycle."""
+    n = g.node_count
+    nbrs: List[List[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    best, first = below, -1
+    for lo in range(0, n, GIRTH_BLOCK):
+        cur = [0] * n
+        for w in range(lo, min(n, lo + GIRTH_BLOCK)):
+            cur[w] = 1 << (w - lo)
+        seen = cur[:]
+        level = 0
+        while 2 * level + 1 < best:
+            odd = even = 0
+            nxt = [0] * n
+            for x, around in enumerate(nbrs):
+                once = twice = 0
+                for y in around:
+                    d = cur[y]
+                    twice |= once & d
+                    once |= d
+                new = once & ~seen[x]
+                if new:
+                    nxt[x] = new
+                    seen[x] |= new
+                    even |= twice & new
+                odd |= once & cur[x]
+            if odd or even and 2 * level + 2 < best:
+                best = 2 * level + (1 if odd else 2)
+                hits = odd or even
+                first = lo + (hits & -hits).bit_length() - 1
+                break
+            if not any(nxt):
+                break
+            cur = nxt
+            level += 1
+    return (best, first) if first >= 0 else (math.inf, -1)
+
+
 def shortest_cycle(g: Graph) -> Optional[List[int]]:
     """Edge indices of one shortest cycle, sorted, or None for forests.
 
-    BFS from every node; a non-tree edge (u, v) seen from root w closes a
-    walk of length dist(u) + dist(v) + 1 through w, and the shortest such
-    walk over all roots is a shortest cycle.  A root's search stops once no
-    walk through it can beat the best so far, and the cycle returned is the
-    first walk found of the final length.
+    `_first_shortest`, one bit-parallel BFS over all roots (in blocks of
+    GIRTH_BLOCK, about 3 * nodes * GIRTH_BLOCK / 8 bytes of masks), gives
+    the girth g and w*, the lowest node on a g-cycle.  Then one BFS from w*
+    returns its first non-tree edge (u, v) that closes a walk of length
+    dist(u) + dist(v) + 1 = g, the two tree paths back to w* closing it.
+    That is the cycle a BFS from every root in turn returns when it keeps
+    the first walk of the least length (Itai & Rodeh, SIAM J. Comput. 7(4),
+    1978): every walk from a root before w* is longer than g.
     """
+    best, root = _first_shortest(g, math.inf)
+    if root < 0:
+        return None
     adj = g.adjacency()
-    best = math.inf
-    cycle = None
     n = g.node_count
-    for root in range(n):
-        dist = [-1] * n
-        via = [-1] * n  # edge index used to reach the node
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] + 1 >= best:
-                break
-            for v, e in adj[u]:
-                if e == via[u]:
-                    continue
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    via[v] = e
-                    queue.append(v)
-                elif dist[u] + dist[v] + 1 < best:
-                    best = dist[u] + dist[v] + 1
-                    # the two tree paths back to the root, shared part
-                    # cancelled; at the final length it is a simple cycle
-                    cycle = {e}
-                    for x in (u, v):
-                        while x != root:
-                            cycle ^= {via[x]}
-                            x = sum(g.edges[via[x]]) - x
-    return None if cycle is None else sorted(cycle)
+    dist = [-1] * n
+    via = [-1] * n  # edge index used to reach the node
+    dist[root] = 0
+    queue = deque([root])
+    while True:  # the walk closes before the queue runs out
+        u = queue.popleft()
+        for v, e in adj[u]:
+            if e == via[u]:
+                continue
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                via[v] = e
+                queue.append(v)
+            elif dist[u] + dist[v] + 1 == best:
+                # the two tree paths back to the root; at the girth they
+                # share only the root, so this is a simple cycle
+                cycle = {e}
+                for x in (u, v):
+                    while x != root:
+                        cycle.add(via[x])
+                        x = sum(g.edges[via[x]]) - x
+                return sorted(cycle)
 
 
-def girth(g: Graph) -> float:
-    """Length of a shortest cycle (math.inf for forests)."""
-    cycle = shortest_cycle(g)
-    return math.inf if cycle is None else len(cycle)
+def girth(g: Graph, below: float = math.inf) -> float:
+    """Length of a shortest cycle; math.inf for forests, and for graphs
+    with no cycle shorter than `below` (the pass stops there)."""
+    return _first_shortest(g, below)[0]
 
 
 # ---------------------------------------------------------------------------

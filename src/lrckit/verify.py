@@ -301,6 +301,13 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     recovered by that node's check.  Over GF(2) a short cycle, which meets
     every dual word an even number of times, is a failure witness whatever r
     is; a certificate that does not decide leaves the run to the search.
+    `sampled` tries the certificate's PASS half first (`_girth_certifies`)
+    when its girth pass, bounded at cycles of length t + 1, costs no more
+    than the draws (ceil((t + 1) / 2) levels over the edges and degrees per
+    block of roots, against samples * min(t, n)): where it holds every draw
+    would peel, so the run returns, byte for byte, the PASS its draws would
+    give, and draws nothing and starts no process.  Otherwise it draws, so
+    a sampled FAIL is always its first failing draw.
     `auto` searches first when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET.  Else
     it tries the certificate, then availability's own test (`_unavailable`):
     t pairwise-disjoint recovery sets at every coordinate leave each erasure
@@ -334,6 +341,9 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
             raise ValueError(f"certificate unavailable: {graph_reason}")
     elif mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and _girth_certifies(code, r, t, samples):
+        return VerifyReport("seq-recovery", True, "sampled",
+                            budgets=_sampled_budgets(samples, seed, jobs))
     supports = low_weight_dual_supports(code, r + 1)
     if mode == "auto" and _unavailable(n, supports, t) is None:
         return VerifyReport("seq-recovery", True, "certificate",
@@ -354,6 +364,36 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     return report
 
 
+def _girth_certifies(code: LinearCode, r: int, t: int, samples: int) -> bool:
+    """Does the girth certificate show that every min(t, n)-subset peels on
+    the supports `_sampled_peel` would use?  It does when H is incidence
+    shaped, every real node has degree <= r + 1 and the graph has no cycle
+    of length <= t: the supports hold every row of weight <= r + 1, and each
+    erased forest has a leaf at a real node.  Tried only when the girth
+    pass, ceil((t + 1) / 2) levels over the edges and degrees per block of
+    GIRTH_BLOCK roots, costs no more than the draws, samples * min(t, n)."""
+    from .graphs import GIRTH_BLOCK, girth
+    n, blocks = code.n, -(-(code.H.rows + 1) // GIRTH_BLOCK)
+    if -(-(t + 1) // 2) * 3 * n * blocks > samples * min(t, n):
+        return False
+    graph, _ = _incidence_graph(code)
+    return (graph is not None
+            and max(graph.degrees()[:-1], default=0) <= r + 1
+            and girth(graph, t + 1) > t)
+
+
+def _sampled_budgets(samples: int, seed: int, jobs: int) -> dict:
+    """The budgets of a sampled seq report: with `jobs` > 1, also the
+    chunks, chunk i drawing its share of the samples from seed + i."""
+    budgets = {"samples": samples, "seed": seed}
+    if jobs > 1:
+        per, extra = divmod(samples, jobs)
+        budgets.update(jobs=jobs,
+                       chunks=[{"seed": seed + i, "samples": per + (i < extra)}
+                               for i in range(jobs)])
+    return budgets
+
+
 def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
                   samples: int, seed: int, jobs: int = 1) -> VerifyReport:
     """Peel `samples` random min(t, n)-subsets of range(n), drawn from
@@ -367,15 +407,12 @@ def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from itertools import repeat
-        per, extra = divmod(samples, jobs)
-        chunks = [{"seed": seed + i, "samples": per + (i < extra)}
-                  for i in range(jobs)]
+        budgets = _sampled_budgets(samples, seed, jobs)
+        chunks = budgets["chunks"]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(
                 _sampled_peel, repeat(n), repeat(supports), repeat(t),
                 [c["samples"] for c in chunks], [c["seed"] for c in chunks]))
-        budgets = {"samples": samples, "seed": seed, "jobs": jobs,
-                   "chunks": chunks}
         failed = next((i for i, x in enumerate(results) if not x.verdict),
                       None)
         if failed is not None:

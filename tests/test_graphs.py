@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from lrckit import graphs
 from lrckit.bounds import moore_bound
 from lrckit.field import field_make
 from lrckit.code import NotInCatalog
@@ -121,18 +122,83 @@ def _two_pass_shortest_cycle(g):
                     return sorted((paths[0] ^ paths[1]) | {e})
 
 
-def test_shortest_cycle_matches_two_pass_reference():
-    rng = random.Random(7)
+def _tree_with_chords(rng, n, chords):
+    """A random forest on n nodes (each node joins an earlier one with
+    probability 0.9) plus `chords` random extra edges: long girths,
+    disconnected graphs and isolated nodes."""
+    edges = {(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.9}
+    for _ in range(chords if n > 1 else 0):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+def _girth_cases(rng):
     cases = [petersen_graph(), heawood_graph(), turan_graph(4, 2),
              complete_bipartite(3, 4), cycle_graph(9),
-             Graph(5, [(0, 1), (1, 2), (3, 4)])]
+             Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(1, []), Graph(4, []),
+             Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])]
     for _ in range(40):
         n = rng.randrange(4, 14)
         edges = {tuple(sorted(rng.sample(range(n), 2)))
                  for _ in range(rng.randrange(2, 2 * n))}
         cases.append(Graph(n, sorted(edges)))
-    for g in cases:
-        assert shortest_cycle(g) == _two_pass_shortest_cycle(g)
+    cases += [_tree_with_chords(rng, rng.randrange(1, 40), rng.randrange(4))
+              for _ in range(60)]
+    return cases
+
+
+# the rest of `moore_catalog` is PG(2, q), GQ(q), the cage and
+# Hoffman-Singleton, listed once
+CATALOG_GRAPHS = ([pg_incidence_graph(q) for q in (2, 3, 4, 5, 7)]
+                  + [gq_incidence_graph(2), gq_incidence_graph(3),
+                     tutte_12_cage(), hoffman_singleton_graph()]
+                  + [moore_catalog(r, t)
+                     for r, t in ((1, 5), (3, 2), (3, 3), (2, 4))])
+
+
+def _assert_girth_kernel(g):
+    cycle = shortest_cycle(g)
+    assert cycle == _two_pass_shortest_cycle(g)
+    gth = math.inf if cycle is None else len(cycle)
+    assert girth(g) == gth
+    for below in range(1, min(gth, g.node_count) + 3):
+        assert girth(g, below) == (gth if gth < below else math.inf)
+
+
+def test_shortest_cycle_matches_two_pass_reference(monkeypatch):
+    """The all-roots bit-parallel pass, and the BFS from its first root,
+    return the reference's cycle, also with roots in blocks of a few; the
+    pass bounded by `below` finds the girth exactly when it is below."""
+    for g in _girth_cases(random.Random(7)) + CATALOG_GRAPHS:
+        _assert_girth_kernel(g)
+    for block in (1, 3, 8):
+        monkeypatch.setattr(graphs, "GIRTH_BLOCK", block)
+        for g in _girth_cases(random.Random(block)):
+            _assert_girth_kernel(g)
+
+
+def test_shortest_cycle_over_several_blocks():
+    """A graph of more than GIRTH_BLOCK nodes: cycles of 5 to 12 nodes with
+    trees hung on them, nodes shuffled so that components span blocks; a
+    later block must replace an earlier one's cycle only with a shorter
+    one."""
+    rng = random.Random(3)
+    n, edges = 0, []
+    while n <= graphs.GIRTH_BLOCK + 50:
+        size = rng.randrange(5, 13)
+        edges += [(n + i, n + (i + 1) % size) for i in range(size)]
+        edges += [(rng.randrange(n, n + i), n + i)
+                  for i in range(size, size + rng.randrange(20))]
+        n = max(max(e) for e in edges) + 1
+    label = list(range(n))
+    rng.shuffle(label)
+    shuffled = Graph(n, [(label[u], label[v]) for u, v in edges])
+    # girth 3 only on the last nodes, in the last block
+    triangle = Graph(n + 3, edges + [(n, n + 1), (n + 1, n + 2), (n, n + 2)])
+    for g in (shuffled, triangle):
+        _assert_girth_kernel(g)
+    assert shortest_cycle(triangle) == [len(edges), len(edges) + 1,
+                                        len(edges) + 2]
 
 
 def test_near_regular():

@@ -237,13 +237,114 @@ def test_certificate_witness_is_a_short_cycle(monkeypatch):
 
 
 def test_incidence_graph_only_for_certificates(monkeypatch):
+    """Within the search budget `auto` searches and builds no graph.  A
+    sampled run builds it for the girth certificate, and where that holds
+    returns the PASS its draws give without drawing."""
     def unused(code):
         raise AssertionError("incidence graph built outside certificate mode")
 
-    monkeypatch.setattr(verify, "_incidence_graph", unused)
     pet = moore_code(2, 4)
-    assert seq_recovery_check(pet, 2, 4).mode == "exhaustive"
-    assert seq_recovery_check(pet, 2, 4, mode="sampled", samples=50).verdict
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_incidence_graph", unused)
+        assert seq_recovery_check(pet, 2, 4).mode == "exhaustive"
+    drawn = _sampled_peel(pet.n, low_weight_dual_supports(pet, 3), 4, 50, 0)
+    monkeypatch.setattr(verify, "_draws", _no_draws)
+    rep = seq_recovery_check(pet, 2, 4, mode="sampled", samples=50)
+    assert rep.verdict and rep.as_dict() == drawn.as_dict()
+
+
+def _no_draws(*args):
+    raise AssertionError("a sampled run drew where the girth decides")
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a sampled run started processes")
+
+
+def _counted_draws(calls):
+    """`_draws`, recording the (n, k) of each sampler it builds."""
+    return lambda rng, n, k: calls.append((n, k)) or _draws(rng, n, k)
+
+
+def _incidence_catalog(name, q):
+    """The `construct incidence --graph name` code over GF(q), at r one less
+    than its largest degree and t one less than its girth."""
+    from lrckit.cli import graph
+    g = graph(name)
+    code = graphs.incidence_code(g, field_make(q), "random")
+    return code, max(g.degrees()) - 1, girth(g) - 1
+
+
+SHORTCUT_CODES = {
+    **{f"seq-{r}-{t}": (lambda r=r, t=t: (seq_general_code(r, t), r, t))
+       for r, t in ((2, 3), (3, 5), (3, 6))},
+    **{f"moore-{r}-{t}": (lambda r=r, t=t: (moore_code(r, t), r, t))
+       for r, t in ((1, 5), (3, 2), (3, 3), (2, 4), (6, 4), (2, 5), (3, 5),
+                    (2, 7), (2, 11))},
+    **{f"incidence-{name}-gf{q}":
+       (lambda name=name, q=q: _incidence_catalog(name, q))
+       for name in ("k4", "petersen", "heawood", "hoffman-singleton")
+       for q in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", SHORTCUT_CODES)
+def test_sampled_pass_by_the_girth_draws_nothing(name, monkeypatch):
+    """At its declared (r, t) and at t - 1, a catalog code's sampled run,
+    given just enough samples for the girth pass to cost no more than the
+    draws, returns exactly the report of `_sampled_peel` on the same
+    supports, with jobs 1 and 2, and draws nothing and starts no process;
+    with one sample fewer it draws."""
+    code, r, top = SHORTCUT_CODES[name]()
+    blocks = -(-(code.H.rows + 1) // graphs.GIRTH_BLOCK)
+    supports = low_weight_dual_supports(code, r + 1)
+    for t in (top, top - 1) if top > 1 else (top,):
+        cost = -(-(t + 1) // 2) * 3 * code.n * blocks
+        least = -(-cost // min(t, code.n))
+        for jobs in (1, 2):
+            samples = max(least, jobs)
+            drawn = _sampled_peel(code.n, supports, t, samples, 3, jobs)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_draws", _no_draws)
+                m.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+                rep = seq_recovery_check(code, r, t, mode="sampled",
+                                         samples=samples, seed=3, jobs=jobs)
+            assert rep.as_dict() == drawn.as_dict(), (t, jobs)
+        if least > 1:
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_draws", _counted_draws(calls))
+                rep = seq_recovery_check(code, r, t, mode="sampled",
+                                         samples=least - 1, seed=3)
+            assert calls == [(code.n, min(t, code.n))] and rep.verdict
+
+
+def test_sampled_seq_draws_where_the_girth_does_not_decide(monkeypatch):
+    """A cycle of length <= t over GF(2), a check heavier than r + 1, and an
+    H that is not incidence-shaped each leave the run to its draws: the
+    witness and `failed_at` are those of the first failing draw."""
+    chord = graphs.incidence_code(
+        graphs.Graph(20, list(graphs.cycle_graph(20).edges) + [(0, 10)]),
+        GF2)
+    cases = [(moore_code(2, 4), 2, 5, [0, 1, 2, 3, 4], 117),
+             (chord, 1, 2, [0, 20], 22),
+             (pg_plane_sa_code(3), 8, 9, None, None)]
+    for code, r, t, witness, failed_at in cases:
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_draws", _counted_draws(calls))
+            rep = seq_recovery_check(code, r, t, mode="sampled",
+                                     samples=2000, seed=0)
+        assert calls == [(code.n, t)]
+        assert (rep.witness, rep.budgets.get("failed_at")) == (witness,
+                                                               failed_at)
+        assert rep.as_dict() == _sampled_peel(
+            code.n, low_weight_dual_supports(code, r + 1), t, 2000,
+            0).as_dict()
+        two = seq_recovery_check(code, r, t, mode="sampled", samples=2000,
+                                 seed=0, jobs=2)
+        assert (two.witness, two.budgets.get("failed_at")) == (witness,
+                                                               failed_at)
 
 
 class _FrozensetPeeler:
