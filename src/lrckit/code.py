@@ -141,22 +141,37 @@ def puncture(c: LinearCode, S: Sequence[int]) -> LinearCode:
 # minimum distance
 # ---------------------------------------------------------------------------
 
-def _min_distance_columns(c: LinearCode) -> int:
-    """Smallest number of linearly dependent columns of a full-rank H."""
+def _min_distance_columns(c: LinearCode, guess: int = 1) -> int:
+    """Smallest number of linearly dependent columns of a full-rank H.
+
+    Subsets of size w hold a dependent one exactly when w >= d, so the walk
+    may start anywhere: at s = guess - 1, clamped to [1, n - k], then down
+    from 1 if size s holds a dependent set, else up from s + 1.  Any guess
+    gives the exact d; guess = d costs the walks at d - 1 and d alone, and
+    guess = 1 walks 1, 2, ... as a plain deepening does.
+    """
     H = c.full_rank_checks()
     # any n - k + 1 columns of the n - k rows of H are dependent
-    return next((w for w in range(1, c.n - c.k + 1)
-                 if first_dependent(H, [(None, w)])[1] is not None),
-                c.n - c.k + 1)
+    top = c.n - c.k
+    s = min(max(guess - 1, 1), top)
+
+    def dependent(w: int) -> bool:
+        return first_dependent(H, [(None, w)])[1] is not None
+
+    if s and dependent(s):
+        return next((w for w in range(1, s) if dependent(w)), s)
+    return next((w for w in range(s + 1, top + 1) if dependent(w)), top + 1)
 
 
-def min_distance(c: LinearCode) -> int:
+def min_distance(c: LinearCode, guess: int = 1) -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
     Picks the cheaper exact strategy: enumerating one codeword per
     1-dimensional subspace, `support_weight(c, 1)`, or searching for the
-    smallest dependent column set of H.  Raises BudgetExceeded when neither
-    fits within MIN_DISTANCE_BUDGET steps.
+    smallest dependent column set of H, which starts next to `guess`.  The
+    guess is a cost hint only: every guess gives the same answer, and the
+    column search costs least when it is the distance.  Raises
+    BudgetExceeded when neither fits within MIN_DISTANCE_BUDGET steps.
     """
     budget = MIN_DISTANCE_BUDGET
     if c.k == 0:
@@ -167,7 +182,7 @@ def min_distance(c: LinearCode) -> int:
                                 or col_cost > budget):
         return support_weight(c, 1, budget)
     if col_cost <= budget:
-        return _min_distance_columns(c)
+        return _min_distance_columns(c, guess)
     raise BudgetExceeded(
         f"min_distance needs min({enum_cost}, {col_cost}) > {budget} steps")
 

@@ -12,8 +12,7 @@ a + b = a (1 + b/a), read from a table of log(1 + g^i) built with the field.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 #: the largest field GF builds; its tables hold a few ints per element
@@ -154,33 +153,10 @@ class GF:
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None):
-        if m < 1:
-            raise FieldError(f"extension degree must be >= 1, got {m}")
-        # before the trial division of p; p^21 > 2^20 already, so a larger
-        # m need not be raised to
-        if p ** min(m, 21) > MAX_FIELD_SIZE:
-            raise FieldError(f"GF({p}^{m}) has more than {MAX_FIELD_SIZE} "
-                             "elements")
-        if prime_factors(p) != [p]:
-            raise FieldError(f"{p} is not prime")
+        self.modulus = _checked_modulus(p, m, modulus)
         self.p = p
         self.m = m
         self.q = p ** m
-        if m == 1:
-            if modulus:
-                raise FieldError("prime fields take no modulus")
-            self.modulus = ()
-        else:
-            if modulus is None:
-                mod = _default_modulus(p, m)
-            else:
-                mod = _poly_trim(tuple(c % p for c in _coefficients(modulus)))
-                if len(mod) - 1 != m:
-                    raise FieldError(f"modulus degree {len(mod)-1} != {m}")
-                if not _poly_is_irreducible(mod, p):
-                    raise FieldError(
-                        f"{list(mod)} is reducible over GF({p})")
-            self.modulus = mod
         self._build_tables()
 
     # -- representation helpers --
@@ -336,21 +312,61 @@ def _coefficients(modulus) -> Tuple[int, ...]:
     return tuple(modulus)
 
 
-@lru_cache(maxsize=None)
-def _cached_field(p: int, m: int, modulus: Optional[Tuple[int, ...]]) -> GF:
-    return GF(p, m, modulus)
+def _checked_modulus(p: int, m: int,
+                     modulus: Optional[Sequence[int]]) -> Tuple[int, ...]:
+    """The modulus GF(p^m) uses: the default one for None, else `modulus`
+    with its coefficients reduced mod p and trailing zeros trimmed; () for a
+    prime field.  FieldError, in this order, for a degree below 1, a field
+    above `MAX_FIELD_SIZE`, a p that is not prime, a modulus on a prime
+    field, a modulus of the wrong degree, a reducible one."""
+    if m < 1:
+        raise FieldError(f"extension degree must be >= 1, got {m}")
+    # before the trial division of p; p^21 > 2^20 already, so a larger
+    # m need not be raised to
+    if p ** min(m, 21) > MAX_FIELD_SIZE:
+        raise FieldError(f"GF({p}^{m}) has more than {MAX_FIELD_SIZE} "
+                         "elements")
+    if prime_factors(p) != [p]:
+        raise FieldError(f"{p} is not prime")
+    if m == 1:
+        if modulus:
+            raise FieldError("prime fields take no modulus")
+        return ()
+    if modulus is None:
+        return _default_modulus(p, m)
+    mod = _poly_trim(tuple(c % p for c in _coefficients(modulus)))
+    if len(mod) - 1 != m:
+        raise FieldError(f"modulus degree {len(mod)-1} != {m}")
+    if not _poly_is_irreducible(mod, p):
+        raise FieldError(f"{list(mod)} is reducible over GF({p})")
+    return mod
+
+
+#: every field `field_make` has built, under (p, m, its modulus) and under
+#: each (p, m, modulus as asked) that named it
+_FIELDS: Dict[Tuple[int, int, Optional[Tuple[int, ...]]], GF] = {}
 
 
 def field_make(p: int, m: int = 1,
                modulus: Optional[Sequence[int]] = None) -> GF:
-    """Construct (or fetch a cached copy of) GF(p^m).
+    """Construct (or fetch the cached copy of) GF(p^m).
 
     The default modulus is the first irreducible polynomial in ascending
     coefficient-value order, for reproducibility; pass modulus explicitly to
-    match a particular textbook representation.
+    match a particular textbook representation.  There is one cached field
+    per actual modulus: no modulus, the default one written out, or the same
+    with unreduced coefficients all return the same object, and its tables
+    are built once.
     """
-    key = _coefficients(modulus) if modulus is not None else None
-    return _cached_field(p, m, key)
+    asked = (p, m, None if modulus is None else _coefficients(modulus))
+    gf = _FIELDS.get(asked)
+    if gf is None:
+        actual = (p, m, _checked_modulus(p, m, asked[2]))
+        gf = _FIELDS.get(actual)
+        if gf is None:
+            gf = _FIELDS[actual] = GF(p, m, actual[2])
+        _FIELDS[asked] = gf
+    return gf
 
 
 def field_of_size(q: int, modulus: Optional[Sequence[int]] = None) -> GF:

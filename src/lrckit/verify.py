@@ -677,7 +677,9 @@ def pmr_check(code: LinearCode,
               structure: Optional[LocalStructure] = None) -> VerifyReport:
     """Partial-MR property: puncturing the canonical admissible pattern
     (one private coordinate per group) leaves an MDS code, and the minimum
-    distance meets (n-k+1) - (ceil(k/r) - 1) with equality."""
+    distance meets (n-k+1) - (ceil(k/r) - 1) with equality.  The target is
+    `min_distance`'s guess, so a code that meets it costs two column walks;
+    a FAIL still reports the true d_min."""
     from .code import puncture
     [structure] = declared(code, structure=structure)
     pattern = structure.admissible_pattern()
@@ -686,7 +688,7 @@ def pmr_check(code: LinearCode,
     r = getattr(code.params, "r", None) or (
         max(len(g) for g in structure.groups) - 1)
     target = lr_singleton_bound(code.n, code.k, r)
-    d = min_distance(code)
+    d = min_distance(code, target)
     d_ok = d == target
     ok = mds_ok and d_ok
     witness = None

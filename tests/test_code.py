@@ -17,7 +17,8 @@ from lrckit.code import (BudgetExceeded, LinearCode, code_from_generator,
                          _gaussian_binomial, _min_distance_columns)
 from lrckit.field import field_make, field_of_size
 from lrckit.lr_codes import tamo_barg_code
-from lrckit.matrix import Mat, mat_rank, rref, subspaces, vandermonde
+from lrckit.matrix import (Mat, first_dependent, mat_rank, rref, subspaces,
+                           vandermonde)
 
 GF2 = field_make(2)
 
@@ -90,8 +91,16 @@ def test_shortened_tamo_barg_dimension():
         assert shortened_k >= c.k + i - seq.e[i - 1]
 
 
-def test_min_distance_strategies_agree():
+def test_min_distance_strategies_agree(monkeypatch):
+    walked = []
+
+    def counting(M, stages):
+        walked.append(stages[0][1])
+        return first_dependent(M, stages)
+
+    monkeypatch.setattr(lcode, "first_dependent", counting)
     rng = random.Random(11)
+    seen = set()
     for gf in (GF2, field_make(3), field_make(2, 2)):
         for _ in range(10):
             c = small_random_code(gf, 7, rng)
@@ -100,8 +109,20 @@ def test_min_distance_strategies_agree():
             reference = min(sum(map(bool, w)) for w in codeword_set(c)
                             if any(w))
             by_walk = support_weight(c, 1)
+            walked.clear()
             by_cols = _min_distance_columns(c)
+            # guess = 1 deepens from 1; any other guess moves only the start
+            assert walked == list(range(1, min(reference, c.n - c.k) + 1))
             assert by_walk == by_cols == reference == min_distance(c)
+            for guess in range(c.n + 3):
+                assert _min_distance_columns(c, guess) == reference, guess
+                assert min_distance(c, guess) == reference, guess
+            if 2 <= reference <= c.n - c.k:
+                seen.add(reference)
+                walked.clear()
+                _min_distance_columns(c, reference)
+                assert walked == [reference - 1, reference]
+    assert len(seen) >= 3
 
 
 def test_min_distance_budget(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lrckit import io
 from lrckit.field import (GF, MAX_FIELD_SIZE, DivideByZero, FieldError,
                           field_make, field_of_size, prime_power,
                           subfield_embedding)
@@ -29,6 +30,34 @@ def test_gf16_default_modulus_and_generator_relation():
 def test_explicit_modulus_matches_default():
     gf = field_make(2, 4, [1, 1, 0, 0, 1])
     assert gf == field_make(2, 4)
+    # one cached field per actual modulus, however it is asked for
+    for p, m in ((2, 6), (5, 2), (13, 3), (2, 8)):
+        gf = field_make(p, m)
+        default = list(gf.modulus)
+        unreduced = [c + p if c else c for c in default]  # 13: [15, 0, 0, 14]
+        for other in (field_make(p, m, default),
+                      field_make(p, m, unreduced),
+                      field_make(p, m, unreduced + [p, 0]),
+                      field_of_size(p ** m),
+                      field_of_size(p ** m, tuple(default)),
+                      io.field_from_json(io.field_to_json(gf))):
+            assert other is gf, (p, m)
+    # with the default cached, every bad request still raises as before
+    for args, message in (
+            ((2, 4, [1, 0, 0, 0, 1]),
+             "[1, 0, 0, 0, 1] is reducible over GF(2)"),
+            ((13, 3, [0, 0, 0, 1]), "[0, 0, 0, 1] is reducible over GF(13)"),
+            ((13, 3, [2, 0, 1]), "modulus degree 2 != 3"),
+            ((13, 3, [2, 0, 0, 13]), "modulus degree 0 != 3"),
+            ((13, 1, [1, 1]), "prime fields take no modulus"),
+            ((6,), "6 is not prime"),
+            ((4, 2), "4 is not prime"),
+            ((2, 40), f"GF(2^40) has more than {MAX_FIELD_SIZE} elements"),
+            ((2, 0), "extension degree must be >= 1, got 0")):
+        for _ in range(2):
+            with pytest.raises(FieldError) as exc:
+                field_make(*args)
+            assert str(exc.value) == message, args
 
 
 def test_gf9_multiplicative_group():

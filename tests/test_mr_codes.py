@@ -1,10 +1,11 @@
+import json
 import math
 import random
 from itertools import combinations, product
 
 import pytest
 
-from lrckit import matrix, verify
+from lrckit import io, matrix, verify
 from lrckit.bounds import lr_singleton_bound
 from lrckit.code import BudgetExceeded, LinearCode, is_mds, min_distance, \
     puncture
@@ -126,6 +127,34 @@ def test_pmr_general_a1_seed_variation():
         code, report = pmr_general_a1(3, 3, 5, 16, seed=seed)
         assert report.verdict in (True, False)
         assert report.detail["d_min"] <= 8
+
+
+PMR_REPORTS = {
+    (3, 3, 5, 13): '{"budgets": {}, "detail": {"d_min": 8, "d_target": 8, '
+                   '"pattern": [0, 1, 2]}, "mode": "exhaustive", '
+                   '"property": "partial-mr", "verdict": true, '
+                   '"witness": null}',
+    (3, 3, 4, 13): '{"budgets": {}, "detail": {"d_min": 6, "d_target": 7, '
+                   '"pattern": [0, 1, 2]}, "mode": "exhaustive", '
+                   '"property": "partial-mr", "verdict": false, '
+                   '"witness": {"d_min": 6, "punctured_mds": true, '
+                   '"target": 7}}',
+    (2, 4, 6, 11): '{"budgets": {}, "detail": {"d_min": 8, "d_target": 9, '
+                   '"pattern": [0, 1]}, "mode": "exhaustive", '
+                   '"property": "partial-mr", "verdict": false, '
+                   '"witness": {"d_min": 8, "punctured_mds": true, '
+                   '"target": 9}}',
+}
+
+
+@pytest.mark.parametrize("args", list(PMR_REPORTS), ids=str)
+def test_pmr_reports_pinned(args):
+    # a PASS at d = target, and FAILs one and two below it: the walk that
+    # starts at the target must still report the true d_min
+    code, report = pmr_general_a1(*args)
+    loaded = io.code_from_json(json.loads(io.dumps(io.code_to_json(code))))
+    for rep in (report, pmr_check(code), pmr_check(loaded)):
+        assert json.dumps(rep.as_dict(), sort_keys=True) == PMR_REPORTS[args]
 
 
 def test_pmr_general_a1_guards():
