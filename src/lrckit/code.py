@@ -20,8 +20,8 @@ from operator import or_
 from typing import Optional, Sequence
 
 from .field import GF
-from .matrix import (Mat, first_dependent, mat_nullspace, mat_rank, rref,
-                     subspaces)
+from .matrix import (Mat, first_deficient, first_dependent, mat_nullspace,
+                     mat_rank, rref, subspaces)
 
 #: enumeration ceilings, surfaced in verification reports
 MIN_DISTANCE_BUDGET = 2 ** 24
@@ -144,19 +144,29 @@ def puncture(c: LinearCode, S: Sequence[int]) -> LinearCode:
 def _min_distance_columns(c: LinearCode, guess: int = 1) -> int:
     """Smallest number of linearly dependent columns of a full-rank H.
 
-    Subsets of size w hold a dependent one exactly when w >= d, so the walk
-    may start anywhere: at s = guess - 1, clamped to [1, n - k], then down
-    from 1 if size s holds a dependent set, else up from s + 1.  Any guess
-    gives the exact d; guess = d costs the walks at d - 1 and d alone, and
-    guess = 1 walks 1, 2, ... as a plain deepening does.
+    d <= w exactly when some w columns of H are dependent, and exactly when
+    some n - w columns of G fail to span GF(q)^k (a nonzero message that
+    vanishes on them gives a word of weight <= w).  The walk takes the
+    smaller side as `is_mds` does: G's columns when k <= n - k, else H's.
+    Since the answer to "d <= w?" grows with w, the walk may start
+    anywhere: at s = guess - 1, clamped to [1, n - k], then down from 1 if
+    s says yes, else up from s + 1.  Any guess gives the exact d;
+    guess = d costs the walks at d - 1 and d alone, and guess = 1 walks
+    1, 2, ... as a plain deepening does.
     """
-    H = c.full_rank_checks()
     # any n - k + 1 columns of the n - k rows of H are dependent
     top = c.n - c.k
     s = min(max(guess - 1, 1), top)
+    if c.k <= top:
+        G = c.generator()
 
-    def dependent(w: int) -> bool:
-        return first_dependent(H, [(None, w)])[1] is not None
+        def dependent(w: int) -> bool:
+            return first_deficient(G, c.n - w) is not None
+    else:
+        H = c.full_rank_checks()
+
+        def dependent(w: int) -> bool:
+            return first_dependent(H, [(None, w)])[1] is not None
 
     if s and dependent(s):
         return next((w for w in range(1, s) if dependent(w)), s)
@@ -167,11 +177,12 @@ def min_distance(c: LinearCode, guess: int = 1) -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
     Picks the cheaper exact strategy: enumerating one codeword per
-    1-dimensional subspace, `support_weight(c, 1)`, or searching for the
-    smallest dependent column set of H, which starts next to `guess`.  The
-    guess is a cost hint only: every guess gives the same answer, and the
-    column search costs least when it is the distance.  Raises
-    BudgetExceeded when neither fits within MIN_DISTANCE_BUDGET steps.
+    1-dimensional subspace, `support_weight(c, 1)`, or the column search of
+    `_min_distance_columns`, over G's columns when k <= n - k and H's
+    otherwise, which starts next to `guess`.  The guess is a cost hint
+    only: every guess gives the same answer, and the column search costs
+    least when it is the distance.  Raises BudgetExceeded when neither fits
+    within MIN_DISTANCE_BUDGET steps.
     """
     budget = MIN_DISTANCE_BUDGET
     if c.k == 0:

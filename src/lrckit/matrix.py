@@ -9,10 +9,12 @@ All elimination goes through one `Echelon` basis, which keeps each vector
 under the position of its lowest nonzero entry: a bit mask over GF(2), and
 over larger fields a log-domain vector reduced with one row operation,
 `_sub_mul`, which adds by Zech logarithms.  `mat_rank` counts the rows it
-keeps, `rref` back-substitutes them, and `columns_independent` and
-`first_dependent` insert columns into it; `first_dependent` is the one
-exhaustive search, a depth-first walk over staged column subsets that shares
-each prefix's reduction and undoes the last column on the way back up.
+keeps, `rref` back-substitutes them, and `columns_independent` and the two
+exhaustive searches insert columns into it.  Both walk column subsets depth
+first, share each prefix's reduction and undo the last column on the way
+back up: `first_dependent` finds the first dependent subset of staged
+columns, and `first_deficient` the first subset of a full-row-rank matrix's
+columns that fails to span, settling a prefix that spans with no descent.
 Column inserts read a per-matrix column view, built lazily on the first
 insert against that matrix: a matrix that no column insert touches never
 holds one.
@@ -532,3 +534,38 @@ def first_dependent(
         else:
             stack.append(below)
     return checked, None
+
+
+def first_deficient(M: Mat, size: int) -> Optional[List[int]]:
+    """The first `size`-subset of M's columns, in `combinations` order,
+    whose rank is below M's row count, or None; M must have full row rank.
+
+    A depth-first walk like `first_dependent`'s, one column per level, that
+    carries one `Echelon` down and undoes it on the way back up.  A column
+    dependent on the prefix is taken but not kept.  A prefix of full rank
+    settles its subtree, since every extension spans; a prefix whose rank
+    plus the columns it still needs stays short is a witness, extended by
+    the next columns.  So `size` below the row count gives the first `size`
+    columns.
+    """
+    n, k = M.cols, M.rows
+    basis = Echelon(M.gf)
+    cols: List[int] = []
+    kept: List[bool] = []
+    pos = 0  # the next column to try at the level below the prefix
+    while True:
+        need = size - len(cols)
+        rank = len(basis)
+        if rank + need < k:
+            return cols + list(range(pos, pos + need))
+        if rank < k and pos <= n - need:
+            cols.append(pos)
+            kept.append(basis.insert_column(M, pos))
+            pos += 1
+            continue
+        # the prefix spans, or its level is used up: back up
+        if not cols:
+            return None
+        pos = cols.pop() + 1
+        if kept.pop():
+            basis.pop()

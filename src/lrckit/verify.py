@@ -678,7 +678,8 @@ def pmr_check(code: LinearCode,
     """Partial-MR property: puncturing the canonical admissible pattern
     (one private coordinate per group) leaves an MDS code, and the minimum
     distance meets (n-k+1) - (ceil(k/r) - 1) with equality.  The target is
-    `min_distance`'s guess, so a code that meets it costs two column walks;
+    `min_distance`'s guess, so a code that meets it costs two column walks
+    (over G's columns when k <= n - k, as for pmr-a1 with Delta >= m(r-1)/2);
     a FAIL still reports the true d_min."""
     from .code import puncture
     [structure] = declared(code, structure=structure)

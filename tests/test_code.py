@@ -17,8 +17,9 @@ from lrckit.code import (BudgetExceeded, LinearCode, code_from_generator,
                          _gaussian_binomial, _min_distance_columns)
 from lrckit.field import field_make, field_of_size
 from lrckit.lr_codes import tamo_barg_code
-from lrckit.matrix import (Mat, first_dependent, mat_rank, rref, subspaces,
-                           vandermonde)
+from lrckit.matrix import (Mat, first_deficient, first_dependent, mat_rank,
+                           rref, subspaces, vandermonde)
+from lrckit.mr_codes import pmr_general_a1
 
 GF2 = field_make(2)
 
@@ -91,26 +92,51 @@ def test_shortened_tamo_barg_dimension():
         assert shortened_k >= c.k + i - seq.e[i - 1]
 
 
-def test_min_distance_strategies_agree(monkeypatch):
-    walked = []
+def random_code(gf, n, rows, rng):
+    """The code of a random H with `rows` rows over GF(q); each code draws
+    how many entries are nonzero, so that the distances spread."""
+    density = rng.choice((0.5, 0.8, 1.0))
+    return LinearCode(Mat(gf, [[rng.randrange(gf.q) if rng.random() < density
+                                else 0 for _ in range(n)]
+                               for _ in range(rows)], cols=n))
 
-    def counting(M, stages):
+
+def test_min_distance_strategies_agree(monkeypatch):
+    """The column walk, on either side, agrees with the codewords listed
+    outright; each walk is counted by the w it decides (n - size on G's
+    side), and G's side runs exactly when k <= n - k."""
+    walked, sides, ran = [], set(), set()
+
+    def on_h(M, stages):
         walked.append(stages[0][1])
+        sides.add("H")
         return first_dependent(M, stages)
 
-    monkeypatch.setattr(lcode, "first_dependent", counting)
+    def on_g(M, size):
+        walked.append(M.cols - size)
+        sides.add("G")
+        return first_deficient(M, size)
+
+    monkeypatch.setattr(lcode, "first_dependent", on_h)
+    monkeypatch.setattr(lcode, "first_deficient", on_g)
     rng = random.Random(11)
     seen = set()
     for gf in (GF2, field_make(3), field_make(2, 2)):
-        for _ in range(10):
-            c = small_random_code(gf, 7, rng)
+        codes = [small_random_code(gf, 7, rng) for _ in range(10)]
+        codes += [random_code(gf, n, rows, rng)
+                  for n, rows in ((7, 2), (7, 5), (8, 4), (6, 3))]
+        for c in codes:
             if c.k == 0:
                 continue
             reference = min(sum(map(bool, w)) for w in codeword_set(c)
                             if any(w))
             by_walk = support_weight(c, 1)
             walked.clear()
+            sides.clear()
             by_cols = _min_distance_columns(c)
+            side = "G" if c.k <= c.n - c.k else "H"
+            assert sides == ({side} if c.k < c.n else set())
+            ran |= sides
             # guess = 1 deepens from 1; any other guess moves only the start
             assert walked == list(range(1, min(reference, c.n - c.k) + 1))
             assert by_walk == by_cols == reference == min_distance(c)
@@ -123,6 +149,38 @@ def test_min_distance_strategies_agree(monkeypatch):
                 _min_distance_columns(c, reference)
                 assert walked == [reference - 1, reference]
     assert len(seen) >= 3
+    assert ran == {"G", "H"}
+
+
+def _distance_by_dependent_columns(c):
+    """The smallest w for which some w columns of a full-rank H are
+    dependent: d by H's walk alone."""
+    H = c.full_rank_checks()
+    return next(w for w in range(1, c.n - c.k + 2)
+                if first_dependent(H, [(None, w)])[1] is not None)
+
+
+def test_min_distance_sides_match_dependent_columns():
+    """`min_distance` and the column walk agree with H's walk alone at
+    several guesses, on codes with k below, equal to and above n - k over
+    GF(2^8) and GF(13^3), and on pmr-a1 codes, whose k <= n - k puts them
+    on G's side."""
+    rng = random.Random(24)
+    codes = []
+    for gf in (field_make(2, 8), field_make(13, 3)):
+        for n, rows in ((8, 5), (9, 6), (8, 4), (10, 5), (8, 3), (9, 4)):
+            codes += [random_code(gf, n, rows, rng) for _ in range(2)]
+    codes += [pmr_general_a1(3, 3, delta, 13)[0] for delta in (3, 4, 5)]
+    sides, distances = set(), set()
+    for c in codes:
+        d = _distance_by_dependent_columns(c)
+        sides.add((c.k > c.n - c.k) - (c.k < c.n - c.k))
+        distances.add(d)
+        for guess in {0, 1, d - 1, d, d + 1, c.n - c.k, c.n + 1}:
+            assert _min_distance_columns(c, guess) == d, guess
+            assert min_distance(c, guess) == d, guess
+    assert sides == {-1, 0, 1}
+    assert len(distances) >= 4
 
 
 def test_min_distance_budget(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from lrckit.field import field_make
 from lrckit.matrix import (Mat, MatrixError,
-                           columns_independent, first_dependent,
+                           columns_independent, first_deficient,
+                           first_dependent,
                            mat_nullspace, mat_rank, rref,
                            vandermonde)
 
@@ -228,6 +229,50 @@ def _first_dependent_by_rank(M, w):
         if not _independent_by_rank(M, cols):
             return i + 1, list(cols)
     return len(subsets), None
+
+
+def _first_deficient_by_rank(M, size):
+    """The first `size`-subset of M's columns whose rank is below M's row
+    count, or None, by rank."""
+    return next((list(cols) for cols in combinations(range(M.cols), size)
+                 if mat_rank(M.select_columns(cols)) < M.rows), None)
+
+
+def _full_row_rank_matrix(gf, rng, rows, cols):
+    """A sparse random matrix of full row rank; when there is room, column
+    0 is zero and column 2 repeats column 1."""
+    while True:
+        data = [[rng.randrange(gf.q) if rng.random() < 0.6 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+        if cols >= rows + 2:
+            for row in data:
+                row[0], row[2] = 0, row[1]
+        M = Mat(gf, data, cols=cols)
+        if mat_rank(M) == rows:
+            return M
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2), (2, 8), (13, 3)],
+                         ids=str)
+def test_first_deficient_matches_rank(pm):
+    """`first_deficient` finds the first subset in `combinations` order
+    that fails to span, for every size from 0 (below the rank: the first
+    columns) to n (all of them), on matrices with a zero column and a
+    repeated one, over GF(2) bit masks and larger fields."""
+    gf = field_make(*pm)
+    rng = random.Random(24)
+    verdicts = set()
+    for rows, cols in ((0, 3), (1, 4), (2, 5), (3, 6), (3, 8), (4, 4),
+                       (4, 7), (5, 9)):
+        for _ in range(2):
+            M = _full_row_rank_matrix(gf, rng, rows, cols)
+            for size in range(cols + 1):
+                got = first_deficient(M, size)
+                assert got == _first_deficient_by_rank(M, size), size
+                if size < rows:
+                    assert got == list(range(size))
+                verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("pm", VIEW_FIELDS, ids=str)
