@@ -3,10 +3,12 @@
 Elements are plain Python ints in [0, p^m): the base-p digits of the int are
 the coefficients of the polynomial representation, so for GF(2^m) the int is
 the usual bit-packed form.  Multiplication and inversion go through
-precomputed log/antilog tables (`GF` refuses more than 2^20 elements, so
-the tables are cheap and make the linear-algebra verifiers fast).
-Addition is XOR in characteristic 2 and integer addition mod p in prime
-fields; in odd-characteristic extension fields it uses Zech logarithms,
+log/antilog tables.  `GF` refuses more than 2^20 elements and builds the
+largest field in about a second: the powers of the primitive element come
+from a walk of packed digit vectors through two lookup tables (`_powers`),
+and the search for that element skips the prime subfield.  Addition is XOR
+in characteristic 2 and integer addition mod p in prime fields; in
+odd-characteristic extension fields it uses Zech logarithms,
 a + b = a (1 + b/a), read from a table of log(1 + g^i) built with the field.
 """
 
@@ -131,6 +133,58 @@ def _default_modulus(p: int, m: int) -> Tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+def _powers(p: int, m: int, columns: Sequence[int], count: int) -> List[int]:
+    """g^0 .. g^(count - 1) in GF(p^m), for the g with x^k g = columns[k].
+
+    Multiplying by g is GF(p)-linear, so it is a sum of two table reads: the
+    images of an element's low ceil(m/2) digits and of the rest.  Digit k of
+    a packed int sits in bits [B k, B (k + 1)), with B one bit wider than
+    p - 1, so the sum leaves each digit below 2p with no carry, and one
+    masked subtraction brings every digit below p.  In characteristic 2,
+    B = 1 and the sum is XOR.  Two more tables unpack the digits.
+    """
+    b = 1 if p == 2 else (p - 1).bit_length() + 1
+    ones = sum(1 << b * k for k in range(m))
+    top, fix = ones << b - 1, ((1 << b - 1) - p) * ones
+
+    def add(u: int, v: int) -> int:
+        if p == 2:
+            return u ^ v
+        s = u + v
+        return s - (((s + fix) & top) >> b - 1) * p
+
+    def tables(ks: range) -> Tuple[List[int], List[int]]:
+        idx, img, val = [0], [0], [0]
+        for j, k in enumerate(ks):
+            col = sum(columns[k] // p ** i % p << b * i for i in range(m))
+            ni, ng, nv, dcol = [], [], [], 0
+            for d in range(p):
+                ni += [i + (d << b * j) for i in idx]
+                ng += [add(u, dcol) for u in img]
+                nv += [v + d * p ** k for v in val]
+                dcol = add(dcol, col)
+            idx, img, val = ni, ng, nv
+        gi, gv = [0] * (1 << b * len(ks)), [0] * (1 << b * len(ks))
+        for i, u, v in zip(idx, img, val):
+            gi[i], gv[i] = u, v
+        return gi, gv
+
+    h = (m + 1) // 2
+    (lo, lo_val), (hi, hi_val) = tables(range(h)), tables(range(h, m))
+    shift, mask = b * h, (1 << b * h) - 1
+    out, v = [1] * count, 1
+    if p == 2:
+        for i in range(1, count):
+            v = lo[v & mask] ^ hi[v >> shift]
+            out[i] = v
+        return out
+    for i in range(1, count):
+        s = lo[v & mask] + hi[v >> shift]
+        v = s - (((s + fix) & top) >> b - 1) * p
+        out[i] = lo_val[v & mask] + hi_val[v >> shift]
+    return out
+
+
 class GF:
     """A finite field GF(p^m) with log/antilog multiplication tables.
 
@@ -141,11 +195,13 @@ class GF:
         m + 1; the empty tuple for prime fields (m = 1)
     primitive : an element verified to generate the multiplicative group
 
-    The tables are `_exp[i] = g^i` and `_log[g^i] = i` for the primitive
-    element g, and the Zech logarithms `_zech[i] = log(1 + g^i)`, which is
-    -1 where 1 + g^i = 0.  `_zech` holds two periods, 0 <= i < 2(q - 1), so
-    that `matrix` can index it by a sum of logarithms minus a logarithm
-    without reducing the index first.
+    The primitive element g is the least int that generates; in an
+    extension field the search starts at p, past the prime subfield.  The
+    tables are `_exp[i] = g^i` (walked by `_powers` from the m products
+    x^k g), `_log[g^i] = i`, and the Zech logarithms
+    `_zech[i] = log(1 + g^i)`, which is -1 where 1 + g^i = 0.  `_zech` holds
+    two periods, 0 <= i < 2(q - 1), so that `matrix` can index it by a sum
+    of logarithms minus a logarithm without reducing the index first.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "primitive", "_exp", "_log",
@@ -204,22 +260,22 @@ class GF:
         return result
 
     def _build_tables(self) -> None:
-        order = self.q - 1
-        factors = prime_factors(order) if order > 1 else []
-        primitive = None
-        for g in range(1, self.q):
-            if order == 1:
-                primitive = g
-                break
+        p, m, order = self.p, self.m, self.q - 1
+        factors = prime_factors(order)
+        # 1 .. p - 1 are the prime subfield, whose orders divide p - 1 < q - 1
+        for g in range(p if m > 1 else 1, self.q):
             if all(self._raw_pow(g, order // f) != 1 for f in factors):
-                primitive = g
                 break
-        if primitive is None:
+        else:
             raise FieldError("no primitive element found")
-        self.primitive = primitive
-        exp = [1] * order
-        for i in range(1, order):
-            exp[i] = self._raw_mul(exp[i - 1], primitive)
+        self.primitive = g
+        if m == 1:
+            exp = [1] * order
+            for i in range(1, order):
+                exp[i] = exp[i - 1] * g % p
+        else:
+            exp = _powers(p, m, [self._raw_mul(p ** k, g) for k in range(m)],
+                          order)
         log = [0] * self.q
         for i, v in enumerate(exp):
             log[v] = i

@@ -1,11 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from lrckit import io
 from lrckit.field import (GF, MAX_FIELD_SIZE, DivideByZero, FieldError,
-                          field_make, field_of_size, prime_power,
-                          subfield_embedding)
+                          field_make, field_of_size, prime_factors,
+                          prime_power, subfield_embedding)
 
 FIELDS = [field_make(2), field_make(3), field_make(7), field_make(2, 4),
           field_make(3, 2), field_make(2, 8), field_make(13)]
@@ -212,3 +213,73 @@ def test_poly_eval_horner():
     gf = field_make(7)
     # 3 + 2x + x^2 at x = 4 -> 3 + 8 + 16 = 27 = 6 mod 7
     assert gf.poly_eval([3, 2, 1], 4) == 6
+
+
+# The tables as the polynomial multiply `_raw_mul` bootstraps them, one
+# product per element, with the primitive element searched from 1.
+def _bootstrap_tables(gf):
+    order = gf.q - 1
+    factors = prime_factors(order)
+    g = next(g for g in range(1, gf.q)
+             if all(gf._raw_pow(g, order // f) != 1 for f in factors))
+    exp = [1] * order
+    for i in range(1, order):
+        exp[i] = gf._raw_mul(exp[i - 1], g)
+    log = [0] * gf.q
+    for i, v in enumerate(exp):
+        log[v] = i
+
+    def one_plus(v):
+        if gf.m == 1:
+            return (v + 1) % gf.p
+        cs = gf.coeffs(v)
+        return gf.from_coeffs((cs[0] + 1,) + cs[1:])
+    zech = [-1 if one_plus(v) == 0 else log[one_plus(v)] for v in exp]
+    return g, exp, log, zech + zech
+
+
+def _check_tables(gf):
+    assert (gf.primitive, gf._exp, gf._log, gf._zech) \
+        == _bootstrap_tables(gf), gf
+
+
+_SMALL_EXTENSIONS = [pm for pm in map(prime_power, range(2, 4097))
+                     if pm and pm[1] > 1]
+
+
+@pytest.mark.parametrize("p, m, modulus", [
+    *((p, m, None) for p, m in _SMALL_EXTENSIONS),
+    (13, 3, None), (31, 3, None), (101, 2, None),
+    # x is not primitive under either modulus
+    (2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]), (3, 2, [1, 0, 1])], ids=str)
+def test_extension_tables_match_bootstrap(p, m, modulus):
+    gf = GF(p, m, modulus)
+    if modulus is not None:
+        assert gf.primitive > p
+    _check_tables(gf)
+
+
+def test_every_small_extension_is_pinned():
+    assert len(_SMALL_EXTENSIONS) == 40
+
+
+def test_prime_field_tables_match_bootstrap():
+    for p in range(2, 2000):
+        if prime_factors(p) == [p]:
+            _check_tables(GF(p))
+    _check_tables(GF(1048573))  # the largest prime below 2^20
+
+
+# The bootstrap is too slow for these two, so the SHA-256 of the antilog table
+# it built pins them.
+@pytest.mark.parametrize("p, m, primitive, digest", [
+    (3, 12, 14,
+     "fd0418b81a3e7b7f8d72302d6f549221b8c36c5e6d5dbadc682b7b03e27ad1a0"),
+    (2, 20, 2,
+     "9c887ba5b239ae8fc23119b6357c7e2634eed60627ef81afc4200087566e82f9")],
+    ids=["3^12", "2^20"])
+def test_large_extension_tables_pinned(p, m, primitive, digest):
+    gf = GF(p, m)
+    assert gf.primitive == primitive
+    assert hashlib.sha256(",".join(map(str, gf._exp)).encode()) \
+        .hexdigest() == digest
