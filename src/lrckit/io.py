@@ -6,16 +6,18 @@ so round-trips are bit-exact.
 
 Every JSON output is written by `dump`: `json.dumps(indent=1,
 sort_keys=True)`, with a Fraction as {"num", "den", "float"}, except a
-code's matrix rows.  Those `json` writes as NaN, and `dump` splices the
-rows' text in there; a GF(2) `Mat` is written straight from its bit masks.
-`load_code` reads rows in exactly that layout back into bit masks, parsing
-only the rest of the file, with the same NaN in place of the rows, as JSON.
+code's matrix rows, which `json` writes as NaN and `dump` splices in; a
+GF(2) `Mat` is written straight from its bit masks.  `load_code` checks
+rows in that layout against the zero row's text, reads them into masks and
+parses the rest as JSON, hashing a file of 1 MiB or more on a second thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,6 +32,9 @@ _INT = {int}
 #: hold: `code_to_json` raises BudgetExceeded above it, before any row is
 #: made.  2 * 10^8 GF(2) entries are about 1.2 GB of code/1 text.
 MAX_CODE_ENTRIES = 2 * 10 ** 8
+
+#: `load_code` hashes a file of at least this many bytes on a second thread
+HASH_THREAD_BYTES = 1 << 20
 
 
 class SchemaError(ValueError):
@@ -241,21 +246,27 @@ def _bit_rows(bits: Sequence[int], cols: int) -> Iterator[bytearray]:
 def load_code(path: str) -> Tuple[LinearCode, str]:
     """The code in the file at `path`, and the SHA-256 of the file's bytes.
 
-    The file is read once, as bytes.  If its field is GF(2) and its
-    top-level `rows` are exactly in `dump`'s layout, as `lrckit construct`
-    writes them, the rows become bit masks without being parsed as JSON,
-    and only the rest of the file goes through `json.loads` and the checks
-    of `code_from_json`.  Any other field or layout takes `code_from_json`
-    on the whole file, so both ways accept the same files and reject the
-    others with the same errors.
+    A GF(2) file whose top-level `rows` are in `dump`'s layout, as `lrckit
+    construct` writes them, has them read by `_read_bit_rows` and the rest
+    parsed as JSON; any other file takes `code_from_json` whole.  Both ways
+    accept the same files and reject the others with the same errors.  A
+    file of HASH_THREAD_BYTES or more is hashed on a second thread meanwhile
+    (`hashlib` lets go of the interpreter lock), or here if that one fails.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
-    fast = _gf2_code_file(data)
-    if fast is None:
-        return code_from_json(_parse(data, path)), digest
-    return code_from_json(*fast), digest
+    digest: List[str] = []
+    hasher = threading.Thread(target=lambda: digest.append(
+        hashlib.sha256(data).hexdigest()))
+    if len(data) >= HASH_THREAD_BYTES:
+        with contextlib.suppress(RuntimeError):  # no thread to be had
+            hasher.start()
+    try:
+        code = code_from_json(*(_gf2_code_file(data) or (_parse(data, path),)))
+    finally:
+        if hasher.is_alive():
+            hasher.join()
+    return code, digest[0] if digest else hashlib.sha256(data).hexdigest()
 
 
 def _gf2_code_file(data: bytes) -> Optional[Tuple[dict, Mat]]:
@@ -263,28 +274,19 @@ def _gf2_code_file(data: bytes) -> Optional[Tuple[dict, Mat]]:
     if its field is GF(2) and its top-level rows are in `dump`'s layout;
     otherwise None."""
     key = data.find(_ROWS_KEY.encode())
-    if key < 0:
-        return None
     start = key + len(_ROWS_KEY)
     end = data.rfind((_ROWS_AT + "]").encode()) + len(_ROWS_AT) + 1
-    if end <= start:
+    if key < 0 or end <= start:
         return None
-    # The rest of the file, with NaN standing in for the rows: the parse
-    # must meet that NaN once, as the value of the top-level "rows", else
-    # the rows were not where they were looked for.
-    stand_in: List[str] = []
-
-    def constant(name: str) -> list:
-        stand_in.append(name)
-        return stand_in
-
+    # The rest of the file, NaN in place of the rows: the parse must meet
+    # that NaN once, as the top-level "rows", or the rows were elsewhere.
+    seen: List[str] = []
     try:
         obj = json.loads((data[:start] + b"NaN" + data[end:]).decode("utf-8"),
-                         parse_constant=constant)
+                         parse_constant=lambda c: seen.append(c) or seen)
     except ValueError:  # UnicodeDecodeError, JSONDecodeError
         return None
-    if (type(obj) is not dict or obj.get("rows") is not stand_in
-            or len(stand_in) != 1):
+    if type(obj) is not dict or obj.get("rows") is not seen or len(seen) != 1:
         return None
     field = obj.get("field")
     if (type(field) is not dict or field.get("p") != 2
@@ -298,30 +300,28 @@ def _gf2_code_file(data: bytes) -> Optional[Tuple[dict, Mat]]:
 
 def _read_bit_rows(data: bytes, start: int,
                    end: int) -> Optional[Tuple[List[int], int]]:
-    """(bit masks, cols) of the rows that `data[start:end]` holds, if it is
-    exactly the text `dump` makes of them: the first row's length gives
-    cols, each row's digits its mask, and the text rebuilt from the masks
-    must be the bytes read.  Otherwise None."""
-    head, sep = len("[" + _ROW_AT), len("," + _ROW_AT)
-    # a row of c entries is c * (len(_ROW_AT) + 3) + len(_ROW_AT) + 1 bytes
-    size = data.find((_ROW_AT + "]").encode(), start) + len(_ROW_AT) + 1 \
-        - (start + head)
-    cols = (size - len(_ROW_AT) - 1) // (len(_ROW_AT) + 3)
-    if cols < 1:
+    """(bit masks, cols) of the rows in `data[start:end]` if it is exactly
+    `dump`'s text of them, else None.  The first row gives cols; each row
+    and the separator after it, 1s made 0s, must be the zero row's text and
+    that separator (only its digits are 0s); a strided slice reads a mask."""
+    head, sep = ("[" + _ROW_AT).encode(), ("," + _ROW_AT).encode()
+    top = start + len(head)
+    # a row is "[" and c entries, c * (len(_ROW_AT) + 3) bytes, _ROW_AT, "]"
+    cols = (data.find(b"]", top) - top) // (len(_ROW_AT) + 3)
+    zero, first, step = _row_template(cols)
+    stride, last = len(zero) + len(sep), first + (cols - 1) * step
+    # the last row is closed by _ROWS_AT + "]", a byte shorter than sep
+    if (cols < 1 or not data.startswith(head, start)
+            or (end - top + 1) % stride):
         return None
-    _, first, step = _row_template(cols)
+    between, closing = zero + sep, zero + (_ROWS_AT + "]").encode()
     bits = []
-    for at in range(start + head, end, size + sep):
-        digits = data[at + first:at + size:step]
-        if digits.translate(None, b"01"):
+    for at in range(top, end, stride):
+        text = between if at + stride < end else closing
+        if data[at:at + len(text)].replace(b"1", b"0") != text:
             return None
-        bits.append(int(digits[::-1], 2))
-    at = start
-    for piece in _rows_text(_bit_rows(bits, cols)):
-        if not data.startswith(piece, at):
-            return None
-        at += len(piece)
-    return (bits, cols) if at == end else None
+        bits.append(int(data[at + last:at + first - 1:-step], 2))
+    return bits, cols
 
 
 def _parse(data: bytes, path: str):

@@ -5,13 +5,17 @@
 parsing only the rest of the file as JSON.  Both are held to the plain
 path: the writer to `json.dumps(indent=1, sort_keys=True)` of the lists,
 byte for byte, and the reader to `io.load` -> `code_from_json`, which must
-give the same code or fail with the same error on every file.
+give the same code or fail with the same error on every file.  The digest
+`io.load_code` returns, hashed on a second thread for a file of 1 MiB or
+more, must be the SHA-256 of the file's bytes either way.
 """
 
 import hashlib
 import json
 import random
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -151,6 +155,11 @@ FIXED = {
     "field GF(3)": lambda d: d.replace(b'"p": 2', b'"p": 3'),
     "row of no entries": lambda d: d.replace(d[slice(*_rows_span(d))],
                                              b"[\n  [\n  ]\n ]"),
+    # "schema" first, so that the rows end the object; they close on an
+    # empty row slot, and "}" ends the file: the slot has no digits at all
+    "empty last row slot": lambda d: d.replace(
+        b"{", b'{"schema": "code/1", ', 1).replace(
+        b'\n  ]\n ],\n "schema": "code/1"\n}\n', b"\n  ],\n  \n ]}"),
 }
 
 
@@ -185,6 +194,13 @@ def test_reader_takes_the_last_rows_as_json_does(tmp_path, plain_reads,
     path.write_bytes(FIXED["second rows after"](petersen))
     fast, plain, took_plain = _differ(str(path), plain_reads)
     assert fast == plain and fast[1:3] == (1, 15) and took_plain
+
+
+def test_bit_row_reader_takes_only_a_span_of_whole_rows(petersen):
+    start, end = _rows_span(petersen)
+    assert lio._read_bit_rows(petersen, start, end)[1] == 15
+    for cut in (-4, -1, 1, 2):
+        assert lio._read_bit_rows(petersen, start, end + cut) is None
 
 
 def _shapes():
@@ -329,3 +345,98 @@ def test_manifest_records_input_hash_python_and_platform(tmp_path, capsys):
         assert payload["manifest"]["python"] == sys.version.split()[0]
         assert payload["manifest"]["platform"] == sys.platform
     assert "input_sha256" not in made["manifest"]
+
+
+def _counted_starts(monkeypatch):
+    """The threads started from now on, each as it starts."""
+    starts = []
+    real = threading.Thread.start
+
+    def start(self):
+        starts.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
+
+
+@pytest.mark.parametrize("extra", [-1, 0])
+def test_load_code_hashes_on_a_thread_from_one_mib(tmp_path, monkeypatch,
+                                                   extra):
+    """A code file one byte short of HASH_THREAD_BYTES is hashed inline, one
+    of exactly that size on a second thread; both digests are the bytes'."""
+    M = Mat.from_bits(GF2, [(0b1011 << i) % 2 ** 1800 for i in range(97)],
+                      1800)
+    text = lio.dumps(lio.code_to_json(LinearCode(M))).encode()
+    # pad the file to size with spaces at its end, which JSON skips
+    pad = lio.HASH_THREAD_BYTES + extra - len(text)
+    assert lio.HASH_THREAD_BYTES == 1 << 20 and 0 <= pad < 10 ** 5
+    path = tmp_path / "code.json"
+    path.write_bytes(text + b" " * pad)
+    starts = _counted_starts(monkeypatch)
+    code, digest = lio.load_code(str(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert code.H.bits == M.bits
+    assert len(starts) == (extra == 0) and not any(t.is_alive()
+                                                   for t in starts)
+
+
+def test_load_code_hashes_inline_when_no_thread_starts(tmp_path, petersen,
+                                                      monkeypatch):
+    path = tmp_path / "code.json"
+    path.write_bytes(petersen)
+    monkeypatch.setattr(lio, "HASH_THREAD_BYTES", 0)
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, digest = lio.load_code(str(path))
+    assert digest == hashlib.sha256(petersen).hexdigest()
+    assert _outcome(_fast, str(path)) == _outcome(_plain, str(path))
+
+
+def test_load_code_hashes_inline_when_the_thread_fails(tmp_path, petersen,
+                                                      monkeypatch):
+    path = tmp_path / "code.json"
+    path.write_bytes(petersen)
+    monkeypatch.setattr(lio, "HASH_THREAD_BYTES", 0)
+    real = hashlib.sha256
+
+    def sha256(data):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError
+        return real(data)
+
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    failed = []
+    monkeypatch.setattr(threading, "excepthook", failed.append)
+    starts = _counted_starts(monkeypatch)
+    assert lio.load_code(str(path))[1] == real(petersen).hexdigest()
+    assert len(starts) == 1 and len(failed) == 1
+
+
+def test_load_code_joins_the_hash_thread_when_reading_fails(
+        tmp_path, petersen, monkeypatch):
+    """The hash thread is still hashing when the read fails: the error
+    propagates, and no thread is left running."""
+    path = tmp_path / "code.json"
+    path.write_bytes(petersen)
+    monkeypatch.setattr(lio, "HASH_THREAD_BYTES", 0)
+    real = hashlib.sha256
+
+    def slow(data):
+        time.sleep(0.2)
+        return real(data)
+
+    def fail(data):
+        raise KeyError("read failed")
+
+    monkeypatch.setattr(hashlib, "sha256", slow)
+    monkeypatch.setattr(lio, "_gf2_code_file", fail)
+    starts = _counted_starts(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="read failed"):
+        lio.load_code(str(path))
+    assert len(starts) == 1
+    assert threading.active_count() == before
