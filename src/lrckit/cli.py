@@ -19,6 +19,7 @@ stderr in both cases).  The JSON's `error` is one of a closed set: `usage`,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -91,7 +92,7 @@ def _field(q=None, p=None, mdeg=None, modulus=None) -> GF:
     except json.JSONDecodeError:
         raise FieldError(f"--modulus {modulus!r} is not JSON") from None
     if q:
-        return field_of_size(q, modulus or None)
+        return field_of_size(q, modulus)
     if p is None:
         raise ValueError("specify the field via --q or --p/--mdeg")
     return field_make(p, mdeg or 1, modulus)
@@ -367,8 +368,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """`lrckit COMMAND NAME ...`: the flags after NAME go to its row."""
+    """`lrckit COMMAND NAME ...`: the flags after NAME go to its row.  Built
+    once per process and shared by every call: do not change it."""
     ap = _Parser(prog="lrckit", description="erasure-code workbench: "
                  "constructions, bounds, verifiers")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -380,8 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
 def row_parser(cmd: str, name: str) -> argparse.ArgumentParser:
-    """The parser of one row: the flags its call reads, and --out."""
+    """The parser of one row: the flags its call reads, and --out.  Built
+    once per process and row, and shared: do not change it."""
     p = _Parser(prog=f"lrckit {cmd} {name}")
     for flag in TABLES[cmd][name][0].split():
         p.add_argument("--" + flag, **FLAGS[cmd].get(
@@ -391,6 +396,8 @@ def row_parser(cmd: str, name: str) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command line; its exit code.  The parsers are built once per
+    process and shared by every call, which leaves nothing in them."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         top = build_parser().parse_args(argv)

@@ -256,8 +256,11 @@ def load_code(path: str) -> Tuple[LinearCode, str]:
     with open(path, "rb") as fh:
         data = fh.read()
     digest: List[str] = []
-    hasher = threading.Thread(target=lambda: digest.append(
-        hashlib.sha256(data).hexdigest()))
+
+    def hash_data() -> None:  # on an error, hashed again below, inline
+        with contextlib.suppress(Exception):
+            digest.append(hashlib.sha256(data).hexdigest())
+    hasher = threading.Thread(target=hash_data)
     if len(data) >= HASH_THREAD_BYTES:
         with contextlib.suppress(RuntimeError):  # no thread to be had
             hasher.start()

@@ -671,6 +671,9 @@ MALFORMED = {
     "modulus object": ('{"a":1}', "FieldError"),
     "modulus float": ("[1.5,0,1]", "FieldError"),
     "q not a prime power": (["--q", "6"], "FieldError"),
+    # --q reads --modulus as --p/--mdeg does: only null means "none given"
+    **{f"q, modulus {v}": (["--q", "8", "--modulus", v], "FieldError")
+       for v in ("0", "false", '""', "{}", "[]")},
     "field.p string": (_set("field.p", "2"), "SchemaError"),
     "field.modulus int": (_set("field.modulus", 7), "SchemaError"),
     "params.n string": (_set("params.n", "x"), "SchemaError"),
@@ -708,6 +711,20 @@ def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
             lio.code_from_json(lio.load(str(path)))
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == kind
+
+
+def test_modulus_null_is_no_modulus(capsys):
+    """`--modulus null` is the default modulus, over --q and --p/--mdeg."""
+    codes = []
+    for field in (["--q", "8"], ["--p", "2", "--mdeg", "3"]):
+        for modulus in ([], ["--modulus", "null"]):
+            argv = ["construct", "pyramid", "--n", "7", "--k", "4", "--r",
+                    "2"] + field + modulus
+            assert main(argv) == 0, argv
+            out = json.loads(capsys.readouterr().out)
+            del out["manifest"]
+            codes.append(out)
+    assert all(code == codes[0] for code in codes)
 
 
 def test_code_of_length_zero_is_refused(tmp_path, capsys):
