@@ -115,18 +115,22 @@ def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]
                   key=lambda s: (len(s), sorted(s)))
 
 
-def _supports_by_coord(n: int, supports: Sequence[FrozenSet[int]]
-                       ) -> List[List[int]]:
-    """For each coordinate, the indices of the supports that hold it."""
-    by_coord: List[List[int]] = [[] for _ in range(n)]
-    for idx, s in enumerate(supports):
-        for c in s:
-            by_coord[c].append(idx)
-    return by_coord
+class _Supports:
+    """The low-weight dual supports of one check, indexed once for all its
+    tests: `sets` in the order given, `masks` with bit c for coordinate c,
+    and `by_coord`, for each coordinate the indices of the sets holding it."""
+
+    def __init__(self, n: int, sets: Sequence[FrozenSet[int]]):
+        self.n, self.sets = n, sets
+        self.masks = [sum(1 << c for c in s) for s in sets]
+        self.by_coord: List[List[int]] = [[] for _ in range(n)]
+        for idx, s in enumerate(sets):
+            for c in s:
+                self.by_coord[c].append(idx)
 
 
 class _Peeler:
-    """Greedy peeling against an indexed list of low-weight dual supports.
+    """Greedy peeling against a check's support view (`_Supports`).
     Peeling is confluent, so greedy order cannot miss a recoverable
     pattern.
 
@@ -140,12 +144,11 @@ class _Peeler:
     exactly one of its bits is still erased.
     """
 
-    def __init__(self, n: int, supports: Sequence[FrozenSet[int]]):
-        self.by_coord = _supports_by_coord(n, supports)
+    def __init__(self, view: _Supports):
+        self.by_coord = view.by_coord
         self.neighbours: List[Optional[FrozenSet[int]]] = [
-            frozenset(c for idx in ids for c in supports[idx]) - {j}
-            if ids else None
-            for j, ids in enumerate(self.by_coord)]
+            frozenset(c for idx in ids for c in view.sets[idx]) - {j}
+            if ids else None for j, ids in enumerate(self.by_coord)]
 
     def recovers(self, erased: Sequence[int]) -> bool:
         neighbours = self.neighbours
@@ -245,14 +248,14 @@ def _incidence_graph(code: LinearCode):
         return None, str(e)
 
 
-def _stopping_set(n: int, supports: Sequence[FrozenSet[int]], t: int,
+def _stopping_set(view: _Supports, t: int,
                   budget: int) -> Tuple[Optional[List[int]], int]:
-    """A stopping set of at most t coordinates (no support meets it exactly
-    once; a pattern fails to peel iff it holds one), or None, and the node
+    """A stopping set of at most t coordinates (no support of the view meets
+    it once; a pattern fails to peel iff it holds one), or None, and the node
     count.  A set branches on the open coordinates of the support meeting it
     once with the fewest, each branch (root too) excluding earlier siblings:
     each node is a distinct pattern.  Over `budget` nodes: BudgetExceeded."""
-    by_coord = _supports_by_coord(n, supports)
+    n, supports, by_coord = view.n, view.sets, view.by_coord
     meets = [0] * len(supports)  # how many coordinates of the set it holds
     blocked = [False] * n  # in the set, or excluded by an earlier sibling
     chosen: List[int] = []
@@ -344,13 +347,13 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     if mode == "sampled" and _girth_certifies(code, r, t, samples):
         return VerifyReport("seq-recovery", True, "sampled",
                             budgets=_sampled_budgets(samples, seed, jobs))
-    supports = low_weight_dual_supports(code, r + 1)
-    if mode == "auto" and _unavailable(n, supports, t) is None:
+    view = _Supports(n, low_weight_dual_supports(code, r + 1))
+    if mode == "auto" and _unavailable(view, t) is None:
         return VerifyReport("seq-recovery", True, "certificate",
                             detail={"recovery_sets": t})
     if mode != "sampled":
         try:
-            witness, nodes = _stopping_set(n, supports, t, budget)
+            witness, nodes = _stopping_set(view, t, budget)
             return VerifyReport("seq-recovery", witness is None, "exhaustive",
                                 witness=witness,
                                 budgets={"patterns": total, "budget": budget,
@@ -358,7 +361,7 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
         except BudgetExceeded:
             if mode == "exhaustive":
                 raise
-    report = _sampled_peel(n, supports, t, samples, seed, jobs)
+    report = _sampled_peel(view, t, samples, seed, jobs)
     if mode == "auto":  # the search ran first, and stopped at its budget
         report.budgets["nodes"] = budget
     return report
@@ -394,14 +397,14 @@ def _sampled_budgets(samples: int, seed: int, jobs: int) -> dict:
     return budgets
 
 
-def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
-                  samples: int, seed: int, jobs: int = 1) -> VerifyReport:
+def _sampled_peel(view: _Supports, t: int, samples: int, seed: int,
+                  jobs: int = 1) -> VerifyReport:
     """Peel `samples` random min(t, n)-subsets of range(n), drawn from
-    `seed`, against the low-weight dual supports: the sampled verdict of
+    `seed`, against the view's supports: the sampled verdict of
     `seq_recovery_check`.  With `jobs` > 1 the samples split into that many
-    chunks, one process each: chunk i draws its share from seed + i, and
-    the report lists every chunk's seed and count, so any chunk replays on
-    its own."""
+    chunks, one process each, which is sent the view: chunk i draws its
+    share from seed + i, and the report lists every chunk's seed and count,
+    so any chunk replays on its own."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if jobs > 1:
@@ -411,7 +414,7 @@ def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
         chunks = budgets["chunks"]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(
-                _sampled_peel, repeat(n), repeat(supports), repeat(t),
+                _sampled_peel, repeat(view), repeat(t),
                 [c["samples"] for c in chunks], [c["seed"] for c in chunks]))
         failed = next((i for i, x in enumerate(results) if not x.verdict),
                       None)
@@ -421,7 +424,7 @@ def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
         return VerifyReport(
             "seq-recovery", failed is None, "sampled", budgets=budgets,
             witness=None if failed is None else results[failed].witness)
-    peeler = _Peeler(n, supports)
+    n, peeler = view.n, _Peeler(view)
     # every subset of a pattern that peels peels: past n, test the largest
     draws = _draws(random.Random(seed), n, min(t, n))
     for i, pattern in enumerate(islice(draws, samples)):
@@ -438,43 +441,39 @@ def _sampled_peel(n: int, supports: Sequence[FrozenSet[int]], t: int,
 # availability
 # ---------------------------------------------------------------------------
 
-def _disjoint_packing(cands: List[FrozenSet[int]], t: int,
-                      chosen: List[FrozenSet[int]]) -> bool:
-    if len(chosen) == t:
+def _disjoint_packing(cands: Sequence[int], t: int, used: int = 0,
+                      start: int = 0) -> bool:
+    """Are t masks of cands[start:] pairwise disjoint and clear of `used`?"""
+    if not t:
         return True
-    for i, c in enumerate(cands):
-        if all(not (c & d) for d in chosen):
-            chosen.append(c)
-            if _disjoint_packing(cands[i + 1:], t, chosen):
-                return True
-            chosen.pop()
+    for j in range(start, len(cands)):
+        if not cands[j] & used and _disjoint_packing(
+                cands, t - 1, used | cands[j], j + 1):
+            return True
     return False
 
 
-def _unavailable(n: int, supports: Sequence[FrozenSet[int]],
-                 t: int) -> Optional[dict]:
-    """The first coordinate without t pairwise-disjoint recovery sets, the
-    supports through it with it removed, as a witness; None when every
-    coordinate has them."""
-    # removing the coordinate from the supports through it keeps them
-    # distinct, of size <= r, and in their order
-    for i, ids in enumerate(_supports_by_coord(n, supports)):
-        cands = [supports[j] - {i} for j in ids]
-        if not _disjoint_packing(cands, t, []):
-            return {"coordinate": i, "candidates": len(cands)}
+def _unavailable(view: _Supports, t: int) -> Optional[dict]:
+    """The first coordinate without t pairwise-disjoint recovery sets, and
+    how many candidates it has (the view's supports through it, less it, as
+    bit masks), as a witness; None when every coordinate has them."""
+    for i, ids in enumerate(view.by_coord):
+        if not _disjoint_packing([view.masks[j] ^ 1 << i for j in ids], t):
+            return {"coordinate": i, "candidates": len(ids)}
     return None
 
 
 def availability_check(code: LinearCode, r: Optional[int] = None,
                        t: Optional[int] = None) -> VerifyReport:
     """Does every coordinate have t pairwise-disjoint recovery sets of size
-    <= r?  Candidate recovery sets are supports of weight <= r+1 dual words
-    with the coordinate removed; packing is decided exactly by
-    backtracking.  `r` and `t` default to the code's declared ones."""
+    <= r?  The candidates, read from one support view, are the supports of
+    weight <= r+1 dual words less the coordinate; a backtrack over their bit
+    masks decides the packing.  `r` and `t` default to the code's own."""
     r, t = declared(code, r=r, t=t)
     if min(r, t) < 1:
         raise ValueError(f"need r, t >= 1, got {r}, {t}")
-    witness = _unavailable(code.n, low_weight_dual_supports(code, r + 1), t)
+    witness = _unavailable(
+        _Supports(code.n, low_weight_dual_supports(code, r + 1)), t)
     return VerifyReport("availability", witness is None, "exhaustive",
                         witness=witness, detail={"r": r, "t": t})
 

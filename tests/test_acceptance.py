@@ -29,7 +29,7 @@ from lrckit.seq_codes import moore_code, seq_general_code, t2_turan_code, \
     t3_catalog
 from lrckit.verify import (availability_check, low_weight_dual_supports,
                            mr_shape_check, pmds_check, pmr_check, sa_check,
-                           seq_recovery_check, _Peeler)
+                           seq_recovery_check, _Peeler, _Supports)
 
 
 def report(num: int, title: str, started: float, limit: float = None):
@@ -248,7 +248,7 @@ def test_criterion_11_property_suites():
     for code, r, t in fixtures:
         assert code.n <= 12
         supports = low_weight_dual_supports(code, r + 1)
-        peeler = _Peeler(code.n, supports)
+        peeler = _Peeler(_Supports(code.n, supports))
 
         def by_orders(pattern):
             def ok(order):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -15,13 +16,16 @@ from lrckit.graphs import girth, shortest_cycle
 from lrckit.lr_codes import pg_plane_sa_code, product_avail_code, \
     steiner_sa_code, wang_avail_code
 from lrckit.matrix import Mat
+from lrckit.mr_codes import mr_r12, mr_rdelta2, pmr_parity_split
 from lrckit.seq_codes import (moore_code, seq_general_code,
                               t2_near_regular_code, t2_turan_code,
                               t3_catalog)
 from lrckit.verify import (VerifyReport, availability_check,
                            classify_rate_optimal_t2, low_weight_dual_supports,
-                           sa_check, seq_recovery_check, staircase_check,
-                           _draws, _incidence_graph, _Peeler, _sampled_peel)
+                           pmds_check, pmr_check, sa_check,
+                           seq_recovery_check, staircase_check,
+                           _draws, _incidence_graph, _Peeler, _sampled_peel,
+                           _Supports)
 
 GF2 = field_make(2)
 
@@ -58,7 +62,7 @@ def test_peeling_agrees_with_ordering_brute_force(name, code, r, t):
     if code.n > 12:
         pytest.skip("oracle is factorial; fixtures stay at n <= 12")
     from lrckit.verify import _Peeler
-    peeler = _Peeler(code.n, low_weight_dual_supports(code, r + 1))
+    peeler = _Peeler(_Supports(code.n, low_weight_dual_supports(code, r + 1)))
     for size in range(1, t + 1):
         for pattern in combinations(range(code.n), size):
             via_orders = ordering_brute_force(code, r, t, pattern)
@@ -70,10 +74,10 @@ def test_peeling_agrees_with_ordering_brute_force(name, code, r, t):
 def _search_matches_peeling(code, r, t):
     """Pin `_stopping_set` to brute-force peeling of every pattern of at
     most t coordinates; returns whether every pattern peels."""
-    supports = low_weight_dual_supports(code, r + 1)
-    peeler = _Peeler(code.n, supports)
+    view = _Supports(code.n, low_weight_dual_supports(code, r + 1))
+    peeler = _Peeler(view)
     total = sum(math.comb(code.n, j) for j in range(1, t + 1))
-    witness, nodes = verify._stopping_set(code.n, supports, t, total)
+    witness, nodes = verify._stopping_set(view, t, total)
     peels = all(peeler.recovers(p) for size in range(1, t + 1)
                 for p in combinations(range(code.n), size))
     assert (witness is None) == peels, (code.H.data, r, t)
@@ -140,10 +144,10 @@ def test_availability_certificate_implies_peeling(monkeypatch):
     samples otherwise."""
     certified = 0
     for code, r, t in _random_codes():
-        supports = low_weight_dual_supports(code, r + 1)
-        if verify._unavailable(code.n, supports, t) is None:
+        view = _Supports(code.n, low_weight_dual_supports(code, r + 1))
+        if verify._unavailable(view, t) is None:
             certified += 1
-            peeler = _Peeler(code.n, supports)
+            peeler = _Peeler(view)
             assert all(peeler.recovers(p) for size in range(1, t + 1)
                        for p in combinations(range(code.n), size))
             assert availability_check(code, r, t).verdict
@@ -151,7 +155,7 @@ def test_availability_certificate_implies_peeling(monkeypatch):
             m.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 0)
             rep = seq_recovery_check(code, r, t, samples=50)
         assert rep.mode == ("certificate" if verify._unavailable(
-            code.n, supports, t) is None else "sampled")
+            view, t) is None else "sampled")
     assert 10 <= certified <= 200, certified
 
 
@@ -181,9 +185,162 @@ def test_availability_certificate_agrees_with_the_search(make):
     stopping set of at most t coordinates (under 700 nodes each)."""
     code = make()
     r, t = code.params.r, code.params.t
-    supports = low_weight_dual_supports(code, r + 1)
-    assert verify._unavailable(code.n, supports, t) is None
-    assert verify._stopping_set(code.n, supports, t, math.inf)[0] is None
+    view = _Supports(code.n, low_weight_dual_supports(code, r + 1))
+    assert verify._unavailable(view, t) is None
+    assert verify._stopping_set(view, t, math.inf)[0] is None
+
+
+def _frozenset_packing(cands, t, chosen):
+    """The packing on frozensets that the bit-mask `_disjoint_packing`
+    replaced, kept as its reference: can `chosen` grow to t pairwise
+    disjoint sets with sets of `cands`?"""
+    if len(chosen) == t:
+        return True
+    for i, c in enumerate(cands):
+        if all(not (c & d) for d in chosen):
+            chosen.append(c)
+            if _frozenset_packing(cands[i + 1:], t, chosen):
+                return True
+            chosen.pop()
+    return False
+
+
+def _frozenset_unavailable(n, supports, t):
+    """`_unavailable` on frozensets: each coordinate's candidates are the
+    supports through it, in their order, with it removed."""
+    for i in range(n):
+        cands = [s - {i} for s in supports if i in s]
+        if not _frozenset_packing(cands, t, []):
+            return {"coordinate": i, "candidates": len(cands)}
+    return None
+
+
+def _dense_gf2_codes():
+    """Seeded dense GF(2) codes: H of m rows and 2m columns, m = 4..10,
+    entries drawn row by row, each at r = n - 1 and t = 2, 3, 4."""
+    for m in range(4, 11):
+        rng = random.Random(m)
+        rows = [[rng.randrange(2) for _ in range(2 * m)] for _ in range(m)]
+        code = LinearCode(Mat(GF2, rows, cols=2 * m))
+        for t in (2, 3, 4):
+            yield code, 2 * m - 1, t
+
+
+def test_mask_packing_matches_frozenset_packing():
+    """`_unavailable` packs bit masks.  On the codes of `_random_codes`, the
+    strict availability codes and the dense codes of `_dense_gf2_codes` it
+    gives the verdict and witness of the frozenset packing it replaced;
+    both verdicts occur."""
+    strict = [make() for make in STRICT_AVAILABILITY_CODES.values()]
+    cases = [*_random_codes(), *_dense_gf2_codes(),
+             *((code, code.params.r, code.params.t) for code in strict)]
+    witnesses = []
+    for code, r, t in cases:
+        supports = low_weight_dual_supports(code, r + 1)
+        got = verify._unavailable(_Supports(code.n, supports), t)
+        assert got == _frozenset_unavailable(code.n, supports, t), (
+            code.H.data, r, t)
+        witnesses.append(got)
+    assert witnesses[-len(strict):] == [None] * len(strict)
+    assert 10 <= witnesses.count(None) <= len(witnesses) - 10
+
+
+def test_each_check_builds_its_support_view_once(monkeypatch):
+    """`availability_check` builds one support view.  So does a `seq` `auto`
+    run that goes on to the availability test, the search and the draws,
+    each reading that one view, and a sampled run with jobs = 2, counted in
+    this process: its workers are sent the view."""
+    built, read = [], []
+    init = verify._Supports.__init__
+    monkeypatch.setattr(verify._Supports, "__init__", lambda self, *args:
+                        built.append(self) or init(self, *args))
+    for name in ("_unavailable", "_stopping_set", "_Peeler"):
+        monkeypatch.setattr(verify, name, lambda view, *args,
+                            f=getattr(verify, name), name=name:
+                            read.append((name, view)) or f(view, *args))
+    code = _incidence(graphs.petersen_graph(), 3)  # GF(3): no cycle witness
+    assert not availability_check(code, 2, 5).verdict
+    assert len(built) == 1 and read == [("_unavailable", built[0])]
+    monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 10)
+    rep = seq_recovery_check(code, 2, 5, samples=300, seed=5)
+    assert (rep.mode, rep.budgets["nodes"]) == ("sampled", 10)
+    assert len(built) == 2 and read[1:] == [
+        (name, built[1]) for name in ("_unavailable", "_stopping_set",
+                                      "_Peeler")]
+    rep = seq_recovery_check(code, 2, 5, mode="sampled", samples=300,
+                             seed=5, jobs=2)
+    assert rep.budgets["jobs"] == 2 and len(built) == 3
+
+
+def _row_mixed(code, rng):
+    """`code` with an H of the same row space: each step scales a row or
+    adds a multiple of one row to another, and the rows are then shuffled.
+    The params and provenance carry over."""
+    gf, rows = code.gf, [list(row) for row in code.H.data]
+    for _ in range(3 * len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        c = rng.randrange(1, gf.q)
+        rows[i] = [gf.mul(c, x) if i == j else gf.add(x, gf.mul(c, y))
+                   for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return LinearCode(Mat(gf, rows, cols=code.n), params=code.params,
+                      provenance=code.provenance)
+
+
+def _column_copied(code, src, dst):
+    """`code` with column dst of H made a copy of column src."""
+    rows = [list(row) for row in code.H.data]
+    for row in rows:
+        row[dst] = row[src]
+    return LinearCode(Mat(code.gf, rows, cols=code.n),
+                      provenance=code.provenance)
+
+
+def test_reports_depend_on_the_code_not_on_its_h():
+    """Row operations and a row shuffle keep the code, and so every report,
+    byte for byte: `seq` in each of exhaustive, auto and sampled mode and
+    `avail` on 150 seeded random codes each over GF(2), GF(3) and GF(4),
+    and `pmds` (exact and sampled) and `pmr` on MR and PMR codes, with and
+    without a duplicated column; PASS and FAIL both occur.  Each dual here
+    has at most DUAL_ENUM_MAX_WORDS words and is walked in full.  Past that
+    bound the supports are the stored rows of H, and one row addition is
+    known to move verdicts over GF(2^8); such codes join once the dual's
+    circuits are walked instead."""
+    rng = random.Random(20261020)
+    reports = Counter()
+    for i in range(450):
+        gf = field_make(*((2, 1), (3, 1), (2, 2))[i % 3])
+        n, m = rng.randint(4, 10), rng.randint(2, 5)
+        rows = [[rng.randrange(1, gf.q) if rng.random() < 0.5 else 0
+                 for _ in range(n)] for _ in range(m)]
+        code = LinearCode(Mat(gf, rows, cols=n))
+        r, t = rng.randint(1, 4), rng.randint(1, 4)
+        mixed = _row_mixed(code, rng)
+        checks = [lambda c: availability_check(c, r, t)] + [
+            lambda c, mode=mode: seq_recovery_check(c, r, t, mode=mode,
+                                                    samples=100, seed=i)
+            for mode in ("exhaustive", "auto", "sampled")]
+        for check in checks:
+            rep = check(code).as_dict()
+            assert check(mixed).as_dict() == rep, (code.H.data, r, t)
+            reports[rep["property"], rep["verdict"]] += 1
+    for code, delta, s_extra in ((mr_r12(3, 2), 1, 2),
+                                 (mr_rdelta2(2, 2, 2, 4), 2, 2),
+                                 (pmr_parity_split(2, 3, 2, field_make(7)),
+                                  1, 1)):
+        st = code.provenance["local_structure"]
+        for variant in (code, _column_copied(code, 0, code.n - 1)):
+            mixed = _row_mixed(variant, rng)
+            for check in (lambda c: pmds_check(c, st, delta, s_extra),
+                          lambda c: pmds_check(c, st, delta, s_extra,
+                                               mode="sampled", samples=200,
+                                               seed=1),
+                          lambda c: pmr_check(c, st)):
+                rep = check(variant).as_dict()
+                assert check(mixed).as_dict() == rep, (variant.H.data,
+                                                       rep["property"])
+                reports[rep["property"], rep["verdict"]] += 1
+    assert min(reports.values()) >= 3 and len(reports) == 8, reports
 
 
 def test_stopping_set_search_deeper_than_the_recursion_limit():
@@ -247,7 +404,8 @@ def test_incidence_graph_only_for_certificates(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(verify, "_incidence_graph", unused)
         assert seq_recovery_check(pet, 2, 4).mode == "exhaustive"
-    drawn = _sampled_peel(pet.n, low_weight_dual_supports(pet, 3), 4, 50, 0)
+    drawn = _sampled_peel(_Supports(pet.n, low_weight_dual_supports(pet, 3)),
+                          4, 50, 0)
     monkeypatch.setattr(verify, "_draws", _no_draws)
     rep = seq_recovery_check(pet, 2, 4, mode="sampled", samples=50)
     assert rep.verdict and rep.as_dict() == drawn.as_dict()
@@ -297,13 +455,13 @@ def test_sampled_pass_by_the_girth_draws_nothing(name, monkeypatch):
     with one sample fewer it draws."""
     code, r, top = SHORTCUT_CODES[name]()
     blocks = -(-(code.H.rows + 1) // graphs.GIRTH_BLOCK)
-    supports = low_weight_dual_supports(code, r + 1)
+    view = _Supports(code.n, low_weight_dual_supports(code, r + 1))
     for t in (top, top - 1) if top > 1 else (top,):
         cost = -(-(t + 1) // 2) * 3 * code.n * blocks
         least = -(-cost // min(t, code.n))
         for jobs in (1, 2):
             samples = max(least, jobs)
-            drawn = _sampled_peel(code.n, supports, t, samples, 3, jobs)
+            drawn = _sampled_peel(view, t, samples, 3, jobs)
             with monkeypatch.context() as m:
                 m.setattr(verify, "_draws", _no_draws)
                 m.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
@@ -339,8 +497,8 @@ def test_sampled_seq_draws_where_the_girth_does_not_decide(monkeypatch):
         assert (rep.witness, rep.budgets.get("failed_at")) == (witness,
                                                                failed_at)
         assert rep.as_dict() == _sampled_peel(
-            code.n, low_weight_dual_supports(code, r + 1), t, 2000,
-            0).as_dict()
+            _Supports(code.n, low_weight_dual_supports(code, r + 1)), t,
+            2000, 0).as_dict()
         two = seq_recovery_check(code, r, t, mode="sampled", samples=2000,
                                  seed=0, jobs=2)
         assert (two.witness, two.budgets.get("failed_at")) == (witness,
@@ -390,7 +548,7 @@ PEEL_FIXTURES = FIXTURES_SMALL + [
                          ids=[f[0] for f in PEEL_FIXTURES])
 def test_bitmask_peeler_matches_frozenset_peeler(name, code, r, t):
     supports = low_weight_dual_supports(code, r + 1)
-    peeler = _Peeler(code.n, supports)
+    peeler = _Peeler(_Supports(code.n, supports))
     ref = _FrozensetPeeler(code.n, supports)
     verdicts = set()
     size = 0
@@ -411,7 +569,7 @@ def seq_1352():
 def test_bitmask_peeler_matches_frozenset_peeler_n1352(seq_1352):
     code = seq_1352
     supports = low_weight_dual_supports(code, 4)
-    peeler = _Peeler(code.n, supports)
+    peeler = _Peeler(_Supports(code.n, supports))
     ref = _FrozensetPeeler(code.n, supports)
     rng = random.Random(2024)
     for size in (5, 6):
@@ -425,21 +583,21 @@ def test_bitmask_peeler_matches_frozenset_peeler_n1352(seq_1352):
     assert peeler.recovers(cycle[1:]) and ref.recovers(cycle[1:])
 
 
-def _mask_peel_only(code_n, supports):
+def _mask_peel_only(view):
     """The same peeler with the round-one filter switched off: every
     coordinate looks support-less to it, so each pattern takes the w-bit
     mask peel."""
-    peeler = _Peeler(code_n, supports)
-    peeler.neighbours = [None] * code_n
+    peeler = _Peeler(view)
+    peeler.neighbours = [None] * view.n
     return peeler
 
 
 @pytest.mark.parametrize("name,code,r,t", PEEL_FIXTURES,
                          ids=[f[0] for f in PEEL_FIXTURES])
 def test_round_one_filter_keeps_every_verdict(name, code, r, t):
-    supports = low_weight_dual_supports(code, r + 1)
-    peeler = _Peeler(code.n, supports)
-    ref = _mask_peel_only(code.n, supports)
+    view = _Supports(code.n, low_weight_dual_supports(code, r + 1))
+    peeler = _Peeler(view)
+    ref = _mask_peel_only(view)
     verdicts = set()
     size = 0
     while False not in verdicts:  # up to the first size that can fail
@@ -453,8 +611,9 @@ def test_round_one_filter_keeps_every_verdict(name, code, r, t):
 def test_round_one_filter_keeps_every_verdict_n1352(seq_1352):
     code = seq_1352
     supports = low_weight_dual_supports(code, 4)
-    peeler = _Peeler(code.n, supports)
-    ref = _mask_peel_only(code.n, supports)
+    view = _Supports(code.n, supports)
+    peeler = _Peeler(view)
+    ref = _mask_peel_only(view)
     rng = random.Random(4242)
     round_one = 0
     for size in (5, 6):
@@ -471,7 +630,7 @@ def test_round_one_filter_keeps_every_verdict_n1352(seq_1352):
 
 def test_round_one_filter_on_coordinates_without_support():
     spc = LinearCode(Mat(GF2, [[1, 1, 1, 0]]))
-    peeler = _Peeler(spc.n, low_weight_dual_supports(spc, 3))
+    peeler = _Peeler(_Supports(spc.n, low_weight_dual_supports(spc, 3)))
     assert peeler.neighbours == [frozenset({1, 2}), frozenset({0, 2}),
                                  frozenset({0, 1}), None]
     assert peeler.recovers([0]) and peeler.recovers([2])
@@ -646,7 +805,7 @@ def test_verifiers_reject_empty_budgets(r, t, samples):
         seq_recovery_check(pet, r, t, samples=samples)
     if samples < 1:
         with pytest.raises(ValueError):
-            _sampled_peel(pet.n, [], t, samples, 0)
+            _sampled_peel(_Supports(pet.n, []), t, samples, 0)
     else:
         with pytest.raises(ValueError):
             availability_check(pet, r, t)
@@ -680,8 +839,8 @@ def test_sampled_after_the_search_records_its_nodes(monkeypatch):
     budget = full.budgets["nodes"] - 1
     monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", budget)
     with pytest.raises(BudgetExceeded):
-        verify._stopping_set(code.n, low_weight_dual_supports(code, 3), 5,
-                             budget)
+        verify._stopping_set(
+            _Supports(code.n, low_weight_dual_supports(code, 3)), 5, budget)
     rep = seq_recovery_check(code, 2, 5, samples=300, seed=5)
     plain = seq_recovery_check(code, 2, 5, mode="sampled", samples=300,
                                seed=5)
