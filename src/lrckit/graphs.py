@@ -147,19 +147,23 @@ def _first_shortest(g: Graph, below: float) -> Tuple[float, int]:
     return (best, first) if first >= 0 else (math.inf, -1)
 
 
-def shortest_cycle(g: Graph) -> Optional[List[int]]:
-    """Edge indices of one shortest cycle, sorted, or None for forests.
+def shortest_cycle(g: Graph,
+                   below: float = math.inf) -> Optional[List[int]]:
+    """Edge indices of one shortest cycle, sorted, or None when the graph
+    has no cycle shorter than `below` (forests never have one).
 
     `_first_shortest`, one bit-parallel BFS over all roots (in blocks of
     GIRTH_BLOCK, about 3 * nodes * GIRTH_BLOCK / 8 bytes of masks), gives
-    the girth g and w*, the lowest node on a g-cycle.  Then one BFS from w*
-    returns its first non-tree edge (u, v) that closes a walk of length
-    dist(u) + dist(v) + 1 = g, the two tree paths back to w* closing it.
+    the girth g and w*, the lowest node on a g-cycle; it stops at cycles of
+    length `below`, and below that finds the same g and w*.  Then one BFS
+    from w* returns its first non-tree edge (u, v) that closes a walk of
+    length dist(u) + dist(v) + 1 = g, the two tree paths back to w*
+    closing it.
     That is the cycle a BFS from every root in turn returns when it keeps
     the first walk of the least length (Itai & Rodeh, SIAM J. Comput. 7(4),
     1978): every walk from a root before w* is longer than g.
     """
-    best, root = _first_shortest(g, math.inf)
+    best, root = _first_shortest(g, below)
     if root < 0:
         return None
     adj = g.adjacency()
@@ -188,10 +192,9 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
                 return sorted(cycle)
 
 
-def girth(g: Graph, below: float = math.inf) -> float:
-    """Length of a shortest cycle; math.inf for forests, and for graphs
-    with no cycle shorter than `below` (the pass stops there)."""
-    return _first_shortest(g, below)[0]
+def girth(g: Graph) -> float:
+    """Length of a shortest cycle; math.inf for forests."""
+    return _first_shortest(g, math.inf)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -304,13 +304,16 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     recovered by that node's check.  Over GF(2) a short cycle, which meets
     every dual word an even number of times, is a failure witness whatever r
     is; a certificate that does not decide leaves the run to the search.
-    `sampled` tries the certificate's PASS half first (`_girth_certifies`)
-    when its girth pass, bounded at cycles of length t + 1, costs no more
-    than the draws (ceil((t + 1) / 2) levels over the edges and degrees per
-    block of roots, against samples * min(t, n)): where it holds every draw
-    would peel, so the run returns, byte for byte, the PASS its draws would
-    give, and draws nothing and starts no process.  Otherwise it draws, so
-    a sampled FAIL is always its first failing draw.
+    Every mode but `exhaustive` reads H as a graph once, and runs one girth
+    pass (`shortest_cycle`) only where its result can decide: bounded at
+    cycles of length t + 1, unless a certificate PASS, which reports the
+    exact girth (null for a forest), is possible.  `sampled` takes only the
+    PASS half, when the pass costs no more than the draws (ceil((t + 1) / 2)
+    levels over the edges and degrees per block of roots, against
+    samples * min(t, n)): where it holds every draw would peel, so the run
+    returns, byte for byte, the PASS its draws would give, and draws nothing
+    and starts no process.  Otherwise it draws, so a sampled FAIL is always
+    its first failing draw.
     `auto` searches first when C(n, <= t) fits SEQ_EXHAUSTIVE_BUDGET.  Else
     it tries the certificate, then availability's own test (`_unavailable`):
     t pairwise-disjoint recovery sets at every coordinate leave each erasure
@@ -329,24 +332,34 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     total = sum(math.comb(n, j) for j in range(1, t + 1))
     if mode == "auto" and total <= budget:
         mode = "exhaustive"
-    if mode in ("auto", "certificate"):
-        graph, graph_reason = _incidence_graph(code)
-        if graph is not None:
-            from .graphs import shortest_cycle
-            cycle = shortest_cycle(graph)  # one pass gives girth and witness
-            g = math.inf if cycle is None else len(cycle)
-            local = max(graph.degrees()[:-1], default=0) <= r + 1
-            if g > t and local or g <= t and code.gf.q == 2:
-                return VerifyReport("seq-recovery", g > t, "certificate",
-                                    witness=None if g > t else cycle,
-                                    detail={"girth": g, "required": t + 1})
-        elif mode == "certificate":
-            raise ValueError(f"certificate unavailable: {graph_reason}")
-    elif mode not in ("exhaustive", "sampled"):
+    if mode not in ("auto", "certificate", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and _girth_certifies(code, r, t, samples):
-        return VerifyReport("seq-recovery", True, "sampled",
-                            budgets=_sampled_budgets(samples, seed, jobs))
+    sampled = mode == "sampled"
+    if mode != "exhaustive":  # the girth certificate
+        from .graphs import GIRTH_BLOCK, shortest_cycle
+        # a sampled run takes only the PASS half, and only when the pass (3n,
+        # edges and degrees, per level and root block) costs at most its draws
+        levels = -(-(t + 1) // 2) * -(-(code.H.rows + 1) // GIRTH_BLOCK)
+        cheap = not sampled or 3 * n * levels <= samples * min(t, n)
+        graph, graph_reason = _incidence_graph(code) if cheap else (None, "")
+        if graph is None and mode == "certificate":
+            raise ValueError(f"certificate unavailable: {graph_reason}")
+        local = graph is not None and max(graph.degrees()[:-1],
+                                          default=0) <= r + 1
+        if local or graph is not None and code.gf.q == 2 and not sampled:
+            cycle = shortest_cycle(graph, math.inf if local and not sampled
+                                   else t + 1)
+            short = cycle is not None and len(cycle) <= t
+            if sampled and not short:
+                return VerifyReport("seq-recovery", True, "sampled",
+                                    budgets=_sampled_budgets(samples, seed,
+                                                             jobs))
+            if not sampled and (code.gf.q == 2 if short else local):
+                return VerifyReport(
+                    "seq-recovery", not short, "certificate",
+                    witness=cycle if short else None,
+                    detail={"girth": None if cycle is None else len(cycle),
+                            "required": t + 1})
     view = _Supports(n, low_weight_dual_supports(code, r + 1))
     if mode == "auto" and _unavailable(view, t) is None:
         return VerifyReport("seq-recovery", True, "certificate",
@@ -365,24 +378,6 @@ def seq_recovery_check(code: LinearCode, r: Optional[int] = None,
     if mode == "auto":  # the search ran first, and stopped at its budget
         report.budgets["nodes"] = budget
     return report
-
-
-def _girth_certifies(code: LinearCode, r: int, t: int, samples: int) -> bool:
-    """Does the girth certificate show that every min(t, n)-subset peels on
-    the supports `_sampled_peel` would use?  It does when H is incidence
-    shaped, every real node has degree <= r + 1 and the graph has no cycle
-    of length <= t: the supports hold every row of weight <= r + 1, and each
-    erased forest has a leaf at a real node.  Tried only when the girth
-    pass, ceil((t + 1) / 2) levels over the edges and degrees per block of
-    GIRTH_BLOCK roots, costs no more than the draws, samples * min(t, n)."""
-    from .graphs import GIRTH_BLOCK, girth
-    n, blocks = code.n, -(-(code.H.rows + 1) // GIRTH_BLOCK)
-    if -(-(t + 1) // 2) * 3 * n * blocks > samples * min(t, n):
-        return False
-    graph, _ = _incidence_graph(code)
-    return (graph is not None
-            and max(graph.degrees()[:-1], default=0) <= r + 1
-            and girth(graph, t + 1) > t)
 
 
 def _sampled_budgets(samples: int, seed: int, jobs: int) -> dict:
@@ -443,12 +438,13 @@ def _sampled_peel(view: _Supports, t: int, samples: int, seed: int,
 
 def _disjoint_packing(cands: Sequence[int], t: int, used: int = 0,
                       start: int = 0) -> bool:
-    """Are t masks of cands[start:] pairwise disjoint and clear of `used`?"""
+    """Are t masks of cands[start:] pairwise disjoint and clear of `used`?
+    A branch stops once fewer than t candidates are left to it."""
     if not t:
         return True
-    for j in range(start, len(cands)):
-        if not cands[j] & used and _disjoint_packing(
-                cands, t - 1, used | cands[j], j + 1):
+    for j in range(start, len(cands) - t + 1):
+        if not cands[j] & used and (t == 1 or _disjoint_packing(
+                cands, t - 1, used | cands[j], j + 1)):
             return True
     return False
 

@@ -800,6 +800,30 @@ def test_certificate_needs_checks_of_weight_r_plus_1(tmp_path, capsys):
     assert rep["mode"] == "exhaustive" and rep["witness"] == [0]
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_certificate_on_a_forest_reports_a_null_girth(tmp_path, capsys):
+    """A graph with no cycle has no girth: the certificate reports `girth`
+    null, not the `Infinity` that strict JSON rejects.  So for K2 in
+    certificate mode, and for H = I_100 (a star on the virtual node) at
+    t = 5 in `auto`, past the search budget."""
+    k2, eye = str(tmp_path / "k2.json"), tmp_path / "eye.json"
+    assert main(["construct", "incidence", "--graph", "complete:2",
+                 "--out", k2]) == 0
+    eye.write_text(lio.dumps(lio.code_to_json(LinearCode(Mat(
+        field_make(2), [[int(i == j) for j in range(100)]
+                        for i in range(100)])))))
+    capsys.readouterr()
+    for argv, t in (([k2, "--r", "1", "--mode", "certificate"], 1),
+                    ([str(eye), "--r", "1"], 5)):
+        assert main(["verify", "seq", "--code", *argv, "--t", str(t)]) == 0
+        rep = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+        assert (rep["mode"], rep["detail"]) == ("certificate", {
+            "girth": None, "required": t + 1})
+
+
 def test_explicit_exhaustive_never_samples(tmp_path, capsys, monkeypatch):
     """C(175, <= 5) patterns exceed the budget: `auto` takes the girth
     certificate, an explicit `exhaustive` searches for a stopping set, and

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import time
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -226,13 +227,23 @@ def _dense_gf2_codes():
             yield code, 2 * m - 1, t
 
 
+def _repetition_code(n):
+    """The length-n GF(2) repetition code, with H rows e_0 + e_j."""
+    return LinearCode(Mat(GF2, [[int(c in (0, j)) for c in range(n)]
+                                for j in range(1, n)], cols=n))
+
+
 def test_mask_packing_matches_frozenset_packing():
-    """`_unavailable` packs bit masks.  On the codes of `_random_codes`, the
-    strict availability codes and the dense codes of `_dense_gf2_codes` it
-    gives the verdict and witness of the frozenset packing it replaced;
-    both verdicts occur."""
+    """`_unavailable` packs bit masks, and stops a branch once fewer
+    candidates are left to it than sets still wanted.  On the codes of
+    `_random_codes`, the dense codes of `_dense_gf2_codes`, the repetition
+    codes of length 6..12 at r = 1, t = n - 1 and n, and the strict
+    availability codes it gives the verdict and witness of the frozenset
+    packing it replaced; both verdicts occur."""
     strict = [make() for make in STRICT_AVAILABILITY_CODES.values()]
     cases = [*_random_codes(), *_dense_gf2_codes(),
+             *((_repetition_code(n), 1, t)
+               for n in range(6, 13) for t in (n - 1, n)),
              *((code, code.params.r, code.params.t) for code in strict)]
     witnesses = []
     for code, r, t in cases:
@@ -243,6 +254,25 @@ def test_mask_packing_matches_frozenset_packing():
         witnesses.append(got)
     assert witnesses[-len(strict):] == [None] * len(strict)
     assert 10 <= witnesses.count(None) <= len(witnesses) - 10
+
+
+def test_packing_stops_where_too_few_candidates_are_left(monkeypatch):
+    """On the length-40 repetition code at r = 1, coordinate 0 has 39
+    pairwise-disjoint singleton candidates.  At t = 40 the packing fails
+    there at once instead of walking their 2^39 subsets; at t = 39 it packs
+    them in one chain and fails at coordinate 1, which has one.  Each run
+    makes at most n packing calls."""
+    code, calls = _repetition_code(40), []
+    pack = verify._disjoint_packing
+    monkeypatch.setattr(verify, "_disjoint_packing",
+                        lambda *a: calls.append(a) or pack(*a))
+    start = time.perf_counter()
+    for t, witness in ((39, {"coordinate": 1, "candidates": 1}),
+                       (40, {"coordinate": 0, "candidates": 39})):
+        calls.clear()
+        assert availability_check(code, 1, t).witness == witness
+        assert len(calls) <= code.n, t
+    assert time.perf_counter() - start < 1
 
 
 def test_each_check_builds_its_support_view_once(monkeypatch):
@@ -381,8 +411,8 @@ def test_certificate_witness_is_a_short_cycle(monkeypatch):
     calls = []
     for name in ("girth", "shortest_cycle"):
         search = getattr(graphs, name)
-        monkeypatch.setattr(graphs, name, lambda g, search=search, name=name:
-                            calls.append(name) or search(g))
+        monkeypatch.setattr(graphs, name, lambda *a, search=search, name=name:
+                            calls.append(name) or search(*a))
     rep = seq_recovery_check(pet, 2, 5, mode="certificate")
     assert not rep.verdict
     # erasures along a shortest cycle, the same witness as when the girth
@@ -391,6 +421,55 @@ def test_certificate_witness_is_a_short_cycle(monkeypatch):
     assert calls == ["shortest_cycle"]  # one search gives both
     rep = seq_recovery_check(moore_code(2, 5), 2, 6, mode="certificate")
     assert rep.witness == [0, 1, 3, 4, 9, 10]
+
+
+def _record_girth_passes(monkeypatch):
+    """The `below` of every `shortest_cycle` pass; a `girth` call fails."""
+    passes, search = [], graphs.shortest_cycle
+
+    def girth_call(*a):
+        raise AssertionError("the certificate called girth")
+    monkeypatch.setattr(graphs, "shortest_cycle", lambda g, below=math.inf:
+                        passes.append(below) or search(g, below))
+    monkeypatch.setattr(graphs, "girth", girth_call)
+    return passes
+
+
+def test_certificate_skips_a_pass_that_cannot_decide(monkeypatch):
+    """Over GF(3) a short cycle is no witness, and checks heavier than
+    r + 1 rule out a PASS: the Petersen incidence code at r = 1 (degree 3)
+    runs no girth pass, and certificate mode searches, as it did after an
+    unbounded pass."""
+    code, _, _ = _incidence_catalog("petersen", 3)
+    passes = _record_girth_passes(monkeypatch)
+    for t in (4, 5):
+        rep = seq_recovery_check(code, 1, t, mode="certificate")
+        assert rep.as_dict() == seq_recovery_check(
+            code, 1, t, mode="exhaustive").as_dict()
+        assert (rep.mode, rep.witness) == ("exhaustive", [0, 9])
+    assert passes == []
+
+
+def test_certificate_bounds_a_pass_that_can_only_fail(monkeypatch):
+    """Over GF(2) with checks heavier than r + 1 only a FAIL can come of
+    the certificate, so its pass stops at cycles of length t + 1: on the
+    Petersen code at r = 1 the witness is still the 5-cycle, with girth 5,
+    and at t = 4 the run searches.  A certificate PASS is possible at
+    r = 2, and that pass runs unbounded; a sampled run's stops at t + 1."""
+    pet = moore_code(2, 4)
+    passes = _record_girth_passes(monkeypatch)
+    for t in (5, 6):
+        rep = seq_recovery_check(pet, 1, t, mode="certificate")
+        assert rep.as_dict() == {
+            "property": "seq-recovery", "verdict": False,
+            "mode": "certificate", "witness": [0, 1, 2, 3, 4], "budgets": {},
+            "detail": {"girth": 5, "required": t + 1}}
+    rep = seq_recovery_check(pet, 1, 4, mode="certificate")
+    assert (rep.mode, rep.witness) == ("exhaustive", [0])
+    assert seq_recovery_check(pet, 2, 4, mode="certificate").detail == {
+        "girth": 5, "required": 5}
+    assert seq_recovery_check(pet, 2, 4, mode="sampled").verdict
+    assert passes == [6, 7, 5, math.inf, 5]
 
 
 def test_incidence_graph_only_for_certificates(monkeypatch):
