@@ -9,23 +9,25 @@ and all integer formulas use exact integer ceilings/floors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
+
+from ._record import FrozenRecord
 
 
 class BoundError(ValueError):
     """A bound formula asked outside its regime (docs/schemas.md, Errors)."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(FrozenRecord):
     """Evaluated bound: name, inputs, value and the formula applied."""
-    name: str
-    inputs: Dict[str, object]
-    value: object
-    formula: str = ""
-    detail: Dict[str, object] = dc_field(default_factory=dict)
+
+    def __init__(self, name: str, inputs: Dict[str, object], value: object,
+                 formula: str = "",
+                 detail: Optional[Dict[str, object]] = None):
+        vars(self).update(name=name, inputs=inputs, value=value,
+                          formula=formula,
+                          detail={} if detail is None else detail)
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -60,14 +62,12 @@ def hamming_type_bound(n: int, r: int) -> int:
 # minimum support weight sequence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MswSequence:
+class MswSequence(FrozenRecord):
     """Recursive upper bounds e_1..e_b1 on the minimum support weights of a
     length-n code spanned by b1 independent words of weight <= r+1."""
-    n: int
-    r: int
-    b1: int
-    e: Tuple[int, ...]  # e[i-1] is the i-th term
+
+    def __init__(self, n: int, r: int, b1: int, e: Tuple[int, ...]):
+        vars(self).update(n=n, r=r, b1=b1, e=e)  # e[i-1] is the i-th term
 
 
 def msw_sequence(n: int, b1: int, r: int) -> MswSequence:
@@ -117,9 +117,14 @@ class ClassicalOracle:
     sphere-packing, Plotkin and Griesmer closed forms; pass a subset of bound
     names to weaken it (e.g. ["hamming"] for a packing-only oracle)."""
 
+    BOUNDS = ("singleton", "hamming", "plotkin", "griesmer")
+
     def __init__(self, use: Optional[Sequence[str]] = None):
-        self.use = tuple(use) if use is not None else (
-            "singleton", "hamming", "plotkin", "griesmer")
+        self.use = tuple(use) if use is not None else self.BOUNDS
+        if not self.use or not set(self.use) <= set(self.BOUNDS):
+            # an unknown name would test nothing and loosen the bound
+            raise BoundError(f"oracle bounds must be a nonempty subset of "
+                             f"{', '.join(self.BOUNDS)}; got {list(self.use)}")
 
     def k_opt(self, n: int, d: int, q: int) -> int:
         """Largest dimension compatible with every selected bound."""
@@ -365,16 +370,11 @@ def moore_bound(r: int, t: int) -> int:
 # regenerating codes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RgParams:
+class RgParams(FrozenRecord):
     """Parameter set ((n, k, d), (alpha, beta)) of a regenerating code."""
-    n: int
-    k: int
-    d: int
-    alpha: int
-    beta: int
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, d: int, alpha: int, beta: int):
+        vars(self).update(n=n, k=k, d=d, alpha=alpha, beta=beta)
         if not (1 <= self.k <= self.d <= self.n - 1):
             raise BoundError("need 1 <= k <= d <= n-1")
         if self.beta > self.alpha:

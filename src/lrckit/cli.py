@@ -325,7 +325,7 @@ def cmd_bound(args, argv) -> int:
     val = _call(args)
     rep = {"bound": args.name,
            "inputs": {k: v for k, v in vars(args).items()
-                      if k not in ("name", "out", "oracle") and
+                      if k not in ("cmd", "name", "out") and
                       v is not None}}
     if isinstance(val, B.BoundReport):
         val, rep["detail"] = val.value, val.detail

@@ -14,11 +14,11 @@ Also home to the four failure kinds that belong to no one input type:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_
 from typing import Optional, Sequence
 
+from ._record import FrozenRecord
 from .field import GF
 from .matrix import (Mat, first_deficient, first_dependent, mat_nullspace,
                      mat_rank, rref, subspaces)
@@ -45,18 +45,14 @@ class ConstructionFailed(RuntimeError):
     """A construction missed its own invariant: a defect, not bad input."""
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Declared parameters of a code; `role` tags the family it comes from."""
-    n: int
-    k: int
-    r: Optional[int] = None
-    t: Optional[int] = None
-    d_min: Optional[int] = None
-    q: Optional[int] = None
-    role: Optional[str] = None  # LR | S-LR | availability | SA | MR | PMR | MDS
+class CodeParams(FrozenRecord):
+    """Declared parameters of a code; `role` tags the family it comes from:
+    LR | S-LR | availability | SA | MR | PMR | MDS."""
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, r: Optional[int] = None,
+                 t: Optional[int] = None, d_min: Optional[int] = None,
+                 q: Optional[int] = None, role: Optional[str] = None):
+        vars(self).update(n=n, k=k, r=r, t=t, d_min=d_min, q=q, role=role)
         numeric = [self.n, self.k, self.r, self.t, self.d_min, self.q]
         if any(v is not None and v < 0 for v in numeric):
             raise ValueError("parameters must be nonnegative")

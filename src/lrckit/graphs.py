@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ._record import FrozenRecord
 from .field import GF, field_of_size, prime_power
 from .matrix import Mat
 from .code import (CodeParams, ConstructionFailed, LinearCode, NotInCatalog,
@@ -66,11 +66,11 @@ class Graph:
         return f"Graph(n={self.node_count}, m={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(FrozenRecord):
     """Proper edge coloring: colors[i] is the color of graph edge i."""
-    colors: Tuple[int, ...]
-    palette: int
+
+    def __init__(self, colors: Tuple[int, ...], palette: int):
+        vars(self).update(colors=colors, palette=palette)
 
 
 def check_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:

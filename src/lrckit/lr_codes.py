@@ -9,10 +9,10 @@ literature but intentionally not constructed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
+from ._record import FrozenRecord
 from .bounds import ceil_div, lr_singleton_bound
 from .code import (BudgetExceeded, CodeParams, ConstructionFailed, LinearCode,
                    checked, code_from_generator)
@@ -27,16 +27,15 @@ PRODUCT_CODE_BUDGET = 2 ** 14
 WANG_BUDGET = 10 ** 4
 
 
-@dataclass(frozen=True)
-class EvalPoints:
+class EvalPoints(FrozenRecord):
     """Evaluation-point layout of a polynomial locality code: pairwise
     disjoint cosets of size r+1 on which the good polynomial g(x) = x^(r+1)
     is constant."""
-    gf: GF
-    cosets: Tuple[Tuple[int, ...], ...]
-    good_poly_degree: int
 
-    def __post_init__(self):
+    def __init__(self, gf: GF, cosets: Tuple[Tuple[int, ...], ...],
+                 good_poly_degree: int):
+        vars(self).update(gf=gf, cosets=cosets,
+                          good_poly_degree=good_poly_degree)
         flat = [x for c in self.cosets for x in c]
         if len(set(flat)) != len(flat):
             raise ValueError("cosets must be pairwise disjoint")

@@ -10,10 +10,10 @@ verifiers in `verify` replay the erasure patterns by brute force.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import List, Sequence, Tuple, TYPE_CHECKING
 
+from ._record import FrozenRecord
 from .code import (CodeParams, ConstructionFailed, LinearCode,
                    SearchExhausted, checked, code_from_generator)
 from .field import (GF, MAX_FIELD_SIZE, FieldError, field_make,
@@ -24,14 +24,12 @@ if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
     from .verify import VerifyReport
 
 
-@dataclass(frozen=True)
-class LocalStructure:
+class LocalStructure(FrozenRecord):
     """Disjoint local groups covering all coordinates; each group tolerates
     `delta` erasures via its local code (local distance delta + 1)."""
-    groups: Tuple[Tuple[int, ...], ...]
-    delta: int = 1
 
-    def __post_init__(self):
+    def __init__(self, groups: Tuple[Tuple[int, ...], ...], delta: int = 1):
+        vars(self).update(groups=groups, delta=delta)
         flat = [i for g in self.groups for i in g]
         if len(set(flat)) != len(flat):
             raise ValueError("groups must be disjoint")
@@ -49,16 +47,12 @@ class LocalStructure:
         return tuple(min(g) for g in self.groups)
 
 
-@dataclass(frozen=True)
-class MrParams:
+class MrParams(FrozenRecord):
     """(r, delta, s) maximal-recoverable shape: m local groups of r+delta
     symbols, each an [r+delta, r] MDS code, plus s global checks."""
-    r: int
-    delta: int
-    s: int
-    m: int
 
-    def __post_init__(self):
+    def __init__(self, r: int, delta: int, s: int, m: int):
+        vars(self).update(r=r, delta=delta, s=s, m=m)
         if min(self.r, self.delta, self.s, self.m) < 1 or self.k < 1:
             raise ValueError("parameters must be positive with k >= 1")
 
@@ -71,15 +65,12 @@ class MrParams:
         return self.m * self.r - self.s
 
 
-@dataclass(frozen=True)
-class PmrParams:
+class PmrParams(FrozenRecord):
     """Partial-MR shape: m single-parity groups of r+1 symbols and Delta
     global checks on the k0 = mr data positions."""
-    m: int
-    r: int
-    Delta: int
 
-    def __post_init__(self):
+    def __init__(self, m: int, r: int, Delta: int):
+        vars(self).update(m=m, r=r, Delta=Delta)
         if min(self.m, self.r) < 1 or self.Delta < 0 or self.k < 1:
             raise ValueError("parameters must be positive with k >= 1")
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from itertools import accumulate, combinations, filterfalse, islice
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
                     Tuple)
 
+from ._record import Record
 from .bounds import lr_singleton_bound
 from .code import BudgetExceeded, LinearCode, is_mds, min_distance
 # `mat_rank` is not called here; perfbench's tracer self-test patches it
@@ -30,16 +30,18 @@ DEFAULT_SAMPLES = 10 ** 5
 DUAL_ENUM_MAX_WORDS = 2 ** 20
 
 
-@dataclass
-class VerifyReport:
-    property_name: str
-    verdict: bool
-    mode: str  # exhaustive | sampled | certificate
-    witness: Optional[object] = None
-    budgets: Dict[str, object] = dc_field(default_factory=dict)
-    detail: Dict[str, object] = dc_field(default_factory=dict)
+class VerifyReport(Record):
+    """A verifier's verdict, the mode it ran in (exhaustive | sampled |
+    certificate), a witness on failure and the budgets it worked under."""
 
-    def __post_init__(self):
+    def __init__(self, property_name: str, verdict: bool, mode: str,
+                 witness: Optional[object] = None,
+                 budgets: Optional[Dict[str, object]] = None,
+                 detail: Optional[Dict[str, object]] = None):
+        vars(self).update(property_name=property_name, verdict=verdict,
+                          mode=mode, witness=witness,
+                          budgets={} if budgets is None else budgets,
+                          detail={} if detail is None else detail)
         if not self.verdict and self.witness is None:
             self.witness = "unspecified failure"
         if self.mode == "sampled" and "seed" not in self.budgets:
@@ -597,6 +599,10 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
     [structure] = declared(code, structure=structure)
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    smallest = min(map(len, structure.groups), default=0)
+    if not (0 <= delta <= smallest and s_extra >= 0):
+        raise ValueError(f"need 0 <= delta <= {smallest} (the smallest "
+                         f"group) and s_extra >= 0, got {delta}, {s_extra}")
     if not structure.covers(code.n):
         raise ValueError("local structure does not cover the coordinates")
     groups = [list(g) for g in structure.groups]

@@ -65,6 +65,16 @@ def test_alphabet_dim_bound_oracles():
     assert packing_only.value >= full.value  # weaker oracle, looser bound
 
 
+def test_oracle_refuses_unknown_bound_names():
+    """A name outside the four closed forms would test nothing, and with
+    no bound left the oracle would answer k = n; so it is refused."""
+    for use in (["foo"], ["singleton", "foo"], ["", ""], [], ["Hamming"]):
+        with pytest.raises(BoundError, match="oracle bounds must be"):
+            ClassicalOracle(use)
+    for name in ClassicalOracle.BOUNDS:
+        assert ClassicalOracle([name]).use == (name,)
+
+
 def test_alphabet_dmin_bound_runs():
     rep = lr_alphabet_dmin_bound(20, 10, 3, 4)
     assert rep.value >= 1

@@ -351,8 +351,8 @@ def test_no_public_name_is_reached_only_from_the_package_exports():
     method or property of one of its public classes, is referenced, as a
     Name or an Attribute, from some module other than `__init__.py`, or it
     is dead API and is deleted; UNREFERENCED_ALLOWED lists the exceptions.
-    Likewise a defaulted parameter of a public function or method, or a
-    defaulted field of a public dataclass, is set, by position or by
+    Likewise a defaulted parameter of a public function or method, or of
+    the `__init__` of a public class, is set, by position or by
     keyword, by some call in `src/lrckit` (a `*` argument sets every
     positional one, a `**` argument every one), or it is an option nobody
     uses and becomes a constant; UNSET_OPTIONS_ALLOWED lists the
@@ -376,29 +376,26 @@ def test_no_public_name_is_reached_only_from_the_package_exports():
         defined.update(node.name for node in tree.body + members
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                        and not node.name.startswith("_"))
-        for node in tree.body + members:
-            if (isinstance(node, ast.FunctionDef)
-                    and not node.name.startswith("_")):
-                args = node.args
-                positional = args.posonlyargs + args.args
-                if node in members:  # self or cls is not passed in the call
-                    positional = positional[1:]
-                options += [(node.name, i, p.arg)
-                            for i, p in enumerate(positional)
-                            if i >= len(positional) - len(args.defaults)]
-                options += [(node.name, None, p.arg) for p, default
-                            in zip(args.kwonlyargs, args.kw_defaults)
-                            if default is not None]
-            elif isinstance(node, ast.ClassDef) and node in tree.body \
-                    and not node.name.startswith("_") and any(
-                        getattr(getattr(d, "func", d), "id", None)
-                        == "dataclass" for d in node.decorator_list):
-                # a dataclass's fields are the parameters of its __init__
-                fields = [f for f in node.body
-                          if isinstance(f, ast.AnnAssign)]
-                options += [(node.name, i, f.target.id)
-                            for i, f in enumerate(fields)
-                            if f.value is not None]
+        functions = [(node.name, node) for node in tree.body + members
+                     if isinstance(node, ast.FunctionDef)
+                     and not node.name.startswith("_")]
+        # a public class's __init__ is called by the class's name
+        functions += [(cls.name, node) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef)
+                      and not cls.name.startswith("_") for node in cls.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "__init__"]
+        for name, node in functions:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if node in members:  # self or cls is not passed in the call
+                positional = positional[1:]
+            options += [(name, i, p.arg)
+                        for i, p in enumerate(positional)
+                        if i >= len(positional) - len(args.defaults)]
+            options += [(name, None, p.arg) for p, default
+                        in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)

@@ -77,6 +77,22 @@ def test_cli_bound_values(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 20
 
 
+def test_cli_bound_inputs_name_the_oracle(capsys):
+    """A report's `inputs` are the row's flags as given, `--oracle` among
+    them, so reports from different oracles tell which ran; the command is
+    not an input."""
+    argv = ["bound", "lr-dim", "--n", "10", "--d", "3", "--r", "2", "--q", "2"]
+    seen = {}
+    for oracle in (None, "singleton", "singleton,hamming,plotkin,griesmer"):
+        assert main(argv + (["--oracle", oracle] if oracle else [])) == 0
+        rep = json.loads(capsys.readouterr().out)
+        seen[oracle] = rep["value"]
+        assert rep["inputs"] == dict(n=10, d=3, r=2, q=2, **(
+            {"oracle": oracle} if oracle else {}))
+    assert seen == {None: 5, "singleton": 6,
+                    "singleton,hamming,plotkin,griesmer": 5}
+
+
 def test_cli_bound_errors(capsys):
     assert main(["bound", "hamming-type", "--n", "31", "--r", "20"]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -661,7 +677,8 @@ def _drop(key):
 
 # Malformed input is rejected where it enters: a --modulus or a --q by the
 # field, a code file (bytes, or an edit of the Petersen code JSON) by the
-# loader.
+# loader, an --oracle by the bound and a pmds --delta or --s-extra by the
+# verifier.
 # Each used to end as an internal error, as a usage error guessed from a
 # TypeError, under a standard-library name, or was accepted silently.
 MALFORMED = {
@@ -688,12 +705,24 @@ MALFORMED = {
     "no field": (_drop("field"), "SchemaError"),
     "groups overlap": (_set("local_structure.groups", [[0, 1], [1, 2]]),
                        "SchemaError"),
+    # a whole command line; {mr} is an mr-r12 code with groups of 3
+    **{f"oracle {v!r}": (("bound", "lr-dim", "--n", "10", "--d", "3", "--r",
+                          "2", "--q", "2", "--oracle", v), "BoundError")
+       for v in ("foo", ",", "singleton,foo")},
+    **{f"pmds {flags}": (("verify", "pmds", "--code", "{mr}",
+                          *flags.split()), "ValueError")
+       for flags in ("--delta -1 --s-extra 1", "--delta 1 --s-extra -1",
+                     "--delta 4 --s-extra 0", "--delta 5 --s-extra 0")},
 }
 
 
 @pytest.mark.parametrize("bad,kind", MALFORMED.values(), ids=list(MALFORMED))
 def test_malformed_input_error_kind(tmp_path, capsys, bad, kind):
-    if isinstance(bad, (str, list)):
+    if isinstance(bad, tuple):
+        mr = tmp_path / "mr.json"
+        mr.write_text(lio.dumps(lio.code_to_json(mr_r12(2, 2))))
+        argv = [arg.format(mr=mr) for arg in bad]
+    elif isinstance(bad, (str, list)):
         field = bad if isinstance(bad, list) else \
             ["--p", "2", "--mdeg", "3", "--modulus", bad]
         argv = ["construct", "pyramid", "--n", "7", "--k", "4", "--r", "2"] \

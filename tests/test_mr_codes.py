@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -323,6 +324,20 @@ def test_pmds_sampled_mode_records_seed():
     rep = pmds_check(c, st, 1, 2, mode="sampled", samples=300, seed=11)
     assert rep.verdict and rep.mode == "sampled"
     assert rep.budgets["seed"] == 11 and rep.budgets["samples"] == 300
+
+
+def test_pmds_argument_domain():
+    """delta runs from 0 to the smallest group's size and s_extra from 0;
+    outside that, pmds says so, not what `math.comb` says."""
+    c = mr_r12(2, 2)  # two groups of 3
+    for delta, s_extra in ((-1, 1), (1, -1), (4, 0), (5, 0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need 0 <= delta <= 3 (the smallest group) and s_extra "
+                f">= 0, got {delta}, {s_extra}")):
+            pmds_check(c, None, delta, s_extra)
+    assert pmds_check(c, None, 0, 0).verdict
+    assert pmds_check(c, None, 0, 2).verdict
+    assert not pmds_check(c, None, 3, 0).verdict  # a whole group erased
 
 
 def _pmds_both_ways(monkeypatch, code, st, delta, s_extra, **kw):
