@@ -337,6 +337,8 @@ def avail_product_tradeoff(n: int, k: int, n_c: int, R_c: Fraction,
         raise BoundError(f"zero denominator in R_c={R_c}, R_max={R_max}")
     if not 0 < R_c <= R_max <= 1:
         raise BoundError("need 0 < R_c <= R_max <= 1")
+    if not 1 <= k <= n or n_c < 1:
+        raise BoundError("need 1 <= k <= n and n_c >= 1")
     upper = n - Fraction(k, 1) / R_c + n_c * (1 - R_c) / R_c + 1
     lower = n * R_c / R_max - Fraction(k, 1) / R_max + 1
     return {"upper": upper, "lower_exist": lower}
@@ -379,6 +381,8 @@ class RgParams(FrozenRecord):
             raise BoundError("need 1 <= k <= d <= n-1")
         if self.beta > self.alpha:
             raise BoundError("need beta <= alpha")
+        if self.beta < 0:
+            raise BoundError("need beta >= 0")
 
 
 def cutset_bound(params: RgParams) -> int:
@@ -400,6 +404,8 @@ def mbr_point(k: int, d: int, beta: int) -> Dict[str, int]:
     """Minimum-bandwidth point: alpha = d beta, B = (dk - C(k,2)) beta."""
     if not 1 <= k <= d:
         raise BoundError("need 1 <= k <= d")
+    if beta < 0:
+        raise BoundError("need beta >= 0")
     return {"alpha": d * beta, "B": (d * k - math.comb(k, 2)) * beta}
 
 

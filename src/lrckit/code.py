@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 from operator import or_
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ._record import FrozenRecord
 from .field import GF
@@ -137,14 +137,25 @@ def puncture(c: LinearCode, S: Sequence[int]) -> LinearCode:
 # minimum distance
 # ---------------------------------------------------------------------------
 
-def _min_distance_columns(c: LinearCode, guess: int = 1) -> int:
-    """Smallest number of linearly dependent columns of a full-rank H.
+def _dependent_within(c: LinearCode) -> Callable[[int], bool]:
+    """The test "d <= w?" as a function of w, for 1 <= w <= n - k.
 
     d <= w exactly when some w columns of H are dependent, and exactly when
     some n - w columns of G fail to span GF(q)^k (a nonzero message that
-    vanishes on them gives a word of weight <= w).  The walk takes the
-    smaller side as `is_mds` does: G's columns when k <= n - k, else H's.
-    Since the answer to "d <= w?" grows with w, the walk may start
+    vanishes on them gives a word of weight <= w).  The test walks the
+    smaller side: G's columns when k <= n - k, else those of a full-rank H.
+    """
+    if c.k <= c.n - c.k:
+        G = c.generator()
+        return lambda w: first_deficient(G, c.n - w) is not None
+    H = c.full_rank_checks()
+    return lambda w: first_dependent(H, [(None, w)])[1] is not None
+
+
+def _min_distance_columns(c: LinearCode, guess: int = 1) -> int:
+    """Smallest number of linearly dependent columns of a full-rank H.
+
+    Since `_dependent_within`'s answer grows with w, the walk may start
     anywhere: at s = guess - 1, clamped to [1, n - k], then down from 1 if
     s says yes, else up from s + 1.  Any guess gives the exact d;
     guess = d costs the walks at d - 1 and d alone, and guess = 1 walks
@@ -153,17 +164,7 @@ def _min_distance_columns(c: LinearCode, guess: int = 1) -> int:
     # any n - k + 1 columns of the n - k rows of H are dependent
     top = c.n - c.k
     s = min(max(guess - 1, 1), top)
-    if c.k <= top:
-        G = c.generator()
-
-        def dependent(w: int) -> bool:
-            return first_deficient(G, c.n - w) is not None
-    else:
-        H = c.full_rank_checks()
-
-        def dependent(w: int) -> bool:
-            return first_dependent(H, [(None, w)])[1] is not None
-
+    dependent = _dependent_within(c)
     if s and dependent(s):
         return next((w for w in range(1, s) if dependent(w)), s)
     return next((w for w in range(s + 1, top + 1) if dependent(w)), top + 1)
@@ -174,11 +175,10 @@ def min_distance(c: LinearCode, guess: int = 1) -> int:
 
     Picks the cheaper exact strategy: enumerating one codeword per
     1-dimensional subspace, `support_weight(c, 1)`, or the column search of
-    `_min_distance_columns`, over G's columns when k <= n - k and H's
-    otherwise, which starts next to `guess`.  The guess is a cost hint
-    only: every guess gives the same answer, and the column search costs
-    least when it is the distance.  Raises BudgetExceeded when neither fits
-    within MIN_DISTANCE_BUDGET steps.
+    `_min_distance_columns`, which starts next to `guess`.  The guess is a
+    cost hint only: every guess gives the same answer, and the column search
+    costs least when it is the distance.  Raises BudgetExceeded when neither
+    fits within MIN_DISTANCE_BUDGET steps.
     """
     budget = MIN_DISTANCE_BUDGET
     if c.k == 0:
@@ -227,14 +227,13 @@ def support_weight(c: LinearCode, i: int,
 
 
 def is_mds(c: LinearCode) -> bool:
-    """True iff every k columns of G are linearly independent.  Raises
-    BudgetExceeded past IS_MDS_BUDGET column subsets."""
+    """True iff every k columns of G are linearly independent: d > n - k
+    (`_dependent_within`).  Raises BudgetExceeded past IS_MDS_BUDGET column
+    subsets, C(n, min(k, n - k)) on the side the test walks."""
     if c.k == 0 or c.k == c.n:
         return True
-    use_h = (c.n - c.k) < c.k
-    M = c.full_rank_checks() if use_h else rref(c.generator())[0]
-    w = c.n - c.k if use_h else c.k
+    w = min(c.k, c.n - c.k)
     if math.comb(c.n, w) > IS_MDS_BUDGET:
         raise BudgetExceeded(
             f"C({c.n},{w}) column subsets > {IS_MDS_BUDGET}")
-    return first_dependent(M, [(None, w)])[1] is None
+    return not _dependent_within(c)(c.n - c.k)

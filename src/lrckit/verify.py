@@ -225,13 +225,15 @@ def _draws(rng: random.Random, n: int, k: int) -> Iterator[List[int]]:
     return rejected()
 
 
-def _non_edge_column(col_sup: Sequence[Tuple[int, ...]]) -> Optional[dict]:
-    """The first column whose weight is not 1 or 2, as a failure witness:
-    the incidence graph, the staircase and the t = 2 classification need
-    every column to be an edge or a half-edge."""
-    return next(({"column": j, "weight": len(sup)}
-                 for j, sup in enumerate(col_sup) if not 1 <= len(sup) <= 2),
-                None)
+def _edge_columns(M: Mat) -> Tuple[List[Tuple[int, ...]], Optional[dict]]:
+    """M's column supports, and the first column whose weight is not 1 or 2
+    as a failure witness, or None: the incidence graph, the staircase and
+    the t = 2 classification need every column to be an edge or a
+    half-edge."""
+    col_sup = M.column_supports()
+    return col_sup, next(({"column": j, "weight": len(sup)}
+                          for j, sup in enumerate(col_sup)
+                          if not 1 <= len(sup) <= 2), None)
 
 
 def _incidence_graph(code: LinearCode):
@@ -240,8 +242,8 @@ def _incidence_graph(code: LinearCode):
     weight-1 columns; returns (Graph, None) or (None, reason)."""
     from .graphs import Graph, GraphError
     m = code.H.rows
-    col_sup = code.H.column_supports()
-    if non_edge := _non_edge_column(col_sup):
+    col_sup, non_edge = _edge_columns(code.H)
+    if non_edge:
         return None, "column {column} has weight {weight}".format(**non_edge)
     try:  # a weight-1 column ends at the virtual apex node m
         return Graph(m + 1, [sup if len(sup) == 2 else (sup[0], m)
@@ -404,10 +406,10 @@ def _sampled_peel(view: _Supports, t: int, samples: int, seed: int,
     so any chunk replays on its own."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    budgets = _sampled_budgets(samples, seed, jobs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from itertools import repeat
-        budgets = _sampled_budgets(samples, seed, jobs)
         chunks = budgets["chunks"]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(
@@ -426,12 +428,10 @@ def _sampled_peel(view: _Supports, t: int, samples: int, seed: int,
     draws = _draws(random.Random(seed), n, min(t, n))
     for i, pattern in enumerate(islice(draws, samples)):
         if not peeler.recovers(pattern):
+            budgets["failed_at"] = i
             return VerifyReport("seq-recovery", False, "sampled",
-                                witness=sorted(pattern),
-                                budgets={"samples": samples, "seed": seed,
-                                         "failed_at": i})
-    return VerifyReport("seq-recovery", True, "sampled",
-                        budgets={"samples": samples, "seed": seed})
+                                witness=sorted(pattern), budgets=budgets)
+    return VerifyReport("seq-recovery", True, "sampled", budgets=budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +441,7 @@ def _sampled_peel(view: _Supports, t: int, samples: int, seed: int,
 def _disjoint_packing(cands: Sequence[int], t: int, used: int = 0,
                       start: int = 0) -> bool:
     """Are t masks of cands[start:] pairwise disjoint and clear of `used`?
-    A branch stops once fewer than t candidates are left to it."""
-    if not t:
-        return True
+    t >= 1; a branch stops once fewer than t candidates are left to it."""
     for j in range(start, len(cands) - t + 1):
         if not cands[j] & used and (t == 1 or _disjoint_packing(
                 cands, t - 1, used | cands[j], j + 1)):
@@ -757,8 +755,8 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
         return VerifyReport("staircase", False, "exhaustive", witness=witness)
 
     s = (t - 1) // 2
-    col_sup = H.column_supports()
-    if non_edge := _non_edge_column(col_sup):
+    col_sup, non_edge = _edge_columns(H)
+    if non_edge:
         return fail(non_edge)
     layer_of = [-1] * H.rows
     ones = [j for j, sup in enumerate(col_sup) if len(sup) == 1]
@@ -855,8 +853,8 @@ def classify_rate_optimal_t2(code: LinearCode,
     B = _greedy_low_weight_basis(code, r + 1)
     if B is None:
         return fail("low-weight words do not span the dual")
-    col_sup = B.column_supports()
-    if non_edge := _non_edge_column(col_sup):
+    col_sup, non_edge = _edge_columns(B)
+    if non_edge:
         return fail(non_edge)
     parent = list(range(B.rows))  # union-find over the rows
 

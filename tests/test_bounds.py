@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from lrckit.bounds import (BoundError, ClassicalOracle, RgParams,
                            msr_point, msr_subpkt_bounds, msw_sequence,
                            sa_blocklength_bound, seq_blocklength_bounds,
                            seq_dim_bound_t2, seq_rate_bound)
+from lrckit.cli import main
 
 
 # -- locality Singleton bound --
@@ -217,6 +220,73 @@ def test_msr_mbr_points():
     mbr = mbr_point(4, 6, 2)
     assert mbr["alpha"] == 12
     assert mbr["B"] == (6 * 4 - math.comb(4, 2)) * 2
+
+
+def test_mbr_point_meets_the_cutset_bound():
+    # at alpha = d beta every cut-set term is (d - i) beta, and they sum to B
+    for k in range(1, 7):
+        for d in range(k, 9):
+            for beta in range(5):
+                mbr = mbr_point(k, d, beta)
+                rg = RgParams(n=d + 1, k=k, d=d, alpha=mbr["alpha"], beta=beta)
+                assert cutset_bound(rg) == mbr["B"], (k, d, beta)
+
+
+# -- regimes: outside its domain a bound is a BoundError, which exits 2 --
+
+# each ran to exit 0 with a negative B or bound before the domains were named
+OUT_OF_REGIME = {
+    "mbr-point": (["mbr-point", "--k", "2", "--d", "6", "--beta", "-1"],
+                  "need beta >= 0"),
+    "cutset": (["cutset", "--n", "7", "--k", "2", "--d", "6", "--alpha", "3",
+                "--beta", "-2"], "need beta >= 0"),
+    "avail-tradeoff-n": (["avail-tradeoff", "--n", "-3", "--k", "9", "--nc",
+                          "9", "--rc", "1", "--rmax", "1"],
+                         "need 1 <= k <= n and n_c >= 1"),
+    "avail-tradeoff-k": (["avail-tradeoff", "--n", "9", "--k", "-3", "--nc",
+                          "9", "--rc", "1", "--rmax", "1"],
+                         "need 1 <= k <= n and n_c >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_REGIME)
+def test_cli_refuses_bounds_outside_their_regime(case, capsys):
+    argv, message = OUT_OF_REGIME[case]
+    assert main(["bound"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "BoundError", "message": message}
+
+
+def test_regenerating_and_tradeoff_domains_on_seeded_sweeps():
+    """Seeded draws of every argument in -3..9: each of the three rows
+    answers exactly inside its domain and raises BoundError outside it; the
+    regenerating-code values are then nonnegative."""
+    rng = random.Random(31)
+
+    def ints(count):
+        return [rng.randint(-3, 9) for _ in range(count)]
+
+    for _ in range(300):
+        k, d, beta = ints(3)
+        if 1 <= k <= d and beta >= 0:
+            assert min(mbr_point(k, d, beta).values()) >= 0
+        else:
+            with pytest.raises(BoundError):
+                mbr_point(k, d, beta)
+        n, k, d, alpha, beta = ints(5)
+        if 1 <= k <= d <= n - 1 and 0 <= beta <= alpha:
+            assert cutset_bound(RgParams(n, k, d, alpha, beta)) >= 0
+        else:
+            with pytest.raises(BoundError):
+                RgParams(n, k, d, alpha, beta)
+        n, k, n_c, a, b, c, e = ints(7)
+        R_c, R_max = Fraction(a, b or 1), Fraction(c, e or 1)
+        if 0 < R_c <= R_max <= 1 and 1 <= k <= n and n_c >= 1:
+            avail_product_tradeoff(n, k, n_c, R_c, R_max)
+        else:
+            with pytest.raises(BoundError):
+                avail_product_tradeoff(n, k, n_c, R_c, R_max)
 
 
 def test_msr_subpkt_modes():

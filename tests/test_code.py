@@ -284,6 +284,42 @@ def test_is_mds():
     assert not is_mds(c)
 
 
+def test_is_mds_is_the_singleton_distance():
+    """`is_mds` asks `min_distance`'s column test once, at w = n - k, so
+    is_mds(c) holds exactly when d = n - k + 1: on the corpus of
+    `test_min_distance_sides_match_dependent_columns` with pmr-a1's
+    punctured codes, and on seeded small codes over GF(2), GF(3) and GF(4),
+    k = 0 and k = n among them."""
+    rng = random.Random(24)
+    codes = []
+    for gf in (field_make(2, 8), field_make(13, 3)):
+        for n, rows in ((8, 5), (9, 6), (8, 4), (10, 5), (8, 3), (9, 4)):
+            codes += [random_code(gf, n, rows, rng) for _ in range(2)]
+    for delta in (3, 4, 5):
+        c = pmr_general_a1(3, 3, delta, 13)[0]
+        pattern = c.provenance["local_structure"].admissible_pattern()
+        codes += [c, puncture(c, list(pattern))]
+    rng = random.Random(31)
+    for gf in (GF2, field_make(3), field_make(2, 2)):
+        for n in range(2, 8):
+            codes += [small_random_code(gf, n, rng) for _ in range(6)]
+        for n in (1, 2, 5):
+            codes += [LinearCode(Mat(gf, [[0] * n])),  # k = n
+                      LinearCode(Mat(gf, [[int(i == j) for j in range(n)]
+                                          for i in range(n)]))]  # k = 0
+    sides, verdicts = set(), set()
+    for c in codes:
+        if c.k == 0:  # the zero code has no nonzero word: MDS vacuously
+            assert is_mds(c)
+            continue
+        mds = is_mds(c)
+        assert mds == (min_distance(c) == c.n - c.k + 1), c
+        verdicts.add(mds)
+        if c.k < c.n:
+            sides.add("G" if c.k <= c.n - c.k else "H")
+    assert sides == {"G", "H"} and verdicts == {True, False}
+
+
 def test_cross_oracle_distance_vs_dependent_columns():
     # smallest dependent column count of a full-rank H equals min distance
     rng = random.Random(17)

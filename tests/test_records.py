@@ -139,6 +139,7 @@ INVALID = [
      "sampled reports must record their seed"),
     (VerifyReport, ("x", True, "sampled", None, {"seed": 0, "samples": 0}),
      ValueError, "a sampled PASS must replay at least one pattern"),
+    (RgParams, (4, 2, 3, 1, -1), BoundError, "need beta >= 0"),
 ]
 
 

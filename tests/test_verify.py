@@ -17,13 +17,14 @@ from lrckit.graphs import girth, shortest_cycle
 from lrckit.lr_codes import pg_plane_sa_code, product_avail_code, \
     steiner_sa_code, wang_avail_code
 from lrckit.matrix import Mat
-from lrckit.mr_codes import mr_r12, mr_rdelta2, pmr_parity_split
+from lrckit.mr_codes import (LocalStructure, mr_r12, mr_rdelta2,
+                              pmr_parity_split)
 from lrckit.seq_codes import (moore_code, seq_general_code,
                               t2_near_regular_code, t2_turan_code,
                               t3_catalog)
 from lrckit.verify import (VerifyReport, availability_check,
                            classify_rate_optimal_t2, low_weight_dual_supports,
-                           pmds_check, pmr_check, sa_check,
+                           mr_shape_check, pmds_check, pmr_check, sa_check,
                            seq_recovery_check, staircase_check,
                            _draws, _incidence_graph, _Peeler, _sampled_peel,
                            _Supports)
@@ -961,6 +962,79 @@ def test_sa_check_shape_violations():
     # two checks meeting in two coordinates break orthogonality
     H = Mat(GF2, [[1, 1, 1, 0], [1, 1, 0, 1]])
     assert not sa_check(H, 2, 1).verdict
+
+    # every row and column has its weight, but the rows through column 0
+    # meet in all three coordinates
+    rep = sa_check(Mat(GF2, [[1, 1, 1], [1, 1, 1]]), 2, 2)
+    assert rep.as_dict() == {
+        "property": "strict-availability", "verdict": False,
+        "mode": "exhaustive", "budgets": {}, "detail": {},
+        "witness": {"column": 0, "rows": [0, 1], "overlap": [0, 1, 2]}}
+
+
+def _grouped(rows, groups):
+    """The GF(2) code of H = rows, declaring the local groups `groups`."""
+    return LinearCode(Mat(GF2, rows), provenance={
+        "local_structure": LocalStructure(groups)})
+
+
+# (H over GF(2), groups, witness): each way mr-shape fails before a row
+# straddles a private coordinate
+MR_SHAPE_FAILURES = [
+    ([[1, 1, 0, 0], [0, 0, 1, 1]], ((0, 1),),
+     "groups do not cover the coordinates"),
+    ([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]], ((0, 1), (2, 3)),
+     {"row": 1, "reason": "zero row"}),
+    # row 1 stays off the private coordinates 0 and 2, inside no group
+    ([[1, 1, 0, 0], [0, 1, 0, 1]], ((0, 1), (2, 3)),
+     {"groups_without_local_row": [1]}),
+]
+
+
+@pytest.mark.parametrize("rows, groups, witness", MR_SHAPE_FAILURES)
+def test_mr_shape_failures(rows, groups, witness):
+    assert mr_shape_check(_grouped(rows, groups)).as_dict() == {
+        "property": "mr-shape", "verdict": False, "mode": "exhaustive",
+        "witness": witness, "budgets": {}, "detail": {}}
+
+
+def test_checks_refuse_a_mode_or_structure_they_cannot_run():
+    with pytest.raises(ValueError, match="^unknown mode 'nonsense'$"):
+        seq_recovery_check(moore_code(2, 4), 2, 2, mode="nonsense")
+    with pytest.raises(ValueError, match="^local structure does not cover "
+                                         "the coordinates$"):
+        pmds_check(_grouped([[1, 1, 0, 0], [0, 0, 1, 1]], ((0, 1),)), None,
+                   1, 0)
+
+
+def test_pmds_samples_every_pattern_past_the_local_budget(monkeypatch):
+    """Past PMDS_EXHAUSTIVE_BUDGET local subsets, `_locally_mds` says no, so
+    pmds ranks each draw's whole pattern where it would rank the reduced
+    patterns instead; the report is the one the reduction gives, but for
+    the budget it records."""
+    code = mr_r12(3, 2)
+    st = code.provenance["local_structure"]
+    reduced = pmds_check(code, st, 1, 2, mode="sampled", samples=200, seed=5)
+    budget = verify.PMDS_EXHAUSTIVE_BUDGET
+    ranks = []
+    independent = verify.columns_independent
+    monkeypatch.setattr(verify, "columns_independent",
+                        lambda M, cols: ranks.append(cols) or
+                        independent(M, cols))
+    monkeypatch.setattr(verify, "PMDS_EXHAUSTIVE_BUDGET", 5)  # 9 subsets
+    assert not verify._locally_mds(code, st.groups, 1)
+    expected = {
+        "property": "partial-mds", "verdict": True, "mode": "sampled",
+        "witness": None, "detail": {"delta": 1, "s_extra": 2},
+        "budgets": {"patterns": 405, "budget": 5, "checked": 200, "seed": 5,
+                    "samples": 200}}
+    for mode in ("auto", "sampled"):
+        ranks.clear()
+        rep = pmds_check(code, st, 1, 2, mode=mode, samples=200, seed=5)
+        assert rep.as_dict() == expected
+        assert len(ranks) == 200 and all(len(p) == 5 for p in ranks)
+    assert reduced.as_dict() == dict(expected, budgets=dict(
+        expected["budgets"], budget=budget))
 
 
 # (H over GF(2), t, witness): one input per way the staircase template fails
