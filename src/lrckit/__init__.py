@@ -15,12 +15,11 @@ from .code import (BudgetExceeded, CodeParams, ConstructionFailed,
                    LinearCode, NotInCatalog, SearchExhausted,
                    code_from_generator, is_mds, min_distance, puncture,
                    support_weight)
-from .graphs import (EdgeColoring, Graph, GraphError,
-                     bipartite_regular_girth, edge_color_bipartite, girth,
-                     incidence_code, moore_catalog, near_regular_graph,
-                     turan_graph)
-from .bounds import (BoundError, BoundReport, ClassicalOracle, MswSequence,
-                     RgParams, avail_dmin_bounds, avail_product_tradeoff,
+from .graphs import (Graph, GraphError, bipartite_regular_girth,
+                     edge_color_bipartite, girth, incidence_code,
+                     moore_catalog, near_regular_graph, turan_graph)
+from .bounds import (BoundError, BoundReport, ClassicalOracle, RgParams,
+                     avail_dmin_bounds, avail_product_tradeoff,
                      avail_rate_bounds, cutset_bound, hamming_type_bound,
                      lr_alphabet_dim_bound, lr_alphabet_dmin_bound,
                      lr_singleton_bound, mbr_point, moore_bound, msr_point,

@@ -62,16 +62,11 @@ def hamming_type_bound(n: int, r: int) -> int:
 # minimum support weight sequence
 # ---------------------------------------------------------------------------
 
-class MswSequence(FrozenRecord):
+def msw_sequence(n: int, b1: int, r: int) -> Tuple[int, ...]:
     """Recursive upper bounds e_1..e_b1 on the minimum support weights of a
-    length-n code spanned by b1 independent words of weight <= r+1."""
-
-    def __init__(self, n: int, r: int, b1: int, e: Tuple[int, ...]):
-        vars(self).update(n=n, r=r, b1=b1, e=e)  # e[i-1] is the i-th term
-
-
-def msw_sequence(n: int, b1: int, r: int) -> MswSequence:
-    """e_{b1} = n and e_{i-1} = min(e_i, e_i - ceil(2 e_i / i) + r + 1)."""
+    length-n code spanned by b1 independent words of weight <= r+1, as the
+    tuple e with e[i-1] the i-th term:
+    e_{b1} = n and e_{i-1} = min(e_i, e_i - ceil(2 e_i / i) + r + 1)."""
     if b1 < 1 or n < 1 or r < 1:
         raise BoundError("need n, b1, r >= 1")
     e = [0] * b1
@@ -79,7 +74,7 @@ def msw_sequence(n: int, b1: int, r: int) -> MswSequence:
     for i in range(b1, 1, -1):
         ei = e[i - 1]
         e[i - 2] = min(ei, ei - ceil_div(2 * ei, i) + r + 1)
-    return MswSequence(n=n, r=r, b1=b1, e=tuple(e))
+    return tuple(e)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +136,10 @@ class ClassicalOracle:
         """Largest minimum distance compatible with every selected bound."""
         if not 1 <= k <= n:
             raise BoundError("need 1 <= k <= n")
-        for d in range(n - k + 1, 0, -1):
+        for d in range(n - k + 1, 1, -1):
             if _k_feasible(n, d, k, q, self.use):
                 return d
-        return 1
+        return 1  # every closed-form test passes at d = 1
 
 
 DEFAULT_ORACLE = ClassicalOracle()
@@ -160,14 +155,14 @@ def lr_alphabet_dmin_bound(n: int, k: int, r: int, q: int,
         raise BoundError(f"need r >= 1 and q >= 2, got r={r}, q={q}")
     b1 = ceil_div(n, r + 1)
     seq = msw_sequence(n, b1, r)
-    S = [(i, e) for i, e in enumerate(seq.e, 1) if e - i < k]
+    S = [(i, e) for i, e in enumerate(seq, 1) if e - i < k]
     if not S:
         raise BoundError("no shortening index i has e_i - i < k")
     best, best_i = min((oracle.d_opt(n - e, k + i - e, q), i) for i, e in S)
     return BoundReport(
         "lr-alphabet-dmin", {"n": n, "k": k, "r": r, "q": q}, best,
         formula="min_i d_opt(n - e_i, k + i - e_i)",
-        detail={"minimizing_i": best_i, "b1": b1, "e": list(seq.e)})
+        detail={"minimizing_i": best_i, "b1": b1, "e": list(seq)})
 
 
 def lr_alphabet_dim_bound(n: int, d: int, r: int, q: int,
@@ -179,14 +174,14 @@ def lr_alphabet_dim_bound(n: int, d: int, r: int, q: int,
         raise BoundError(f"need r >= 1 and q >= 2, got r={r}, q={q}")
     b1 = ceil_div(n, r + 1)
     seq = msw_sequence(n, b1, r)
-    S = [(i, e) for i, e in enumerate(seq.e, 1) if e < n - d + 1]
+    S = [(i, e) for i, e in enumerate(seq, 1) if e < n - d + 1]
     if not S:
         raise BoundError("no shortening index i has e_i < n - d + 1")
     best, best_i = min((e - i + oracle.k_opt(n - e, d, q), i) for i, e in S)
     return BoundReport(
         "lr-alphabet-dim", {"n": n, "d": d, "r": r, "q": q}, best,
         formula="min_i e_i - i + k_opt(n - e_i, d)",
-        detail={"minimizing_i": best_i, "b1": b1, "e": list(seq.e)})
+        detail={"minimizing_i": best_i, "b1": b1, "e": list(seq)})
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +312,7 @@ def avail_dmin_bounds(n: int, k: int, r: int, t: int
         return {"wang": wang, "tamo_barg": tamo_barg,
                 "kruglik_frolov": kru_fro, "msw_new": None}
     b1 = math.ceil(n * (1 - _avail_rho(r, t)))
-    seq = msw_sequence(n, b1, r).e if b1 >= 1 else ()
+    seq = msw_sequence(n, b1, r) if b1 >= 1 else ()
     msw_new = min((n - k - i + 1 - sum((k + i - e - 1) // r ** j
                                        for j in range(1, t + 1))
                    for i, e in enumerate(seq, 1) if e - i < k), default=None)
@@ -427,9 +422,13 @@ def msr_subpkt_bounds(n: int, k: int, d: int, w: Optional[int],
       mds_w_d_n1       d = n-1, w nodes repaired:
                        min(r^ceil(w/r), r^(k-1)) if w > k-1 else r^ceil(w/r)
       mds_w_any_d      same with s = d-k+1 in place of r
+
+    A given w must lie in [1, n]; the mds modes need one.
     """
     if not (1 <= k <= d <= n - 1):
         raise BoundError("need 1 <= k <= d <= n-1")
+    if w is not None and not 1 <= w <= n:
+        raise BoundError("need 1 <= w <= n")
     r = n - k
     s = d - k + 1
     if mode == "msr_d_n1":
@@ -443,7 +442,7 @@ def msr_subpkt_bounds(n: int, k: int, d: int, w: Optional[int],
     if mode == "msr_any_d":
         return min(s ** ceil_div(n - 1, s), s ** (k - 1))
     if mode in ("mds_w_d_n1", "mds_w_any_d"):
-        if w is None or not 1 <= w <= n:
+        if w is None:
             raise BoundError("w in [1, n] required for the mds modes")
         base = r if mode == "mds_w_d_n1" else s
         if mode == "mds_w_d_n1" and d != n - 1:

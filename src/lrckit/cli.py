@@ -156,7 +156,7 @@ FAMILIES = {
 # A call that returns a BoundReport has its `detail` emitted too.
 BOUNDS = {
     "lr-singleton": ("n k r", lambda n, k, r: B.lr_singleton_bound(n, k, r)),
-    "msw": ("n b1 r", lambda n, b1, r: list(B.msw_sequence(n, b1, r).e)),
+    "msw": ("n b1 r", lambda n, b1, r: list(B.msw_sequence(n, b1, r))),
     "hamming-type": ("n r", lambda n, r: B.hamming_type_bound(n, r)),
     "lr-dim": ("n d r q oracle", lambda n, d, r, q, oracle:
                B.lr_alphabet_dim_bound(n, d, r, q, _oracle(oracle))),

@@ -14,7 +14,8 @@ a + b = a (1 + b/a), read from a table of log(1 + g^i) built with the field.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 #: the largest field GF builds; its tables hold a few ints per element
@@ -91,6 +92,12 @@ def _poly_mod(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
     return _poly_trim(a)
 
 
+def _monic(p: int, d: int) -> Iterator[Tuple[int, ...]]:
+    """The monic degree-d polynomials over GF(p), coefficients c_0..c_d, in
+    ascending order of sum(c_i * p^i): c_0 changes fastest."""
+    return (low[::-1] + (1,) for low in product(range(p), repeat=d))
+
+
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree <= deg/2."""
     poly = _poly_trim(poly)
@@ -102,14 +109,7 @@ def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
     if poly[0] == 0:  # divisible by x
         return False
     for d in range(1, deg // 2 + 1):
-        # monic divisor: coefficients c_0..c_{d-1} free, leading 1
-        for code in range(p ** d):
-            cs = []
-            v = code
-            for _ in range(d):
-                cs.append(v % p)
-                v //= p
-            divisor = tuple(cs) + (1,)
+        for divisor in _monic(p, d):
             if not _poly_mod(poly, divisor, p):
                 return False
     return True
@@ -121,13 +121,7 @@ def _default_modulus(p: int, m: int) -> Tuple[int, ...]:
     Candidates are scanned by the integer encoding sum(c_i * p^i) of the
     non-leading coefficients, so e.g. GF(16) gets x^4 + x + 1.
     """
-    for code in range(p ** m):
-        cs = []
-        v = code
-        for _ in range(m):
-            cs.append(v % p)
-            v //= p
-        poly = tuple(cs) + (1,)
+    for poly in _monic(p, m):
         if _poly_is_irreducible(poly, p):
             return poly
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")

@@ -15,7 +15,6 @@ from collections import deque
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ._record import FrozenRecord
 from .field import GF, field_of_size, prime_power
 from .matrix import Mat
 from .code import (CodeParams, ConstructionFailed, LinearCode, NotInCatalog,
@@ -66,19 +65,13 @@ class Graph:
         return f"Graph(n={self.node_count}, m={len(self.edges)})"
 
 
-class EdgeColoring(FrozenRecord):
-    """Proper edge coloring: colors[i] is the color of graph edge i."""
-
-    def __init__(self, colors: Tuple[int, ...], palette: int):
-        vars(self).update(colors=colors, palette=palette)
-
-
-def check_proper_coloring(g: Graph, coloring: EdgeColoring) -> bool:
+def check_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
+    """Whether no two edges at a node share a color (colors[i]: edge i)."""
     adj = g.adjacency()
     for nbrs in adj:
         seen = set()
         for _, e in nbrs:
-            c = coloring.colors[e]
+            c = colors[e]
             if c in seen:
                 return False
             seen.add(c)
@@ -475,9 +468,10 @@ def hopcroft_karp(adj: Dict[int, List[int]]) -> Dict[int, int]:
                     stack.pop()
 
 
-def edge_color_bipartite(g: Graph) -> EdgeColoring:
+def edge_color_bipartite(g: Graph) -> Tuple[int, ...]:
     """Proper edge coloring of a d-regular bipartite graph with exactly d
-    colors, each color class a perfect matching (repeated Hopcroft-Karp)."""
+    colors, each color class a perfect matching (repeated Hopcroft-Karp);
+    colors[i] is the color of edge i."""
     parts = bipartition(g)
     if parts is None:
         raise GraphError("graph is not bipartite")
@@ -498,13 +492,12 @@ def edge_color_bipartite(g: Graph) -> EdgeColoring:
             adj.setdefault(u, []).append(v)
         matching = hopcroft_karp(adj)
         if len(matching) != len(parts[0]):
-            raise GraphError("no perfect matching found")
+            raise ConstructionFailed("no perfect matching found")
         for pair in matching.items():
             colors[remaining.pop(pair)] = color
-    coloring = EdgeColoring(tuple(colors), d)
-    if not check_proper_coloring(g, coloring):
+    if not check_proper_coloring(g, colors):
         raise ConstructionFailed("matchings do not give a proper coloring")
-    return coloring
+    return tuple(colors)
 
 
 def _peg(degree: int, need: int, side: int,
@@ -536,6 +529,24 @@ def _peg(degree: int, need: int, side: int,
     return Graph(2 * side, sorted((u, v) for u in range(side) for v in adj[u]))
 
 
+def _generalized_polygon(degree: int, girth_req: int) -> Optional[Graph]:
+    """The catalogued degree-regular bipartite graph of least girth >=
+    girth_req, or None.  These are incidence graphs of generalized polygons,
+    the only bipartite Moore graphs of degree >= 3 (Feit & Higman 1964):
+    K_{d,d} (girth 4), PG(2, q) (6), GQ(q) for q <= 5 (8) and the 12-cage
+    at degree 3 (12), with q = degree - 1 a prime power."""
+    q = degree - 1
+    if girth_req <= 4:
+        return complete_bipartite(degree, degree)
+    if girth_req <= 6 and prime_power(q):
+        return pg_incidence_graph(q)
+    if girth_req <= 8 and prime_power(q) and q <= 5:
+        return gq_incidence_graph(q)
+    if girth_req <= 12 and degree == 3:
+        return tutte_12_cage()
+    return None
+
+
 def bipartite_regular_girth(degree: int, girth_req: int,
                             seed: int = 0,
                             catalog: bool = True) -> Tuple[Graph, bool]:
@@ -555,16 +566,9 @@ def bipartite_regular_girth(degree: int, girth_req: int,
     if degree < 2:
         raise GraphError("degree must be >= 2")
     need = girth_req + (girth_req % 2)
-    if catalog:
-        if need <= 4:
-            return complete_bipartite(degree, degree), False
-        q = degree - 1
-        if need <= 6 and prime_power(q):
-            return pg_incidence_graph(q), False
-        if need <= 8 and prime_power(q) and q <= 5:
-            return gq_incidence_graph(q), False
-        if need <= 12 and degree == 3:
-            return tutte_12_cage(), False
+    g = _generalized_polygon(degree, need) if catalog else None
+    if g is not None:
+        return g, False
     rng = random.Random(seed)
     moore_side = sum((degree - 1) ** i for i in range(need // 2))
     for double in range(1, 7):
@@ -596,18 +600,12 @@ def moore_catalog(r: int, t: int) -> Graph:
         g = cycle_graph(t + 1)
     elif t == 2:
         g = complete_graph(r + 2)
-    elif t == 3:
-        g = complete_bipartite(r + 1, r + 1)
     elif t == 4 and r == 2:
         g = petersen_graph()
     elif t == 4 and r == 6:
         g = hoffman_singleton_graph()
-    elif t == 5 and prime_power(r):
-        g = pg_incidence_graph(r)
-    elif t == 7 and prime_power(r) and r <= 5:
-        g = gq_incidence_graph(r)
-    elif t == 11 and r == 2:
-        g = tutte_12_cage()
+    elif t in (3, 5, 7, 11):  # girth 4, 6, 8, 12: a generalized polygon
+        g = _generalized_polygon(r + 1, t + 1)
     if g is None:
         raise NotInCatalog(f"no Moore graph catalogued for r={r}, t={t}")
     expected = moore_bound(r, t)

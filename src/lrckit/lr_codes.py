@@ -18,7 +18,7 @@ from .code import (BudgetExceeded, CodeParams, ConstructionFailed, LinearCode,
                    checked, code_from_generator)
 from .field import GF, FieldError, field_make
 from .graphs import pg_incidence_graph
-from .matrix import Mat, rref, vandermonde
+from .matrix import Mat, eval_matrix, rref, vandermonde
 from .mr_codes import coordinate_groups
 
 GF2 = field_make(2)
@@ -123,7 +123,7 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
         for i in range(m))
     layout = EvalPoints(gf, cosets, good_poly_degree=r + 1)
     points = layout.points()
-    G = Mat(gf, [[gf.pow(x, e) for x in points] for e in exps], cols=n)
+    G = eval_matrix(gf, points, exps)
     d = lr_singleton_bound(n, k, r)
     groups = [list(g) for g in coordinate_groups([r + 1] * m)]
     return checked(code_from_generator(

@@ -390,6 +390,12 @@ def mat_nullspace(M: Mat) -> Mat:
     return Mat(gf, basis, cols=n)
 
 
+def eval_matrix(gf: GF, points: Sequence[int], exps: Sequence[int]) -> Mat:
+    """Matrix with entry (i, j) = points[j]**exps[i]."""
+    return Mat(gf, [[gf.pow(x, e) for x in points] for e in exps],
+               cols=len(points))
+
+
 def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:
     """Matrix with entry (i, j) = points[j]**i, i = 0..rows-1.
 
@@ -401,8 +407,7 @@ def vandermonde(gf: GF, points: Sequence[int], rows: int) -> Mat:
         raise MatrixError("evaluation points must be distinct")
     if rows > len(pts):
         raise MatrixError("more rows than points")
-    data = [[gf.pow(x, i) for x in pts] for i in range(rows)]
-    return Mat(gf, data, cols=len(pts))
+    return eval_matrix(gf, pts, range(rows))
 
 
 def subspaces(M: Mat, i: int) -> Iterator[list]:

@@ -18,7 +18,7 @@ from .code import (CodeParams, ConstructionFailed, LinearCode,
                    SearchExhausted, checked, code_from_generator)
 from .field import (GF, MAX_FIELD_SIZE, FieldError, field_make,
                     field_of_size, prime_power, subfield_embedding)
-from .matrix import Mat, first_dependent, vandermonde
+from .matrix import Mat, eval_matrix, first_dependent, vandermonde
 
 if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
     from .verify import VerifyReport
@@ -198,9 +198,9 @@ def mr_r12(m: int, r: int) -> LinearCode:
 # (r, delta, 2) maximal recoverable codes with O(n) field size
 # ---------------------------------------------------------------------------
 
-def _prime_powers_from(start: int, limit: int = MAX_FIELD_SIZE):
+def _prime_powers_from(start: int):
     q = max(start, 2)
-    while q <= limit:
+    while q <= MAX_FIELD_SIZE:
         if prime_power(q):
             yield q
         q += 1
@@ -312,12 +312,6 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
 # coset-selection (2, 1, s) maximal recoverable codes
 # ---------------------------------------------------------------------------
 
-def _eval_generator(gf: GF, exps: Sequence[int],
-                    points: Sequence[int]) -> Mat:
-    return Mat(gf, [[gf.pow(x, e) for x in points] for e in exps],
-               cols=len(points))
-
-
 def _partial_selection_mr(G: Mat, group_sizes: Sequence[int], k: int) -> bool:
     """Every one-per-group puncturing of the selected columns leaves a
     matrix whose code is MDS (full space when fewer than k columns remain):
@@ -368,7 +362,7 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
             if ci in chosen:
                 continue
             trial = points + cosets[ci]
-            G = _eval_generator(gf, exps, trial)
+            G = eval_matrix(gf, trial, exps)
             if _partial_selection_mr(G, [3] * (len(chosen) + 1), k):
                 chosen.append(ci)
                 points = trial
@@ -378,7 +372,7 @@ def mr_r2_coset_search(N: int, D: int, gf: GF) -> LinearCode:
             raise SearchExhausted(
                 f"no coset extends the selection over GF({q}); "
                 f"retry with a larger field")
-    G = _eval_generator(gf, exps, points)
+    G = eval_matrix(gf, points, exps)
     structure = LocalStructure(coordinate_groups([3] * want), delta=1)
     s = N - k - want
     return checked(code_from_generator(

@@ -15,11 +15,10 @@ from .bounds import seq_rate_bound
 from .code import (CodeParams, ConstructionFailed, LinearCode, NotInCatalog,
                    checked)
 from .field import field_make
-from .graphs import (EdgeColoring, Graph, bipartite_regular_girth,
-                     check_proper_coloring, complete_graph,
-                     edge_color_bipartite, girth, incidence_bits,
-                     moore_catalog, near_regular_graph, regular_graph,
-                     turan_graph)
+from .graphs import (Graph, bipartite_regular_girth, check_proper_coloring,
+                     complete_graph, edge_color_bipartite, girth,
+                     incidence_bits, moore_catalog, near_regular_graph,
+                     regular_graph, turan_graph)
 from .matrix import Mat
 
 GF2 = field_make(2)
@@ -278,7 +277,7 @@ def _color_tree_and_gadgets(r: int, s: int):
         for eidx, (u, v) in enumerate(dbl.edges):
             # dbl nodes 0..half-1 take the first half of `members`,
             # half..count-1 the second half
-            add_edge(members[u], members[v], allowed[gcolors.colors[eidx]])
+            add_edge(members[u], members[v], allowed[gcolors[eidx]])
     g = Graph(next_id, edges)
     return g, depth_nodes, [colors[e] for e in g.edges]
 
@@ -328,24 +327,20 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
             if u == 0 or v == 0:
                 continue
             base_edges.append((u - 1, v - 1))
-            base_colors.append(coloring.colors[eidx])
+            base_colors.append(coloring[eidx])
         base = Graph(g0.node_count - 1, base_edges)
         layer0 = [v - 1 for v in layers[0]]
     else:
         base, depth_nodes, base_colors = _color_tree_and_gadgets(r, s)
         layer0 = depth_nodes[0]
-        if not check_proper_coloring(base, EdgeColoring(tuple(base_colors),
-                                                        r + 1)):
+        if not check_proper_coloring(base, base_colors):
             raise ConstructionFailed("base graph coloring is not proper")
 
     # ---- step 2: auxiliary graph with girth >= t+1, colored by matchings --
-    if aux == "catalog":
-        aux_graph, peg = bipartite_regular_girth(r + 1, t + 1, seed=seed)
-    elif aux == "random":
-        aux_graph, peg = bipartite_regular_girth(r + 1, t + 1, seed=seed,
-                                                 catalog=False)
-    else:
+    if aux not in ("catalog", "random"):
         raise ValueError("aux must be 'catalog' or 'random'")
+    aux_graph, peg = bipartite_regular_girth(r + 1, t + 1, seed=seed,
+                                             catalog=aux == "catalog")
     if girth(aux_graph) < t + 1:
         raise ConstructionFailed("auxiliary girth insufficient")
     aux_col = edge_color_bipartite(aux_graph)
@@ -353,7 +348,7 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
     # per color: matching as a partner array
     partner = [[-1] * n_aux for _ in range(r + 1)]
     for eidx, (u, v) in enumerate(aux_graph.edges):
-        c = aux_col.colors[eidx]
+        c = aux_col[eidx]
         partner[c][u] = v
         partner[c][v] = u
     if any(-1 in pc for pc in partner):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lrckit.bounds import (BoundError, ClassicalOracle, RgParams,
-                           avail_dmin_bounds, avail_product_tradeoff,
+from lrckit.bounds import (MSR_SUBPKT_MODES, BoundError, ClassicalOracle,
+                           RgParams, avail_dmin_bounds, avail_product_tradeoff,
                            avail_rate_bounds, cutset_bound, hamming_type_bound,
                            lr_alphabet_dim_bound, lr_alphabet_dmin_bound,
                            lr_singleton_bound, mbr_point, moore_bound,
@@ -42,8 +42,8 @@ def test_hamming_type_row():
 # -- minimum support weight sequence --
 
 def test_msw_hand_recursion():
-    assert msw_sequence(12, 4, 3).e == (4, 7, 10, 12)
-    assert msw_sequence(10, 1, 2).e == (10,)
+    assert msw_sequence(12, 4, 3) == (4, 7, 10, 12)
+    assert msw_sequence(10, 1, 2) == (10,)
 
 
 def test_msw_linear_cap():
@@ -54,7 +54,7 @@ def test_msw_linear_cap():
             for b1 in range((n + r - 1) // r, n + 1):
                 seq = msw_sequence(n, b1, r)
                 assert all(e <= i * r + 1
-                           for i, e in enumerate(seq.e, 1))
+                           for i, e in enumerate(seq, 1))
 
 
 # -- alphabet-dependent bounds via shortening --
@@ -258,35 +258,98 @@ def test_cli_refuses_bounds_outside_their_regime(case, capsys):
     assert json.loads(err) == {"error": "BoundError", "message": message}
 
 
-def test_regenerating_and_tradeoff_domains_on_seeded_sweeps():
-    """Seeded draws of every argument in -3..9: each of the three rows
-    answers exactly inside its domain and raises BoundError outside it; the
-    regenerating-code values are then nonnegative."""
+def _shortening(n, r):
+    """The support-weight sequence `lr-dim` and `lr-dmin` shorten on."""
+    return msw_sequence(n, -(-n // (r + 1)), r)
+
+
+_DRAWN_ORACLES = (None, "hamming", "singleton,plotkin", "griesmer",
+                  "nonsense", ",")
+# each `bound` row's domain as docs/schemas.md states it, on the drawn flags
+BOUND_DOMAINS = {
+    "lr-singleton": lambda n, k, r: 1 <= k <= n and r >= 1,
+    "msw": lambda n, b1, r: min(n, b1, r) >= 1,
+    "hamming-type": lambda n, r: 2 <= r <= n / 2 - 2,
+    "lr-dim": lambda n, d, r, q, oracle:
+        oracle in _DRAWN_ORACLES[:4] and min(n, d, r) >= 1 and q >= 2
+        and any(e < n - d + 1 for e in _shortening(n, r)),
+    "lr-dmin": lambda n, k, r, q, oracle:
+        oracle in _DRAWN_ORACLES[:4] and min(n, r) >= 1 and q >= 2
+        and 0 < len(S := [i for i, e in enumerate(_shortening(n, r), 1)
+                          if e - i < k]) and k + max(S) <= n,
+    "seq-rate": lambda r, t: min(r, t) >= 1,
+    "seq-blocklength": lambda k, r, t: min(k, r) >= 1 and t in (2, 3),
+    "seq-dim-t2": lambda m, r: min(m, r) >= 1,
+    "avail-rate": lambda r, t: min(r, t) >= 1,
+    "avail-dmin": lambda n, k, r, t: 1 <= k <= n and r >= 1 and t >= 0,
+    "avail-tradeoff": lambda n, k, nc, rc, rmax:
+        rc[1] >= 1 and rmax[1] >= 1 and 1 <= k <= n and nc >= 1
+        and 0 < Fraction(*rc) <= Fraction(*rmax) <= 1,
+    "sa-blocklength": lambda r, t: min(r, t) >= 1,
+    "moore": lambda r, t: min(r, t) >= 1,
+    "msr-subpkt": lambda n, k, d, w, mode:
+        1 <= k <= d <= n - 1 and (w is None or 1 <= w <= n)
+        and (d == n - 1 or mode in ("msr_any_d", "mds_w_any_d"))
+        and (w is not None or mode.startswith("msr")),
+    "cutset": lambda n, k, d, alpha, beta:
+        1 <= k <= d <= n - 1 and 0 <= beta <= alpha,
+    "msr-point": lambda n, k, d: 1 <= k <= d <= n - 1,
+    "mbr-point": lambda k, d, beta: 1 <= k <= d and beta >= 0,
+}
+
+
+def test_regenerating_and_tradeoff_domains_on_seeded_sweeps(capsys):
+    """Seeded draws over every `bound` row, each integer flag in -3..9, each
+    fraction a/b with b in 0..9, --oracle from valid and unknown names, and
+    the optional --w and --oracle sometimes left out: a draw exits 2 with a
+    BoundError exactly when it lies outside the row's domain, and exits 0
+    inside it; the regenerating-code values are then nonnegative."""
+    from lrckit import cli
+    assert set(BOUND_DOMAINS) == set(cli.BOUNDS)
     rng = random.Random(31)
+    capsys.readouterr()
+    for name, (flags, _) in cli.BOUNDS.items():
+        for _ in range(300):
+            drawn = {}
+            for flag in flags.split():
+                if flag == "mode":
+                    drawn[flag] = rng.choice(MSR_SUBPKT_MODES)
+                elif flag == "oracle":
+                    drawn[flag] = rng.choice(_DRAWN_ORACLES)
+                elif flag in ("rc", "rmax"):
+                    drawn[flag] = (rng.randint(-3, 9), rng.randint(0, 9))
+                elif flag == "w" and rng.random() < 0.25:
+                    drawn[flag] = None
+                else:
+                    drawn[flag] = rng.randint(-3, 9)
+            # --rc=-3/4: a separate "-3/4" would read as a flag
+            argv = ["bound", name] + [
+                f"--{flag}=" + ("%d/%d" % value if isinstance(value, tuple)
+                                else str(value))
+                for flag, value in drawn.items() if value is not None]
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            if BOUND_DOMAINS[name](**drawn):
+                assert rc == 0 and err == "", (argv, err)
+                value = json.loads(out)["value"]
+                if name in ("cutset", "mbr-point"):
+                    assert min(value.values() if name == "mbr-point"
+                               else [value]) >= 0, argv
+            else:
+                assert rc == 2 and out == "", argv
+                assert json.loads(err)["error"] == "BoundError", (argv, err)
 
-    def ints(count):
-        return [rng.randint(-3, 9) for _ in range(count)]
 
-    for _ in range(300):
-        k, d, beta = ints(3)
-        if 1 <= k <= d and beta >= 0:
-            assert min(mbr_point(k, d, beta).values()) >= 0
-        else:
-            with pytest.raises(BoundError):
-                mbr_point(k, d, beta)
-        n, k, d, alpha, beta = ints(5)
-        if 1 <= k <= d <= n - 1 and 0 <= beta <= alpha:
-            assert cutset_bound(RgParams(n, k, d, alpha, beta)) >= 0
-        else:
-            with pytest.raises(BoundError):
-                RgParams(n, k, d, alpha, beta)
-        n, k, n_c, a, b, c, e = ints(7)
-        R_c, R_max = Fraction(a, b or 1), Fraction(c, e or 1)
-        if 0 < R_c <= R_max <= 1 and 1 <= k <= n and n_c >= 1:
-            avail_product_tradeoff(n, k, n_c, R_c, R_max)
-        else:
-            with pytest.raises(BoundError):
-                avail_product_tradeoff(n, k, n_c, R_c, R_max)
+def test_oracle_answers_at_the_ends_of_its_range():
+    """k_opt is 0 once d exceeds n, and d_opt is 1 at k = n;
+    lengths, distances and dimensions outside their ranges are refused."""
+    oracle = ClassicalOracle()
+    assert oracle.k_opt(3, 5, 2) == 0
+    assert oracle.d_opt(4, 4, 2) == 1
+    for ask in (lambda: oracle.k_opt(0, 1, 2), lambda: oracle.k_opt(3, 0, 2),
+                lambda: oracle.d_opt(3, 4, 2), lambda: oracle.d_opt(3, 0, 2)):
+        with pytest.raises(BoundError):
+            ask()
 
 
 def test_msr_subpkt_modes():
@@ -301,6 +364,16 @@ def test_msr_subpkt_modes():
         msr_subpkt_bounds(10, 8, 9, None, "bogus")
     with pytest.raises(BoundError):
         msr_subpkt_bounds(10, 8, 8, None, "msr_d_n1")
+    for mode in ("msr_d_n1", "msr_const_repair", "mds_w_d_n1"):
+        with pytest.raises(BoundError, match=f"^mode {mode} requires d"):
+            msr_subpkt_bounds(10, 8, 8, 1, mode)
+    # a given w outside [1, n] is refused in every mode
+    for mode in MSR_SUBPKT_MODES:
+        for w in (-1, 0, 11):
+            with pytest.raises(BoundError, match=r"^need 1 <= w <= n$"):
+                msr_subpkt_bounds(10, 8, 9, w, mode)
+    assert main(["bound", "msr-subpkt", "--n", "5", "--k", "2", "--d", "4",
+                 "--w", "-1", "--mode", "msr_any_d"]) == 2
 
 
 def test_avail_dmin_degenerate_t_zero():

@@ -2,8 +2,8 @@
 
 A fixed-seed stdlib `random` draws argument sets over every row of the CLI's
 tables (families, bounds, properties, reports), each with the flags that
-row declares, integer flags in [-2, 12], on small codes.  Every run must end
-in one of three ways:
+row declares, integer flags in [-2, 12], on small codes; `--oracle` draws
+unknown names too.  Every run must end in one of three ways:
   - exit 0;
   - exit 1, with a report that carries a witness;
   - exit 2, with one JSON error object on stderr whose `error` is one of
@@ -51,10 +51,11 @@ STRINGS = {
               "cycle:x", "nonsense"],
     "modulus": ["[1,1,0,1]", "[1,0,1]", "5", '"x"', '{"a":1}', "[1.5,0,1]",
                 "x", "[]"],
-    "oracle": ["hamming", "singleton,plotkin", "griesmer"],
+    "oracle": ["hamming", "singleton,plotkin", "griesmer", "nonsense", ","],
 }
-# Flags drawn on every run: the default of 10^5 samples takes seconds.
-ALWAYS = {"samples"}
+# Flags drawn on every run: the default of 10^5 samples takes seconds, and
+# the few lr-dim and lr-dmin draws should send --oracle's unknown names.
+ALWAYS = {"samples", "oracle"}
 COMMANDS = {"construct": 3, "bound": 2, "verify": 6, "report": 1}
 # Small code files to verify: n <= 21.  The last four carry local groups;
 # mr-r12 is a short code over GF(16) whose whole dual (16^5 words) the
@@ -123,6 +124,7 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
     rng = random.Random(SEED)
     capsys.readouterr()
     exits = {0: 0, 1: 0, 2: 0}
+    refused = set()  # what drew a BoundError: a bound row, or --oracle
     for _ in range(RUNS):
         argv = _argv(rng, code_files)
         rc = main(argv)
@@ -135,6 +137,9 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
             assert {"error", "message"} <= set(error), argv
             assert error["error"] in ERROR_KINDS, (argv, error)
             assert error["error"] != "internal", (argv, error)
+            if error["error"] == "BoundError":
+                refused.add("--oracle" if error["message"].startswith(
+                    "oracle bounds must be") else argv[1])
             continue
         assert err == "", argv
         if argv[0] == "report":  # CSV or JSON tables
@@ -155,8 +160,10 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
                        ("patterns", "checked", "samples")
                        if k in report["budgets"]]
             assert all(c >= 1 for c in counted), argv
-    # the draw reaches every outcome
+    # the draw reaches every outcome, and input outside a bound's domain
     assert min(exits.values()) >= RUNS // 20, exits
+    assert {"--oracle", "mbr-point", "cutset", "avail-tradeoff"} <= refused, \
+        refused
 
 
 def test_one_exception_class_per_failure_kind():

@@ -86,10 +86,10 @@ def test_shortened_tamo_barg_dimension():
     for i in (1, 2):
         S = [x for g in groups[:i] for x in g]
         extra = [j for j in range(12) if j not in S]
-        S = S + extra[: seq.e[i - 1] - len(S)]
+        S = S + extra[: seq[i - 1] - len(S)]
         # the codewords that vanish on S: the messages G_S maps to zero
         shortened_k = c.k - mat_rank(c.generator().select_columns(S))
-        assert shortened_k >= c.k + i - seq.e[i - 1]
+        assert shortened_k >= c.k + i - seq[i - 1]
 
 
 def random_code(gf, n, rows, rng):

@@ -7,7 +7,7 @@ import pytest
 from lrckit import graphs
 from lrckit.bounds import moore_bound
 from lrckit.field import field_make
-from lrckit.code import NotInCatalog
+from lrckit.code import NotInCatalog, SearchExhausted
 from lrckit.graphs import (Graph, GraphError, bipartition,
                            bipartite_regular_girth, check_proper_coloring,
                            complete_bipartite, complete_graph, cycle_graph,
@@ -50,6 +50,24 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         Graph(2, [(0, 5)])
+
+
+def test_generators_refuse_impossible_shapes():
+    for degrees in ([3, 1, 1], [0, -1]):  # too few partners; a negative
+        with pytest.raises(GraphError, match=r"^sequence \["):
+            graphs.graph_from_degree_sequence(degrees)
+    for nodes, degree in ((3, 3), (5, 3)):  # too few nodes; odd degree sum
+        with pytest.raises(GraphError, match="-regular graph on"):
+            graphs.regular_graph(nodes, degree)
+    with pytest.raises(GraphError, match="cycle needs"):
+        cycle_graph(2)
+    with pytest.raises(GraphError, match="LCF length mismatch"):
+        graphs.lcf_graph(10, [3], 3)
+    for build in (pg_incidence_graph, gq_incidence_graph):
+        with pytest.raises(NotInCatalog, match="6 is not a prime power"):
+            build(6)
+    with pytest.raises(GraphError, match="degree must be >= 2"):
+        bipartite_regular_girth(1, 4)
 
 
 @pytest.mark.parametrize("g,expected", [
@@ -237,6 +255,22 @@ def test_bipartite_regular_girth_catalog():
     g, grown = bipartite_regular_girth(2, 6)
     assert grown and girth(g) >= 6
     assert g.edges == bipartite_regular_girth(2, 6, catalog=False)[0].edges
+    # girth 9 or 10 at degree 3 is the 12-cage, the next polygon up
+    g, grown = bipartite_regular_girth(3, 10)
+    assert g.edges == tutte_12_cage().edges and not grown
+
+
+def test_bipartite_regular_girth_gives_up(monkeypatch):
+    """Past 64 times the Moore side, edge growth raises SearchExhausted."""
+    sides = []
+    monkeypatch.setattr(graphs, "_peg",
+                        lambda degree, need, side, rng: sides.append(side))
+    with pytest.raises(SearchExhausted, match="^no 3-regular bipartite "
+                       "graph of girth 6 found by edge growth up to 448 "
+                       "nodes a side$"):
+        bipartite_regular_girth(3, 6, catalog=False)
+    assert sides == [side for side in (14, 28, 56, 112, 224, 448)
+                     for _ in range(128)]
 
 
 def test_bipartite_regular_girth_randomized():
@@ -267,9 +301,10 @@ def test_edge_coloring():
     for g, d in ((cycle_graph(6), 2), (complete_bipartite(3, 3), 3),
                  (heawood_graph(), 3), (pg_incidence_graph(3), 4)):
         col = edge_color_bipartite(g)
-        assert col.palette == d
+        assert sorted(set(col)) == list(range(d))
         assert check_proper_coloring(g, col)
-        assert all(col.colors.count(c) == g.node_count // 2
+        assert not check_proper_coloring(g, (0,) * len(g.edges))
+        assert all(col.count(c) == g.node_count // 2
                    for c in range(d))
     with pytest.raises(GraphError):
         edge_color_bipartite(petersen_graph())  # odd cycles
@@ -303,6 +338,33 @@ def test_moore_catalog_counts(r, t):
     assert g.node_count == moore_bound(r, t)
     assert girth(g) >= t + 1
     assert set(g.degrees()) == {r + 1}
+
+
+# every (r, t) with 1 <= r <= 8 and 1 <= t <= 12 that `moore_catalog` serves
+MOORE_SERVED = {
+    (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10),
+    (1, 11), (1, 12), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 11), (3, 2),
+    (3, 3), (3, 5), (3, 7), (4, 2), (4, 3), (4, 5), (4, 7), (5, 2), (5, 3),
+    (5, 5), (5, 7), (6, 2), (6, 3), (6, 4), (7, 2), (7, 3), (7, 5), (8, 2),
+    (8, 3), (8, 5)}
+
+
+def test_moore_catalog_serves_exactly_the_pinned_pairs():
+    """Each served pair is a Moore graph: moore_bound(r, t) nodes, every
+    degree r + 1, girth exactly t + 1; every other pair is refused.  In
+    particular (2, 9), girth 10, is not handed the 12-cage."""
+    assert len(MOORE_SERVED) == 38
+    for r in range(1, 9):
+        for t in range(1, 13):
+            if (r, t) in MOORE_SERVED:
+                g = moore_catalog(r, t)
+                assert g.node_count == moore_bound(r, t), (r, t)
+                assert set(g.degrees()) == {r + 1}, (r, t)
+                assert girth(g) == t + 1, (r, t)
+            else:
+                with pytest.raises(NotInCatalog, match="^no Moore graph "
+                                   f"catalogued for r={r}, t={t}$"):
+                    moore_catalog(r, t)
 
 
 def test_moore_catalog_misses():

@@ -10,9 +10,9 @@ import sys
 
 import pytest
 
-from lrckit import (BoundError, BoundReport, CodeParams, EdgeColoring,
-                    EvalPoints, LocalStructure, MrParams, MswSequence,
-                    PmrParams, RgParams, VerifyReport, field_make)
+from lrckit import (BoundError, BoundReport, CodeParams, EvalPoints,
+                    LocalStructure, MrParams, PmrParams, RgParams,
+                    VerifyReport, field_make)
 
 GF13 = field_make(13)
 # the cosets of the order-4 subgroup of GF(13)*: x^4 is constant on each
@@ -23,10 +23,8 @@ COSETS = tuple(tuple(GF13.pow(GF13.primitive, i + 3 * j) for j in range(4))
 RECORDS = {
     "BoundReport": (BoundReport, ("x", {"n": 3}, 2),
                     {"formula": "n - 1", "detail": {"i": 1}}),
-    "MswSequence": (MswSequence, (10, 2, 4, (3, 5, 8, 10)), {}),
     "RgParams": (RgParams, (8, 4, 6, 12), {"beta": 2}),
     "CodeParams": (CodeParams, (7, 4), {"d_min": 3, "q": 2, "role": "MDS"}),
-    "EdgeColoring": (EdgeColoring, ((0, 1, 0),), {"palette": 2}),
     "EvalPoints": (EvalPoints, (GF13, COSETS), {"good_poly_degree": 4}),
     "LocalStructure": (LocalStructure, (((0, 1, 2), (3, 4, 5)),),
                        {"delta": 2}),
