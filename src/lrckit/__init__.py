@@ -18,7 +18,7 @@ from .code import (BudgetExceeded, CodeParams, ConstructionFailed,
 from .graphs import (Graph, GraphError, bipartite_regular_girth,
                      edge_color_bipartite, girth, incidence_code,
                      moore_catalog, near_regular_graph, turan_graph)
-from .bounds import (BoundError, BoundReport, ClassicalOracle, RgParams,
+from .bounds import (BoundError, BoundReport, ClassicalOracle,
                      avail_dmin_bounds, avail_product_tradeoff,
                      avail_rate_bounds, cutset_bound, hamming_type_bound,
                      lr_alphabet_dim_bound, lr_alphabet_dmin_bound,
@@ -28,12 +28,11 @@ from .bounds import (BoundError, BoundReport, ClassicalOracle, RgParams,
                      seq_rate_bound)
 from .seq_codes import (moore_code, seq_general_code, t2_dim_optimal_code,
                         t2_near_regular_code, t2_turan_code, t3_catalog)
-from .lr_codes import (EvalPoints, locality_witnesses, pg_plane_sa_code,
+from .lr_codes import (locality_witnesses, pg_plane_sa_code,
                        product_avail_code, pyramid_code, steiner_sa_code,
                        tamo_barg_code, wang_avail_code)
-from .mr_codes import (LocalStructure, MrParams, PmrParams, mr_r12,
-                       mr_r2_coset_search, mr_rdelta2, pmr_general_a1,
-                       pmr_parity_split)
+from .mr_codes import (LocalStructure, mr_r12, mr_r2_coset_search,
+                       mr_rdelta2, pmr_general_a1, pmr_parity_split)
 from .io import SchemaError
 from .verify import (VerifyReport, availability_check,
                      classify_rate_optimal_t2, low_weight_dual_supports,

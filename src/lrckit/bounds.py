@@ -150,7 +150,8 @@ def lr_alphabet_dmin_bound(n: int, k: int, r: int, q: int,
                            ) -> BoundReport:
     """Alphabet-size-dependent distance bound via shortening on supports of
     low-weight dual words: d <= min over i in S of d_opt(n - e_i, k + i - e_i)
-    with S = {i : e_i - i < k} and b1 = ceil(n / (r+1))."""
+    with S = {i : e_i - i < k} and b1 = ceil(n / (r+1)).  Every shortened
+    code exists, k + i <= n for each i in S, exactly when k <= n - b1."""
     if r < 1 or q < 2:
         raise BoundError(f"need r >= 1 and q >= 2, got r={r}, q={q}")
     b1 = ceil_div(n, r + 1)
@@ -158,6 +159,9 @@ def lr_alphabet_dmin_bound(n: int, k: int, r: int, q: int,
     S = [(i, e) for i, e in enumerate(seq, 1) if e - i < k]
     if not S:
         raise BoundError("no shortening index i has e_i - i < k")
+    if k > n - b1:
+        raise BoundError(f"need k <= n - ceil(n / (r + 1)) = {n - b1}, "
+                         f"got k = {k}")
     best, best_i = min((oracle.d_opt(n - e, k + i - e, q), i) for i, e in S)
     return BoundReport(
         "lr-alphabet-dmin", {"n": n, "k": k, "r": r, "q": q}, best,
@@ -367,23 +371,16 @@ def moore_bound(r: int, t: int) -> int:
 # regenerating codes
 # ---------------------------------------------------------------------------
 
-class RgParams(FrozenRecord):
-    """Parameter set ((n, k, d), (alpha, beta)) of a regenerating code."""
-
-    def __init__(self, n: int, k: int, d: int, alpha: int, beta: int):
-        vars(self).update(n=n, k=k, d=d, alpha=alpha, beta=beta)
-        if not (1 <= self.k <= self.d <= self.n - 1):
-            raise BoundError("need 1 <= k <= d <= n-1")
-        if self.beta > self.alpha:
-            raise BoundError("need beta <= alpha")
-        if self.beta < 0:
-            raise BoundError("need beta >= 0")
-
-
-def cutset_bound(params: RgParams) -> int:
-    """Largest file size: B <= sum_{i=0}^{k-1} min(alpha, (d-i) beta)."""
-    return sum(min(params.alpha, (params.d - i) * params.beta)
-               for i in range(params.k))
+def cutset_bound(n: int, k: int, d: int, alpha: int, beta: int) -> int:
+    """Largest file size of a regenerating code ((n, k, d), (alpha, beta)):
+    B <= sum_{i=0}^{k-1} min(alpha, (d-i) beta)."""
+    if not 1 <= k <= d <= n - 1:
+        raise BoundError("need 1 <= k <= d <= n-1")
+    if beta > alpha:
+        raise BoundError("need beta <= alpha")
+    if beta < 0:
+        raise BoundError("need beta >= 0")
+    return sum(min(alpha, (d - i) * beta) for i in range(k))
 
 
 def msr_point(n: int, k: int, d: int) -> Dict[str, object]:

@@ -176,8 +176,7 @@ BOUNDS = {
     "msr-subpkt": ("n k d w mode", lambda n, k, d, w, mode:
                    B.msr_subpkt_bounds(n, k, d, w, mode)),
     "cutset": ("n k d alpha beta", lambda n, k, d, alpha, beta:
-               B.cutset_bound(B.RgParams(n=n, k=k, d=d, alpha=alpha,
-                                         beta=beta))),
+               B.cutset_bound(n, k, d, alpha, beta)),
     "msr-point": ("n k d", lambda n, k, d: B.msr_point(n, k, d)),
     "mbr-point": ("k d beta", lambda k, d, beta: B.mbr_point(k, d, beta)),
 }

@@ -99,13 +99,10 @@ def _monic(p: int, d: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
+    """Trial division by all monic polynomials of degree <= deg/2; the
+    callers pass degree >= 2."""
     poly = _poly_trim(poly)
     deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
     if poly[0] == 0:  # divisible by x
         return False
     for d in range(1, deg // 2 + 1):

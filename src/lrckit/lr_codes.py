@@ -12,7 +12,6 @@ import math
 from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
-from ._record import FrozenRecord
 from .bounds import ceil_div, lr_singleton_bound
 from .code import (BudgetExceeded, CodeParams, ConstructionFailed, LinearCode,
                    checked, code_from_generator)
@@ -25,28 +24,6 @@ GF2 = field_make(2)
 
 PRODUCT_CODE_BUDGET = 2 ** 14
 WANG_BUDGET = 10 ** 4
-
-
-class EvalPoints(FrozenRecord):
-    """Evaluation-point layout of a polynomial locality code: pairwise
-    disjoint cosets of size r+1 on which the good polynomial g(x) = x^(r+1)
-    is constant."""
-
-    def __init__(self, gf: GF, cosets: Tuple[Tuple[int, ...], ...],
-                 good_poly_degree: int):
-        vars(self).update(gf=gf, cosets=cosets,
-                          good_poly_degree=good_poly_degree)
-        flat = [x for c in self.cosets for x in c]
-        if len(set(flat)) != len(flat):
-            raise ValueError("cosets must be pairwise disjoint")
-        gf, d = self.gf, self.good_poly_degree
-        for coset in self.cosets:
-            vals = {gf.pow(x, d) for x in coset}
-            if len(vals) != 1:
-                raise ValueError(f"x^{d} is not constant on {coset}")
-
-    def points(self) -> List[int]:
-        return [x for c in self.cosets for x in c]
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +95,15 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
                          f"need k <= m*r = {m * r}")
     gen_n = gf.pow(gf.primitive, (q - 1) // n)      # order n
     h = gf.pow(gen_n, m)                            # order r+1
-    cosets = tuple(
+    cosets = [
         tuple(gf.mul(gf.pow(gen_n, i), gf.pow(h, j)) for j in range(r + 1))
-        for i in range(m))
-    layout = EvalPoints(gf, cosets, good_poly_degree=r + 1)
-    points = layout.points()
+        for i in range(m)]
+    points = [x for c in cosets for x in c]
+    if len(set(points)) != len(points):
+        raise ConstructionFailed("cosets must be pairwise disjoint")
+    for coset in cosets:  # x^(r+1), the good polynomial, is constant on each
+        if len({gf.pow(x, r + 1) for x in coset}) != 1:
+            raise ConstructionFailed(f"x^{r + 1} is not constant on {coset}")
     G = eval_matrix(gf, points, exps)
     d = lr_singleton_bound(n, k, r)
     groups = [list(g) for g in coordinate_groups([r + 1] * m)]

@@ -47,44 +47,13 @@ class LocalStructure(FrozenRecord):
         return tuple(min(g) for g in self.groups)
 
 
-class MrParams(FrozenRecord):
-    """(r, delta, s) maximal-recoverable shape: m local groups of r+delta
-    symbols, each an [r+delta, r] MDS code, plus s global checks."""
-
-    def __init__(self, r: int, delta: int, s: int, m: int):
-        vars(self).update(r=r, delta=delta, s=s, m=m)
-        if min(self.r, self.delta, self.s, self.m) < 1 or self.k < 1:
-            raise ValueError("parameters must be positive with k >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.m * (self.r + self.delta)
-
-    @property
-    def k(self) -> int:
-        return self.m * self.r - self.s
-
-
-class PmrParams(FrozenRecord):
-    """Partial-MR shape: m single-parity groups of r+1 symbols and Delta
-    global checks on the k0 = mr data positions."""
-
-    def __init__(self, m: int, r: int, Delta: int):
-        vars(self).update(m=m, r=r, Delta=Delta)
-        if min(self.m, self.r) < 1 or self.Delta < 0 or self.k < 1:
-            raise ValueError("parameters must be positive with k >= 1")
-
-    @property
-    def k0(self) -> int:
-        return self.m * self.r
-
-    @property
-    def n(self) -> int:
-        return self.m * (self.r + 1)
-
-    @property
-    def k(self) -> int:
-        return self.k0 - self.Delta
+def _n_k(m: int, r: int, delta: int, s: int) -> Tuple[int, int]:
+    """(n, k) = (m(r+delta), mr - s): m local groups of r+delta symbols,
+    each an [r+delta, r] code, under s global checks."""
+    k = m * r - s
+    if min(m, r, delta) < 1 or k < 1:
+        raise ValueError("parameters must be positive with k >= 1")
+    return m * (r + delta), k
 
 
 def coordinate_groups(sizes: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -134,15 +103,14 @@ def pmr_parity_split(m: int, r: int, delta: int, gf: GF) -> LinearCode:
     """
     if not 0 <= delta <= r - 1:
         raise ValueError(f"need 0 <= delta <= r-1, got delta={delta}")
-    shape = PmrParams(m, r, delta)
-    k0 = shape.k0
+    n, k = _n_k(m, r, 1, delta)
+    k0 = m * r
     if gf.q < k0 + 1:
         raise FieldError(f"need q >= {k0 + 1}, got {gf.q}")
     points = [gf._exp[i] for i in range(k0)]  # distinct nonzero elements
     Hg = vandermonde(gf, points, delta + 1)
     last = Hg.data[delta]
     H = _split_parity_matrix(gf, m, r, last, Hg.data[:delta])
-    n, k = shape.n, shape.k
     structure = _pmr_layout(m, r)
     return checked(LinearCode(
         H, params=CodeParams(n=n, k=k, r=r, d_min=delta + 2, q=gf.q,
@@ -165,8 +133,7 @@ def mr_r12(m: int, r: int) -> LinearCode:
     group of the subfield GF(2^l), l minimal with 2^l - 1 >= r + 1, which
     keeps the inter-group coset structure that makes the minors nonzero.
     """
-    shape = MrParams(r, 1, 2, m)
-    k = shape.k
+    n, k = _n_k(m, r, 1, 2)
     ell = 1
     while 2 ** ell - 1 < r + 1:
         ell += 1
@@ -189,7 +156,7 @@ def mr_r12(m: int, r: int) -> LinearCode:
     H = _split_parity_matrix(gf, m, r, squares, mds_rows)
     structure = _pmr_layout(m, r)
     return checked(LinearCode(
-        H, params=CodeParams(n=shape.n, k=k, r=r, q=q, role="MR"),
+        H, params=CodeParams(n=n, k=k, r=r, q=q, role="MR"),
         provenance={"construction": "mr-r12", "q": q, "ell": ell,
                     "local_structure": structure}))
 
@@ -215,10 +182,10 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
     alpha^(j-1) beta^(-j').  The field is the smallest prime power with
     psi | q-1 and q-1 >= psi*m.
     """
-    shape = MrParams(r, delta, 2, m)
-    rp = r + delta - 1
-    if psi < rp + 1:
-        raise ValueError(f"need psi >= r+delta = {rp + 1}")
+    n, k = _n_k(m, r, delta, 2)
+    width = r + delta
+    if psi < width:
+        raise ValueError(f"need psi >= r+delta = {width}")
     q = None
     for cand in _prime_powers_from(psi + 1):
         if (cand - 1) % psi == 0 and cand - 1 >= psi * m:
@@ -229,8 +196,6 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
     gf = field_of_size(q)
     alpha = gf.primitive
     beta = gf.pow(alpha, (q - 1) // psi)
-    width = rp + 1  # = r + delta
-    n = m * width
     rows = []
     for i in range(m):  # local blocks: delta x width Vandermonde in beta
         for a in range(delta):
@@ -248,7 +213,6 @@ def mr_rdelta2(m: int, r: int, delta: int, psi: int) -> LinearCode:
     rows.append(row1)
     rows.append(row2)
     H = Mat(gf, rows, cols=n)
-    k = shape.k
     structure = LocalStructure(coordinate_groups([width] * m), delta=delta)
     return checked(LinearCode(
         H, params=CodeParams(n=n, k=k, r=r, q=q, role="MR"),
@@ -275,7 +239,7 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
     from .verify import pmr_check
     if not r <= delta <= 2 * r - 1:
         raise ValueError("need r <= delta <= 2r-1 (the a = 1 regime)")
-    shape = PmrParams(m, r, delta)
+    n, k = _n_k(m, r, 1, delta)
     sub = field_of_size(base_q)
     big = field_make(sub.p, 3 * sub.m)
     embed = subfield_embedding(sub, big)
@@ -301,7 +265,7 @@ def pmr_general_a1(m: int, r: int, delta: int, base_q: int,
     H = _split_parity_matrix(big, m, r, thetas, mds.data)
     structure = _pmr_layout(m, r)
     code = checked(LinearCode(
-        H, params=CodeParams(n=shape.n, k=shape.k, r=r, q=big.q, role="PMR"),
+        H, params=CodeParams(n=n, k=k, r=r, q=big.q, role="PMR"),
         provenance={"construction": "pmr-a1", "delta": delta,
                     "base_q": base_q, "unity_order": u, "seed": seed,
                     "local_structure": structure}))

@@ -60,7 +60,8 @@ class VerifyReport(Record):
 def declared(code: LinearCode, **given) -> list:
     """The values of `given` (r, t, structure) in order, each None taken
     from what `code` declares: r and t in its params, the local structure
-    in its provenance.  Raises ValueError where neither gives a value."""
+    in its provenance.  Raises ValueError where neither gives a value, and
+    where the local structure does not cover the code's coordinates."""
     structure = code.provenance.get("local_structure")
     out = [value if value is not None else structure if name == "structure"
            else getattr(code.params, name, None)
@@ -68,6 +69,9 @@ def declared(code: LinearCode, **given) -> list:
     if None in out:
         raise ValueError(f"no {list(given)[out.index(None)]} given and the "
                          "code declares none")
+    structure = dict(zip(given, out)).get("structure")
+    if structure is not None and not structure.covers(code.n):
+        raise ValueError("local structure does not cover the coordinates")
     return out
 
 
@@ -403,15 +407,24 @@ def _sampled_peel(view: _Supports, t: int, samples: int, seed: int,
     `seq_recovery_check`.  With `jobs` > 1 the samples split into that many
     chunks, one process each, which is sent the view: chunk i draws its
     share from seed + i, and the report lists every chunk's seed and count,
-    so any chunk replays on its own."""
+    so any chunk replays on its own.  The processes start by forkserver,
+    whose server loads this module once for all of them, or by spawn where
+    the platform has no forkserver; never by fork, since a fork of a process
+    with other threads can deadlock in the child."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     budgets = _sampled_budgets(samples, seed, jobs)
     if jobs > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from itertools import repeat
         chunks = budgets["chunks"]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        if "forkserver" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("forkserver")
+            context.set_forkserver_preload([__name__])
+        else:
+            context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as ex:
             results = list(ex.map(
                 _sampled_peel, repeat(view), repeat(t),
                 [c["samples"] for c in chunks], [c["seed"] for c in chunks]))
@@ -601,8 +614,6 @@ def pmds_check(code: LinearCode, structure: Optional[LocalStructure],
     if not (0 <= delta <= smallest and s_extra >= 0):
         raise ValueError(f"need 0 <= delta <= {smallest} (the smallest "
                          f"group) and s_extra >= 0, got {delta}, {s_extra}")
-    if not structure.covers(code.n):
-        raise ValueError("local structure does not cover the coordinates")
     groups = [list(g) for g in structure.groups]
     per_group = [math.comb(len(g), delta) for g in groups]
     rest = code.n - delta * len(groups)
@@ -704,9 +715,6 @@ def mr_shape_check(code: LinearCode) -> VerifyReport:
     declared groups: every group owns at least one row supported inside it,
     and every other row stays off the private (one-per-group) coordinates."""
     [structure] = declared(code, structure=None)
-    if not structure.covers(code.n):
-        return VerifyReport("mr-shape", False, "exhaustive",
-                            witness="groups do not cover the coordinates")
     private = set(structure.admissible_pattern())
     groups = [set(g) for g in structure.groups]
     local_rows = [False] * len(groups)

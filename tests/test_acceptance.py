@@ -15,7 +15,7 @@ from itertools import combinations
 
 from lrckit.bounds import (avail_dmin_bounds, avail_rate_bounds,
                            hamming_type_bound, lr_singleton_bound,
-                           msr_subpkt_bounds, msw_sequence, RgParams,
+                           msr_subpkt_bounds, msw_sequence,
                            cutset_bound, sa_blocklength_bound,
                            seq_blocklength_bounds, seq_rate_bound)
 from lrckit.code import (LinearCode, code_from_generator, min_distance,
@@ -217,7 +217,7 @@ def test_criterion_10_msr_arithmetic():
         d = rng.randrange(k, n)
         beta = rng.randrange(1, 5)
         alpha = (d - k + 1) * beta
-        B = cutset_bound(RgParams(n=n, k=k, d=d, alpha=alpha, beta=beta))
+        B = cutset_bound(n, k, d, alpha, beta)
         assert B == k * alpha, (n, k, d, beta)
         done += 1
     report(10, "sub-packetization formulas on a 50-point sweep and "

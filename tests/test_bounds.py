@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lrckit.bounds import (MSR_SUBPKT_MODES, BoundError, ClassicalOracle,
-                           RgParams, avail_dmin_bounds, avail_product_tradeoff,
+                           avail_dmin_bounds, avail_product_tradeoff,
                            avail_rate_bounds, cutset_bound, hamming_type_bound,
                            lr_alphabet_dim_bound, lr_alphabet_dmin_bound,
                            lr_singleton_bound, mbr_point, moore_bound,
@@ -83,6 +83,18 @@ def test_alphabet_dmin_bound_runs():
     assert rep.value >= 1
     with pytest.raises(BoundError):
         lr_alphabet_dmin_bound(12, 1, 2, 2)  # e_i - i never below k = 1
+
+
+def test_alphabet_dmin_bound_refuses_k_past_its_shortenings(capsys):
+    """At k = n - ceil(n / (r + 1)) every shortened code exists; one past
+    it the row refuses with the condition, before any shortening."""
+    assert lr_alphabet_dmin_bound(10, 6, 2, 2).value >= 1
+    assert main(["bound", "lr-dmin", "--n", "10", "--k", "7", "--r", "2",
+                 "--q", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "BoundError",
+        "message": "need k <= n - ceil(n / (r + 1)) = 6, got k = 7"}
 
 
 def test_alphabet_bound_monotone_in_oracle():
@@ -208,10 +220,9 @@ def test_moore_bound_values():
 # -- regenerating codes --
 
 def test_cutset_bound():
-    assert cutset_bound(RgParams(n=3, k=2, d=2, alpha=4, beta=2)) == 6
+    assert cutset_bound(n=3, k=2, d=2, alpha=4, beta=2) == 6
     # alpha >= d beta puts every term at (d-i) beta
-    p = RgParams(n=8, k=4, d=6, alpha=12, beta=2)
-    assert cutset_bound(p) == sum((6 - i) * 2 for i in range(4))
+    assert cutset_bound(8, 4, 6, 12, 2) == sum((6 - i) * 2 for i in range(4))
 
 
 def test_msr_mbr_points():
@@ -228,8 +239,8 @@ def test_mbr_point_meets_the_cutset_bound():
         for d in range(k, 9):
             for beta in range(5):
                 mbr = mbr_point(k, d, beta)
-                rg = RgParams(n=d + 1, k=k, d=d, alpha=mbr["alpha"], beta=beta)
-                assert cutset_bound(rg) == mbr["B"], (k, d, beta)
+                assert cutset_bound(d + 1, k, d, mbr["alpha"], beta) == \
+                    mbr["B"], (k, d, beta)
 
 
 # -- regimes: outside its domain a bound is a BoundError, which exits 2 --
@@ -275,8 +286,8 @@ BOUND_DOMAINS = {
         and any(e < n - d + 1 for e in _shortening(n, r)),
     "lr-dmin": lambda n, k, r, q, oracle:
         oracle in _DRAWN_ORACLES[:4] and min(n, r) >= 1 and q >= 2
-        and 0 < len(S := [i for i, e in enumerate(_shortening(n, r), 1)
-                          if e - i < k]) and k + max(S) <= n,
+        and any(e - i < k for i, e in enumerate(_shortening(n, r), 1))
+        and k <= n - -(-n // (r + 1)),
     "seq-rate": lambda r, t: min(r, t) >= 1,
     "seq-blocklength": lambda k, r, t: min(k, r) >= 1 and t in (2, 3),
     "seq-dim-t2": lambda m, r: min(m, r) >= 1,

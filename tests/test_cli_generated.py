@@ -120,7 +120,8 @@ def test_cli_contract_on_generated_input(code_files, capsys, monkeypatch):
     # here, so that a thousand runs start no process.  Chunks are independent
     # and seeded, so their reports are the same either way.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        concurrent.futures.ThreadPoolExecutor)
+                        lambda max_workers, mp_context:
+                        concurrent.futures.ThreadPoolExecutor(max_workers))
     rng = random.Random(SEED)
     capsys.readouterr()
     exits = {0: 0, 1: 0, 2: 0}

@@ -473,7 +473,7 @@ seq_codes.seq_rate_bound = lambda r, t: Fraction(0)
 out = {"debug": __debug__,
        "seq": attempt(lambda: seq_codes.seq_general_code(3, 3)),
        "cli": main(["construct", "seq", "--r", "3", "--t", "3"])}
-mr_codes.MrParams.k = property(lambda s: s.m * s.r - s.s + 1)
+mr_codes._n_k = lambda m, r, delta, s: (m * (r + delta), m * r - s + 1)
 out["mr"] = attempt(lambda: mr_codes.mr_r12(3, 2))
 sys.stdout.write(json.dumps(out))
 """
@@ -495,3 +495,30 @@ def test_construction_invariants_hold_under_python_O():
 def test_construction_failed_is_one_class():
     assert lrckit.ConstructionFailed is graphs.ConstructionFailed \
         is lcode.ConstructionFailed
+
+
+def test_linear_code_refusals(monkeypatch):
+    """A generator that disagrees with H, a puncture outside the code, the
+    zero code's distance, a support weight past k, and walks past their
+    budgets are refused with their exact messages."""
+    H = Mat(GF2, [[1, 1, 0], [0, 1, 1]])  # the [3, 1] repetition code
+    code = LinearCode(H)
+    assert repr(code) == "LinearCode[n=3, k=1] over GF(2)"
+    with pytest.raises(ValueError, match="^generator inconsistent with "
+                       "parity check$"):
+        LinearCode(H, G=Mat(GF2, [[1, 1, 1], [1, 0, 0]]))
+    with pytest.raises(ValueError, match=r"^G H\^T != 0$"):
+        LinearCode(H, G=Mat(GF2, [[1, 0, 0]]))
+    with pytest.raises(ValueError, match=r"^coordinate set outside \[0, 3\)$"):
+        puncture(code, [3])
+    with pytest.raises(ValueError, match="^the zero code has no nonzero "
+                       "codeword$"):
+        min_distance(LinearCode(Mat(GF2, [[1, 0], [0, 1]])))
+    with pytest.raises(ValueError, match="^need 1 <= i <= k, got 2$"):
+        support_weight(code, 2)
+    even = LinearCode(Mat(GF2, [[1, 1, 1]]))  # [3, 2]: 3 one-dim subspaces
+    with pytest.raises(BudgetExceeded, match="^3 subspaces > budget 2$"):
+        support_weight(even, 1, budget=2)
+    monkeypatch.setattr(lcode, "IS_MDS_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match=r"^C\(3,1\) column subsets > 2$"):
+        is_mds(even)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -87,6 +88,21 @@ def test_field_above_the_ceiling_rejected(p, m):
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError, match="reducible"):
         field_make(2, 4, [1, 0, 0, 0, 1])  # x^4 + 1 = (x+1)^4
+
+
+def test_field_refusals():
+    """An over-long coefficient vector, zero to a negative power, and a
+    field that is no subfield of the other are refused."""
+    gf = field_make(2, 4)
+    with pytest.raises(FieldError, match="^coefficient vector too long$"):
+        gf.from_coeffs([1, 0, 0, 0, 1])
+    assert (gf.pow(0, 0), gf.pow(0, 3)) == (1, 0)
+    with pytest.raises(DivideByZero, match="^zero to a negative power$"):
+        gf.pow(0, -1)
+    for sub in (field_make(2, 3), field_make(3)):
+        with pytest.raises(FieldError, match=f"^{re.escape(str(sub))} does "
+                           f"not embed into {re.escape(str(gf))}$"):
+            subfield_embedding(sub, gf)
 
 
 def test_zero_inverse_raises():

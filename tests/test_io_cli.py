@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -44,6 +45,24 @@ def test_unknown_fields_rejected():
     obj["schema"] = "code/9"
     with pytest.raises(lio.SchemaError, match="unsupported code schema"):
         lio.code_from_json(obj)
+
+
+def test_malformed_field_and_groups_rejected():
+    with pytest.raises(lio.SchemaError, match="^field must be an object, "
+                       "got 5$"):
+        lio.field_from_json(5)
+    with pytest.raises(lio.SchemaError, match=re.escape(
+            "malformed local_structure.groups: [[0, 1], [2, 'x']]")):
+        lio.structure_from_json({"groups": [[0, 1], [2, "x"]]})
+
+
+def test_cli_unreadable_code_file_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "seq", "--code", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "io",
+        "message": f"[Errno 2] No such file or directory: '{missing}'"}
 
 
 def test_cli_construct_verify_round_trip(tmp_path):

@@ -151,20 +151,3 @@ def test_steiner_next_size():
     c = steiner_sa_code(4)  # 15 points, 35 lines
     assert (c.n, c.k) == (35, 35 - 15 + 4)
     assert sa_check(c.H, 6, 3).verdict
-
-
-def test_eval_points_invariants():
-    from lrckit.lr_codes import EvalPoints
-    gf = field_make(13)
-    # cosets of the order-4 subgroup inside the order-12 subgroup: the good
-    # polynomial x^4 is constant on each
-    gen = gf.pow(gf.primitive, (gf.q - 1) // 12)
-    h = gf.pow(gen, 3)
-    cosets = tuple(tuple(gf.mul(gf.pow(gen, i), gf.pow(h, j))
-                         for j in range(4)) for i in range(3))
-    layout = EvalPoints(gf, cosets, good_poly_degree=4)
-    assert len(layout.points()) == 12
-    with pytest.raises(ValueError):
-        EvalPoints(gf, ((1, 2), (2, 3)), good_poly_degree=4)  # overlap
-    with pytest.raises(ValueError):
-        EvalPoints(gf, ((1, 2),), good_poly_degree=4)  # not constant

@@ -415,3 +415,17 @@ def test_constructor_rejects_cols_that_disagree_with_the_rows():
                 Mat(gf, [[1, 0, 1], [0, 1, 1]], cols=cols)
         assert Mat(gf, [[1, 0, 1]], cols=3).cols == 3
         assert (Mat(gf, [], cols=3).rows, Mat(gf, [], cols=3).cols) == (0, 3)
+
+
+def test_matrix_refusals():
+    """Bit rows outside GF(2), a product of mismatched shapes or fields,
+    and a Vandermonde matrix with more rows than points are refused."""
+    gf2, gf3 = field_make(2), field_make(3)
+    with pytest.raises(MatrixError, match=r"^bit rows require GF\(2\)$"):
+        Mat.from_bits(gf3, [1], 2)
+    for a, b in ((Mat(gf2, [[1, 0]]), Mat(gf2, [[1, 0]])),
+                 (Mat(gf2, [[1]]), Mat(gf3, [[1]]))):
+        with pytest.raises(MatrixError, match="^matmul shape/field mismatch$"):
+            a.mul(b)
+    with pytest.raises(MatrixError, match="^more rows than points$"):
+        vandermonde(gf3, [1, 2], 3)

@@ -603,13 +603,14 @@ def test_tamo_barg_is_not_pmr_in_general():
 
 
 def test_param_shapes():
-    from lrckit.mr_codes import MrParams, PmrParams
-    p = MrParams(r=2, delta=1, s=2, m=3)
-    assert (p.n, p.k) == (9, 4)
-    q = PmrParams(m=3, r=3, Delta=5)
-    assert (q.n, q.k0, q.k) == (12, 9, 4)
-    with pytest.raises(ValueError):
-        MrParams(r=1, delta=1, s=2, m=1)  # k would be negative
+    from lrckit.mr_codes import _n_k
+    # (m, r, delta, s) -> (m(r + delta), mr - s)
+    assert _n_k(3, 2, 1, 2) == (9, 4)  # MR: (r, delta, s) = (2, 1, 2)
+    assert _n_k(3, 3, 1, 5) == (12, 4)  # PMR: k0 = 9, Delta = 5
+    for shape in ((1, 1, 1, 2), (0, 2, 1, 0), (2, 0, 1, 0), (2, 2, 0, 0)):
+        with pytest.raises(ValueError, match="^parameters must be positive "
+                           "with k >= 1$"):
+            _n_k(*shape)  # k < 1, or m, r or delta below 1
 
 
 @pytest.mark.parametrize("make", [

@@ -10,26 +10,19 @@ import sys
 
 import pytest
 
-from lrckit import (BoundError, BoundReport, CodeParams, EvalPoints,
-                    LocalStructure, MrParams, PmrParams, RgParams,
-                    VerifyReport, field_make)
+from lrckit import (BoundError, BoundReport, CodeParams, LocalStructure,
+                    VerifyReport, cutset_bound, field_make, mr_r12,
+                    mr_rdelta2, pmr_general_a1, pmr_parity_split)
 
 GF13 = field_make(13)
-# the cosets of the order-4 subgroup of GF(13)*: x^4 is constant on each
-COSETS = tuple(tuple(GF13.pow(GF13.primitive, i + 3 * j) for j in range(4))
-               for i in range(3))
 
 # name -> (class, positional arguments, keyword arguments); each set is valid
 RECORDS = {
     "BoundReport": (BoundReport, ("x", {"n": 3}, 2),
                     {"formula": "n - 1", "detail": {"i": 1}}),
-    "RgParams": (RgParams, (8, 4, 6, 12), {"beta": 2}),
     "CodeParams": (CodeParams, (7, 4), {"d_min": 3, "q": 2, "role": "MDS"}),
-    "EvalPoints": (EvalPoints, (GF13, COSETS), {"good_poly_degree": 4}),
     "LocalStructure": (LocalStructure, (((0, 1, 2), (3, 4, 5)),),
                        {"delta": 2}),
-    "MrParams": (MrParams, (2, 1, 2), {"m": 3}),
-    "PmrParams": (PmrParams, (3, 3), {"Delta": 5}),
     "VerifyReport": (VerifyReport, ("pmds", False, "exhaustive"),
                      {"witness": [0, 1], "budgets": {"checked": 4}}),
 }
@@ -86,9 +79,6 @@ def test_record_positional_order_and_defaults():
     assert vars(BoundReport("x", {}, 1)) == dict(
         name="x", inputs={}, value=1, formula="", detail={})
     assert LocalStructure(((0,),)).delta == 1
-    rg = RgParams(8, 4, 6, 12, 2)
-    assert (rg.n, rg.k, rg.d, rg.alpha, rg.beta) == (8, 4, 6, 12, 2)
-    assert (MrParams(2, 1, 2, 3).n, PmrParams(3, 3, 5).k) == (9, 4)
     assert CodeParams(7, 4) != CodeParams(7, 3)
     assert CodeParams(7, 4) != CodeParams(7, 4, role="LR")
 
@@ -105,46 +95,45 @@ def test_default_dicts_are_not_shared():
     assert one != two
 
 
-# each validation a record's __init__ makes: (class, arguments, error,
-# message)
+# each validation a record's __init__ makes, and each shape check of the
+# functions that take their parameters as plain numbers: (callable,
+# arguments, error, message)
 INVALID = [
-    (RgParams, (4, 0, 2, 3, 1), BoundError, "need 1 <= k <= d <= n-1"),
-    (RgParams, (4, 3, 2, 3, 1), BoundError, "need 1 <= k <= d <= n-1"),
-    (RgParams, (4, 2, 4, 3, 1), BoundError, "need 1 <= k <= d <= n-1"),
-    (RgParams, (4, 2, 3, 1, 2), BoundError, "need beta <= alpha"),
+    (cutset_bound, (4, 0, 2, 3, 1), BoundError, "need 1 <= k <= d <= n-1"),
+    (cutset_bound, (4, 3, 2, 3, 1), BoundError, "need 1 <= k <= d <= n-1"),
+    (cutset_bound, (4, 2, 4, 3, 1), BoundError, "need 1 <= k <= d <= n-1"),
+    (cutset_bound, (4, 2, 3, 1, 2), BoundError, "need beta <= alpha"),
     (CodeParams, (7, -1), ValueError, "parameters must be nonnegative"),
     (CodeParams, (7, 4, None, None, None, -2), ValueError,
      "parameters must be nonnegative"),
     (CodeParams, (7, 4, None, None, 5), ValueError,
      "d_min exceeds the classical limit n - k + 1"),
-    (EvalPoints, (GF13, ((1, 2), (2, 3)), 4), ValueError,
-     "cosets must be pairwise disjoint"),
-    (EvalPoints, (GF13, ((1, 2),), 4), ValueError,
-     "x^4 is not constant on (1, 2)"),
+    (mr_rdelta2, (2, 2, 0, 4), ValueError,
+     "parameters must be positive with k >= 1"),
+    (pmr_parity_split, (0, 2, 1, GF13), ValueError,
+     "parameters must be positive with k >= 1"),
     (LocalStructure, (((0, 1), (1, 2)),), ValueError,
      "groups must be disjoint"),
     (LocalStructure, (((0, 1), ()),), ValueError,
      "group 1 has no private coordinate"),
-    (MrParams, (0, 1, 1, 2), ValueError,
-     "parameters must be positive with k >= 1"),
-    (MrParams, (1, 1, 2, 1), ValueError,
-     "parameters must be positive with k >= 1"),
-    (PmrParams, (3, 3, -1), ValueError,
-     "parameters must be positive with k >= 1"),
-    (PmrParams, (1, 2, 2), ValueError,
+    (mr_r12, (2, 0), ValueError, "parameters must be positive with k >= 1"),
+    (mr_r12, (1, 1), ValueError, "parameters must be positive with k >= 1"),
+    (pmr_parity_split, (3, 3, -1, GF13), ValueError,
+     "need 0 <= delta <= r-1, got delta=-1"),
+    (pmr_general_a1, (1, 2, 2, 13), ValueError,
      "parameters must be positive with k >= 1"),
     (VerifyReport, ("x", True, "sampled"), ValueError,
      "sampled reports must record their seed"),
     (VerifyReport, ("x", True, "sampled", None, {"seed": 0, "samples": 0}),
      ValueError, "a sampled PASS must replay at least one pattern"),
-    (RgParams, (4, 2, 3, 1, -1), BoundError, "need beta >= 0"),
+    (cutset_bound, (4, 2, 3, 1, -1), BoundError, "need beta >= 0"),
 ]
 
 
-@pytest.mark.parametrize("cls,args,error,message", INVALID)
-def test_record_validation(cls, args, error, message):
+@pytest.mark.parametrize("make,args,error,message", INVALID)
+def test_record_validation(make, args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        cls(*args)
+        make(*args)
 
 
 def test_failing_report_gets_a_witness():

@@ -303,6 +303,50 @@ def test_each_check_builds_its_support_view_once(monkeypatch):
     assert rep.budgets["jobs"] == 2 and len(built) == 3
 
 
+@pytest.mark.parametrize("platform", ["this", "without forkserver"])
+def test_parallel_chunks_never_fork(platform, monkeypatch):
+    """With `jobs` > 1 the chunks run in processes started by forkserver, or
+    by spawn where the platform has none, never by a fork of this process,
+    which here runs a second thread: from Python 3.12 such a fork warns
+    that it can deadlock in the child.  The report is the one threads
+    give."""
+    import concurrent.futures
+    import multiprocessing
+    import threading
+    import warnings
+    methods = multiprocessing.get_all_start_methods()
+    if platform != "this":
+        methods = [m for m in methods if m != "forkserver"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: methods)
+    code = moore_code(2, 2)  # K4: seed 9 fails in its last chunk
+    view = _Supports(code.n, low_weight_dual_supports(code, 3))
+    started, pool = [], concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers, mp_context=None:
+                        started.append(mp_context) or
+                        pool(max_workers, mp_context=mp_context))
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = _sampled_peel(view, 3, 10, 9, jobs=3)
+    finally:
+        stop.set()
+        waiter.join()
+    assert [str(w.message) for w in caught if "fork()" in str(w.message)] \
+        == []
+    assert [c.get_start_method() for c in started] == \
+        ["forkserver" if "forkserver" in methods else "spawn"]
+    assert not rep.verdict and rep.budgets["failed_chunk"] == 2
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers, mp_context:
+                        concurrent.futures.ThreadPoolExecutor(max_workers))
+    assert _sampled_peel(view, 3, 10, 9, jobs=3).as_dict() == rep.as_dict()
+
+
 def _row_mixed(code, rng):
     """`code` with an H of the same row space: each step scales a row or
     adds a multiple of one row to another, and the rows are then shuffled.
@@ -978,11 +1022,11 @@ def _grouped(rows, groups):
         "local_structure": LocalStructure(groups)})
 
 
-# (H over GF(2), groups, witness): each way mr-shape fails before a row
-# straddles a private coordinate
+# (H over GF(2), groups, witness): each way mr-shape fails
 MR_SHAPE_FAILURES = [
-    ([[1, 1, 0, 0], [0, 0, 1, 1]], ((0, 1),),
-     "groups do not cover the coordinates"),
+    # row 2 meets the private coordinates 0 and 2, inside no group
+    ([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]], ((0, 1), (2, 3)),
+     {"row": 2, "reason": "row straddles a private coordinate"}),
     ([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]], ((0, 1), (2, 3)),
      {"row": 1, "reason": "zero row"}),
     # row 1 stays off the private coordinates 0 and 2, inside no group
@@ -996,6 +1040,31 @@ def test_mr_shape_failures(rows, groups, witness):
     assert mr_shape_check(_grouped(rows, groups)).as_dict() == {
         "property": "mr-shape", "verdict": False, "mode": "exhaustive",
         "witness": witness, "budgets": {}, "detail": {}}
+
+
+def test_a_structure_that_does_not_cover_the_code_is_refused(tmp_path,
+                                                           capsys):
+    """pmds, pmr and mr-shape refuse a local structure that leaves some
+    coordinate out, as given and as the code file declares it: exit 2."""
+    full = mr_r12(4, 3)
+    part = LocalStructure(full.provenance["local_structure"].groups[:3])
+    code = LinearCode(full.H, params=full.params,
+                      provenance={"local_structure": part})
+    message = "local structure does not cover the coordinates"
+    for check in (lambda: pmds_check(code, None, 1, 1),
+                  lambda: pmds_check(full, part, 1, 1),
+                  lambda: pmr_check(code), lambda: pmr_check(full, part),
+                  lambda: mr_shape_check(code)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check()
+    path = tmp_path / "part.json"
+    path.write_text(lio.dumps(lio.code_to_json(code)))
+    for argv in (["pmds", "--delta", "1", "--s-extra", "1"], ["pmr"],
+                 ["mr-shape"]):
+        assert main(["verify", argv[0], "--code", str(path)] + argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": "ValueError",
+                                                 "message": message}
 
 
 def test_checks_refuse_a_mode_or_structure_they_cannot_run():
