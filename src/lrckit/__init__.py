@@ -28,9 +28,8 @@ from .bounds import (BoundError, BoundReport, ClassicalOracle,
                      seq_rate_bound)
 from .seq_codes import (moore_code, seq_general_code, t2_dim_optimal_code,
                         t2_near_regular_code, t2_turan_code, t3_catalog)
-from .lr_codes import (locality_witnesses, pg_plane_sa_code,
-                       product_avail_code, pyramid_code, steiner_sa_code,
-                       tamo_barg_code, wang_avail_code)
+from .lr_codes import (pg_plane_sa_code, product_avail_code, pyramid_code,
+                       steiner_sa_code, tamo_barg_code, wang_avail_code)
 from .mr_codes import (LocalStructure, mr_r12, mr_r2_coset_search,
                        mr_rdelta2, pmr_general_a1, pmr_parity_split)
 from .io import SchemaError

@@ -429,5 +429,5 @@ def main(argv: Optional[List[str]] = None) -> int:
                      traceback="\n".join(lines + [message]))
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .bounds import ceil_div, lr_singleton_bound
 from .code import (BudgetExceeded, CodeParams, ConstructionFailed, LinearCode,
@@ -110,22 +110,6 @@ def tamo_barg_code(n: int, k: int, r: int, gf: GF) -> LinearCode:
     return checked(code_from_generator(
         G, params=CodeParams(n=n, k=k, r=r, d_min=d, q=q, role="LR"),
         provenance={"construction": "tamo-barg", "groups": groups}))
-
-
-def locality_witnesses(code: LinearCode,
-                       groups: Sequence[Sequence[int]]) -> List[List[int]]:
-    """For each coordinate group, a dual codeword supported inside the group
-    (the local parity); raises if some group has no such word."""
-    out = []
-    for grp in groups:
-        local = code.local_dual(grp)
-        if local.rows == 0:
-            raise ValueError(f"group {list(grp)} carries no local parity")
-        w = [0] * code.n
-        for pos, val in zip(grp, local.data[0]):
-            w[pos] = val
-        out.append(w)
-    return out
 
 
 # ---------------------------------------------------------------------------

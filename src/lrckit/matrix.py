@@ -131,14 +131,6 @@ class Mat:
             out.append(tuple(sup))
         return out
 
-    def column_supports(self) -> List[Tuple[int, ...]]:
-        """Row indices of the nonzero entries of each column."""
-        cols: List[List[int]] = [[] for _ in range(self.cols)]
-        for i, sup in enumerate(self.row_supports()):
-            for j in sup:
-                cols[j].append(i)
-        return [tuple(c) for c in cols]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.gf == other.gf
                 and self.cols == other.cols and self.bits == other.bits

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate, product
-from typing import List, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Sequence, Tuple
 
 from ._record import FrozenRecord
 from .code import (CodeParams, ConstructionFailed, LinearCode,
@@ -19,9 +19,6 @@ from .code import (CodeParams, ConstructionFailed, LinearCode,
 from .field import (GF, MAX_FIELD_SIZE, FieldError, field_make,
                     field_of_size, prime_power, subfield_embedding)
 from .matrix import Mat, eval_matrix, first_dependent, vandermonde
-
-if TYPE_CHECKING:  # circular at runtime: verify builds on these structures
-    from .verify import VerifyReport
 
 
 class LocalStructure(FrozenRecord):

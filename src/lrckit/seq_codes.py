@@ -122,8 +122,8 @@ def t2_dim_optimal_code(m: int, r: int) -> LinearCode:
             cols.append(tuple(1 if i in support else 0 for i in range(m)))
     if J:
         classes = _cyclic_shift_classes(m, L + 1)
-        if any(len(c) != m for c in classes):
-            raise NotInCatalog("cyclic orbits not all full size")
+        if any(len(c) != m for c in classes):  # gcd(L+1, m) = 1 rules it out
+            raise ConstructionFailed("cyclic orbits not all full size")
         for cls in classes[: J // (L + 1)]:
             cols.extend(cls)
     H = Mat(GF2, [[col[i] for col in cols] for i in range(m)],
@@ -372,8 +372,7 @@ def seq_general_code(r: int, t: int, aux: str = "catalog",
     expanded = Graph(nb * n_aux + 1, exp_edges)
     got_girth = girth(expanded)
     if got_girth < t + 1:
-        raise ConstructionFailed(
-            f"expanded graph girth {got_girth} < {t + 1}")
+        raise ConstructionFailed(f"expanded graph girth {got_girth} < {t+1}")
 
     # incidence matrix with the apex row (the last node) dropped
     return _rate_optimal(incidence_bits(expanded)[:-1], len(expanded.edges),

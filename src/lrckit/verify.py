@@ -13,8 +13,8 @@ import math
 import random
 from collections import Counter
 from itertools import accumulate, combinations, filterfalse, islice
-from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Collection, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ._record import Record
 from .bounds import lr_singleton_bound
@@ -79,28 +79,28 @@ def declared(code: LinearCode, **given) -> list:
 # low-weight dual words
 # ---------------------------------------------------------------------------
 
-def _low_weight_words(code: LinearCode, wmax: int) -> Tuple[Mat, bool]:
-    """The dual words of weight 1 to wmax as the rows of a Mat, and whether
-    they are all of them.  When q^(n-k) <= DUAL_ENUM_MAX_WORDS they are: one
-    word per line of the dual, kept on its packed form, in the order in
-    which a count over the coefficients of the RREF dual basis, the first
-    row's digit fastest, first reaches a multiple of each.  Otherwise they
-    are the stored rows of H, which may miss some: a verdict on them is
-    conservative, never falsely positive."""
+def _low_weight_words(code: LinearCode, wmax: int) -> Mat:
+    """The dual words of weight 1 to wmax as the rows of a Mat.  When
+    q^(n-k) <= DUAL_ENUM_MAX_WORDS they are all of them: one word per line
+    of the dual, kept on its packed form, in the order in which a count over
+    the coefficients of the RREF dual basis, the first row's digit fastest,
+    first reaches a multiple of each.  Otherwise they are the stored rows of
+    H, which may miss some: a verdict on them is conservative, never falsely
+    positive."""
     gf, n, H = code.gf, code.n, code.H
     if gf.q ** (n - code.k) > DUAL_ENUM_MAX_WORDS:  # no RREF, no unpacking
         if H.bits is None:
             return Mat(gf, [w for w in H.data if 0 < n - w.count(0) <= wmax],
-                       cols=n), False
+                       cols=n)
         return Mat.from_bits(gf, [v for v in H.bits
-                                  if 0 < v.bit_count() <= wmax], n), False
+                                  if 0 < v.bit_count() <= wmax], n)
     basis, pivots = rref(H)
     walk = (w for (w,) in subspaces(basis, 1))
     if basis.bits is not None:  # the count is the word on the pivots
         mask = sum(1 << p for p in pivots)
         return Mat.from_bits(gf, sorted((w for w in walk
                                          if w.bit_count() <= wmax),
-                                        key=mask.__and__), n), True
+                                        key=mask.__and__), n)
     exp, pivots = gf._exp, pivots[::-1]
 
     def count(w):  # as digits, the most significant first and scaled to 1
@@ -110,25 +110,25 @@ def _low_weight_words(code: LinearCode, wmax: int) -> Tuple[Mat, bool]:
 
     words = sorted((w[:] for w in walk if n - w.count(-1) <= wmax), key=count)
     entry = exp + [0]  # a log of -1 reads the 0
-    return Mat(gf, [[entry[x] for x in w] for w in words], cols=n), True
+    return Mat(gf, [[entry[x] for x in w] for w in words], cols=n)
 
 
 def low_weight_dual_supports(code: LinearCode, wmax: int) -> List[FrozenSet[int]]:
     """The supports of the words of `_low_weight_words`, each once, by size
     and then in order; peeling on those of stored rows is conservative."""
-    words, _ = _low_weight_words(code, wmax)
+    words = _low_weight_words(code, wmax)
     return sorted(set(map(frozenset, words.row_supports())),
                   key=lambda s: (len(s), sorted(s)))
 
 
 class _Supports:
-    """The low-weight dual supports of one check, indexed once for all its
-    tests: `sets` in the order given, `masks` with bit c for coordinate c,
-    and `by_coord`, for each coordinate the indices of the sets holding it."""
+    """The supports of one check's words, indexed once for all its tests:
+    `sets` in the order given, and `by_coord`, for each coordinate the
+    indices of the sets holding it.  Given a matrix's row supports,
+    `by_coord` is its column supports."""
 
-    def __init__(self, n: int, sets: Sequence[FrozenSet[int]]):
+    def __init__(self, n: int, sets: Sequence[Collection[int]]):
         self.n, self.sets = n, sets
-        self.masks = [sum(1 << c for c in s) for s in sets]
         self.by_coord: List[List[int]] = [[] for _ in range(n)]
         for idx, s in enumerate(sets):
             for c in s:
@@ -229,15 +229,14 @@ def _draws(rng: random.Random, n: int, k: int) -> Iterator[List[int]]:
     return rejected()
 
 
-def _edge_columns(M: Mat) -> Tuple[List[Tuple[int, ...]], Optional[dict]]:
-    """M's column supports, and the first column whose weight is not 1 or 2
-    as a failure witness, or None: the incidence graph, the staircase and
-    the t = 2 classification need every column to be an edge or a
-    half-edge."""
-    col_sup = M.column_supports()
-    return col_sup, next(({"column": j, "weight": len(sup)}
-                          for j, sup in enumerate(col_sup)
-                          if not 1 <= len(sup) <= 2), None)
+def _non_edge(view: _Supports) -> Optional[dict]:
+    """The first column (coordinate) of the view in neither 1 nor 2 of its
+    rows (sets), as a failure witness, or None: the incidence graph, the
+    staircase and the t = 2 classification need every column to be an edge
+    or a half-edge."""
+    return next(({"column": j, "weight": len(ids)}
+                 for j, ids in enumerate(view.by_coord)
+                 if not 1 <= len(ids) <= 2), None)
 
 
 def _incidence_graph(code: LinearCode):
@@ -246,12 +245,13 @@ def _incidence_graph(code: LinearCode):
     weight-1 columns; returns (Graph, None) or (None, reason)."""
     from .graphs import Graph, GraphError
     m = code.H.rows
-    col_sup, non_edge = _edge_columns(code.H)
+    view = _Supports(code.n, code.H.row_supports())
+    non_edge = _non_edge(view)
     if non_edge:
         return None, "column {column} has weight {weight}".format(**non_edge)
     try:  # a weight-1 column ends at the virtual apex node m
-        return Graph(m + 1, [sup if len(sup) == 2 else (sup[0], m)
-                             for sup in col_sup]), None
+        return Graph(m + 1, [ids if len(ids) == 2 else (ids[0], m)
+                             for ids in view.by_coord]), None
     except GraphError as e:
         return None, str(e)
 
@@ -465,9 +465,11 @@ def _disjoint_packing(cands: Sequence[int], t: int, used: int = 0,
 def _unavailable(view: _Supports, t: int) -> Optional[dict]:
     """The first coordinate without t pairwise-disjoint recovery sets, and
     how many candidates it has (the view's supports through it, less it, as
-    bit masks), as a witness; None when every coordinate has them."""
+    bit masks, bit c for coordinate c), as a witness; None when every
+    coordinate has them."""
+    masks = [sum(1 << c for c in s) for s in view.sets]
     for i, ids in enumerate(view.by_coord):
-        if not _disjoint_packing([view.masks[j] ^ 1 << i for j in ids], t):
+        if not _disjoint_packing([masks[j] ^ 1 << i for j in ids], t):
             return {"coordinate": i, "candidates": len(ids)}
     return None
 
@@ -490,15 +492,16 @@ def availability_check(code: LinearCode, r: Optional[int] = None,
 def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
     """Strict-availability shape: every row of weight r+1, every column of
     weight t, and the rows through any coordinate meet pairwise exactly in
-    that coordinate."""
+    that coordinate.  Then m(r+1) = nt, both the count of H's nonzeros."""
     if min(r, t) < 1:
         raise ValueError(f"need r, t >= 1, got {r}, {t}")
-    rows = [frozenset(sup) for sup in H.row_supports()]
+    view = _Supports(H.cols, [frozenset(sup) for sup in H.row_supports()])
+    rows = view.sets
     for i, sup in enumerate(rows):
         if len(sup) != r + 1:
             return VerifyReport("strict-availability", False, "exhaustive",
                                 witness={"row": i, "weight": len(sup)})
-    for j, through in enumerate(H.column_supports()):
+    for j, through in enumerate(view.by_coord):
         if len(through) != t:
             return VerifyReport("strict-availability", False, "exhaustive",
                                 witness={"column": j,
@@ -509,9 +512,7 @@ def sa_check(H: Mat, r: int, t: int) -> VerifyReport:
                     "strict-availability", False, "exhaustive",
                     witness={"column": j, "rows": [a, b],
                              "overlap": sorted(rows[a] & rows[b])})
-    counting_ok = H.rows * (r + 1) == H.cols * t
-    return VerifyReport("strict-availability", counting_ok, "exhaustive",
-                        witness=None if counting_ok else "m(r+1) != nt",
+    return VerifyReport("strict-availability", True, "exhaustive",
                         detail={"m": H.rows, "n": H.cols})
 
 
@@ -718,8 +719,8 @@ def mr_shape_check(code: LinearCode) -> VerifyReport:
     private = set(structure.admissible_pattern())
     groups = [set(g) for g in structure.groups]
     local_rows = [False] * len(groups)
-    for ri, row_sup in enumerate(code.H.row_supports()):
-        sup = set(row_sup)
+    view = _Supports(code.n, [frozenset(s) for s in code.H.row_supports()])
+    for ri, sup in enumerate(view.sets):
         if not sup:
             return VerifyReport("mr-shape", False, "exhaustive",
                                 witness={"row": ri, "reason": "zero row"})
@@ -749,9 +750,10 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
     previous one through single-parent weight-2 columns, and the final
     block is intra-layer (t even) or a multi-edge fan-in (t odd).
 
-    One pass over the column supports per level finds the level's new rows,
-    each with its parent columns (the weight-2 columns from a row of the
-    previous layer to it).  Every row must then have weight r + 1.
+    One support view of H serves every step.  One pass over its column
+    supports per level finds the level's new rows, each with its parent
+    columns (the weight-2 columns from a row of the previous layer to it).
+    Every row must then have weight r + 1.
 
     Returns the block profile (column group sizes a_i, row layer sizes
     rho_i) as the structural witness on success.
@@ -763,9 +765,11 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
         return VerifyReport("staircase", False, "exhaustive", witness=witness)
 
     s = (t - 1) // 2
-    col_sup, non_edge = _edge_columns(H)
+    view = _Supports(H.cols, H.row_supports())
+    non_edge = _non_edge(view)
     if non_edge:
         return fail(non_edge)
+    col_sup = view.by_coord
     layer_of = [-1] * H.rows
     ones = [j for j, sup in enumerate(col_sup) if len(sup) == 1]
     for j in ones:
@@ -807,7 +811,7 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
     if -1 in layer_of:
         return fail({"rows": [i for i, l in enumerate(layer_of) if l == -1],
                      "reason": "rows outside template"})
-    for i, sup in enumerate(H.row_supports()):
+    for i, sup in enumerate(view.sets):
         if len(sup) != r + 1:
             return fail({"row": i, "weight": len(sup)})
     return VerifyReport("staircase", True, "exhaustive",
@@ -818,21 +822,23 @@ def staircase_check(H: Mat, r: int, t: int) -> VerifyReport:
 # classification of rate-optimal two-erasure codes
 # ---------------------------------------------------------------------------
 
-def _greedy_low_weight_basis(code: LinearCode, wmax: int) -> Optional[Mat]:
-    """A full dual basis chosen greedily, lightest first, from the words of
-    `_low_weight_words`: words of one weight come in its order, so the
-    basis is drawn from every low-weight word when the dual has at most
-    2^20 words, else from the stored rows of H."""
-    words, _ = _low_weight_words(code, wmax)
+def _greedy_low_weight_basis(code: LinearCode,
+                             wmax: int) -> Optional[_Supports]:
+    """The support view of a full dual basis chosen greedily, lightest
+    first, from the words of `_low_weight_words`: words of one weight come
+    in its order, so the basis is drawn from every low-weight word when the
+    dual has at most 2^20 words, else from the stored rows of H."""
+    words = _low_weight_words(code, wmax)
     m = code.n - code.k
     chosen: List[Tuple[int, ...]] = []
     span = Echelon(code.gf)
-    for w in sorted(words.data, key=lambda w: len(w) - w.count(0)):
+    for w, sup in sorted(zip(words.data, words.row_supports()),
+                         key=lambda word: len(word[1])):
         if len(chosen) == m:
             break
         if span.insert_row(w):
-            chosen.append(w)
-    return Mat(code.gf, chosen, cols=code.n) if len(chosen) == m else None
+            chosen.append(sup)
+    return _Supports(code.n, chosen) if len(chosen) == m else None
 
 
 def classify_rate_optimal_t2(code: LinearCode,
@@ -843,9 +849,9 @@ def classify_rate_optimal_t2(code: LinearCode,
     with explicit node parities.
 
     The rows of a greedy low-weight dual basis are the nodes, its weight-2
-    columns the edges: one pass over the column supports joins the rows
-    into components, and a second puts each column in the component of its
-    first row."""
+    columns the edges: one pass over the column supports of its view joins
+    the rows into components, and a second puts each column in the
+    component of its first row."""
     from fractions import Fraction
     from .code import puncture
     [r] = declared(code, r=r)
@@ -858,13 +864,14 @@ def classify_rate_optimal_t2(code: LinearCode,
         return VerifyReport("classify-t2", False, "exhaustive",
                             witness=witness)
 
-    B = _greedy_low_weight_basis(code, r + 1)
-    if B is None:
+    view = _greedy_low_weight_basis(code, r + 1)
+    if view is None:
         return fail("low-weight words do not span the dual")
-    col_sup, non_edge = _edge_columns(B)
+    non_edge = _non_edge(view)
     if non_edge:
         return fail(non_edge)
-    parent = list(range(B.rows))  # union-find over the rows
+    col_sup = view.by_coord
+    parent = list(range(len(view.sets)))  # union-find over the rows
 
     def find(x):
         while parent[x] != x:
@@ -875,14 +882,15 @@ def classify_rate_optimal_t2(code: LinearCode,
     for sup in col_sup:  # a weight-1 column joins its row to itself
         parent[find(sup[0])] = find(sup[-1])
     components: Dict[int, Tuple[List[int], List[int]]] = {}  # rows, coords
-    for i in range(B.rows):
+    for i in range(len(view.sets)):
         components.setdefault(find(i), ([], []))[0].append(i)
     for j, sup in enumerate(col_sup):
         components[find(sup[0])][1].append(j)
     parts, graph_coords = [], []
     for rows, coords in components.values():
         singles = [col_sup[j][0] for j in coords if len(col_sup[j]) == 1]
-        edges = Counter(col_sup[j] for j in coords if len(col_sup[j]) == 2)
+        edges = Counter(tuple(col_sup[j]) for j in coords
+                        if len(col_sup[j]) == 2)
         if sorted(singles) != rows:
             return fail({"rows": rows, "reason": "node parities missing"})
         if len(rows) == 2 and list(edges.values()) == [r]:

@@ -10,12 +10,9 @@ import pathlib
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lrckit"
-# every module but the three construction modules
-TARGETS = {str(path): path.name for path in sorted(SRC.glob("*.py"))
-           if path.name not in ("seq_codes.py", "mr_codes.py", "lr_codes.py")}
+TARGETS = {str(path): path.name for path in sorted(SRC.glob("*.py"))}
 # (module, stripped source line) -> why no test reaches it.  Only invariant
-# raises belong here, checks that hold unless the construction has a defect,
-# and the one line that runs only in a subprocess.
+# raises belong here: checks that hold unless the construction has a defect.
 _FIXTURE = "invariant: a fixed construction, checked as it is built"
 ALLOWED = {
     ("graphs.py", 'raise ConstructionFailed("Hoffman-Singleton fixture '
@@ -44,8 +41,49 @@ ALLOWED = {
         "invariant: the table walk's self-check of the powers it built",
     ("field.py", 'raise FieldError("modulus has no root in the extension")'):
         "invariant: a subfield holds the roots of its own modulus",
-    ("cli.py", "sys.exit(main())"):
-        "runs only as `python -m lrckit.cli`, in a subprocess",
+    ("lr_codes.py", 'raise ConstructionFailed(f"MDS generator not '
+                    'systematic: {pivots}")'):
+        "invariant: every k columns of a Vandermonde matrix at distinct "
+        "points are independent, so its RREF pivots are the first k",
+    ("lr_codes.py", 'raise ConstructionFailed("cosets must be pairwise '
+                    'disjoint")'):
+        "invariant: distinct cosets of a subgroup are disjoint",
+    ("lr_codes.py", 'raise ConstructionFailed(f"x^{r + 1} is not constant '
+                    'on {coset}")'):
+        "invariant: x^(r+1) is constant on each coset of the order-(r+1) "
+        "subgroup",
+    ("mr_codes.py", 'raise ConstructionFailed("theta points collide")'):
+        "invariant: mr-r12 puts each group in its own coset of <beta>, as "
+        "r(q-1) > (2^l - 1)mr, and beta has order above r; pmr-a1 draws "
+        "distinct roots per group, each group in its own coset",
+    ("seq_codes.py", 'raise ConstructionFailed("cyclic orbits not all full '
+                     'size")'):
+        "invariant: gcd(L+1, m) = 1, checked first, gives every "
+        "weight-(L+1) orbit m members",
+    ("seq_codes.py", 'raise ConstructionFailed(f"a check does not have '
+                     'weight r+1 = {r + 1}")'):
+        "invariant: a row lies in C(m-1, w-1) columns of each weight "
+        "w <= L and in J orbit columns, 1 + r in all",
+    ("seq_codes.py", 'raise ConstructionFailed(f"{count} leaves of color '
+                     '{c}, not a "'):
+        "invariant: four identically colored trees give each color a "
+        "multiple of 4 leaves",
+    ("seq_codes.py", 'raise ConstructionFailed("base graph coloring is not '
+                     'proper")'):
+        "invariant: a child edge takes a color its parent edge leaves "
+        "free, and each gadget is properly colored in its leaves' free "
+        "colors",
+    ("seq_codes.py", 'raise ConstructionFailed("auxiliary girth '
+                     'insufficient")'):
+        "invariant: bipartite_regular_girth gives the girth it is asked "
+        "for or raises",
+    ("seq_codes.py", 'raise ConstructionFailed("auxiliary coloring is not '
+                     'perfect")'):
+        "invariant: each color of a regular bipartite graph's coloring is "
+        "a perfect matching (edge_color_bipartite)",
+    ("seq_codes.py", 'raise ConstructionFailed(f"expanded graph girth '
+                     '{got_girth} < {t+1}")'):
+        "invariant: the expansion inherits the auxiliary graph's girth",
 }
 _mon = sys.monitoring
 _reached = {path: set() for path in TARGETS}

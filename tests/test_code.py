@@ -367,9 +367,6 @@ def test_no_assert_statements_in_the_package():
 # stays.
 UNREFERENCED_ALLOWED = {
     "heawood_graph": "`cli.graph` reaches it by getattr, from --graph heawood",
-    "locality_witnesses": "one local parity per group, which the LR "
-                          "construction tests check; `pmds_check` reads the "
-                          "whole local duals from `LinearCode.local_dual`",
     "load": "the plain-path reader that the codec tests compare against",
     "dumps": "`io.dump` as a string, which the codec tests compare with "
              "`json.dumps`",

@@ -360,6 +360,22 @@ def test_construct_json_is_byte_identical(tmp_path, capsys, args, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_the_module_runs_main_as_a_script(monkeypatch, capsys):
+    """`python -m lrckit.cli` exits with the status of `main` on its
+    command line."""
+    import runpy
+    import sys
+    import warnings
+    monkeypatch.setattr(sys, "argv", ["lrckit.cli", "bound", "lr-singleton",
+                                      "--n", "10", "--k", "5", "--r", "2"])
+    with warnings.catch_warnings():  # lrckit.cli is imported already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("lrckit.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 4
+
+
 def test_cli_usage_error():
     assert main(["construct", "nosuch"]) == 2
     assert main(["construct", "mr-coset", "--n", "6", "--d-param", "1",

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,8 @@ import pytest
 from lrckit.bounds import lr_singleton_bound, sa_blocklength_bound
 from lrckit.code import BudgetExceeded, is_mds, min_distance
 from lrckit.field import FieldError, field_make
-from lrckit.lr_codes import (locality_witnesses, pg_plane_sa_code,
-                             product_avail_code, pyramid_code,
-                             steiner_sa_code, tamo_barg_code,
+from lrckit.lr_codes import (pg_plane_sa_code, product_avail_code,
+                             pyramid_code, steiner_sa_code, tamo_barg_code,
                              wang_avail_code)
 from lrckit.matrix import mat_rank
 from lrckit.verify import availability_check, sa_check, seq_recovery_check
@@ -29,9 +29,9 @@ def test_pyramid_split_group_locality():
     gf = field_make(11)
     c = pyramid_code(10, 6, 2, gf)
     assert min_distance(c) == lr_singleton_bound(10, 6, 2)
-    for w in locality_witnesses(c, c.provenance["groups"]):
-        weight = sum(1 for x in w if x)
-        assert 2 <= weight <= 3
+    for grp in c.provenance["groups"]:  # each carries its local parity
+        assert any(2 <= len(sup) <= 3
+                   for sup in c.local_dual(grp).row_supports())
 
 
 def test_pyramid_uneven_groups():
@@ -63,8 +63,8 @@ def test_tamo_barg_local_mds_property():
     G = c.generator()
     for grp in c.provenance["groups"]:
         assert mat_rank(G.select_columns(list(grp))) == 3
-    wits = locality_witnesses(c, c.provenance["groups"])
-    assert all(sum(1 for x in w if x) == 4 for w in wits)
+        assert any(len(sup) == 4
+                   for sup in c.local_dual(grp).row_supports())
 
 
 def test_tamo_barg_divisibility_guard():
@@ -151,3 +151,22 @@ def test_steiner_next_size():
     c = steiner_sa_code(4)  # 15 points, 35 lines
     assert (c.n, c.k) == (35, 35 - 15 + 4)
     assert sa_check(c.H, 6, 3).verdict
+
+
+# (id, call, error, message): each refusal that no other test reaches
+LR_REFUSALS = [
+    ("pyramid-no-global-parity", lambda: pyramid_code(5, 4, 1, field_make(7)),
+     ValueError, "no room for a global parity"),
+    ("tamo-barg-k", lambda: tamo_barg_code(8, 0, 3, field_make(3, 2)),
+     ValueError, "need 1 <= k <= n-1"),
+    ("wang-budget", lambda: wang_avail_code(20, 5), BudgetExceeded,
+     "C(25,5) = 53130 > 10000"),
+]
+
+
+@pytest.mark.parametrize("make, error, message",
+                         [row[1:] for row in LR_REFUSALS],
+                         ids=[row[0] for row in LR_REFUSALS])
+def test_lr_refusals_name_their_reason(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

@@ -9,6 +9,7 @@ from lrckit.matrix import (Mat, MatrixError,
                            first_dependent,
                            mat_nullspace, mat_rank, rref,
                            vandermonde)
+from lrckit.verify import _Supports
 
 
 def random_matrix(gf, rows, cols, rng):
@@ -319,7 +320,7 @@ def test_column_view_is_lazy_and_changes_nothing(pm):
             M.select_columns([0, 2]), mat_nullspace(M)]
     if gf.q == 2:
         made.append(Mat.from_bits(gf, M.bits, M.cols))
-    mat_rank(M), rref(M), M.row_supports(), M.column_supports(), M.data
+    mat_rank(M), rref(M), _Supports(M.cols, M.row_supports()), M.data
     assert all(X._columns is None for X in made)
     h = hash(M)
     assert not columns_independent(M, [0, 3, 7])
@@ -381,10 +382,11 @@ def test_row_and_column_supports_match_dense_scan(pm):
                  for _ in range(cols)] for _ in range(rows)]
         data[0] = [0] * cols
         M = Mat(gf, data)
-        assert M.row_supports() == [
+        view = _Supports(cols, M.row_supports())  # its by_coord: columns
+        assert view.sets == [
             tuple(j for j in range(cols) if data[i][j]) for i in range(rows)]
-        assert M.column_supports() == [
-            tuple(i for i in range(rows) if data[i][j]) for j in range(cols)]
+        assert view.by_coord == [
+            [i for i in range(rows) if data[i][j]] for j in range(cols)]
 
 
 def test_gf2_is_zero_on_bits():

@@ -8,8 +8,8 @@ import pytest
 
 from lrckit import io, matrix, verify
 from lrckit.bounds import lr_singleton_bound
-from lrckit.code import BudgetExceeded, LinearCode, is_mds, min_distance, \
-    puncture
+from lrckit.code import BudgetExceeded, LinearCode, SearchExhausted, \
+    is_mds, min_distance, puncture
 from lrckit.field import FieldError, field_make
 from lrckit.matrix import Mat, columns_independent, mat_rank
 from lrckit.mr_codes import (LocalStructure, coordinate_groups, mr_r12,
@@ -635,3 +635,34 @@ def test_mr_definition_oracle_every_pattern(make):
             overload = sum(max(len(es & g) - st.delta, 0) for g in groups)
             correctable = mat_rank(H.select_columns(pattern)) == w
             assert correctable == (overload <= s), pattern
+
+
+# (id, call, error, message): each refusal that no other test reaches
+MR_REFUSALS = [
+    ("rdelta2-no-field", lambda: mr_rdelta2(2, 2, 2, 1 << 20), FieldError,
+     "no prime power q with psi | q-1, q-1 >= psi*m"),
+    ("a1-no-unity-order", lambda: pmr_general_a1(2, 2, 2, 3), FieldError,
+     "no usable root-of-unity order"),
+    ("a1-too-many-groups", lambda: pmr_general_a1(4, 3, 3, 13), FieldError,
+     "too many groups for distinct cosets"),
+    ("coset-too-few", lambda: mr_r2_coset_search(9, 0, field_make(7)),
+     FieldError, "only 2 cosets available in GF(7)"),
+    ("coset-exhausted", lambda: mr_r2_coset_search(9, 1, field_make(13)),
+     SearchExhausted, "no coset extends the selection over GF(13); retry "
+                      "with a larger field"),
+]
+
+
+@pytest.mark.parametrize("make, error, message",
+                         [row[1:] for row in MR_REFUSALS],
+                         ids=[row[0] for row in MR_REFUSALS])
+def test_mr_refusals_name_their_reason(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_coset_search_passes_over_a_coset_that_breaks_the_selection():
+    """Over GF(19), adding coset 2 to cosets 0 and 1 leaves a one-per-group
+    puncturing that is not MDS, so the greedy search takes coset 3."""
+    code = mr_r2_coset_search(9, 1, field_make(19))
+    assert code.provenance["cosets"] == [0, 1, 3]

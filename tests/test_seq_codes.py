@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,24 @@ def test_seq_general_r4_t5():
     rep = staircase_check(c.H, 4, 5)
     assert rep.verdict
     assert rep.detail["profile"]["a"][0] == 5 * c.provenance["aux_nodes"]
+
+
+# (id, call, error, message): each refusal that no other test reaches
+SEQ_REFUSALS = [
+    ("dim-optimal-r-too-large", lambda: t2_dim_optimal_code(2, 1),
+     NotInCatalog, "r=1 too large for m=2 distinct columns"),
+    ("dim-optimal-J", lambda: t2_dim_optimal_code(3, 1), NotInCatalog,
+     "(L+1)=2 does not divide J=1"),
+    ("t3-ex3", lambda: t3_catalog("ex3"), ValueError,
+     "which must be 'ex1' or 'ex2'"),
+    ("general-aux", lambda: seq_general_code(3, 5, aux="x"), ValueError,
+     "aux must be 'catalog' or 'random'"),
+]
+
+
+@pytest.mark.parametrize("make, error, message",
+                         [row[1:] for row in SEQ_REFUSALS],
+                         ids=[row[0] for row in SEQ_REFUSALS])
+def test_seq_refusals_name_their_reason(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

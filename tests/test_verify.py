@@ -277,10 +277,12 @@ def test_packing_stops_where_too_few_candidates_are_left(monkeypatch):
 
 
 def test_each_check_builds_its_support_view_once(monkeypatch):
-    """`availability_check` builds one support view.  So does a `seq` `auto`
-    run that goes on to the availability test, the search and the draws,
-    each reading that one view, and a sampled run with jobs = 2, counted in
-    this process: its workers are sent the view."""
+    """`availability_check` builds one support view, of the dual supports.
+    So does a `seq` `auto` run that goes on to the availability test, the
+    search and the draws, each reading that one view, and a sampled run
+    with jobs = 2, counted in this process: its workers are sent the view.
+    Each seq run also builds exactly one view of H, which it reads as a
+    graph."""
     built, read = [], []
     init = verify._Supports.__init__
     monkeypatch.setattr(verify._Supports, "__init__", lambda self, *args:
@@ -290,17 +292,46 @@ def test_each_check_builds_its_support_view_once(monkeypatch):
                             f=getattr(verify, name), name=name:
                             read.append((name, view)) or f(view, *args))
     code = _incidence(graphs.petersen_graph(), 3)  # GF(3): no cycle witness
+    rows = code.H.row_supports()
+
+    def split(views):  # (the views of H, the views of dual supports)
+        return ([v for v in views if v.sets == rows],
+                [v for v in views if v.sets != rows])
+
     assert not availability_check(code, 2, 5).verdict
-    assert len(built) == 1 and read == [("_unavailable", built[0])]
+    of_h, dual = split(built)
+    assert of_h == [] and len(dual) == 1
+    assert read == [("_unavailable", dual[0])]
     monkeypatch.setattr(verify, "SEQ_EXHAUSTIVE_BUDGET", 10)
     rep = seq_recovery_check(code, 2, 5, samples=300, seed=5)
     assert (rep.mode, rep.budgets["nodes"]) == ("sampled", 10)
-    assert len(built) == 2 and read[1:] == [
-        (name, built[1]) for name in ("_unavailable", "_stopping_set",
-                                      "_Peeler")]
+    of_h, dual = split(built[1:])
+    assert len(of_h) == len(dual) == 1 and read[1:] == [
+        (name, dual[0]) for name in ("_unavailable", "_stopping_set",
+                                     "_Peeler")]
     rep = seq_recovery_check(code, 2, 5, mode="sampled", samples=300,
                              seed=5, jobs=2)
-    assert rep.budgets["jobs"] == 2 and len(built) == 3
+    of_h, dual = split(built[3:])
+    assert rep.budgets["jobs"] == 2 and len(of_h) == len(dual) == 1
+    assert read[4:] == []  # the workers peel in their own processes
+
+
+def test_sa_and_staircase_read_the_row_supports_once(monkeypatch):
+    """`sa_check` and `staircase_check` read H's row supports once, into
+    one support view, on a PASS and on a FAIL that reads every row."""
+    fano, k5 = steiner_sa_code(3), moore_code(3, 2)
+    short = Mat(GF2, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
+    calls = []
+    row_supports = Mat.row_supports
+    monkeypatch.setattr(Mat, "row_supports",
+                        lambda M: calls.append(M) or row_supports(M))
+    for check, H, r, t, verdict in ((sa_check, fano.H, 2, 3, True),
+                                    (sa_check, fano.H, 2, 4, False),
+                                    (staircase_check, k5.H, 3, 2, True),
+                                    (staircase_check, short, 2, 2, False)):
+        calls.clear()
+        assert check(H, r, t).verdict is verdict
+        assert len(calls) == 1 and calls[0] is H
 
 
 @pytest.mark.parametrize("platform", ["this", "without forkserver"])
@@ -795,8 +826,8 @@ def test_low_weight_dual_supports_are_every_light_dual_word():
         assert low_weight_dual_supports(code, wmax) == sorted(
             {frozenset(j for j, x in enumerate(w) if x) for w in light},
             key=lambda s: (len(s), sorted(s)))
-        words, complete = verify._low_weight_words(code, wmax)
-        assert complete and words.rows * (gf.q - 1) == len(light)
+        words = verify._low_weight_words(code, wmax)  # all of them
+        assert words.rows * (gf.q - 1) == len(light)
         assert set(words.data) <= set(light)
 
 
@@ -814,7 +845,7 @@ def test_stored_rows_take_no_dual_work(seq_1352, monkeypatch):
     supports = low_weight_dual_supports(code, 4)
     assert len(supports) == code.H.rows == 650
     assert set(supports) == set(map(frozenset, code.H.row_supports()))
-    assert not verify._low_weight_words(code, 4)[1]
+    assert verify._low_weight_words(code, 4).bits == code.H.bits
 
 
 # n = 1 .. 99 crosses `Random.sample`'s switch from its pool branch to its
